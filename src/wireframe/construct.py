@@ -82,8 +82,8 @@ class ConstructionParams:
         for name in ("omega", "tau_c", "tau_b", "delta_ray", "rho_nms",
                      "boundary_frac", "kappa_min", "min_piece_len",
                      "max_walk_gap"):
-            if getattr(self, name) < 0:
-                raise GeometryError(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) < math.inf:  # NaN fails too
+                raise GeometryError(f"{name} must be finite and >= 0")
         if not 0.0 <= self.kappa_min <= 1.0:
             raise GeometryError(f"kappa_min={self.kappa_min} outside [0, 1]")
 
@@ -158,12 +158,6 @@ def match_ray_pairs(junctions: Sequence[Junction],
             pairs.append((r, Ray(t2[0], t2[1], junctions[t2[0]].center,
                                  normalize_angle(junctions[t2[0]].branches[t2[1]].angle_deg))))
     return pairs
-
-
-def match_rays(junctions: Sequence[Junction],
-               delta_ray: float = DEFAULT_DELTA_RAY) -> list[Segment]:
-    """Segments joining mutually matched junction pairs."""
-    return [Segment(a.origin, b.origin) for a, b in match_ray_pairs(junctions, delta_ray)]
 
 
 def ray_boundary_point(origin: Point, angle_deg: float,

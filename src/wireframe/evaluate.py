@@ -1,11 +1,10 @@
 """Tolerance-based precision/recall for junctions and line-segment pixels.
 
-Junction matching is one-to-one and greedy in ascending distance, with an
-exhaustive maximum-matching oracle for small instances.  Line matching is
-coverage-based at the pixel level via a distance transform.  Tolerance
-defaults to 0.01 of the image diagonal.  Conventions: no predictions means
-precision 1, no ground truth means recall 1, which keeps threshold sweeps
-well-defined at the extremes.
+Junction matching is a one-to-one maximum matching found by augmenting
+paths.  Line matching is coverage-based at the pixel level via a distance
+transform.  Tolerance defaults to 0.01 of the image diagonal.  Conventions:
+no predictions means precision 1, no ground truth means recall 1, which
+keeps threshold sweeps well-defined at the extremes.
 """
 
 from __future__ import annotations
@@ -64,48 +63,36 @@ def _pr_from_counts(threshold: float, n_gt: int, n_pred: int,
 
 
 def match_points(gt: Sequence[Point], pred: Sequence[Point], tol: float) -> int:
-    """Greedy one-to-one matching: closest pairs first, each point used once."""
-    pairs = sorted(
-        (gt[i].distance_to(pred[j]), i, j)
-        for i in range(len(gt)) for j in range(len(pred))
-        if gt[i].distance_to(pred[j]) <= tol)
-    used_g: set[int] = set()
-    used_q: set[int] = set()
-    matches = 0
-    for _, i, j in pairs:
-        if i in used_g or j in used_q:
-            continue
-        used_g.add(i)
-        used_q.add(j)
-        matches += 1
-    return matches
+    """Maximum one-to-one matching within tol, each point used once.
 
-
-def max_matching(gt: Sequence[Point], pred: Sequence[Point], tol: float) -> int:
-    """Exhaustive maximum bipartite matching (augmenting paths).
-
-    The optimal counterpart of match_points; intended as an oracle on small
-    instances.
+    Augmenting paths (Kuhn) from an empty matching, one search per gt point,
+    with an explicit stack so long alternating chains need no recursion.
     """
     adj = [[j for j in range(len(pred)) if gt[i].distance_to(pred[j]) <= tol]
            for i in range(len(gt))]
     owner = [-1] * len(pred)
-
-    def augment(i: int, seen: list[bool]) -> bool:
-        for j in adj[i]:
-            if seen[j]:
+    matches = 0
+    for root in range(len(gt)):
+        seen = [False] * len(pred)
+        # stack[k] is a gt point on the path; via[k] the pred leading on from it
+        stack = [(root, iter(adj[root]))]
+        via: list[int] = []
+        while stack:
+            j = next((j for j in stack[-1][1] if not seen[j]), -1)
+            if j < 0:
+                stack.pop()
+                if via:  # the pred that led to the abandoned point
+                    via.pop()
                 continue
             seen[j] = True
-            if owner[j] < 0 or augment(owner[j], seen):
-                owner[j] = i
-                return True
-        return False
-
-    total = 0
-    for i in range(len(gt)):
-        if augment(i, [False] * len(pred)):
-            total += 1
-    return total
+            via.append(j)
+            if owner[j] < 0:
+                for (i, _), jj in zip(stack, via):
+                    owner[jj] = i
+                matches += 1
+                break
+            stack.append((owner[j], iter(adj[owner[j]])))
+    return matches
 
 
 def junction_pr(gt: Sequence[Junction], pred: Sequence[Junction],
@@ -117,23 +104,19 @@ def junction_pr(gt: Sequence[Junction], pred: Sequence[Junction],
     return _pr_from_counts(threshold, len(gt), len(pred), m, m)
 
 
-def _pixel_set(segments: Sequence[Segment], width: int, height: int) -> set[tuple[int, int]]:
-    out: set[tuple[int, int]] = set()
+def _pixel_mask(segments: Sequence[Segment], width: int, height: int) -> np.ndarray:
+    mask = np.zeros((height, width), dtype=bool)
     for s in segments:
-        out.update(rasterize_segment(s, width, height))
-    return out
+        px = np.array(rasterize_segment(s, width, height), dtype=np.intp).reshape(-1, 2)
+        mask[px[:, 1], px[:, 0]] = True
+    return mask
 
 
-def _near_count(pixels: set[tuple[int, int]], others: set[tuple[int, int]],
-                width: int, height: int, tol: float) -> int:
-    """How many of `pixels` lie within tol of some pixel in `others`."""
-    if not pixels or not others:
+def _near_count(mask: np.ndarray, other: np.ndarray, tol: float) -> int:
+    """How many set pixels of `mask` lie within tol of a set pixel of `other`."""
+    if not mask.any() or not other.any():
         return 0
-    empty = np.ones((height, width), dtype=bool)
-    for x, y in others:
-        empty[y, x] = False
-    dist = ndimage.distance_transform_edt(empty)
-    return sum(1 for x, y in pixels if dist[y, x] <= tol)
+    return int(np.count_nonzero(ndimage.distance_transform_edt(~other)[mask] <= tol))
 
 
 def line_pixel_pr(gt: Sequence[Segment], pred: Sequence[Segment],
@@ -141,11 +124,12 @@ def line_pixel_pr(gt: Sequence[Segment], pred: Sequence[Segment],
                   threshold: float = 0.0) -> PRPoint:
     """Coverage-based PR over rasterized line pixels."""
     tol = config.tolerance(width, height)
-    gt_px = _pixel_set(gt, width, height)
-    pred_px = _pixel_set(pred, width, height)
-    matched_pred = _near_count(pred_px, gt_px, width, height, tol)
-    matched_gt = _near_count(gt_px, pred_px, width, height, tol)
-    return _pr_from_counts(threshold, len(gt_px), len(pred_px), matched_gt, matched_pred)
+    gt_px = _pixel_mask(gt, width, height)
+    pred_px = _pixel_mask(pred, width, height)
+    matched_pred = _near_count(pred_px, gt_px, tol)
+    matched_gt = _near_count(gt_px, pred_px, tol)
+    return _pr_from_counts(threshold, int(np.count_nonzero(gt_px)),
+                           int(np.count_nonzero(pred_px)), matched_gt, matched_pred)
 
 
 def pool_pr(threshold: float, per_image: Sequence[PRPoint]) -> PRPoint:
@@ -230,8 +214,3 @@ def emit_pr_svg(curve: PRCurve, path: str) -> None:
     s.append("</svg>")
     with open(path, "w", encoding="ascii", newline="\n") as f:
         f.write("\n".join(s) + "\n")
-
-
-def emit_pr(curve: PRCurve, csv_path: str, svg_path: str) -> None:
-    emit_pr_csv(curve, csv_path)
-    emit_pr_svg(curve, svg_path)

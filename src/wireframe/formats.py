@@ -17,7 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from .annotate import AnnotatedScene, HeatMap
-from .geometry import Branch, GeometryError, Junction, Point, Segment, Wireframe
+from .geometry import (Branch, GeometryError, Junction, Point, Segment, Wireframe,
+                       normalize_angle)
 from .gridcodec import GridConfig, GridEncoding
 
 WFHM_MAGIC = b"WFHM"
@@ -43,13 +44,34 @@ def _load(path: str):
     try:
         with open(path, "r", encoding="utf-8") as f:
             return json.load(f)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise FormatError(f"{path}: invalid JSON ({e})") from e
 
 
 def _require(cond: bool, path: str, why: str) -> None:
     if not cond:
         raise FormatError(f"{path}: {why}")
+
+
+def _number(v, path: str, where: str) -> float:
+    try:
+        x = float("nan") if isinstance(v, bool) else float(v)
+    except (TypeError, ValueError, OverflowError):
+        x = float("nan")
+    _require(bool(np.isfinite(x)), path, f"{where}: {v!r} is not a finite number")
+    return x
+
+
+def _load_sized(path: str, what: str, keys: tuple[str, ...]) -> dict:
+    """A JSON object with integer width and height and list-valued keys."""
+    doc = _load(path)
+    _require(isinstance(doc, dict) and {"width", "height", *keys} <= set(doc), path,
+             f"{what} needs width, height, {', '.join(keys)}")
+    _require(type(doc["width"]) is int and type(doc["height"]) is int,
+             path, "width/height must be integers")
+    _require(all(isinstance(doc[k], list) for k in keys), path,
+             f"{', '.join(keys)} must be lists")
+    return doc
 
 
 # -- scenes (also the segment-list output of the Hough baseline) --
@@ -64,17 +86,12 @@ def write_scene(scene: AnnotatedScene, path: str) -> None:
 
 
 def read_scene(path: str) -> AnnotatedScene:
-    doc = _load(path)
-    _require(isinstance(doc, dict), path, "scene must be a JSON object")
-    for key in ("width", "height", "lines"):
-        _require(key in doc, path, f"missing key {key!r}")
-    _require(isinstance(doc["width"], int) and isinstance(doc["height"], int),
-             path, "width/height must be integers")
+    doc = _load_sized(path, "scene", ("lines",))
     lines = []
     for i, row in enumerate(doc["lines"]):
         _require(isinstance(row, list) and len(row) == 4,
                  path, f"lines[{i}] must be [x1, y1, x2, y2]")
-        x1, y1, x2, y2 = (float(v) for v in row)
+        x1, y1, x2, y2 = (_number(v, path, f"lines[{i}]") for v in row)
         try:
             lines.append(Segment(Point(x1, y1), Point(x2, y2)))
         except GeometryError as e:
@@ -85,8 +102,45 @@ def read_scene(path: str) -> AnnotatedScene:
         raise FormatError(f"{path}: {e}") from e
 
 
-def segments_of(scene: AnnotatedScene) -> list[Segment]:
-    return list(scene.lines)
+# -- junction records, shared by junction and wireframe files --
+
+def _junction_record(j: Junction, derived: bool | None = None) -> dict:
+    """One junction as JSON; wireframe files also record `derived`."""
+    rec = {"x": _round9(j.center.x), "y": _round9(j.center.y),
+           "score": _round9(j.confidence)}
+    if derived is not None:
+        rec["derived"] = derived
+    # rounding can carry an angle just below 360 up to 360.0
+    rec["branches"] = [{"theta": normalize_angle(_round9(b.angle_deg)),
+                        "score": _round9(b.confidence)} for b in j.branches]
+    return rec
+
+
+def _parse_junctions(doc: dict, path: str) -> list[Junction]:
+    """Inverse of _junction_record over doc["junctions"]; every malformed
+    field is a FormatError."""
+    out = []
+    for i, rec in enumerate(doc["junctions"]):
+        at = f"junctions[{i}]"
+        _require(isinstance(rec, dict) and "x" in rec and "y" in rec
+                 and isinstance(rec.get("branches", []), list)
+                 and isinstance(rec.get("derived", False), bool), path,
+                 f"{at} must be an object with x, y, a branches list and a boolean derived")
+        score = _number(rec.get("score", 1.0), path, f"{at}.score")
+        _require(0.0 <= score <= 1.0, path, f"{at}: score {score} outside [0,1]")
+        branches = []
+        for k, br in enumerate(rec.get("branches", [])):
+            bat = f"{at}.branches[{k}]"
+            _require(isinstance(br, dict) and "theta" in br, path, f"{bat} needs a theta")
+            theta = _number(br["theta"], path, f"{bat}.theta")
+            bscore = _number(br.get("score", 1.0), path, f"{bat}.score")
+            _require(0.0 <= theta < 360.0, path, f"{bat}: theta {theta} outside [0,360)")
+            _require(0.0 <= bscore <= 1.0, path, f"{bat}: score {bscore} outside [0,1]")
+            branches.append(Branch(theta, bscore))
+        out.append(Junction(Point(_number(rec["x"], path, f"{at}.x"),
+                                  _number(rec["y"], path, f"{at}.y")),
+                            tuple(branches), score, rec.get("derived", False)))
+    return out
 
 
 # -- junction predictions / ground truth --
@@ -96,39 +150,13 @@ def write_junctions(width: int, height: int, junctions: Sequence[Junction],
     _dump({
         "width": width,
         "height": height,
-        "junctions": [{
-            "x": _round9(j.center.x),
-            "y": _round9(j.center.y),
-            "score": _round9(j.confidence),
-            "branches": [{"theta": _round9(b.angle_deg), "score": _round9(b.confidence)}
-                         for b in j.branches],
-        } for j in junctions],
+        "junctions": [_junction_record(j) for j in junctions],
     }, path)
 
 
 def read_junctions(path: str) -> tuple[int, int, list[Junction]]:
-    doc = _load(path)
-    _require(isinstance(doc, dict) and {"width", "height", "junctions"} <= set(doc),
-             path, "junction file needs width, height, junctions")
-    out = []
-    for i, rec in enumerate(doc["junctions"]):
-        score = float(rec.get("score", 1.0))
-        _require(0.0 <= score <= 1.0, path, f"junctions[{i}]: score {score} outside [0,1]")
-        branches = []
-        for k, br in enumerate(rec.get("branches", [])):
-            theta = float(br["theta"])
-            bscore = float(br.get("score", 1.0))
-            _require(0.0 <= theta < 360.0, path,
-                     f"junctions[{i}].branches[{k}]: theta {theta} outside [0,360)")
-            _require(0.0 <= bscore <= 1.0, path,
-                     f"junctions[{i}].branches[{k}]: score {bscore} outside [0,1]")
-            branches.append(Branch(theta, bscore))
-        try:
-            out.append(Junction(Point(float(rec["x"]), float(rec["y"])),
-                                tuple(branches), score))
-        except (KeyError, GeometryError) as e:
-            raise FormatError(f"{path}: junctions[{i}]: {e}") from e
-    return int(doc["width"]), int(doc["height"]), out
+    doc = _load_sized(path, "junction file", ("junctions",))
+    return doc["width"], doc["height"], _parse_junctions(doc, path)
 
 
 # -- heat maps (WFHM binary) --
@@ -172,50 +200,39 @@ def write_wireframe(wf: Wireframe, width: int, height: int, path: str) -> None:
     _dump({
         "width": width,
         "height": height,
-        "junctions": [{
-            "x": _round9(j.center.x),
-            "y": _round9(j.center.y),
-            "score": _round9(j.confidence),
-            "derived": bool(j.derived),
-            "branches": [{"theta": _round9(b.angle_deg), "score": _round9(b.confidence)}
-                         for b in j.branches],
-        } for j in wf.junctions],
+        "junctions": [_junction_record(j, derived=bool(j.derived)) for j in wf.junctions],
         "segments": segments,
         "incidence": incidence,
     }, path)
 
 
 def read_wireframe(path: str) -> tuple[int, int, Wireframe]:
-    doc = _load(path)
-    _require(isinstance(doc, dict) and {"width", "height", "junctions", "segments"}
-             <= set(doc), path, "wireframe file needs width, height, junctions, segments")
-    junctions = []
-    for i, rec in enumerate(doc["junctions"]):
-        branches = tuple(Branch(float(b["theta"]), float(b.get("score", 1.0)))
-                         for b in rec.get("branches", []))
-        junctions.append(Junction(Point(float(rec["x"]), float(rec["y"])), branches,
-                                  float(rec.get("score", 1.0)),
-                                  bool(rec.get("derived", False))))
+    doc = _load_sized(path, "wireframe file", ("junctions", "segments"))
+    junctions = _parse_junctions(doc, path)
     n = len(junctions)
     segments = []
     for m, pair in enumerate(doc["segments"]):
-        _require(isinstance(pair, list) and len(pair) == 2, path,
+        _require(isinstance(pair, list) and len(pair) == 2
+                 and all(type(v) is int for v in pair), path,
                  f"segments[{m}] must be an index pair")
-        a, b = int(pair[0]), int(pair[1])
+        a, b = pair
         _require(0 <= a < n and 0 <= b < n, path, f"segments[{m}] index out of range")
         try:
             segments.append(Segment(junctions[a].center, junctions[b].center))
         except GeometryError as e:
             raise FormatError(f"{path}: segments[{m}]: {e}") from e
     incidence = np.zeros((n, len(segments)), dtype=np.int64)
-    for t, triplet in enumerate(doc.get("incidence", [])):
-        _require(isinstance(triplet, list) and len(triplet) == 3, path,
+    triplets = doc.get("incidence", [])
+    _require(isinstance(triplets, list), path, "incidence must be a list")
+    for t, triplet in enumerate(triplets):
+        _require(isinstance(triplet, list) and len(triplet) == 3
+                 and all(type(v) is int for v in triplet), path,
                  f"incidence[{t}] must be [junction, segment, 1]")
-        jn, m, bit = (int(v) for v in triplet)
+        jn, m, bit = triplet
         _require(0 <= jn < n and 0 <= m < len(segments) and bit == 1, path,
                  f"incidence[{t}] out of range")
         incidence[jn, m] = 1
-    return int(doc["width"]), int(doc["height"]), Wireframe(junctions, segments, incidence)
+    return doc["width"], doc["height"], Wireframe(junctions, segments, incidence)
 
 
 # -- grid encodings --
@@ -250,5 +267,5 @@ def read_grid(path: str) -> GridEncoding:
                             displacement=np.array(doc["displacement"], dtype=np.float64),
                             bin_conf=np.array(doc["bin_conf"], dtype=np.float64),
                             bin_residual=np.array(doc["bin_residual"], dtype=np.float64))
-    except (KeyError, ValueError, GeometryError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError, GeometryError) as e:
         raise FormatError(f"{path}: {e}") from e

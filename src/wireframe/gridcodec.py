@@ -12,8 +12,8 @@ y-down frame.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -72,23 +72,16 @@ def angle_to_bin(theta_deg: float, bins: int) -> tuple[int, float]:
     [-bw/2, bw/2) with bw = 360/bins."""
     bw = 360.0 / bins
     theta = normalize_angle(theta_deg)
-    k = min(int(theta // bw), bins - 1)
-    return k, theta - (k + 0.5) * bw
+    # An angle a rounding error below a lower bin edge, as bin_to_angle
+    # rebuilds residual -bw/2, belongs to the bin above; the clamp keeps
+    # every residual inside [-bw/2, bw/2).
+    k = min(int((theta + 1e-10) // bw), bins - 1)
+    return k, min(max(theta - (k + 0.5) * bw, -bw / 2), math.nextafter(bw / 2, 0.0))
 
 
 def bin_to_angle(k: int, residual_deg: float, bins: int) -> float:
     """Inverse of angle_to_bin: bin center plus residual, in [0, 360)."""
     return normalize_angle((k + 0.5) * (360.0 / bins) + residual_deg)
-
-
-@dataclass(frozen=True)
-class CellPrediction:
-    """One grid cell: junction confidence, displacement (pixels, relative to
-    the cell center), and K branch bins."""
-    center_conf: float
-    displacement: tuple[float, float]
-    bin_conf: tuple[float, ...]
-    bin_residual: tuple[float, ...]
 
 
 @dataclass(eq=False)
@@ -118,23 +111,6 @@ class GridEncoding:
                   self.bin_conf.shape, self.bin_residual.shape)
         if shapes != ((h, w), (h, w, 2), (h, w, k), (h, w, k)):
             raise GeometryError(f"encoding arrays {shapes} do not match config {self.config}")
-
-    def cell(self, row: int, col: int) -> CellPrediction:
-        return CellPrediction(
-            float(self.center_conf[row, col]),
-            tuple(self.displacement[row, col]),
-            tuple(self.bin_conf[row, col]),
-            tuple(self.bin_residual[row, col]),
-        )
-
-    def copy(self) -> "GridEncoding":
-        return GridEncoding(self.config, self.center_conf.copy(), self.displacement.copy(),
-                            self.bin_conf.copy(), self.bin_residual.copy())
-
-    def cells(self) -> Iterator[tuple[int, int]]:
-        for row in range(self.config.grid_h):
-            for col in range(self.config.grid_w):
-                yield row, col
 
 
 def encode(junctions: Sequence[Junction], config: GridConfig) -> GridEncoding:

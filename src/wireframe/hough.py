@@ -34,12 +34,13 @@ class HoughParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.rho_res <= 0 or self.theta_res <= 0:
-            raise GeometryError("rho and theta resolutions must be > 0")
-        if self.votes < 1:
-            raise GeometryError(f"vote threshold {self.votes} must be >= 1")
-        if self.min_length < 0 or self.max_gap < 0:
-            raise GeometryError("min_length and max_gap must be >= 0")
+        # NaN fails every comparison, so each check also rejects it
+        if not (0 < self.rho_res < math.inf and 0 < self.theta_res < math.inf):
+            raise GeometryError("rho and theta resolutions must be finite and > 0")
+        if not 1 <= self.votes < math.inf:
+            raise GeometryError(f"vote threshold {self.votes} must be finite and >= 1")
+        if not (0 <= self.min_length < math.inf and 0 <= self.max_gap < math.inf):
+            raise GeometryError("min_length and max_gap must be finite and >= 0")
 
 
 def _walk_dir(alive: np.ndarray, x0: int, y0: int, dx: float, dy: float,
@@ -48,58 +49,36 @@ def _walk_dir(alive: np.ndarray, x0: int, y0: int, dx: float, dy: float,
 
     Steps along the dominant axis; at each step the expected pixel and its
     two lateral neighbors are probed, and a hit re-centers the walk, which
-    tolerates the accumulator's angle quantization.
+    tolerates the accumulator's angle quantization.  A y-major direction is
+    the same walk over the transposed mask.
     """
+    if abs(dx) < abs(dy):
+        return [(x, y) for y, x in _walk_dir(alive.T, y0, x0, dy, dx, max_gap)]
     h, w = alive.shape
     hits: list[tuple[int, int]] = []
-    if abs(dx) >= abs(dy):
-        sx = 1 if dx > 0 else -1
-        slope = dy / dx * sx
-        x, yf = x0, float(y0)
-        gap = 0
-        while True:
-            x += sx
-            yf += slope
-            if not 0 <= x < w:
+    sx = 1 if dx > 0 else -1
+    slope = dy / dx * sx
+    x, yf = x0, float(y0)
+    gap = 0
+    while True:
+        x += sx
+        yf += slope
+        if not 0 <= x < w:
+            break
+        y = int(math.floor(yf + 0.5))
+        found = None
+        for yy in (y, y - 1, y + 1):
+            if 0 <= yy < h and alive[yy, x]:
+                found = yy
                 break
-            y = int(math.floor(yf + 0.5))
-            found = None
-            for yy in (y, y - 1, y + 1):
-                if 0 <= yy < h and alive[yy, x]:
-                    found = yy
-                    break
-            if found is None:
-                gap += 1
-                if gap > max_gap:
-                    break
-                continue
-            gap = 0
-            yf = float(found)
-            hits.append((x, found))
-    else:
-        sy = 1 if dy > 0 else -1
-        slope = dx / dy * sy
-        y, xf = y0, float(x0)
-        gap = 0
-        while True:
-            y += sy
-            xf += slope
-            if not 0 <= y < h:
+        if found is None:
+            gap += 1
+            if gap > max_gap:
                 break
-            x = int(math.floor(xf + 0.5))
-            found = None
-            for xx in (x, x - 1, x + 1):
-                if 0 <= xx < w and alive[y, xx]:
-                    found = xx
-                    break
-            if found is None:
-                gap += 1
-                if gap > max_gap:
-                    break
-                continue
-            gap = 0
-            xf = float(found)
-            hits.append((found, y))
+            continue
+        gap = 0
+        yf = float(found)
+        hits.append((x, found))
     return hits
 
 

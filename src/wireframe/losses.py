@@ -51,18 +51,6 @@ class LossReport:
     loc_b: float
 
 
-def cross_entropy(pred_conf: float, target: float) -> float:
-    """Binary cross-entropy with clamped logs, >= 0."""
-    p = float(pred_conf)
-    t = float(target)
-    out = 0.0
-    if t != 0.0:
-        out -= t * math.log(max(p, CONF_EPS))
-    if t != 1.0:
-        out -= (1.0 - t) * math.log(max(1.0 - p, CONF_EPS))
-    return out
-
-
 def _ce_terms(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Elementwise clamped cross-entropy."""
     return (-target * np.log(np.maximum(pred, CONF_EPS))

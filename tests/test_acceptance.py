@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from wireframe.annotate import (
     AnnotatedScene,
@@ -31,7 +32,6 @@ from wireframe.evaluate import (
     junction_pr,
     line_pixel_pr,
     match_points,
-    max_matching,
     pool_pr,
     read_pr_csv,
     emit_pr_csv,
@@ -251,20 +251,21 @@ def test_criterion_04_perfect_prediction():
           f"location terms exactly 0, weighted sum to 1e-12")
 
 
-# -- 5: greedy matcher vs exhaustive oracle --
+# -- 5: matcher vs independent assignment oracle --
 
 def test_criterion_05_matcher_oracle():
     rng = np.random.default_rng(505)
-    agree = 0
     for _ in range(500):
         n_g, n_q = int(rng.integers(0, 9)), int(rng.integers(0, 9))
         gt = [Point(*rng.uniform(0, 100, 2)) for _ in range(n_g)]
         pred = [Point(*rng.uniform(0, 100, 2)) for _ in range(n_q)]
         tol = float(rng.choice([2.0, 5.0, 10.0, 25.0]))
-        greedy = match_points(gt, pred, tol)
-        best = max_matching(gt, pred, tol)
-        assert 0 <= best - greedy <= 1, f"greedy {greedy} vs optimal {best}"
-        agree += greedy == best
+        # a maximum-weight assignment on the 0/1 within-tol matrix
+        w = np.array([[float(g.distance_to(q) <= tol) for q in pred] for g in gt])
+        rows, cols = linear_sum_assignment(w.reshape(n_g, n_q), maximize=True)
+        best = int(w.reshape(n_g, n_q)[rows, cols].sum())
+        got = match_points(gt, pred, tol)
+        assert got == best, f"matcher {got} vs optimal {best}"
 
         gjs = [Junction(p, (Branch(0.0),)) for p in gt]
         qjs = [Junction(p, (Branch(0.0),)) for p in pred]
@@ -276,9 +277,8 @@ def test_criterion_05_matcher_oracle():
             assert abs(pr.precision * n_q - matches) <= 1e-9
         if n_g:
             assert abs(pr.recall * n_g - matches) <= 1e-9
-    assert agree >= 490, f"agreement {agree}/500 < 98%"
-    ok(5, f"greedy = optimal on {agree}/500 instances, gap never above 1, "
-          f"PR count identity held")
+    ok(5, "matcher = assignment optimum on 500/500 instances, "
+          "PR count identity held")
 
 
 # -- 6: threshold sweep monotonicity --

@@ -97,6 +97,29 @@ def test_missing_file_exits_3(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+JUNCTION_FILE = '{"width": 8, "height": 8, "junctions": [%s]}'
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("eval", JUNCTION_FILE % '{"x": 1, "y": 1, "branches": [{"score": 1}]}'),
+    ("eval", JUNCTION_FILE % '{"x": "left", "y": 1, "branches": []}'),
+    ("derive-gt", '{"width": 8, "height": 8, "lines": 5}'),
+    ("derive-gt", '{"width": 8, "height": 8, "lines": [["a", 1, 2, 3]]}'),
+    ("eval", JUNCTION_FILE % '{"x": true, "y": 1, "branches": []}'),
+    ("derive-gt", '{"width": true, "height": 8, "lines": []}'),
+    ("eval", JUNCTION_FILE % '{"x": 1, "y": 1, "derived": "no", "branches": []}'),
+], ids=["branch-without-theta", "non-numeric-x", "lines-not-a-list", "non-numeric-row",
+        "boolean-x", "boolean-width", "string-derived"])
+def test_malformed_file_exits_3(tmp_path, capsys, command, doc):
+    path = str(tmp_path / "bad.json")
+    open(path, "w").write(doc)
+    argv = (["eval", "junctions", "--gt", path, "--pred", path] if command == "eval"
+            else ["derive-gt", "--scene", path, "--out-junctions", str(tmp_path / "j.json")])
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_parse_sweep():
     assert _parse_sweep("0.1:0.9:0.1") == (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
     assert _parse_sweep("0.5:0.5:1") == (0.5,)

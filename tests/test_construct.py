@@ -22,7 +22,6 @@ from wireframe.construct import (
     junction_rays,
     line_support_ratio,
     match_ray_pairs,
-    match_rays,
     ray_boundary_point,
     recover_unmatched,
 )
@@ -47,6 +46,12 @@ def test_params_validation():
         ConstructionParams(kappa_min=1.5)
     with pytest.raises(GeometryError):
         ConstructionParams(omega=-1.0)
+    with pytest.raises(GeometryError):
+        ConstructionParams(omega=float("nan"))
+    with pytest.raises(GeometryError):
+        ConstructionParams(kappa_min=float("nan"))
+    with pytest.raises(GeometryError):
+        ConstructionParams(rho_nms=float("inf"))
 
 
 def test_dedup_keeps_strongest():
@@ -73,16 +78,21 @@ def test_binarize():
     assert binarize(hm, 0.0).bits.all()
 
 
+def matched(junctions, **kw):
+    """Segments joining the mutually matched ray pairs."""
+    return [Segment(a.origin, b.origin) for a, b in match_ray_pairs(junctions, **kw)]
+
+
 def test_match_two_facing():
     p1, p2 = jn(0, 0, [0]), jn(10, 0, [180])
-    got = match_rays([p1, p2])
+    got = matched([p1, p2])
     assert got == [Segment(p1.center, p2.center)]
 
 
 def test_match_prefers_nearest():
     # middle junction intercepts: p1-p3 and p3-p2, never the long p1-p2
     p1, p3, p2 = jn(0, 0, [0]), jn(5, 0, [0, 180]), jn(10, 0, [180])
-    got = match_rays([p1, p3, p2])
+    got = matched([p1, p3, p2])
     assert Segment(p1.center, p3.center) in got
     assert Segment(p3.center, p2.center) in got
     assert Segment(p1.center, p2.center) not in got
@@ -92,14 +102,14 @@ def test_match_prefers_nearest():
 def test_match_misaligned_rejected():
     # direction to the partner is atan(5/10) = 26.6 deg off the branch
     p1, p2 = jn(0, 0, [0]), jn(10, 5, [180])
-    assert match_rays([p1, p2], delta_ray=12.0) == []
+    assert matched([p1, p2], delta_ray=12.0) == []
     assert math.degrees(math.atan2(5, 10)) > 12.0
 
 
 def test_match_one_segment_per_branch():
     # three collinear: the middle 0-degree ray must pick only the nearer one
     p1, p2, p3 = jn(0, 0, [0]), jn(6, 0, [180, 0]), jn(14, 0, [180])
-    segs = match_rays([p1, p2, p3])
+    segs = matched([p1, p2, p3])
     starts = {}
     for a, b in match_ray_pairs([p1, p2, p3]):
         for r in (a, b):

@@ -1,18 +1,19 @@
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from wireframe.evaluate import (
     EvalConfig,
     PRCurve,
     PRPoint,
-    emit_pr,
     emit_pr_csv,
+    emit_pr_svg,
     junction_pr,
     line_pixel_pr,
     match_points,
-    max_matching,
     pool_pr,
     read_pr_csv,
     sweep_pr,
@@ -32,6 +33,14 @@ def jn(x, y, conf=1.0):
 
 def seg(x1, y1, x2, y2):
     return Segment(pt(x1, y1), pt(x2, y2))
+
+
+def optimum(gt, q, tol):
+    """Oracle: a maximum-weight assignment on the 0/1 within-tol matrix."""
+    w = np.array([[float(g.distance_to(p) <= tol) for p in q] for g in gt])
+    w = w.reshape(len(gt), len(q))
+    rows, cols = linear_sum_assignment(w, maximize=True)
+    return int(w[rows, cols].sum())
 
 
 def test_config_validation():
@@ -55,7 +64,6 @@ def test_match_one_to_one():
     gt = [pt(0, 0), pt(2, 0)]
     q = [pt(1, 0)]
     assert match_points(gt, q, 1.5) == 1
-    assert max_matching(gt, q, 1.5) == 1
 
 
 def test_max_matching_beats_bad_greedy_case():
@@ -63,8 +71,17 @@ def test_max_matching_beats_bad_greedy_case():
     # optimal pairing matches both
     gt = [pt(0, 0), pt(1, 0)]
     q = [pt(0.5, 0), pt(-0.4, 0)]
-    assert max_matching(gt, q, 0.6) == 2
-    assert match_points(gt, q, 0.6) in (1, 2)
+    assert match_points(gt, q, 0.6) == 2
+
+
+def test_match_long_augmenting_chain():
+    # gt k at x=k owns pred k-1 at x=k-0.5 until the last gt point, which
+    # reaches only pred 0: its augmenting path runs through every gt point
+    # (deeper than Python's default recursion limit)
+    n = 1500
+    gt = [pt(k, 0) for k in range(1, n + 1)] + [pt(0, 0)]
+    q = [pt(k + 0.5, 0) for k in range(n + 1)]
+    assert match_points(gt, q, 0.6) == n + 1
 
 
 def test_junction_pr_identical():
@@ -110,11 +127,13 @@ points = st.builds(pt, coords, coords)
 @given(st.lists(points, max_size=8), st.lists(points, max_size=8),
        st.floats(0.1, 50))
 @settings(max_examples=200)
+# closest-first alone matches only the two (0,1) pairs here; the maximum is 4
+@example(gt=[pt(0, 0), pt(0, 0), pt(0, 1), pt(0, 1)],
+         q=[pt(0, 1), pt(0, 1), pt(0, 34), pt(0, 34)], tol=33.0)
 def test_greedy_close_to_optimal(gt, q, tol):
-    g = match_points(gt, q, tol)
-    m = max_matching(gt, q, tol)
-    assert g <= m <= min(len(gt), len(q))
-    assert m - g <= 1
+    m = match_points(gt, q, tol)
+    assert m == optimum(gt, q, tol)
+    assert m <= min(len(gt), len(q))
 
 
 @given(st.lists(points, max_size=6), st.lists(points, max_size=6),
@@ -221,7 +240,8 @@ def test_emit_single_point_csv(tmp_path):
 
 def test_emit_empty_curve(tmp_path):
     csv_path, svg_path = tmp_path / "e.csv", tmp_path / "e.svg"
-    emit_pr(PRCurve(), str(csv_path), str(svg_path))
+    emit_pr_csv(PRCurve(), str(csv_path))
+    emit_pr_svg(PRCurve(), str(svg_path))
     assert csv_path.read_text() == "threshold,precision,recall\n"
     svg = svg_path.read_text()
     assert svg.startswith("<svg") and "polyline" not in svg and "</svg>" in svg
@@ -230,8 +250,8 @@ def test_emit_empty_curve(tmp_path):
 def test_emit_svg_deterministic(tmp_path):
     curve = PRCurve((PRPoint(0.1, 0.9, 0.8), PRPoint(0.5, 0.95, 0.6)))
     p1, p2 = tmp_path / "a.svg", tmp_path / "b.svg"
-    emit_pr(curve, str(tmp_path / "a.csv"), str(p1))
-    emit_pr(curve, str(tmp_path / "b.csv"), str(p2))
+    emit_pr_svg(curve, str(p1))
+    emit_pr_svg(curve, str(p2))
     assert p1.read_bytes() == p2.read_bytes()
     assert "polyline" in p1.read_text()
 

@@ -6,8 +6,14 @@ in 9 significant digits (and float32 for the heat map) also survive
 structurally.
 """
 
+import functools
+import json
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wireframe.annotate import AnnotatedScene, HeatMap, render_target_heatmap
 from wireframe.construct import ConstructionParams, construct_wireframe
@@ -19,7 +25,6 @@ from wireframe.formats import (
     read_junctions,
     read_scene,
     read_wireframe,
-    segments_of,
     write_grid,
     write_heatmap,
     write_junctions,
@@ -58,7 +63,7 @@ def test_scene_roundtrip(tmp_path):
     write_scene(scene, p)
     back = read_scene(p)
     assert back == scene
-    assert segments_of(back) == list(scene.lines)
+    assert list(back.lines) == list(scene.lines)
 
 
 def test_scene_write_is_fixed_point(tmp_path):
@@ -120,6 +125,18 @@ def test_junctions_validation(tmp_path):
     open(p, "w").write('{"width": 8, "height": 8}')
     with pytest.raises(FormatError):
         read_junctions(p)
+
+
+def test_junctions_angle_rounding_to_360_wraps(tmp_path):
+    # 9 significant digits round this angle up to 360.0, outside [0, 360)
+    j = Junction(Point(1.0, 1.0), (Branch(359.9999999996),))
+    p = str(tmp_path / "j.json")
+    write_junctions(8, 8, [j], p)
+    _, _, back = read_junctions(p)
+    assert back[0].branches[0].angle_deg == 0.0
+    wf = Wireframe([j], [], np.zeros((1, 0), dtype=np.int64))
+    write_wireframe(wf, 8, 8, p)
+    assert read_wireframe(p)[2].junctions[0].branches[0].angle_deg == 0.0
 
 
 def test_junctions_empty(tmp_path):
@@ -231,6 +248,69 @@ def test_wireframe_read_validation(tmp_path):
                        '"segments": [], "incidence": [[0, 0, 1]]}')
     with pytest.raises(FormatError, match="incidence"):
         read_wireframe(p)
+    # junction records get the same range checks as in junction files
+    open(p, "w").write('{"width": 9, "height": 9, "junctions": '
+                       '[{"x": 0, "y": 0, "score": 1.5, "branches": []}], '
+                       '"segments": []}')
+    with pytest.raises(FormatError, match="score"):
+        read_wireframe(p)
+    open(p, "w").write('{"width": 9, "height": 9, "junctions": '
+                       '[{"x": 0, "y": 0, "branches": [{"theta": 400}]}], '
+                       '"segments": []}')
+    with pytest.raises(FormatError, match="theta"):
+        read_wireframe(p)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["x", "y", "score", "theta", "branches",
+                                       "derived", "width", "height"]), inner, max_size=4),
+    max_leaves=12)
+
+
+def _mutate(doc, draw):
+    """Replace one node of a JSON tree (chosen by draw) with a random value."""
+    if isinstance(doc, (dict, list)) and doc and draw(st.booleans()):
+        keys = list(doc) if isinstance(doc, dict) else list(range(len(doc)))
+        key = draw(st.sampled_from(keys))
+        doc[key] = _mutate(doc[key], draw)
+        return doc
+    return draw(json_values)
+
+
+@functools.lru_cache(maxsize=None)
+def _valid_doc(kind):
+    scene = hexagon_scene()
+    with tempfile.TemporaryDirectory() as tmp:
+        p = os.path.join(tmp, "doc.json")
+        if kind == "scene":
+            write_scene(scene, p)
+        elif kind == "junctions":
+            write_junctions(scene.width, scene.height, derive_junctions(scene), p)
+        else:
+            wf = construct_wireframe(derive_junctions(scene), render_target_heatmap(scene),
+                                     ConstructionParams(omega=0.5))
+            write_wireframe(wf, scene.width, scene.height, p)
+        with open(p) as f:
+            return f.read()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([("scene", read_scene), ("junctions", read_junctions),
+                        ("wireframe", read_wireframe)]), st.data())
+def test_json_readers_fuzz(tmp_path_factory, reader, data):
+    """A JSON reader returns valid objects or raises FormatError, whatever
+    one node of a valid document is replaced with."""
+    kind, read = reader
+    doc = _mutate(json.loads(_valid_doc(kind)), data.draw)
+    p = str(tmp_path_factory.getbasetemp() / "fuzz.json")
+    with open(p, "w") as f:
+        json.dump(doc, f)
+    try:
+        read(p)
+    except FormatError:
+        pass
 
 
 # -- grid encodings --

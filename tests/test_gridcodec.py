@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wireframe.geometry import Branch, GeometryError, Junction, Point
 from wireframe.gridcodec import (
@@ -38,16 +40,35 @@ def test_angle_roundtrip(theta, bins):
     assert bin_to_angle(k, r, bins) == pytest.approx(theta, abs=1e-9)
 
 
-@given(st.integers(2, 36), st.data())
-def test_bin_roundtrip(bins, data):
-    k = data.draw(st.integers(0, bins - 1))
+@st.composite
+def bin_draws(draw):
+    bins = draw(st.integers(2, 36))
+    k = draw(st.integers(0, bins - 1))
     bw = 360.0 / bins
     # stay a hair away from the open +bw/2 edge, where float rounding may
     # legitimately land the reconstructed angle in the next bin
-    r = data.draw(st.floats(-bw / 2, bw / 2 - 1e-6, allow_nan=False))
+    r = draw(st.floats(-bw / 2, bw / 2 - 1e-6, allow_nan=False))
+    return bins, k, r
+
+
+@given(bin_draws())
+# lower bin edges that bin_to_angle rebuilds a rounding error low
+@example((22, 5, -360.0 / 22 / 2))
+@example((7, 3, -360.0 / 7 / 2))
+@example((11, 9, -360.0 / 11 / 2))
+def test_bin_roundtrip(draw):
+    bins, k, r = draw
     k2, r2 = angle_to_bin(bin_to_angle(k, r, bins), bins)
     assert k2 == k
     assert r2 == pytest.approx(r, abs=1e-9)
+
+
+def test_residual_stays_below_half_bin():
+    # with 319 bins the last bin's residual of the largest angle below 360
+    # rounds up to exactly bw/2 unless clamped
+    bw = 360.0 / 319
+    k, r = angle_to_bin(math.nextafter(360.0, 0.0), 319)
+    assert k == 318 and -bw / 2 <= r < bw / 2
 
 
 def test_bin_edge_keeps_angle():
@@ -79,11 +100,10 @@ def test_encode_cell_zero_center():
     center = CFG.cell_center(0, 0)
     j = Junction(center, (Branch(12.0),))
     enc = encode([j], CFG)
-    cell = enc.cell(0, 0)
-    assert cell.center_conf == 1.0
-    assert cell.displacement == (0.0, 0.0)
-    assert cell.bin_conf[0] == 1.0 and cell.bin_residual[0] == 0.0
-    assert sum(cell.bin_conf) == 1.0
+    assert enc.center_conf[0, 0] == 1.0
+    assert tuple(enc.displacement[0, 0]) == (0.0, 0.0)
+    assert enc.bin_conf[0, 0, 0] == 1.0 and enc.bin_residual[0, 0, 0] == 0.0
+    assert enc.bin_conf[0, 0].sum() == 1.0
     assert enc.center_conf.sum() == 1.0
 
 

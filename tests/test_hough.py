@@ -29,6 +29,10 @@ def test_params_validation():
         HoughParams(rho_res=0.0)
     with pytest.raises(GeometryError):
         HoughParams(votes=0)
+    for bad in ({"rho_res": float("nan")}, {"votes": float("nan")},
+                {"theta_res": float("inf")}, {"max_gap": float("nan")}):
+        with pytest.raises(GeometryError):
+            HoughParams(**bad)
 
 
 def test_empty_mask():
