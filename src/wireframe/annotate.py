@@ -19,9 +19,17 @@ from .geometry import (
     Junction,
     Point,
     Segment,
+    candidate_pairs,
     direction_deg,
+    intersection_flags,
+    pairs_by_row,
+    point_array,
+    point_distances,
     point_segment_distance,
+    point_segment_distances,
+    segment_array,
     segment_intersection,
+    within,
 )
 
 DEFAULT_MERGE_RADIUS = 2.0
@@ -132,19 +140,29 @@ def _candidate_points(lines: tuple[Segment, ...],
     The flag marks exact crossing points, which anchor cluster centers;
     endpoint-incidence candidates carry annotation slop.
     """
+    n = len(lines)
+    segs = segment_array(lines)
+    # crossing[i, j]: lines i and j may intersect; near[2i + e, j]: endpoint
+    # e (0 = a, 1 = b) of line i may lie within merge_radius of line j
+    crossing = np.zeros((n, n), dtype=bool)
+    crossing[candidate_pairs(intersection_flags, segs, segs)] = True
+    near = np.zeros((2 * n, n), dtype=bool)
+    near[candidate_pairs(lambda p, s: within(point_segment_distances(p, s), merge_radius),
+                         segs.reshape(-1, 2), segs)] = True
+    touch = near[0::2] | near[1::2]
     cands: list[tuple[Point, bool]] = []
-    for i in range(len(lines)):
-        for j in range(i + 1, len(lines)):
-            si, sj = lines[i], lines[j]
+    for i, j in zip(*(a.tolist() for a in np.nonzero(np.triu(crossing | touch | touch.T, 1)))):
+        si, sj = lines[i], lines[j]
+        if crossing[i, j]:
             hit = segment_intersection(si, sj)
             if hit.point is not None:
                 cands.append((hit.point, True))
-            # Endpoints resting on (or near) the other segment: T- and
-            # L-junctions with annotation slop, and shared collinear ends.
-            for a, b in ((si, sj), (sj, si)):
-                for e in (a.a, a.b):
-                    if point_segment_distance(e, b) <= merge_radius:
-                        cands.append((e, False))
+        # Endpoints resting on (or near) the other segment: T- and
+        # L-junctions with annotation slop, and shared collinear ends.
+        for a, b, ka, kb in ((si, sj, i, j), (sj, si, j, i)):
+            for e, row in ((a.a, 2 * ka), (a.b, 2 * ka + 1)):
+                if near[row, kb] and point_segment_distance(e, b) <= merge_radius:
+                    cands.append((e, False))
     return cands
 
 
@@ -158,31 +176,45 @@ def derive_junctions(scene: AnnotatedScene,
     length exceeds merge_radius; clusters with fewer than two branches are
     dropped.  Output is sorted by (y, x).
     """
-    if merge_radius < 0:
-        raise GeometryError(f"negative merge radius {merge_radius}")
+    if not 0 <= merge_radius < math.inf:  # NaN fails too
+        raise GeometryError(f"merge radius {merge_radius} must be finite and >= 0")
     cands = _candidate_points(scene.lines, merge_radius)
     # exact crossings first so they seed the clusters
     cands.sort(key=lambda pe: (not pe[1], pe[0].y, pe[0].x))
 
+    # Each candidate joins the first cluster whose center (the mean of its
+    # members, recomputed only when the cluster grows) is within
+    # merge_radius; the prefilter over all centers picks the clusters worth
+    # the exact test.
     clusters: list[list[tuple[Point, bool]]] = []
+    centers = np.empty((len(cands), 2), dtype=np.float64)
     for p, exact in cands:
-        for members in clusters:
-            cx = sum(m.x for m, _ in members) / len(members)
-            cy = sum(m.y for m, _ in members) / len(members)
+        xy = np.array((p.x, p.y))
+        for k in np.flatnonzero(within(point_distances(xy, centers[:len(clusters)]),
+                                       merge_radius)).tolist():
+            cx, cy = centers[k].tolist()
             if math.hypot(p.x - cx, p.y - cy) <= merge_radius:
+                members = clusters[k]
                 members.append((p, exact))
+                centers[k] = (sum(m.x for m, _ in members) / len(members),
+                              sum(m.y for m, _ in members) / len(members))
                 break
         else:
+            centers[len(clusters)] = (p.x, p.y)
             clusters.append([(p, exact)])
 
+    # a cluster holding exact crossing points centers on those alone
+    anchors = [[m for m, exact in members if exact] or [m for m, _ in members]
+               for members in clusters]
+    hubs = [Point(sum(m.x for m in a) / len(a), sum(m.y for m in a) / len(a))
+            for a in anchors]
+    rows, cols = candidate_pairs(
+        lambda c, s: within(point_segment_distances(c, s), merge_radius),
+        point_array(hubs), segment_array(scene.lines))
     junctions = []
-    for members in clusters:
-        # a cluster holding exact crossing points centers on those alone
-        anchors = [m for m, exact in members if exact] or [m for m, _ in members]
-        c = Point(sum(m.x for m in anchors) / len(anchors),
-                  sum(m.y for m in anchors) / len(anchors))
+    for c, near in zip(hubs, pairs_by_row(rows, cols, len(hubs))):
         angles: list[float] = []
-        for seg in scene.lines:
+        for seg in (scene.lines[m] for m in near):
             if point_segment_distance(c, seg) > merge_radius:
                 continue
             for e in (seg.a, seg.b):

@@ -28,9 +28,18 @@ from .geometry import (
     Wireframe,
     angle_diff,
     build_incidence,
+    candidate_pairs,
     direction_deg,
+    intersection_flags,
     normalize_angle,
+    pairs_by_row,
+    point_array,
+    point_distances,
+    prefilter_bound,
+    ray_aims,
+    segment_array,
     segment_intersection,
+    within,
 )
 
 DEFAULT_OMEGA = 10.0
@@ -100,10 +109,18 @@ def dedup_junctions(junctions: Sequence[Junction], rho_nms: float) -> list[Junct
     junction within rho_nms of one already kept.
     """
     order = sorted(junctions, key=lambda j: (-j.confidence, j.center.y, j.center.x))
+    xy = point_array([j.center for j in order])
+    rows, cols = candidate_pairs(lambda a, b: within(point_distances(a, b), rho_nms),
+                                 xy, xy)
+    near = pairs_by_row(rows, cols, len(order))
     kept: list[Junction] = []
-    for j in order:
-        if all(j.center.distance_to(k.center) > rho_nms for k in kept):
+    is_kept = [False] * len(order)
+    for i, j in enumerate(order):
+        # only earlier junctions the prefilter finds near can be within rho_nms
+        if all(j.center.distance_to(order[k].center) > rho_nms
+               for k in near[i] if k < i and is_kept[k]):
             kept.append(j)
+            is_kept[i] = True
     return kept
 
 
@@ -128,25 +145,41 @@ def match_ray_pairs(junctions: Sequence[Junction],
     form a pair.  Each ray lands in at most one pair.
     """
     rays = junction_rays(junctions)
-    by_junction: dict[int, list[Ray]] = {}
-    for r in rays:
-        by_junction.setdefault(r.junction, []).append(r)
+    xy = point_array([j.center for j in junctions])
+    ray_j = np.array([r.junction for r in rays], dtype=np.int64)
+    ray_a = np.array([r.angle_deg for r in rays], dtype=np.float64)
+    ray_xy = xy[ray_j]
+    first = np.searchsorted(ray_j, np.arange(len(junctions) + 1)).tolist()
 
     choice: dict[tuple[int, int], tuple[int, int]] = {}
-    for r in rays:
-        best: Optional[tuple[float, int, int]] = None
-        for j, jn in enumerate(junctions):
-            if j == r.junction or not _on_ray(r.origin, r.angle_deg, jn.center, delta_ray):
+    for i in range(len(junctions)):
+        lo, hi = first[i], first[i + 1]
+        if lo == hi:
+            continue
+        # candidates (k, q): ray lo + k may aim at the junction of ray q,
+        # and ray q may aim back at junction i
+        aims = ray_aims(xy[i], ray_a[lo:hi, None], xy, delta_ray)
+        aims[:, i] = False
+        back = ray_aims(ray_xy, ray_a, xy[i], delta_ray)
+        ks, qs = np.nonzero(aims[:, ray_j] & back)
+        dist = point_distances(xy[i], xy)[ray_j[qs]]
+        # nearest first per ray: once a candidate is surely farther than the
+        # best confirmed one, the rest of that ray's candidates cannot win
+        order = np.lexsort((qs, dist, ks))
+        best: dict[int, tuple[float, int, int]] = {}
+        for k, q, d in zip(ks[order].tolist(), qs[order].tolist(), dist[order].tolist()):
+            if k in best and d > prefilter_bound(best[k][0]):
                 continue
-            d = r.origin.distance_to(jn.center)
-            for back in by_junction.get(j, ()):
-                if not _on_ray(back.origin, back.angle_deg, r.origin, delta_ray):
-                    continue
-                cand = (d, j, back.branch)
-                if best is None or cand < best:
-                    best = cand
-        if best is not None:
-            choice[(r.junction, r.branch)] = (best[1], best[2])
+            r, b = rays[lo + k], rays[q]
+            c = junctions[b.junction].center
+            if not (_on_ray(r.origin, r.angle_deg, c, delta_ray)
+                    and _on_ray(c, b.angle_deg, r.origin, delta_ray)):
+                continue
+            cand = (r.origin.distance_to(c), b.junction, b.branch)
+            if k not in best or cand < best[k]:
+                best[k] = cand
+        for k, (_, j, branch) in best.items():
+            choice[(i, rays[lo + k].branch)] = (j, branch)
 
     pairs = []
     for r in rays:
@@ -253,12 +286,19 @@ def recover_unmatched(junctions: Sequence[Junction], unmatched: Sequence[Ray],
     """
     limit = params.boundary_frac * max(mask.width, mask.height)
     pool = list(segments)
+    # the pool as an array with room to grow, for the cut prefilter
+    pool_xy = np.empty((2 * len(pool) + 16, 4), dtype=np.float64)
+    pool_xy[:len(pool)] = segment_array(pool)
     new_points: list[Point] = []
     point_keys: set[tuple[float, float]] = {(j.center.x, j.center.y) for j in junctions}
     new_segments: list[Segment] = []
 
     def add(a: Point, b: Point) -> None:
+        nonlocal pool_xy
         s = Segment(a, b)
+        if len(pool) == len(pool_xy):
+            pool_xy = np.concatenate([pool_xy, np.empty_like(pool_xy)])
+        pool_xy[len(pool)] = (a.x, a.y, b.x, b.y)
         pool.append(s)
         new_segments.append(s)
         for p in (a, b):
@@ -278,8 +318,9 @@ def recover_unmatched(junctions: Sequence[Junction], unmatched: Sequence[Ray],
             continue
         whole = Segment(ray.origin, q_m)
         cuts: list[Point] = []
-        for s in pool:
-            hit = segment_intersection(whole, s)
+        flags = intersection_flags(segment_array([whole])[0], pool_xy[:len(pool)])
+        for m in np.flatnonzero(flags).tolist():
+            hit = segment_intersection(whole, pool[m])
             if hit.point is None:
                 continue
             if all(hit.point.distance_to(c) > 1e-6 for c in cuts):

@@ -30,8 +30,8 @@ class EvalConfig:
     sweep: tuple[float, ...] = DEFAULT_SWEEP
 
     def __post_init__(self) -> None:
-        if not self.tolerance_frac > 0:
-            raise GeometryError(f"tolerance_frac={self.tolerance_frac} must be > 0")
+        if not 0 < self.tolerance_frac < math.inf:  # NaN fails too
+            raise GeometryError(f"tolerance_frac={self.tolerance_frac} must be finite and > 0")
         if any(a >= b for a, b in zip(self.sweep, self.sweep[1:])):
             raise GeometryError("sweep thresholds must be strictly increasing")
 

@@ -259,9 +259,11 @@ def read_grid(path: str) -> GridEncoding:
     doc = _load(path)
     _require(isinstance(doc, dict) and "config" in doc, path, "grid file needs config")
     c = doc["config"]
+    sizes = ("image_w", "image_h", "grid_w", "grid_h", "bins")
+    _require(isinstance(c, dict) and all(type(c.get(k)) is int for k in sizes), path,
+             f"grid config needs integer {', '.join(sizes)}")
     try:
-        cfg = GridConfig(int(c["image_w"]), int(c["image_h"]), int(c["grid_w"]),
-                         int(c["grid_h"]), int(c["bins"]))
+        cfg = GridConfig(*(c[k] for k in sizes))
         return GridEncoding(cfg,
                             center_conf=np.array(doc["center_conf"], dtype=np.float64),
                             displacement=np.array(doc["displacement"], dtype=np.float64),

@@ -4,13 +4,23 @@ Coordinate frame: image coordinates with the origin at the top-left corner,
 x growing rightward and y growing downward.  Angles are measured in degrees
 from +x toward +y (clockwise on screen) and normalized to [0, 360).
 All coordinates are 64-bit floats.
+
+The scalar functions (``point_segment_distance``, ``segment_intersection``,
+``direction_deg``) define every answer.  Loops over many pairs first ask an
+array kernel below for candidates: the kernel evaluates the same formula in
+numpy over whole arrays and proposes a superset of the pairs that can pass,
+with a small margin for the ulp by which ``np.hypot``/``np.arctan2`` may
+differ from ``math.hypot``/``math.atan2`` (NaN from an underflow or overflow
+counts as a candidate).  The scalar function then decides each candidate in
+the original iteration order, so the result is that of the all-pairs loop:
+numpy proposes, the scalar function decides.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -18,6 +28,14 @@ import numpy as np
 DEFAULT_INCIDENCE_TOL = 1.0
 
 _PARALLEL_EPS = 1e-12
+
+# Prefilter slack: relative on the limit, plus an absolute floor (distance
+# units or degrees).  Far wider than the few ulps the array forms can differ.
+_REL_SLACK = 1e-9
+_DIST_SLACK = 1e-9
+_ANGLE_SLACK = 1e-6
+# Pairs evaluated per block, so all-pairs temporaries stay a few MB.
+_BLOCK_PAIRS = 1 << 16
 
 
 class GeometryError(ValueError):
@@ -182,14 +200,115 @@ def build_incidence(junctions: Sequence[Junction],
     "Lies on" means distance from the junction center to the closed segment
     is at most ``tol``.
     """
-    if tol < 0:
-        raise GeometryError(f"negative incidence tolerance {tol}")
+    if not 0 <= tol < math.inf:  # NaN fails too
+        raise GeometryError(f"incidence tolerance {tol} must be finite and >= 0")
     w = np.zeros((len(junctions), len(segments)), dtype=np.int64)
-    for n, jn in enumerate(junctions):
-        for m, seg in enumerate(segments):
-            if point_segment_distance(jn.center, seg) <= tol:
-                w[n, m] = 1
+    rows, cols = candidate_pairs(
+        lambda p, s: within(point_segment_distances(p, s), tol),
+        point_array([j.center for j in junctions]), segment_array(segments))
+    for n, m in zip(rows.tolist(), cols.tolist()):
+        if point_segment_distance(junctions[n].center, segments[m]) <= tol:
+            w[n, m] = 1
     return w
+
+
+# -- array kernels: candidate prefilters for the scalar tests above --
+
+def point_array(points: Sequence[Point]) -> np.ndarray:
+    """(N, 2) array of x, y."""
+    return np.array([(p.x, p.y) for p in points], dtype=np.float64).reshape(-1, 2)
+
+
+def segment_array(segments: Sequence[Segment]) -> np.ndarray:
+    """(M, 4) array of a.x, a.y, b.x, b.y."""
+    return np.array([(s.a.x, s.a.y, s.b.x, s.b.y) for s in segments],
+                    dtype=np.float64).reshape(-1, 4)
+
+
+def prefilter_bound(limit: float, slack: float = _DIST_SLACK) -> float:
+    """Bound above which an array-computed value is surely > limit when the
+    scalar function computes it."""
+    return limit * (1.0 + _REL_SLACK) + slack
+
+
+def within(values: np.ndarray, limit: float, slack: float = _DIST_SLACK) -> np.ndarray:
+    """Mask of values that may be <= limit once computed by the scalar
+    function; NaN is kept."""
+    return ~(values > prefilter_bound(limit, slack))
+
+
+def point_distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Broadcast ``Point.distance_to`` over (..., 2) arrays."""
+    return np.hypot(p[..., 0] - q[..., 0], p[..., 1] - q[..., 1])
+
+
+def point_segment_distances(p: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Broadcast ``point_segment_distance`` over (..., 2) points and (..., 4)
+    segments, same formula.  Where the squared length underflows, the value
+    is NaN or off by at most the segment's (sub-1e-150) length."""
+    ax, ay = s[..., 0], s[..., 1]
+    dx, dy = s[..., 2] - ax, s[..., 3] - ay
+    px, py = p[..., 0], p[..., 1]
+    with np.errstate(all="ignore"):
+        t = ((px - ax) * dx + (py - ay) * dy) / (dx * dx + dy * dy)
+        t = np.clip(t, 0.0, 1.0)
+        return np.hypot(px - (ax + t * dx), py - (ay + t * dy))
+
+
+def intersection_flags(s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
+    """Broadcast over (..., 4) segments: True where ``segment_intersection``
+    may return a point or the collinear flag.
+
+    The cross products and t/u are the scalar formula bit for bit; only the
+    parallel test's scale goes through ``np.hypot``, so it gets a factor 2.
+    """
+    ax, ay = s1[..., 0], s1[..., 1]
+    rx, ry = s1[..., 2] - ax, s1[..., 3] - ay
+    cx, cy = s2[..., 0], s2[..., 1]
+    sx, sy = s2[..., 2] - cx, s2[..., 3] - cy
+    qpx, qpy = cx - ax, cy - ay
+    denom = rx * sy - ry * sx
+    lo, hi = -_PARALLEL_EPS, 1.0 + _PARALLEL_EPS
+    with np.errstate(all="ignore"):
+        parallel = ~(np.abs(denom) > 2 * _PARALLEL_EPS
+                     * (np.hypot(rx, ry) * np.hypot(sx, sy)))
+        t = (qpx * sy - qpy * sx) / denom
+        u = (qpx * ry - qpy * rx) / denom
+    return parallel | ((t >= lo) & (t <= hi) & (u >= lo) & (u <= hi))
+
+
+def ray_aims(origin: np.ndarray, angle_deg: np.ndarray, target: np.ndarray,
+             delta_deg: float) -> np.ndarray:
+    """Broadcast mask: the direction origin -> target may lie within
+    delta_deg of angle_deg (in [0, 360)), as
+    ``abs(angle_diff(direction_deg(o, t), a))`` would judge it.  Coincident
+    points are not excluded."""
+    d = np.abs(np.degrees(np.arctan2(target[..., 1] - origin[..., 1],
+                                     target[..., 0] - origin[..., 0])) - angle_deg)
+    # d is in [0, 540]: the wrapped difference is d or |360 - d|
+    return within(np.minimum(d, np.abs(360.0 - d)), delta_deg, _ANGLE_SLACK)
+
+
+def candidate_pairs(test: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                    rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j) in row-major order where ``test(rows[i], cols[j])``
+    holds.  ``test`` gets broadcastable (B, 1, k) and (1, M, k) blocks, so
+    temporaries stay near _BLOCK_PAIRS elements."""
+    out_i, out_j = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    if len(cols):
+        step = max(1, _BLOCK_PAIRS // len(cols))
+        for lo in range(0, len(rows), step):
+            i, j = np.nonzero(test(rows[lo:lo + step, None], cols[None]))
+            out_i.append(i + lo)
+            out_j.append(j)
+    return np.concatenate(out_i), np.concatenate(out_j)
+
+
+def pairs_by_row(rows: np.ndarray, cols: np.ndarray, n_rows: int) -> list[list[int]]:
+    """Row-major pairs from candidate_pairs as one column list per row."""
+    bounds = np.searchsorted(rows, np.arange(n_rows + 1)).tolist()
+    c = cols.tolist()
+    return [c[bounds[i]:bounds[i + 1]] for i in range(n_rows)]
 
 
 def junction_adjacency(incidence: np.ndarray) -> np.ndarray:

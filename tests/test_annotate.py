@@ -1,8 +1,11 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+
+from wireframe import annotate
 
 from wireframe.annotate import (
     AnnotatedScene,
@@ -217,3 +220,55 @@ def test_heatmap_support_and_values(lines):
     assert {(x, y) for y, x in zip(*np.nonzero(hm.values))} == union
     allowed = {0.0} | {s.length for s in lines}
     assert set(np.unique(hm.values)) <= allowed
+
+
+def test_derive_nonfinite_merge_radius_rejected():
+    scene = AnnotatedScene(30, 30, (seg(0, 0, 10, 10), seg(0, 10, 10, 0)))
+    for r in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(GeometryError):
+            derive_junctions(scene, r)
+
+
+def derive_all_pairs(scene, merge_radius):
+    """derive_junctions with every prefilter proposing every pair, which is
+    the scalar all-pairs loop."""
+    def every_pair(s1, s2):
+        return np.ones(np.broadcast_shapes(np.shape(s1)[:-1], np.shape(s2)[:-1]),
+                       dtype=bool)
+
+    def every_value(values, *_):
+        return np.ones(np.shape(values), dtype=bool)
+
+    with mock.patch.object(annotate, "within", every_value), \
+            mock.patch.object(annotate, "intersection_flags", every_pair):
+        return derive_junctions(scene, merge_radius)
+
+
+short_segments = st.tuples(grid_coords, grid_coords, grid_coords, grid_coords).filter(
+    lambda q: q[:2] != q[2:]).map(lambda q: seg(*q))
+
+
+@given(st.lists(short_segments, max_size=7),
+       st.sampled_from([0.0, 1.0, 2.0, 5.0]) | st.floats(0.0, 6.0))
+@settings(max_examples=200, deadline=None)
+@example([seg(0, 0, 20, 0), seg(10, 2, 10, 20)], 2.0)  # T end exactly merge_radius away
+@example([seg(0, 0, 20, 0), seg(20, 0, 20, 20)], 2.0)  # L on a shared endpoint
+@example([seg(0, 0, 20, 0), seg(5, 0, 25, 0), seg(10, -5, 10, 5)], 2.0)  # collinear
+@example([seg(0, 0, 20, 20), seg(20, 20, 0, 0), seg(0, 20, 20, 0)], 2.0)  # duplicate
+@example([seg(2, 2, 20, 20), seg(2, 20, 20, 2), seg(11, 2, 11, 20)], 5.0)  # one cluster
+@example([], 2.0)
+def test_derive_matches_all_pairs_oracle(lines, merge_radius):
+    lines = [s for s in lines
+             if all(0 <= v <= 30 for v in (s.a.x, s.a.y, s.b.x, s.b.y))]
+    scene = AnnotatedScene(30, 30, tuple(lines))
+    assert derive_junctions(scene, merge_radius) == derive_all_pairs(scene, merge_radius)
+
+
+def test_derive_cluster_center_follows_members():
+    # crossings at x = 10, 12, 13 on y = 10: the third is 3 from the first
+    # but within 2 of the running center (11, 10), so all three merge
+    scene = AnnotatedScene(30, 30, (seg(0, 10, 30, 10), seg(10, 0, 10, 30),
+                                    seg(12, 0, 12, 30), seg(13, 0, 13, 30)))
+    centers = [j.center for j in derive_junctions(scene)]
+    assert Point(35 / 3, 10.0) in centers
+    assert not any(c.y == 10.0 and c != Point(35 / 3, 10.0) for c in centers)

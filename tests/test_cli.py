@@ -98,6 +98,10 @@ def test_missing_file_exits_3(tmp_path, capsys):
 
 
 JUNCTION_FILE = '{"width": 8, "height": 8, "junctions": [%s]}'
+# a 1x1 grid with 2 bins; %s are the config's image_w, grid_w and bins
+GRID_FILE = ('{"config": {"image_w": %s, "image_h": 8, "grid_w": %s, "grid_h": 1, '
+             '"bins": %s}, "center_conf": [[0]], "displacement": [[[0, 0]]], '
+             '"bin_conf": [[[0, 0]]], "bin_residual": [[[0, 0]]]}')
 
 
 @pytest.mark.parametrize("command, doc", [
@@ -108,13 +112,22 @@ JUNCTION_FILE = '{"width": 8, "height": 8, "junctions": [%s]}'
     ("eval", JUNCTION_FILE % '{"x": true, "y": 1, "branches": []}'),
     ("derive-gt", '{"width": true, "height": 8, "lines": []}'),
     ("eval", JUNCTION_FILE % '{"x": 1, "y": 1, "derived": "no", "branches": []}'),
+    ("loss", GRID_FILE % ("8", "1", "2.5")),
+    ("loss", GRID_FILE % ("8", "true", "2")),
+    ("loss", GRID_FILE % ("8.5", "1", "2")),
 ], ids=["branch-without-theta", "non-numeric-x", "lines-not-a-list", "non-numeric-row",
-        "boolean-x", "boolean-width", "string-derived"])
+        "boolean-x", "boolean-width", "string-derived", "float-bins", "boolean-grid-w",
+        "float-image-w"])
 def test_malformed_file_exits_3(tmp_path, capsys, command, doc):
-    path = str(tmp_path / "bad.json")
+    path, scene = str(tmp_path / "bad.json"), str(tmp_path / "scene.json")
     open(path, "w").write(doc)
-    argv = (["eval", "junctions", "--gt", path, "--pred", path] if command == "eval"
-            else ["derive-gt", "--scene", path, "--out-junctions", str(tmp_path / "j.json")])
+    write_scene(AnnotatedScene(8, 8, ()), scene)
+    argv = {
+        "eval": ["eval", "junctions", "--gt", path, "--pred", path],
+        "derive-gt": ["derive-gt", "--scene", path, "--out-junctions",
+                      str(tmp_path / "j.json")],
+        "loss": ["loss", "--pred-grid", path, "--scene", scene],
+    }[command]
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -283,3 +296,33 @@ def test_hough_cli_and_determinism(tmp_path):
     (s,) = lines
     assert abs(s.a.y - 32) <= 1 and abs(s.b.y - 32) <= 1
     assert abs(min(s.a.x, s.b.x) - 4) <= 2 and abs(max(s.a.x, s.b.x) - 59) <= 2
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--merge-radius", "nan"), ("--merge-radius", "inf"), ("--merge-radius", "-1"),
+])
+def test_derive_gt_bad_merge_radius_exits_3(tmp_path, capsys, flag, value):
+    scene = str(tmp_path / "scene.json")
+    cross_scene(scene)
+    rc = main(["derive-gt", "--scene", scene, "--out-junctions", str(tmp_path / "j.json"),
+               flag, value])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "0", "-0.5"])
+def test_eval_bad_tol_frac_exits_3(tmp_path, capsys, value):
+    jpath = str(tmp_path / "j.json")
+    write_junctions(32, 32, [Junction(Point(10, 10), (Branch(0.0),), 1.0)], jpath)
+    assert main(["eval", "junctions", "--gt", jpath, "--pred", jpath,
+                 "--tol-frac", value]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_loss_accepts_integer_grid_config(tmp_path, capsys):
+    grid, scene = str(tmp_path / "grid.json"), str(tmp_path / "scene.json")
+    open(grid, "w").write(GRID_FILE % ("8", "1", "2"))
+    write_scene(AnnotatedScene(8, 8, ()), scene)
+    assert main(["loss", "--pred-grid", grid, "--scene", scene]) == 0

@@ -1,8 +1,11 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+
+from wireframe import construct
 
 from wireframe.annotate import (
     AnnotatedScene,
@@ -15,6 +18,7 @@ from wireframe.construct import (
     BinaryMask,
     ConstructionParams,
     Ray,
+    _on_ray,
     binarize,
     construct_wireframe,
     dedup_junctions,
@@ -295,3 +299,121 @@ def test_kappa_in_unit_interval(data):
         return
     k = line_support_ratio(Point(float(x1), float(y1)), Point(float(x2), float(y2)), mask)
     assert 0.0 <= k <= 1.0
+
+
+# -- the array prefilters against scalar all-pairs oracles --
+
+def match_oracle(junctions, delta_ray):
+    """match_ray_pairs as a plain loop over every ray and junction."""
+    rays = junction_rays(junctions)
+    choice = {}
+    for r in rays:
+        best = None
+        for j, target in enumerate(junctions):
+            if j == r.junction or not _on_ray(r.origin, r.angle_deg, target.center,
+                                              delta_ray):
+                continue
+            d = r.origin.distance_to(target.center)
+            for back in rays:
+                if back.junction == j and _on_ray(back.origin, back.angle_deg, r.origin,
+                                                  delta_ray):
+                    cand = (d, j, back.branch)
+                    if best is None or cand < best:
+                        best = cand
+        if best is not None:
+            choice[(r.junction, r.branch)] = best[1:]
+    return [(t1, t2) for t1, t2 in choice.items() if t1 < t2 and choice.get(t2) == t1]
+
+
+def dedup_oracle(junctions, rho_nms):
+    kept = []
+    for j in sorted(junctions, key=lambda j: (-j.confidence, j.center.y, j.center.x)):
+        if all(j.center.distance_to(k.center) > rho_nms for k in kept):
+            kept.append(j)
+    return kept
+
+
+small = st.integers(0, 8).map(float)
+angles = (st.sampled_from([0.0, 12.0, 45.0, 90.0, 135.0, 168.0, 180.0, 192.0, 225.0,
+                           270.0, 315.0, 348.0, 359.9999999])
+          | st.floats(0.0, 360.0, exclude_max=True))
+junction_sets = st.lists(
+    st.builds(lambda x, y, a, c: jn(x, y, a, c), small, small,
+              st.lists(angles, max_size=4), st.sampled_from([0.6, 0.8, 1.0])),
+    max_size=10)
+deltas = st.sampled_from([0.0, 12.0, 45.0]) | st.floats(0.0, 30.0)
+
+
+@given(junction_sets, deltas)
+@settings(max_examples=300, deadline=None)
+@example([jn(0, 0, [12]), jn(10, 0, [180])], 12.0)  # exactly +delta
+@example([jn(0, 0, [348]), jn(10, 0, [192])], 12.0)  # -delta, wrapping at 0/360
+@example([jn(0, 0, [359.9999999]), jn(10, 0, [180])], 0.0)
+@example([jn(5, 5, [0]), jn(5, 5, [180]), jn(9, 5, [180])], 12.0)  # coincident centers
+@example([jn(0, 0, [0]), jn(4, 0, [0, 180]), jn(8, 0, [180])], 12.0)  # nearest wins
+@example([jn(0, 0, [0]), jn(4, 3, [180]), jn(4, -3, [180])], 45.0)  # distance tie
+@example([jn(3, 3, [])], 12.0)
+@example([], 12.0)
+def test_match_ray_pairs_matches_all_pairs_oracle(junctions, delta):
+    got = [((a.junction, a.branch), (b.junction, b.branch))
+           for a, b in match_ray_pairs(junctions, delta)]
+    assert got == match_oracle(junctions, delta)
+
+
+@given(junction_sets, st.sampled_from([0.0, 1.0, 2.0, 5.0]) | st.floats(0.0, 6.0))
+@settings(max_examples=200, deadline=None)
+@example([jn(5, 5, [0], 0.9), jn(5, 5, [90], 0.9)], 0.0)  # coincident centers
+@example([jn(0, 0, [0]), jn(3, 4, [0], 0.8)], 5.0)  # exactly rho_nms apart
+@example([], 2.0)
+def test_dedup_matches_greedy_oracle(junctions, rho):
+    assert dedup_junctions(junctions, rho) == dedup_oracle(junctions, rho)
+
+
+def propose_all(s1, s2):
+    """An intersection prefilter that proposes every pair."""
+    return np.ones(np.broadcast_shapes(np.shape(s1)[:-1], np.shape(s2)[:-1]), dtype=bool)
+
+
+def mask_of(lines, width, height):
+    mask = BinaryMask(width, height)
+    for s in lines:
+        for x, y in rasterize_segment(s, width, height):
+            mask.bits[y, x] = True
+    return mask
+
+
+def recover_both(junctions, lines, pool):
+    """recover_unmatched as is, and with the cut search testing every pool
+    segment (the scalar all-pairs loop)."""
+    mask = mask_of(lines, 24, 24)
+    rays = junction_rays(junctions)
+    got = recover_unmatched(junctions, rays, mask, pool, ConstructionParams())
+    with mock.patch.object(construct, "intersection_flags", propose_all):
+        want = recover_unmatched(junctions, rays, mask, pool, ConstructionParams())
+    return got, want
+
+
+grid24 = st.integers(2, 21).map(float)
+lines24 = st.tuples(grid24, grid24, grid24, grid24).filter(
+    lambda q: q[:2] != q[2:]).map(lambda q: Segment(Point(q[0], q[1]), Point(q[2], q[3])))
+
+
+@given(st.lists(st.builds(jn, grid24, grid24, st.lists(angles, min_size=1, max_size=3)),
+                max_size=5),
+       st.lists(lines24, max_size=6), st.lists(lines24, max_size=4))
+@settings(max_examples=150, deadline=None)
+@example([jn(2, 5, [0])], [Segment(Point(2, 5), Point(14, 5))],
+         [Segment(Point(8, 5), Point(8, 10))])  # a cut that only touches an endpoint
+@example([jn(2, 5, [0])], [Segment(Point(2, 5), Point(14, 5))],
+         [Segment(Point(4, 5), Point(9, 5))])  # collinear overlap: no cut
+@example([jn(2, 5, [0])], [Segment(Point(2, 5), Point(14, 5))], [])
+@example([], [Segment(Point(2, 5), Point(14, 5))], [])
+def test_recover_cut_search_matches_all_pairs(junctions, lines, pool):
+    got, want = recover_both(junctions, lines, pool)
+    assert got == want
+
+
+def test_recover_cut_touching_pool_endpoint_splits():
+    got, _ = recover_both([jn(2, 5, [0])], [Segment(Point(2, 5), Point(14, 5))],
+                          [Segment(Point(8, 5), Point(8, 10))])
+    assert got[1] == [Segment(Point(2, 5), Point(8, 5)), Segment(Point(8, 5), Point(14, 5))]

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
+
+from wireframe import geometry
 
 from wireframe.geometry import (
     Branch,
@@ -12,11 +14,16 @@ from wireframe.geometry import (
     Segment,
     angle_diff,
     build_incidence,
+    candidate_pairs,
     direction_deg,
+    intersection_flags,
     junction_adjacency,
     normalize_angle,
+    point_array,
     point_segment_distance,
+    ray_aims,
     segment_adjacency,
+    segment_array,
     segment_intersection,
     segment_length,
 )
@@ -206,3 +213,103 @@ def test_direction_deg_screen_clockwise():
 def test_junction_order():
     j = Junction(pt(1, 1), (Branch(0.0), Branch(90.0), Branch(180.0)))
     assert j.order == 3
+
+
+def test_build_incidence_nonfinite_tol_rejected():
+    for tol in (float("nan"), float("inf")):
+        with pytest.raises(GeometryError):
+            build_incidence([], [], tol=tol)
+
+
+# -- array prefilters against the scalar functions --
+# Small grid coordinates (with halves) make exact ties, shared endpoints and
+# collinear overlaps common.
+
+grid = st.integers(0, 12).map(float) | st.integers(0, 24).map(lambda v: v / 2)
+grid_points = st.builds(pt, grid, grid)
+grid_segments = st.tuples(grid, grid, grid, grid).filter(
+    lambda q: q[:2] != q[2:]).map(lambda q: seg(*q))
+tols = st.sampled_from([0.0, 0.5, 1.0, 2.0, 5.0, math.sqrt(2.0)]) | st.floats(0.0, 8.0)
+
+
+def incidence_oracle(junctions, segments, tol):
+    w = np.zeros((len(junctions), len(segments)), dtype=np.int64)
+    for n, j in enumerate(junctions):
+        for m, s in enumerate(segments):
+            if point_segment_distance(j.center, s) <= tol:
+                w[n, m] = 1
+    return w
+
+
+@given(st.lists(grid_points, max_size=8), st.lists(grid_segments, max_size=8), tols)
+@settings(max_examples=200, deadline=None)
+@example([pt(3, 4)], [seg(0, 0, 0, 10)], 3.0)  # exactly tol from the interior
+@example([pt(3, 4)], [seg(0, 0, -6, 0)], 5.0)  # exactly tol from an endpoint
+@example([pt(6, 8)], [seg(0, 0, 6, 8)], 0.0)  # on an endpoint, zero tol
+@example([pt(1, 1), pt(1, 1)], [seg(0, 0, 2, 2), seg(2, 2, 0, 0)], 0.0)
+@example([pt(0, 0), pt(1e-170, 0), pt(1, 0)], [seg(0, 0, 1e-170, 0)], 0.0)  # dd underflows
+@example([], [seg(0, 0, 1, 1)], 1.0)
+@example([pt(1, 1)], [], 1.0)
+@example([], [], 1.0)
+def test_build_incidence_matches_all_pairs_oracle(points, segments, tol):
+    junctions = [Junction(p) for p in points]
+    w = build_incidence(junctions, segments, tol)
+    assert w.shape == (len(points), len(segments))
+    assert np.array_equal(w, incidence_oracle(junctions, segments, tol))
+
+
+def meets(s1, s2):
+    r = segment_intersection(s1, s2)
+    return r.point is not None or r.collinear
+
+
+@given(st.lists(grid_segments, max_size=6), st.lists(grid_segments, max_size=6))
+@settings(max_examples=300, deadline=None)
+@example([seg(0, 0, 2, 0)], [seg(2, 0, 4, 0)])  # collinear, touching at an endpoint
+@example([seg(0, 0, 4, 0)], [seg(2, 0, 6, 0)])  # collinear overlap
+@example([seg(0, 0, 4, 0)], [seg(4, 0, 4, 3)])  # a cut that only touches an end
+@example([seg(0, 0, 4, 0)], [seg(2, -2, 2, 0)])  # T on the interior
+@example([seg(0, 0, 4, 4)], [seg(4, 4, 0, 0)])  # the same segment reversed
+@example([], [seg(0, 0, 1, 1)])
+@example([seg(0, 0, 1, 1)], [])
+def test_intersection_prefilter_covers_scalar(s1, s2):
+    flags = intersection_flags(segment_array(s1)[:, None], segment_array(s2)[None])
+    assert flags.shape == (len(s1), len(s2))
+    for i, a in enumerate(s1):
+        for j, b in enumerate(s2):
+            if meets(a, b):
+                assert flags[i, j], (a, b)
+
+
+@given(segments, segments)
+def test_intersection_prefilter_covers_scalar_wide(s1, s2):
+    if meets(s1, s2):
+        assert intersection_flags(segment_array([s1])[0], segment_array([s2])[0])
+
+
+@given(grid_points, grid_points,
+       st.sampled_from([0.0, 12.0, 45.0, 90.0, 168.0, 180.0, 192.0, 348.0, 359.0])
+       | st.floats(0.0, 360.0, exclude_max=True),
+       st.sampled_from([0.0, 12.0, 45.0]) | st.floats(0.0, 30.0))
+@settings(max_examples=300)
+@example(pt(0, 0), pt(10, 0), 12.0, 12.0)  # exactly +delta
+@example(pt(0, 0), pt(10, 0), 348.0, 12.0)  # exactly -delta, across 0/360
+@example(pt(0, 0), pt(10, 0), 359.9999999, 0.0)  # just below 360
+@example(pt(10, 0), pt(0, 0), 192.0, 12.0)
+@example(pt(0, 0), pt(0, -10), 270.0, 0.0)
+def test_ray_prefilter_covers_scalar(origin, target, angle, delta):
+    if origin == target:
+        return
+    if abs(angle_diff(direction_deg(origin, target), angle)) <= delta:
+        assert ray_aims(point_array([origin])[0], angle, point_array([target])[0], delta)
+
+
+def test_candidate_pairs_blocks_keep_row_major_order(monkeypatch):
+    rng = np.random.default_rng(3)
+    a, b = rng.uniform(0, 20, (37, 4)), rng.uniform(0, 20, (11, 4))
+    whole = np.nonzero(intersection_flags(a[:, None], b[None]))
+    monkeypatch.setattr(geometry, "_BLOCK_PAIRS", 25)  # blocks of 2 rows
+    rows, cols = candidate_pairs(intersection_flags, a, b)
+    assert np.array_equal(rows, whole[0]) and np.array_equal(cols, whole[1])
+    empty = candidate_pairs(intersection_flags, a, b[:0])
+    assert empty[0].shape == empty[1].shape == (0,)
