@@ -14,6 +14,7 @@ import sys
 
 from wireframe.annotate import derive_junctions, render_target_heatmap
 from wireframe.formats import write_heatmap, write_junctions, write_scene
+from wireframe.geometry import GeometryError
 from wireframe.synth import make_scenes
 
 
@@ -29,7 +30,11 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     os.makedirs(args.out, exist_ok=True)
-    scenes = make_scenes(args.seed, args.count, args.width, args.height)
+    try:
+        scenes = make_scenes(args.seed, args.count, args.width, args.height)
+    except GeometryError as e:  # an image too small for the scene rules
+        print(f"error: {e}", file=sys.stderr)
+        return 3
     for i, scene in enumerate(scenes):
         stem = os.path.join(args.out, f"scene_{i:04d}")
         write_scene(scene, stem + ".json")

@@ -42,6 +42,12 @@ class GeometryError(ValueError):
     """Invalid geometric input (degenerate segment, non-finite point, ...)."""
 
 
+def check_seed(seed: int) -> None:
+    """A generator seed is an integer >= 0; booleans are not seeds."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise GeometryError(f"seed {seed!r} must be an integer >= 0")
+
+
 def normalize_angle(theta_deg: float) -> float:
     """Map an angle in degrees onto [0, 360)."""
     a = math.fmod(theta_deg, 360.0)

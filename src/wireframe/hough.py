@@ -1,12 +1,12 @@
 """Probabilistic Hough baseline: segments straight from a binary mask.
 
-Randomized-sampling Hough with progressive pixel removal: sample a set
-pixel, vote over all angle bins, and once a (rho, theta) bin reaches the
-vote threshold walk that line through the mask, bridging gaps up to
-max_gap, to find the supporting run.  Runs at least min_length long are
-emitted; a run's pixels are always consumed and their votes retracted, so
-no line is found twice.  The generator is seeded, making the whole
-procedure deterministic.
+Progressive probabilistic Hough (Matas, Galambos & Kittler, CVIU 2000): visit
+the set pixels in a seeded random order (all draws made in one call); each
+live pixel votes over all angle bins, and once a (rho, theta) bin reaches the
+vote threshold, walk that line through the mask, bridging gaps up to max_gap,
+to find the supporting run.  Runs of two or more pixels at least min_length
+long are emitted; a run's pixels are always consumed and their stored votes
+retracted in one update, so no line is found twice.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .construct import BinaryMask
-from .geometry import GeometryError, Point, Segment
+from .geometry import GeometryError, Point, Segment, check_seed
 
 DEFAULT_VOTES = 30
 DEFAULT_MIN_LENGTH = 20.0
@@ -37,10 +37,11 @@ class HoughParams:
         # NaN fails every comparison, so each check also rejects it
         if not (0 < self.rho_res < math.inf and 0 < self.theta_res < math.inf):
             raise GeometryError("rho and theta resolutions must be finite and > 0")
-        if not 1 <= self.votes < math.inf:
+        if isinstance(self.votes, bool) or not 1 <= self.votes < math.inf:
             raise GeometryError(f"vote threshold {self.votes} must be finite and >= 1")
         if not (0 <= self.min_length < math.inf and 0 <= self.max_gap < math.inf):
             raise GeometryError("min_length and max_gap must be finite and >= 0")
+        check_seed(self.seed)
 
 
 def _walk_dir(alive: np.ndarray, x0: int, y0: int, dx: float, dy: float,
@@ -89,34 +90,32 @@ def hough_segments(mask: BinaryMask, params: HoughParams = HoughParams()) -> lis
     if not pool:
         return []
     alive = mask.bits.copy()
-    voted = np.zeros_like(alive)
 
     n_theta = max(1, int(round(180.0 / params.theta_res)))
     thetas = np.arange(n_theta) * math.radians(params.theta_res)
     cos_t, sin_t = np.cos(thetas), np.sin(thetas)
-    diag = math.hypot(mask.width, mask.height)
-    rho_off = int(math.ceil(diag / params.rho_res))
-    acc = np.zeros((n_theta, 2 * rho_off + 1), dtype=np.int64)
-
-    def rho_bins(x: int, y: int) -> np.ndarray:
-        return np.rint((x * cos_t + y * sin_t) / params.rho_res).astype(np.int64) + rho_off
-
-    rng = np.random.default_rng(params.seed)
+    rho_off = int(math.ceil(math.hypot(mask.width, mask.height) / params.rho_res))
+    # flat accumulator: (theta bin t, rho bin r) is cell t * (2 * rho_off + 1) + r
+    acc = np.zeros(n_theta * (2 * rho_off + 1), dtype=np.int64)
+    cell_base = np.arange(n_theta) * (2 * rho_off + 1) + rho_off
+    # each pass pops one pool index, live pixel or not: the n draws are the
+    # stream of n scalar rng.integers(len(pool)) calls, made in one call
+    draws = np.random.default_rng(params.seed).integers(np.arange(len(pool), 0, -1))
+    voted: dict[tuple[int, int], np.ndarray] = {}  # voted pixel -> its cells
     segments: list[Segment] = []
-    theta_idx = np.arange(n_theta)
 
-    while pool:
-        j = int(rng.integers(len(pool)))
+    for j in draws.tolist():
         x0, y0 = pool[j]
         pool[j] = pool[-1]
         pool.pop()
         if not alive[y0, x0]:
             continue
-        bins = rho_bins(x0, y0)
-        acc[theta_idx, bins] += 1
-        voted[y0, x0] = True
-        k = int(np.argmax(acc[theta_idx, bins]))
-        if acc[k, bins[k]] < params.votes:
+        cells = np.rint((x0 * cos_t + y0 * sin_t) / params.rho_res).astype(np.int64) + cell_base
+        voted[x0, y0] = cells
+        votes = acc[cells] + 1  # one cell per theta, so no cell repeats
+        acc[cells] = votes
+        k = int(votes.argmax())
+        if votes[k] < params.votes:
             continue
 
         # follow the winning direction through the mask, both ways
@@ -126,13 +125,11 @@ def hough_segments(mask: BinaryMask, params: HoughParams = HoughParams()) -> lis
         run = bwd[::-1] + [(x0, y0)] + fwd
         ex1, ex2 = run[0], run[-1]
 
-        for x, y in run:
-            alive[y, x] = False
-            if voted[y, x]:
-                acc[theta_idx, rho_bins(x, y)] -= 1
-                voted[y, x] = False
+        run_x, run_y = zip(*run)
+        alive[run_y, run_x] = False
+        np.subtract.at(acc, np.concatenate([voted.pop(p) for p in run if p in voted]), 1)
 
-        if math.hypot(ex2[0] - ex1[0], ex2[1] - ex1[1]) >= params.min_length:
+        if ex1 != ex2 and math.hypot(ex2[0] - ex1[0], ex2[1] - ex1[1]) >= params.min_length:
             segments.append(Segment(Point(float(ex1[0]), float(ex1[1])),
                                     Point(float(ex2[0]), float(ex2[1]))))
     return segments

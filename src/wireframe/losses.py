@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry import GeometryError, Junction
+from .geometry import GeometryError, Junction, check_seed
 from .gridcodec import GridEncoding, encode
 
 # Logs are clamped at this floor; the clamp sits inside the log so that
@@ -182,6 +182,7 @@ def sample_cells(gt: GridEncoding, r_max: float = DEFAULT_NEG_POS_RATIO,
     """
     if not r_max >= 0:
         raise GeometryError(f"r_max={r_max} must be >= 0 or infinite")
+    check_seed(seed)
     pos = gt.center_conf == 1.0
     n_pos = int(pos.sum())
     if math.isinf(r_max) or n_pos == 0:

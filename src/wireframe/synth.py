@@ -21,17 +21,21 @@ from typing import Optional
 import numpy as np
 
 from .annotate import AnnotatedScene
-from .geometry import Point, Segment, point_segment_distance, segment_intersection
+from .geometry import GeometryError, Point, Segment, point_segment_distance, segment_intersection
 
 MIN_SEGMENTS = 5
 MAX_SEGMENTS = 30
 MIN_LENGTH = 40.0
+MAX_LENGTH_FRAC = 0.8  # of the shorter image side
 MIN_CROSS_ANGLE = 25.0
 MIN_JUNCTION_SEP = 8.0
 MIN_STUB = 10.0
 MIN_CLEARANCE = 6.0
 JUNCTION_MARGIN = 24.0
 ENDPOINT_MARGIN = 8.0
+# Whole-scene draws before giving up (benchmark pools and tests need <= 2):
+# a small image, say 64x64 with a 16 px window for crossings, may never fit.
+MAX_ATTEMPTS = 20
 
 
 def _crossing_angle(s: Segment, t: Segment) -> float:
@@ -56,7 +60,7 @@ def _candidate(rng: np.random.Generator, width: int, height: int) -> Segment:
         x1 = int(rng.integers(ENDPOINT_MARGIN, width - ENDPOINT_MARGIN + 1))
         y1 = int(rng.integers(ENDPOINT_MARGIN, height - ENDPOINT_MARGIN + 1))
         theta = rng.uniform(0, 2 * math.pi)
-        length = rng.uniform(MIN_LENGTH, 0.8 * min(width, height))
+        length = rng.uniform(MIN_LENGTH, MAX_LENGTH_FRAC * min(width, height))
         x2 = round(x1 + length * math.cos(theta))
         y2 = round(y1 + length * math.sin(theta))
         if ENDPOINT_MARGIN <= x2 <= width - ENDPOINT_MARGIN and \
@@ -105,11 +109,16 @@ def _check(cand: Segment, existing: list[Segment], junctions: list[Point],
 def make_scene(rng: np.random.Generator, width: int = 320, height: int = 320,
                n_segments: Optional[int] = None,
                max_tries: int = 400) -> AnnotatedScene:
-    """One random scene; n_segments defaults to a draw in [5, 30]."""
+    """One random scene; n_segments defaults to a draw in [5, 30].
+
+    GeometryError if the image is too small for a segment or for MAX_ATTEMPTS.
+    """
+    if MAX_LENGTH_FRAC * min(width, height) < MIN_LENGTH:
+        raise GeometryError(f"a {width}x{height} image cannot hold a {MIN_LENGTH:g} px segment")
     if n_segments is None:
         n_segments = int(rng.integers(MIN_SEGMENTS, MAX_SEGMENTS + 1))
     floor = min(n_segments, MIN_SEGMENTS)
-    while True:
+    for _ in range(MAX_ATTEMPTS):
         segments: list[Segment] = []
         junctions: list[Point] = []
         # the second segment must cross the first, and every later one must
@@ -129,6 +138,8 @@ def make_scene(rng: np.random.Generator, width: int = 320, height: int = 320,
             return AnnotatedScene(width, height, tuple(segments))
         # an awkward early segment (say, hugging the border) can block all
         # crossings; scrap the attempt and redraw from scratch
+    raise GeometryError(f"no {width}x{height} scene with {floor} crossing segments "
+                        f"in {MAX_ATTEMPTS} attempts")
 
 
 def make_scenes(seed: int, count: int, width: int = 320,

@@ -326,3 +326,27 @@ def test_loss_accepts_integer_grid_config(tmp_path, capsys):
     open(grid, "w").write(GRID_FILE % ("8", "1", "2"))
     write_scene(AnnotatedScene(8, 8, ()), scene)
     assert main(["loss", "--pred-grid", grid, "--scene", scene]) == 0
+
+
+@pytest.mark.parametrize("command", ["hough", "loss"])
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_negative_seed_exits_3(tmp_path, capsys, command, how):
+    scene = str(tmp_path / "scene.json")
+    cross_scene(scene)
+    if command == "hough":
+        hpath = str(tmp_path / "h.wfhm")
+        main(["derive-gt", "--scene", scene, "--out-heatmap", hpath])
+        argv = ["hough", "--heatmap", hpath, "--out", str(tmp_path / "s.json")]
+    else:
+        grid = str(tmp_path / "grid.json")
+        write_grid(GridEncoding(GridConfig(32, 32, 8, 8, 15)), grid)
+        argv = ["loss", "--pred-grid", grid, "--scene", scene]
+    if how == "flag":
+        argv += ["--seed", "-1"]
+    else:
+        cfg = str(tmp_path / "opts.cfg")
+        open(cfg, "w").write("seed = -3\n")
+        argv += ["--config", cfg]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "seed" in err and err.count("\n") == 1

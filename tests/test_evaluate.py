@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy import ndimage
 from scipy.optimize import linear_sum_assignment
 
 from wireframe.evaluate import (
     EvalConfig,
     PRCurve,
     PRPoint,
+    _near_count,
     emit_pr_csv,
     emit_pr_svg,
     junction_pr,
@@ -183,6 +185,71 @@ def test_line_pixel_pr_order_and_split_invariance():
     halves = [seg(5, 5, 27, 5), seg(27, 5, 50, 5)]
     p3 = line_pixel_pr([a], halves, CFG, 100, 100)
     assert p3.precision == 1.0 and p3.recall == 1.0
+
+
+def near_count_edt(mask, other, tol):
+    """Oracle: a full-image Euclidean distance transform of `other`."""
+    if not mask.any() or not other.any():
+        return 0
+    return int(np.count_nonzero(ndimage.distance_transform_edt(~other)[mask] <= tol))
+
+
+def bool_grid(rows):
+    return np.array(rows, dtype=bool).reshape(len(rows), -1)
+
+
+@st.composite
+def mask_pairs(draw):
+    h, w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    shape = st.lists(st.booleans(), min_size=h * w, max_size=h * w)
+    return (np.array(draw(shape), dtype=bool).reshape(h, w),
+            np.array(draw(shape), dtype=bool).reshape(h, w))
+
+
+EDGE_TOLS = [0.01, 0.5, math.nextafter(1.0, 0.0), 1.0, math.sqrt(2.0),
+             math.nextafter(math.sqrt(2.0), 0.0), 2.0, math.nextafter(5.0, 0.0),
+             5.0, 1e6]
+
+
+@settings(max_examples=300, deadline=None)
+@given(mask_pairs(), st.one_of(st.sampled_from(EDGE_TOLS), st.floats(0.01, 20.0)))
+def test_near_count_matches_distance_transform(pair, tol):
+    mask, other = pair
+    assert _near_count(mask, other, tol) == near_count_edt(mask, other, tol)
+    assert _near_count(other, mask, tol) == near_count_edt(other, mask, tol)
+
+
+@pytest.mark.parametrize("shape", [(1, 40), (40, 1), (1, 1)])
+@pytest.mark.parametrize("tol", EDGE_TOLS)
+def test_near_count_thin_images(shape, tol):
+    rng = np.random.default_rng([shape[0], shape[1]])
+    mask, other = rng.random(shape) < 0.2, rng.random(shape) < 0.1
+    assert _near_count(mask, other, tol) == near_count_edt(mask, other, tol)
+
+
+def test_near_count_at_integer_and_root_two_distances():
+    mask = bool_grid([[1, 0, 0, 0, 0],
+                      [0, 0, 0, 0, 0],
+                      [0, 0, 0, 0, 0],
+                      [0, 0, 0, 0, 0]])
+    other = np.zeros_like(mask)
+    other[3, 4] = True  # offset (4, 3): distance exactly 5
+    assert _near_count(mask, other, 5.0) == near_count_edt(mask, other, 5.0) == 1
+    below = math.nextafter(5.0, 0.0)
+    assert _near_count(mask, other, below) == near_count_edt(mask, other, below) == 0
+    other[3, 4], other[1, 1] = False, True  # diagonal neighbour: sqrt(2)
+    root2 = math.sqrt(2.0)
+    assert _near_count(mask, other, root2) == near_count_edt(mask, other, root2) == 1
+    assert _near_count(mask, other, math.nextafter(root2, 0.0)) == 0
+
+
+def test_near_count_tolerance_extremes():
+    mask = bool_grid([[1, 1, 0], [0, 0, 0], [0, 0, 1]])
+    other = bool_grid([[1, 0, 0], [0, 0, 0], [0, 0, 0]])
+    assert _near_count(mask, other, 0.5) == near_count_edt(mask, other, 0.5) == 1
+    assert _near_count(mask, other, 1e9) == near_count_edt(mask, other, 1e9) == 3
+    empty = np.zeros_like(mask)
+    assert _near_count(empty, other, 2.0) == _near_count(mask, empty, 2.0) == 0
 
 
 def test_sweep_constant_detector():

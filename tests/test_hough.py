@@ -6,7 +6,7 @@ import pytest
 from wireframe.annotate import rasterize_segment
 from wireframe.construct import BinaryMask
 from wireframe.geometry import GeometryError, Point, Segment, point_segment_distance
-from wireframe.hough import HoughParams, hough_segments
+from wireframe.hough import HoughParams, _walk_dir, hough_segments
 
 
 def draw(mask, seg):
@@ -30,9 +30,124 @@ def test_params_validation():
     with pytest.raises(GeometryError):
         HoughParams(votes=0)
     for bad in ({"rho_res": float("nan")}, {"votes": float("nan")},
-                {"theta_res": float("inf")}, {"max_gap": float("nan")}):
+                {"theta_res": float("inf")}, {"max_gap": float("nan")},
+                {"votes": True}, {"seed": -1}, {"seed": 1.0}, {"seed": True},
+                {"seed": "0"}):
         with pytest.raises(GeometryError):
             HoughParams(**bad)
+    assert HoughParams(seed=np.int64(3)).seed == 3
+
+
+def reference_hough_segments(mask, params=HoughParams()):
+    """The per-sample form: one scalar draw per visit, and each consumed
+    pixel's accumulator bins recomputed and retracted one at a time."""
+    ys, xs = np.nonzero(mask.bits)
+    pool = list(zip(xs.tolist(), ys.tolist()))
+    if not pool:
+        return []
+    alive = mask.bits.copy()
+    voted = np.zeros_like(alive)
+    n_theta = max(1, int(round(180.0 / params.theta_res)))
+    thetas = np.arange(n_theta) * math.radians(params.theta_res)
+    cos_t, sin_t = np.cos(thetas), np.sin(thetas)
+    rho_off = int(math.ceil(math.hypot(mask.width, mask.height) / params.rho_res))
+    acc = np.zeros((n_theta, 2 * rho_off + 1), dtype=np.int64)
+
+    def rho_bins(x, y):
+        return np.rint((x * cos_t + y * sin_t) / params.rho_res).astype(np.int64) + rho_off
+
+    rng = np.random.default_rng(params.seed)
+    segments = []
+    theta_idx = np.arange(n_theta)
+    while pool:
+        j = int(rng.integers(len(pool)))
+        x0, y0 = pool[j]
+        pool[j] = pool[-1]
+        pool.pop()
+        if not alive[y0, x0]:
+            continue
+        bins = rho_bins(x0, y0)
+        acc[theta_idx, bins] += 1
+        voted[y0, x0] = True
+        k = int(np.argmax(acc[theta_idx, bins]))
+        if acc[k, bins[k]] < params.votes:
+            continue
+        dx, dy = -sin_t[k], cos_t[k]
+        fwd = _walk_dir(alive, x0, y0, dx, dy, params.max_gap)
+        bwd = _walk_dir(alive, x0, y0, -dx, -dy, params.max_gap)
+        run = bwd[::-1] + [(x0, y0)] + fwd
+        ex1, ex2 = run[0], run[-1]
+        for x, y in run:
+            alive[y, x] = False
+            if voted[y, x]:
+                acc[theta_idx, rho_bins(x, y)] -= 1
+                voted[y, x] = False
+        if math.hypot(ex2[0] - ex1[0], ex2[1] - ex1[1]) >= params.min_length:
+            segments.append(seg(*ex1, *ex2))
+    return segments
+
+
+def random_mask(rng, width, height, n_lines, noise):
+    mask = BinaryMask(width, height)
+    for _ in range(n_lines):
+        x1, x2 = rng.integers(0, width, size=2)
+        y1, y2 = rng.integers(0, height, size=2)
+        if (x1, y1) != (x2, y2):
+            draw(mask, seg(x1, y1, x2, y2))
+    mask.bits |= rng.random((height, width)) < noise
+    return mask
+
+
+@pytest.mark.parametrize("case", range(12))
+def test_matches_per_sample_reference(case):
+    rng = np.random.default_rng([11, case])
+    width, height = (int(v) for v in rng.integers(20, 90, size=2))
+    mask = random_mask(rng, width, height, int(rng.integers(0, 6)), [0.0, 0.01, 0.05][case % 3])
+    for seed in (0, 1, 1000 + case):
+        params = HoughParams(votes=int(rng.integers(3, 25)), min_length=8.0, seed=seed)
+        assert hough_segments(mask, params) == reference_hough_segments(mask, params)
+
+
+@pytest.mark.parametrize("params", [
+    HoughParams(votes=1, min_length=1.0),
+    HoughParams(votes=1, theta_res=7.0, min_length=5.0),  # 180/7: 26 bins
+    HoughParams(votes=4, theta_res=0.7, min_length=5.0),
+    HoughParams(votes=5, rho_res=0.5, min_length=5.0, seed=4),
+    HoughParams(votes=5, rho_res=3.0, min_length=5.0, seed=9),
+    HoughParams(votes=2, max_gap=0.0, min_length=3.0, seed=2),
+])
+def test_matches_reference_at_parameter_edges(params):
+    rng = np.random.default_rng(21)
+    for width, height, n_lines, noise in ((50, 40, 4, 0.02), (1, 30, 0, 0.5), (30, 1, 0, 0.5)):
+        mask = random_mask(rng, width, height, n_lines, noise)
+        assert hough_segments(mask, params) == reference_hough_segments(mask, params)
+
+
+def test_one_pixel_and_empty_match_reference():
+    mask = BinaryMask(9, 7)
+    assert hough_segments(mask) == reference_hough_segments(mask) == []
+    mask.bits[3, 4] = True
+    for params in (HoughParams(), HoughParams(votes=1), HoughParams(votes=1, min_length=1.0)):
+        assert hough_segments(mask, params) == reference_hough_segments(mask, params)
+
+
+def test_zero_min_length_skips_one_pixel_runs():
+    # a run of one pixel has no direction: it is consumed but not emitted
+    mask = BinaryMask(40, 40)
+    mask.bits[3, 4] = True
+    mask.bits[5:31, 10] = True  # theta bin 0 wins every tie: a vertical walk
+    (got,) = hough_segments(mask, HoughParams(votes=1, min_length=0.0))
+    assert endpoint_error(got, seg(10, 5, 10, 30)) == 0.0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3])
+@pytest.mark.parametrize("n", [1, 2, 17, 1000, 40_000])
+def test_batched_draws_match_scalar_draws(seed, n):
+    # hough_segments draws its whole visiting order in one call; this pins
+    # that stream to the one-draw-per-visit loop it replaces
+    batched = np.random.default_rng(seed).integers(np.arange(n, 0, -1)).tolist()
+    scalar_rng = np.random.default_rng(seed)
+    assert batched == [int(scalar_rng.integers(k)) for k in range(n, 0, -1)]
 
 
 def test_empty_mask():

@@ -268,3 +268,9 @@ def test_sample_cells_deterministic():
 def test_sample_cells_validation():
     with pytest.raises(GeometryError):
         sample_cells(GridEncoding(SMALL), r_max=-1.0)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "3"])
+def test_sample_cells_rejects_bad_seed(seed):
+    with pytest.raises(GeometryError):
+        sample_cells(GridEncoding(GridConfig(32, 32, 8, 8, 15)), seed=seed)
