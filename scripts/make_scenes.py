@@ -29,12 +29,12 @@ def main(argv=None) -> int:
                     help="write only the scene files")
     args = ap.parse_args(argv)
 
-    os.makedirs(args.out, exist_ok=True)
     try:
         scenes = make_scenes(args.seed, args.count, args.width, args.height)
-    except GeometryError as e:  # an image too small for the scene rules
+    except GeometryError as e:  # a bad seed or count, or an image too small
         print(f"error: {e}", file=sys.stderr)
         return 3
+    os.makedirs(args.out, exist_ok=True)
     for i, scene in enumerate(scenes):
         stem = os.path.join(args.out, f"scene_{i:04d}")
         write_scene(scene, stem + ".json")

@@ -17,6 +17,7 @@ import time
 from wireframe.annotate import derive_junctions, render_target_heatmap
 from wireframe.construct import ConstructionParams, construct_wireframe
 from wireframe.evaluate import EvalConfig, junction_pr, line_pixel_pr, pool_pr
+from wireframe.geometry import GeometryError
 from wireframe.synth import make_scenes
 
 
@@ -39,9 +40,13 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     t0 = time.monotonic()
-    scenes = make_scenes(args.seed, args.count, args.width, args.height)
+    try:
+        scenes = make_scenes(args.seed, args.count, args.width, args.height)
+        params = ConstructionParams(omega=args.omega)
+    except GeometryError as e:  # a bad seed, count or omega, or an image too small
+        print(f"error: {e}", file=sys.stderr)
+        return 3
     cfg = EvalConfig()
-    params = ConstructionParams(omega=args.omega)
     junction_points, line_points = [], []
     for i, scene in enumerate(scenes):
         gt = derive_junctions(scene)

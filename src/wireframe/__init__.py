@@ -24,7 +24,6 @@ from .geometry import (
     point_segment_distance,
     segment_adjacency,
     segment_intersection,
-    segment_length,
 )
 
 __all__ = [
@@ -43,7 +42,6 @@ __all__ = [
     "point_segment_distance",
     "segment_adjacency",
     "segment_intersection",
-    "segment_length",
 ]
 
 __version__ = "0.1.0"

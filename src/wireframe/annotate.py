@@ -102,35 +102,27 @@ def _round_px(v: float) -> int:
     return int(math.floor(v + 0.5))
 
 
-def rasterize_segment(s: Segment, width: int, height: int) -> list[tuple[int, int]]:
+def rasterize_segment(s: Segment, width: int, height: int) -> np.ndarray:
     """8-connected digital line between the rounded, clipped endpoints.
 
-    Pixels come back in walk order from a to b, endpoints included.  A
-    segment entirely outside the image gives an empty list.
+    Returns an (n, 2) intp array of (x, y) pixels in walk order from a to b,
+    endpoints included, or shape (0, 2) for a segment that misses the image.
+    The line is Bresenham's (IBM Systems Journal 4(1), 1965) in closed form:
+    for rounded deltas dx, dy and n = max(|dx|, |dy|), step i = 0..n moves
+    (2*i*|d| + n) // (2*n) along each axis with delta d, in the sign of d.
+    That is i along the major axis and i*m/n rounded half up along the
+    minor one, m = min(|dx|, |dy|).
     """
     clipped = clip_segment(s, width, height)
     if clipped is None:
-        return []
+        return np.empty((0, 2), dtype=np.intp)
     (cx1, cy1), (cx2, cy2) = clipped
     x0, y0 = _round_px(cx1), _round_px(cy1)
-    x1, y1 = _round_px(cx2), _round_px(cy2)
-    dx = abs(x1 - x0)
-    sx = 1 if x0 < x1 else -1
-    dy = -abs(y1 - y0)
-    sy = 1 if y0 < y1 else -1
-    err = dx + dy
-    pixels = []
-    while True:
-        pixels.append((x0, y0))
-        if x0 == x1 and y0 == y1:
-            return pixels
-        e2 = 2 * err
-        if e2 >= dy:
-            err += dy
-            x0 += sx
-        if e2 <= dx:
-            err += dx
-            y0 += sy
+    dx, dy = _round_px(cx2) - x0, _round_px(cy2) - y0
+    n = max(abs(dx), abs(dy))
+    steps = np.arange(n + 1, dtype=np.intp)[:, None]
+    moves = (steps * (2 * abs(dx), 2 * abs(dy)) + n) // max(2 * n, 1)
+    return moves * (np.sign(dx), np.sign(dy)) + (x0, y0)
 
 
 def _candidate_points(lines: tuple[Segment, ...],
@@ -241,8 +233,7 @@ def render_target_heatmap(scene: AnnotatedScene) -> HeatMap:
     """Heat map whose pixels hold the length of the longest covering line."""
     values = np.zeros((scene.height, scene.width), dtype=np.float64)
     for seg in scene.lines:
-        d = seg.length
-        for x, y in rasterize_segment(seg, scene.width, scene.height):
-            if d > values[y, x]:
-                values[y, x] = d
+        # a digital line never repeats a pixel, so one gather/scatter is exact
+        xs, ys = rasterize_segment(seg, scene.width, scene.height).T
+        values[ys, xs] = np.maximum(values[ys, xs], seg.length)
     return HeatMap(scene.width, scene.height, values)

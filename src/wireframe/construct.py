@@ -215,15 +215,6 @@ def ray_boundary_point(origin: Point, angle_deg: float,
     return Point(origin.x + t_exit * dx, origin.y + t_exit * dy)
 
 
-def _ray_pixels(origin: Point, angle_deg: float, mask: BinaryMask) -> list[tuple[int, int]]:
-    end = ray_boundary_point(origin, angle_deg, mask.width, mask.height)
-    if end is None:
-        return []
-    if abs(end.x - origin.x) < 0.5 and abs(end.y - origin.y) < 0.5:
-        return []
-    return rasterize_segment(Segment(origin, end), mask.width, mask.height)
-
-
 def farthest_mask_point(origin: Point, angle_deg: float, mask: BinaryMask,
                         max_gap: float = DEFAULT_MAX_WALK_GAP) -> Optional[Point]:
     """Farthest supporting mask pixel found walking the rasterized ray.
@@ -235,12 +226,16 @@ def farthest_mask_point(origin: Point, angle_deg: float, mask: BinaryMask,
     unrelated faraway line from dragging the endpoint past the real one.
     Returns the supporting mask pixel itself, not the ray pixel.
     """
+    end = ray_boundary_point(origin, angle_deg, mask.width, mask.height)
+    if end is None or (abs(end.x - origin.x) < 0.5 and abs(end.y - origin.y) < 0.5):
+        return None
     rad = math.radians(angle_deg)
     # lateral = across the dominant axis of travel
     across_y = abs(math.cos(rad)) >= abs(math.sin(rad))
     last = None
     misses = 0
-    for x, y in _ray_pixels(origin, angle_deg, mask):
+    xs, ys = rasterize_segment(Segment(origin, end), mask.width, mask.height).T.tolist()
+    for x, y in zip(xs, ys):
         probes = ((x, y), (x, y - 1), (x, y + 1)) if across_y \
             else ((x, y), (x - 1, y), (x + 1, y))
         hit = None
@@ -264,11 +259,10 @@ def line_support_ratio(a: Point, b: Point, mask: BinaryMask) -> float:
     """Fraction of the rasterized a-b pixels set in the mask (0 if none)."""
     if a.x == b.x and a.y == b.y:
         return 0.0
-    pixels = rasterize_segment(Segment(a, b), mask.width, mask.height)
-    if not pixels:
+    px = rasterize_segment(Segment(a, b), mask.width, mask.height)
+    if not len(px):
         return 0.0
-    hit = sum(1 for x, y in pixels if mask.bits[y, x])
-    return hit / len(pixels)
+    return np.count_nonzero(mask.bits[px[:, 1], px[:, 0]]) / len(px)
 
 
 def recover_unmatched(junctions: Sequence[Junction], unmatched: Sequence[Ray],

@@ -107,8 +107,8 @@ def junction_pr(gt: Sequence[Junction], pred: Sequence[Junction],
 def _pixel_mask(segments: Sequence[Segment], width: int, height: int) -> np.ndarray:
     mask = np.zeros((height, width), dtype=bool)
     for s in segments:
-        px = np.array(rasterize_segment(s, width, height), dtype=np.intp).reshape(-1, 2)
-        mask[px[:, 1], px[:, 0]] = True
+        xs, ys = rasterize_segment(s, width, height).T
+        mask[ys, xs] = True
     return mask
 
 

@@ -101,11 +101,6 @@ class Segment:
         return self.a.distance_to(self.b)
 
 
-def segment_length(s: Segment) -> float:
-    """Euclidean length of a segment (always > 0 for a valid Segment)."""
-    return s.length
-
-
 @dataclass(frozen=True)
 class Branch:
     """One outgoing direction of a junction."""

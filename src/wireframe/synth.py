@@ -21,7 +21,8 @@ from typing import Optional
 import numpy as np
 
 from .annotate import AnnotatedScene
-from .geometry import GeometryError, Point, Segment, point_segment_distance, segment_intersection
+from .geometry import (GeometryError, Point, Segment, check_seed, point_segment_distance,
+                       segment_intersection)
 
 MIN_SEGMENTS = 5
 MAX_SEGMENTS = 30
@@ -144,5 +145,8 @@ def make_scene(rng: np.random.Generator, width: int = 320, height: int = 320,
 
 def make_scenes(seed: int, count: int, width: int = 320,
                 height: int = 320) -> list[AnnotatedScene]:
+    check_seed(seed)
+    if count < 0:
+        raise GeometryError(f"scene count {count} must be >= 0")
     rng = np.random.default_rng(seed)
     return [make_scene(rng, width, height) for _ in range(count)]

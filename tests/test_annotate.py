@@ -36,28 +36,33 @@ def nearest_pixel_walk(s, width, height, stride=0.1):
     return out
 
 
+def pixels(s, width, height):
+    """The rasterized pixels as a list of (x, y) tuples, in walk order."""
+    return list(map(tuple, rasterize_segment(s, width, height).tolist()))
+
+
 def test_rasterize_horizontal():
-    assert set(rasterize_segment(seg(0, 0, 3, 0), 10, 10)) == {(0, 0), (1, 0), (2, 0), (3, 0)}
+    assert set(pixels(seg(0, 0, 3, 0), 10, 10)) == {(0, 0), (1, 0), (2, 0), (3, 0)}
 
 
 def test_rasterize_diagonal():
-    assert set(rasterize_segment(seg(0, 0, 2, 2), 10, 10)) == {(0, 0), (1, 1), (2, 2)}
+    assert set(pixels(seg(0, 0, 2, 2), 10, 10)) == {(0, 0), (1, 1), (2, 2)}
 
 
 def test_rasterize_345_against_walk():
     s = seg(0, 0, 3, 4)
-    px = rasterize_segment(s, 10, 10)
+    px = pixels(s, 10, 10)
     assert len(px) == 5
     assert px[0] == (0, 0) and px[-1] == (3, 4)
     assert set(px) <= nearest_pixel_walk(s, 10, 10)
 
 
 def test_rasterize_outside_empty():
-    assert rasterize_segment(seg(20, 20, 30, 30), 10, 10) == []
+    assert pixels(seg(20, 20, 30, 30), 10, 10) == []
 
 
 def test_rasterize_clips_to_image():
-    px = rasterize_segment(seg(-5, 3, 14, 3), 10, 10)
+    px = pixels(seg(-5, 3, 14, 3), 10, 10)
     assert set(px) == {(x, 3) for x in range(10)}
 
 
@@ -69,7 +74,7 @@ in_segments = st.tuples(bounded, bounded, bounded, bounded).filter(
 @given(in_segments)
 @settings(max_examples=200)
 def test_rasterize_properties(s):
-    px = rasterize_segment(s, 64, 64)
+    px = pixels(s, 64, 64)
     assert len(px) == len(set(px))
     for (x0, y0), (x1, y1) in zip(px, px[1:]):
         assert max(abs(x1 - x0), abs(y1 - y0)) == 1  # 8-connected, no repeats
@@ -85,14 +90,89 @@ int_segments = st.tuples(st.integers(0, 63), st.integers(0, 63),
 @given(int_segments)
 @settings(max_examples=200)
 def test_rasterize_matches_walk_on_grid(s):
-    assert set(rasterize_segment(s, 64, 64)) <= nearest_pixel_walk(s, 64, 64, stride=0.05)
+    assert set(pixels(s, 64, 64)) <= nearest_pixel_walk(s, 64, 64, stride=0.05)
 
 
 @given(in_segments)
 def test_rasterize_direction_independent(s):
-    fwd = rasterize_segment(s, 64, 64)
-    rev = rasterize_segment(Segment(s.b, s.a), 64, 64)
+    fwd = pixels(s, 64, 64)
+    rev = pixels(Segment(s.b, s.a), 64, 64)
     assert fwd[0] == rev[-1] and fwd[-1] == rev[0]
+
+
+def reference_rasterize_segment(s, width, height):
+    """Oracle: Bresenham's error-accumulating walk, one pixel per step."""
+    clipped = clip_segment(s, width, height)
+    if clipped is None:
+        return []
+    (cx1, cy1), (cx2, cy2) = clipped
+    x0, y0 = annotate._round_px(cx1), annotate._round_px(cy1)
+    x1, y1 = annotate._round_px(cx2), annotate._round_px(cy2)
+    dx = abs(x1 - x0)
+    sx = 1 if x0 < x1 else -1
+    dy = -abs(y1 - y0)
+    sy = 1 if y0 < y1 else -1
+    err = dx + dy
+    out = []
+    while True:
+        out.append((x0, y0))
+        if x0 == x1 and y0 == y1:
+            return out
+        e2 = 2 * err
+        if e2 >= dy:
+            err += dy
+            x0 += sx
+        if e2 <= dx:
+            err += dx
+            y0 += sy
+
+
+def assert_matches_reference(s, width, height):
+    got = rasterize_segment(s, width, height)
+    want = np.array(reference_rasterize_segment(s, width, height), dtype=np.intp)
+    assert got.dtype == np.intp and got.shape == (len(want), 2)
+    assert np.array_equal(got, want.reshape(-1, 2)), s
+
+
+def test_rasterize_matches_reference_every_offset():
+    # every rounded delta within +-40, all octants, diagonals and the single
+    # pixel; the fractional offsets keep each segment non-degenerate
+    for dx in range(-40, 41):
+        for dy in range(-40, 41):
+            s = seg(44.7, 45.2, 45 + dx + 0.4, 45 + dy - 0.1)
+            assert_matches_reference(s, 91, 91)
+
+
+# floats that often sit on half pixels, where _round_px breaks ties upward
+border_coords = st.one_of(st.floats(min_value=-30.0, max_value=94.0, allow_nan=False),
+                          st.integers(-60, 188).map(lambda k: k / 2))
+border_segments = st.tuples(border_coords, border_coords, border_coords,
+                            border_coords).filter(
+    lambda q: (q[0], q[1]) != (q[2], q[3])).map(lambda q: seg(*q))
+
+
+@given(border_segments)
+@settings(max_examples=400)
+@example(seg(-5.5, 3.5, 70.5, 60.5))    # crosses two borders, half-pixel ends
+@example(seg(70.0, -3.0, 90.0, 10.0))   # fully outside
+@example(seg(0.5, 0.5, 1.5, 2.5))       # x.5 ties at both ends
+def test_rasterize_matches_reference_across_border(s):
+    assert_matches_reference(s, 64, 64)
+
+
+thin_coords = st.one_of(st.floats(min_value=-6.0, max_value=26.0, allow_nan=False),
+                        st.integers(-12, 52).map(lambda k: k / 2))
+thin_segments = st.tuples(thin_coords, thin_coords, thin_coords, thin_coords).filter(
+    lambda q: (q[0], q[1]) != (q[2], q[3])).map(lambda q: seg(*q))
+
+
+@given(thin_segments)
+@settings(max_examples=200)
+@example(seg(-3.0, 0.0, 25.0, 0.0))
+@example(seg(0.0, -3.0, 0.0, 25.0))
+def test_rasterize_matches_reference_thin_images(s):
+    assert_matches_reference(s, 1, 20)
+    assert_matches_reference(s, 20, 1)
 
 
 def test_clip_inside_unchanged():
@@ -216,7 +296,7 @@ def test_heatmap_support_and_values(lines):
     hm = render_target_heatmap(scene)
     union = set()
     for s in lines:
-        union |= set(rasterize_segment(s, 30, 30))
+        union |= set(pixels(s, 30, 30))
     assert {(x, y) for y, x in zip(*np.nonzero(hm.values))} == union
     allowed = {0.0} | {s.length for s in lines}
     assert set(np.unique(hm.values)) <= allowed

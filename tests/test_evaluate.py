@@ -169,8 +169,8 @@ def test_line_pixel_pr_half_coverage():
     # brute-force oracle: pairwise pixel distances
     tol = CFG.tolerance(100, 100)
     from wireframe.annotate import rasterize_segment
-    gt_px = set(rasterize_segment(gt[0], 100, 100))
-    pr_px = set(rasterize_segment(pred[0], 100, 100))
+    gt_px = set(map(tuple, rasterize_segment(gt[0], 100, 100).tolist()))
+    pr_px = set(map(tuple, rasterize_segment(pred[0], 100, 100).tolist()))
     covered = sum(1 for g in gt_px
                   if any(math.hypot(g[0] - q[0], g[1] - q[1]) <= tol for q in pr_px))
     assert p.matched_gt == covered

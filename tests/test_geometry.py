@@ -25,7 +25,6 @@ from wireframe.geometry import (
     segment_adjacency,
     segment_array,
     segment_intersection,
-    segment_length,
 )
 
 coords = st.floats(min_value=-1e4, max_value=1e4, allow_nan=False, allow_infinity=False)
@@ -40,11 +39,11 @@ def seg(x1, y1, x2, y2):
 
 
 def test_segment_length_345():
-    assert segment_length(seg(0, 0, 3, 4)) == 5.0
+    assert seg(0, 0, 3, 4).length == 5.0
 
 
 def test_segment_length_unit():
-    assert segment_length(seg(0, 0, 1, 0)) == 1.0
+    assert seg(0, 0, 1, 0).length == 1.0
 
 
 def test_degenerate_segment_rejected():

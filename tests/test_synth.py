@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wireframe.geometry import GeometryError
-from wireframe.synth import make_scene
+from wireframe.synth import make_scene, make_scenes
 
 
 def test_small_image_raises_in_bounded_time():
@@ -30,3 +30,9 @@ def test_small_image_raises_in_bounded_time():
 def test_image_too_small_for_a_segment(width, height):
     with pytest.raises(GeometryError, match=f"{width}x{height}"):
         make_scene(np.random.default_rng(0), width, height)
+
+
+@pytest.mark.parametrize("seed, count", [(-1, 1), (True, 1), (1.5, 1), (0, -1)])
+def test_make_scenes_rejects_bad_seed_and_count(seed, count):
+    with pytest.raises(GeometryError):
+        make_scenes(seed, count)
