@@ -19,10 +19,8 @@ from .geometry import (
     angle_diff,
     build_incidence,
     direction_deg,
-    junction_adjacency,
     normalize_angle,
     point_segment_distance,
-    segment_adjacency,
     segment_intersection,
 )
 
@@ -37,10 +35,8 @@ __all__ = [
     "angle_diff",
     "build_incidence",
     "direction_deg",
-    "junction_adjacency",
     "normalize_angle",
     "point_segment_distance",
-    "segment_adjacency",
     "segment_intersection",
 ]
 

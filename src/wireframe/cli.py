@@ -26,12 +26,12 @@ from .construct import ConstructionParams, binarize, construct_wireframe
 from .evaluate import (
     DEFAULT_TOLERANCE_FRAC,
     EvalConfig,
-    PRCurve,
     emit_pr_csv,
     emit_pr_svg,
     junction_pr,
     line_pixel_pr,
     pool_pr,
+    sweep_pr,
 )
 from .formats import (
     FormatError,
@@ -184,30 +184,30 @@ def cmd_eval(args: argparse.Namespace) -> int:
     config = EvalConfig(tolerance_frac=tol_frac, sweep=sweep)
     pairs = _pair_files(args.gt, args.pred)
 
-    images = []
     if args.mode == "junctions":
+        images = []
         for gt_path, pred_path in pairs:
             w, h, gt_js = read_junctions(gt_path)
             pred_js = read_junctions(pred_path)[2] if pred_path else []
             images.append((w, h, gt_js, pred_js))
 
-        def eval_one(img, t):
-            w, h, gt_js, pred_js = img
-            return junction_pr(gt_js, [j for j in pred_js if j.confidence > t],
-                               config, w, h, threshold=t)
+        def eval_at(t):
+            return pool_pr(t, [junction_pr(gt_js, [j for j in pred_js if j.confidence > t],
+                                           config, w, h, threshold=t)
+                               for w, h, gt_js, pred_js in images])
     else:
+        per_image = []
         for gt_path, pred_path in pairs:
             scene = read_scene(gt_path)
             pred_lines = list(read_scene(pred_path).lines) if pred_path else []
-            images.append((scene.width, scene.height, list(scene.lines), pred_lines))
+            per_image.append(line_pixel_pr(list(scene.lines), pred_lines, config,
+                                           scene.width, scene.height))
 
-        def eval_one(img, t):
-            w, h, gt_segs, pred_segs = img
-            # segment lists carry no confidences; the sweep is flat
-            return line_pixel_pr(gt_segs, pred_segs, config, w, h, threshold=t)
+        def eval_at(t):
+            # segment lists carry no confidences: one count per image, a flat sweep
+            return pool_pr(t, per_image)
 
-    curve = PRCurve(tuple(
-        pool_pr(t, [eval_one(img, t) for img in images]) for t in sweep))
+    curve = sweep_pr(eval_at, config)
     for p in curve.points:
         print(f"{p.threshold:.6g},{p.precision:.6g},{p.recall:.6g}")
     if args.csv:

@@ -312,18 +312,6 @@ def pairs_by_row(rows: np.ndarray, cols: np.ndarray, n_rows: int) -> list[list[i
     return [c[bounds[i]:bounds[i + 1]] for i in range(n_rows)]
 
 
-def junction_adjacency(incidence: np.ndarray) -> np.ndarray:
-    """W @ W.T: off-diagonal (n1, n2) > 0 iff the junctions share a segment."""
-    w = np.asarray(incidence, dtype=np.int64)
-    return w @ w.T
-
-
-def segment_adjacency(incidence: np.ndarray) -> np.ndarray:
-    """W.T @ W: off-diagonal (m1, m2) > 0 iff the segments meet at a junction."""
-    w = np.asarray(incidence, dtype=np.int64)
-    return w.T @ w
-
-
 @dataclass
 class Wireframe:
     """Junction points P connected by segments L, with incidence matrix W."""

@@ -11,18 +11,25 @@ Endpoints are integer pixels.  Crossings of integer-endpoint segments lie
 exactly on both carrier lines, so the digital line between a crossing and a
 mask pixel tracks the mask rasterization instead of drifting half a pixel
 off it the way rounded float endpoints do.
+
+A candidate meets the scalar ``_row_check`` only on the accepted segments an
+array pass flags.  The rest surely pass: their four endpoint-to-line distances
+exceed MIN_CLEARANCE (with the ``within`` margin), which rules out a near end
+or a continuation, and their ends do not straddle each other's lines both
+ways, which rules out a crossing.  A row's verdict depends on that row alone,
+so likely failures are checked first; crossings keep the accepted order.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
 from .annotate import AnnotatedScene
-from .geometry import (GeometryError, Point, Segment, check_seed, point_segment_distance,
-                       segment_intersection)
+from .geometry import (GeometryError, Point, Segment, check_seed, point_array, point_distances,
+                       point_segment_distance, segment_intersection, within)
 
 MIN_SEGMENTS = 5
 MAX_SEGMENTS = 30
@@ -37,6 +44,17 @@ ENDPOINT_MARGIN = 8.0
 # Whole-scene draws before giving up (benchmark pools and tests need <= 2):
 # a small image, say 64x64 with a 16 px window for crossings, may never fit.
 MAX_ATTEMPTS = 20
+# Accepted segments below which the array pass costs more than the scalar
+# checks it saves (timed per candidate on 320^2 scenes): all rows are flagged.
+_ROW_CROSSOVER = 5
+_SIN_CROSS = math.sin(math.radians(MIN_CROSS_ANGLE))
+# A candidate's (5, 8) matrix as indices into (0, 1, nx, ny, c, a.x, a.y,
+# b.x, b.y, -ny).  Times a segment's column it gives the signed distances of
+# the segment's a and b from the candidate's line, of the candidate's a and b
+# from the segment's line, and the sine of the angle between the two.
+_PASS = np.array([[2, 3, 0, 0, 0, 0, 0, 4], [0, 0, 2, 3, 0, 0, 0, 4],
+                  [0, 0, 0, 0, 5, 6, 1, 0], [0, 0, 0, 0, 7, 8, 1, 0],
+                  [0, 0, 0, 0, 9, 2, 0, 0]])
 
 
 def _crossing_angle(s: Segment, t: Segment) -> float:
@@ -56,6 +74,13 @@ def _min_separation(s: Segment, t: Segment) -> float:
                point_segment_distance(t.a, s), point_segment_distance(t.b, s))
 
 
+def _unit_line(s: Segment) -> tuple[float, float, float]:
+    """Unit normal (nx, ny) and offset c of the line through s: nx*x + ny*y + c."""
+    length = s.length
+    nx, ny = (s.b.y - s.a.y) / length, (s.a.x - s.b.x) / length
+    return nx, ny, -(nx * s.a.x + ny * s.a.y)
+
+
 def _candidate(rng: np.random.Generator, width: int, height: int) -> Segment:
     while True:
         x1 = int(rng.integers(ENDPOINT_MARGIN, width - ENDPOINT_MARGIN + 1))
@@ -70,41 +95,86 @@ def _candidate(rng: np.random.Generator, width: int, height: int) -> Segment:
             return Segment(Point(float(x1), float(y1)), Point(float(x2), float(y2)))
 
 
-def _check(cand: Segment, existing: list[Segment], junctions: list[Point],
-           width: int, height: int, need_crossing: bool) -> Optional[list[Point]]:
-    """New crossings if the candidate is acceptable, else None."""
-    new_junctions: list[Point] = []
-    for other in existing:
-        hit = segment_intersection(cand, other)
-        if hit.collinear:
-            return None
-        if hit.point is None:
-            if _min_separation(cand, other) < MIN_CLEARANCE:
-                return None
-            if _crossing_angle(cand, other) < 15.0 and (
-                    _line_distance(other.a, cand) < 4.0
-                    or _line_distance(other.b, cand) < 4.0):
-                return None  # collinear continuation, unresolvable in pixels
-            continue
-        p = hit.point
-        if not (JUNCTION_MARGIN <= p.x <= width - JUNCTION_MARGIN
-                and JUNCTION_MARGIN <= p.y <= height - JUNCTION_MARGIN):
-            return None
-        if _crossing_angle(cand, other) < MIN_CROSS_ANGLE:
-            return None
-        for e in (cand.a, cand.b, other.a, other.b):
-            if 0.0 < p.distance_to(e) < MIN_STUB:
-                return None
-            if p.distance_to(e) == 0.0:
-                return None  # keep pure crossings; no T or L junctions
-        new_junctions.append(p)
-    if need_crossing and not new_junctions:
+def _row_check(cand: Segment, other: Segment, width: int, height: int) -> Point | bool | None:
+    """False if ``other`` rules the candidate out, else their crossing or None."""
+    hit = segment_intersection(cand, other)
+    if hit.collinear:
+        return False
+    if hit.point is None:
+        if _min_separation(cand, other) < MIN_CLEARANCE:
+            return False
+        if _crossing_angle(cand, other) < 15.0 and (
+                _line_distance(other.a, cand) < 4.0 or _line_distance(other.b, cand) < 4.0):
+            return False  # collinear continuation, unresolvable in pixels
         return None
-    for p in new_junctions:
-        for q in junctions + new_junctions:
-            if 0.0 < p.distance_to(q) < MIN_JUNCTION_SEP:
-                return None
-    return new_junctions
+    p = hit.point
+    if not (JUNCTION_MARGIN <= p.x <= width - JUNCTION_MARGIN
+            and JUNCTION_MARGIN <= p.y <= height - JUNCTION_MARGIN):
+        return False
+    if _crossing_angle(cand, other) < MIN_CROSS_ANGLE:
+        return False
+    # a stub shorter than MIN_STUB, or distance 0: keep pure crossings, no T or L
+    if min(p.distance_to(e) for e in (cand.a, cand.b, other.a, other.b)) < MIN_STUB:
+        return False
+    return p
+
+
+class _Layout:
+    """Accepted segments and crossings, with array copies: a column per segment
+    (a.x, a.y, b.x, b.y, its unit line nx, ny, c, and 1), a row per crossing."""
+
+    def __init__(self) -> None:
+        self.segments: list[Segment] = []
+        self.junctions: list[Point] = []
+        self.cols, self.points = np.empty((8, 0)), np.empty((0, 2))
+
+    def add(self, seg: Segment, crossings: list[Point]) -> None:
+        col = (seg.a.x, seg.a.y, seg.b.x, seg.b.y, *_unit_line(seg), 1.0)
+        self.cols = np.column_stack([self.cols, col])
+        self.points = np.concatenate([self.points, point_array(crossings)])
+        self.segments.append(seg)
+        self.junctions.extend(crossings)
+
+    def flagged(self, cand: Segment) -> Iterator[int]:
+        """Rows that may fail ``_row_check`` for the candidate, likeliest
+        failures first: shallow crossings, near rows, then other crossings.
+        Every row below _ROW_CROSSOVER."""
+        n = len(self.segments)
+        if n < _ROW_CROSSOVER:
+            yield from range(n)
+            return
+        nx, ny, c = _unit_line(cand)
+        a, b = cand.a, cand.b
+        g = np.array((0.0, 1.0, nx, ny, c, a.x, a.y, b.x, b.y, -ny))[_PASS] @ self.cols
+        crossing = np.maximum(g[0] * g[1], g[2] * g[3]) < 0.0  # straddle both ways
+        shallow = crossing & (np.abs(g[4]) < _SIN_CROSS)
+        yield from shallow.nonzero()[0].tolist()
+        near = within(np.abs(g[:4]).min(axis=0), MIN_CLEARANCE)
+        yield from (near & ~shallow).nonzero()[0].tolist()
+        yield from (crossing & ~(near | shallow)).nonzero()[0].tolist()
+
+
+def _check(cand: Segment, layout: _Layout, width: int, height: int,
+           need_crossing: bool) -> Optional[list[Point]]:
+    """New crossings if the candidate is acceptable, else None."""
+    found = {}
+    for i in layout.flagged(cand):
+        p = _row_check(cand, layout.segments[i], width, height)
+        if p is False:
+            return None
+        if p is not None:
+            found[i] = p
+    new = [found[i] for i in sorted(found)]
+    if need_crossing and not new:
+        return None
+    xy = point_array(new)
+    every = layout.junctions + new
+    near = within(point_distances(xy[:, None], np.concatenate([layout.points, xy])),
+                  MIN_JUNCTION_SEP)
+    for i, j in zip(*near.nonzero()):
+        if 0.0 < new[i].distance_to(every[j]) < MIN_JUNCTION_SEP:
+            return None
+    return new
 
 
 def make_scene(rng: np.random.Generator, width: int = 320, height: int = 320,
@@ -120,23 +190,21 @@ def make_scene(rng: np.random.Generator, width: int = 320, height: int = 320,
         n_segments = int(rng.integers(MIN_SEGMENTS, MAX_SEGMENTS + 1))
     floor = min(n_segments, MIN_SEGMENTS)
     for _ in range(MAX_ATTEMPTS):
-        segments: list[Segment] = []
-        junctions: list[Point] = []
+        layout = _Layout()
         # the second segment must cross the first, and every later one must
         # cross something already placed, so no segment ends up isolated
-        while len(segments) < n_segments:
+        while len(layout.segments) < n_segments:
             for _ in range(max_tries):
                 cand = _candidate(rng, width, height)
-                crossings = _check(cand, segments, junctions, width, height,
-                                   need_crossing=bool(segments))
+                crossings = _check(cand, layout, width, height,
+                                   need_crossing=bool(layout.segments))
                 if crossings is not None:
-                    segments.append(cand)
-                    junctions.extend(crossings)
+                    layout.add(cand, crossings)
                     break
             else:
                 break  # crowded: settle for fewer, or redraw below
-        if len(segments) >= floor:
-            return AnnotatedScene(width, height, tuple(segments))
+        if len(layout.segments) >= floor:
+            return AnnotatedScene(width, height, tuple(layout.segments))
         # an awkward early segment (say, hugging the border) can block all
         # crossings; scrap the attempt and redraw from scratch
     raise GeometryError(f"no {width}x{height} scene with {floor} crossing segments "

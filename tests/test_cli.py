@@ -5,8 +5,11 @@ import os
 
 import pytest
 
+from wireframe import cli
 from wireframe.annotate import AnnotatedScene
 from wireframe.cli import _parse_sweep, main
+from wireframe.evaluate import (DEFAULT_SWEEP, EvalConfig, PRCurve, emit_pr_csv, emit_pr_svg,
+                                line_pixel_pr, pool_pr)
 from wireframe.formats import (
     FormatError,
     read_heatmap,
@@ -19,6 +22,7 @@ from wireframe.formats import (
 )
 from wireframe.geometry import Branch, Junction, Point, Segment
 from wireframe.gridcodec import GridConfig, GridEncoding, encode
+from wireframe.synth import make_scenes
 
 
 def seg(x1, y1, x2, y2):
@@ -193,6 +197,36 @@ def test_eval_lines_and_csv(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "0.5,1,1"
     assert open(csv).read() == "threshold,precision,recall\n0.5,1,1\n"
     assert open(svg).read().startswith("<svg")
+
+
+def test_eval_lines_counts_once_per_image(tmp_path, monkeypatch):
+    # two images, the default sweep: one line PR count per image serves every
+    # threshold, and the files equal those built from a count per threshold
+    scenes = make_scenes(seed=3, count=2)
+    preds = [AnnotatedScene(s.width, s.height, tuple(
+        seg(l.a.x + 2, l.a.y + 1, l.b.x + 2, l.b.y + 1) for l in s.lines[1:])) for s in scenes]
+    for side, items in (("gt", scenes), ("pred", preds)):
+        (tmp_path / side).mkdir()
+        for k, scene in enumerate(items):
+            write_scene(scene, str(tmp_path / side / f"{k}.json"))
+    config = EvalConfig()
+    want = PRCurve(tuple(pool_pr(t, [
+        line_pixel_pr(list(g.lines), list(p.lines), config, g.width, g.height, threshold=t)
+        for g, p in zip(scenes, preds)]) for t in DEFAULT_SWEEP))
+    emit_pr_csv(want, str(tmp_path / "want.csv"))
+    emit_pr_svg(want, str(tmp_path / "want.svg"))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return line_pixel_pr(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "line_pixel_pr", counted)
+    assert main(["eval", "lines", "--gt", str(tmp_path / "gt"), "--pred", str(tmp_path / "pred"),
+                 "--csv", str(tmp_path / "got.csv"), "--svg", str(tmp_path / "got.svg")]) == 0
+    assert len(calls) == 2
+    for ext in ("csv", "svg"):
+        assert (tmp_path / f"got.{ext}").read_bytes() == (tmp_path / f"want.{ext}").read_bytes()
 
 
 def test_eval_lines_disjoint(tmp_path, capsys):

@@ -17,12 +17,10 @@ from wireframe.geometry import (
     candidate_pairs,
     direction_deg,
     intersection_flags,
-    junction_adjacency,
     normalize_angle,
     point_array,
     point_segment_distance,
     ray_aims,
-    segment_adjacency,
     segment_array,
     segment_intersection,
 )
@@ -143,30 +141,6 @@ def test_build_incidence_examples():
 def test_build_incidence_negative_tol_rejected():
     with pytest.raises(GeometryError):
         build_incidence([], [], tol=-1.0)
-
-
-def test_junction_adjacency_examples():
-    assert junction_adjacency(np.array([[1], [1]])).tolist() == [[1, 1], [1, 1]]
-    assert junction_adjacency(np.eye(2, dtype=int)).tolist() == [[1, 0], [0, 1]]
-    assert junction_adjacency(np.zeros((3, 2), dtype=int)).tolist() == np.zeros((3, 3)).tolist()
-
-
-def test_segment_adjacency_examples():
-    assert segment_adjacency(np.array([[1, 1]])).tolist() == [[1, 1], [1, 1]]
-    assert segment_adjacency(np.eye(2, dtype=int)).tolist() == [[1, 0], [0, 1]]
-    assert segment_adjacency(np.zeros((2, 3), dtype=int)).tolist() == np.zeros((3, 3)).tolist()
-
-
-@given(st.integers(2, 6), st.integers(1, 6), st.data())
-def test_adjacency_symmetric_psd(n, m, data):
-    w = np.array(data.draw(st.lists(st.lists(st.integers(0, 1), min_size=m, max_size=m),
-                                    min_size=n, max_size=n)))
-    ja = junction_adjacency(w)
-    sa = segment_adjacency(w)
-    assert (ja == ja.T).all() and (sa == sa.T).all()
-    assert np.linalg.eigvalsh(ja.astype(float)).min() >= -1e-9
-    assert np.linalg.eigvalsh(sa.astype(float)).min() >= -1e-9
-    assert (np.diag(ja) == w.sum(axis=1)).all()
 
 
 @given(st.lists(st.tuples(coords, coords), min_size=1, max_size=5),

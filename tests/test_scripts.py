@@ -46,3 +46,8 @@ def test_roundtrip_bad_input_exits_3(capsys, argv):
 def test_roundtrip_runs(capsys):
     assert load("roundtrip_experiment").main(["--count", "1", "--seed", "7"]) == 0
     assert "line px:" in capsys.readouterr().out
+
+
+def test_bench_record_needs_a_checkout(tmp_path, capsys):
+    assert load("bench_record").main(["--pr", "0", "--label", "x", "--tree", str(tmp_path)]) == 3
+    assert "wfbench/run.py" in capsys.readouterr().err
