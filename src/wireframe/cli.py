@@ -147,7 +147,8 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 def cmd_hough(args: argparse.Namespace) -> int:
     opts = _Options(args)
-    omega = opts.get("omega", ConstructionParams.omega, float)
+    # the construct rule for omega: finite and >= 0
+    omega = ConstructionParams(omega=opts.get("omega", ConstructionParams.omega, float)).omega
     seed = opts.get("seed", 0, int)
     hm = read_heatmap(args.heatmap)
     segments = hough_segments(binarize(hm, omega), HoughParams(seed=seed))

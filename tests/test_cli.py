@@ -384,3 +384,16 @@ def test_negative_seed_exits_3(tmp_path, capsys, command, how):
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "seed" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_hough_bad_omega_exits_3(tmp_path, capsys, value):
+    # the construct rule: omega is finite and >= 0 (-1 would keep every pixel)
+    scene, hpath = str(tmp_path / "scene.json"), str(tmp_path / "h.wfhm")
+    cross_scene(scene)
+    main(["derive-gt", "--scene", scene, "--out-heatmap", hpath])
+    out = tmp_path / "s.json"
+    assert main(["hough", "--heatmap", hpath, "--omega", value, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "omega" in err and err.count("\n") == 1
+    assert not out.exists()

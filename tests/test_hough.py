@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from wireframe.annotate import rasterize_segment
-from wireframe.construct import BinaryMask
+from wireframe.annotate import rasterize_segment, render_target_heatmap
+from wireframe.construct import BinaryMask, binarize
 from wireframe.geometry import GeometryError, Point, Segment, point_segment_distance
-from wireframe.hough import HoughParams, _walk_dir, hough_segments
+from wireframe.hough import _BLOCK, HoughParams, _walk_dir, hough_segments
+from wireframe.synth import make_scene
 
 
 def draw(mask, seg):
@@ -31,11 +32,12 @@ def test_params_validation():
         HoughParams(votes=0)
     for bad in ({"rho_res": float("nan")}, {"votes": float("nan")},
                 {"theta_res": float("inf")}, {"max_gap": float("nan")},
-                {"votes": True}, {"seed": -1}, {"seed": 1.0}, {"seed": True},
-                {"seed": "0"}):
+                {"votes": True}, {"votes": 2.5}, {"votes": 30.0}, {"seed": -1},
+                {"seed": 1.0}, {"seed": True}, {"seed": "0"}):
         with pytest.raises(GeometryError):
             HoughParams(**bad)
     assert HoughParams(seed=np.int64(3)).seed == 3
+    assert HoughParams(votes=np.int64(3)).votes == 3
 
 
 def reference_hough_segments(mask, params=HoughParams()):
@@ -121,6 +123,100 @@ def test_matches_reference_at_parameter_edges(params):
     for width, height, n_lines, noise in ((50, 40, 4, 0.02), (1, 30, 0, 0.5), (30, 1, 0, 0.5)):
         mask = random_mask(rng, width, height, n_lines, noise)
         assert hough_segments(mask, params) == reference_hough_segments(mask, params)
+
+
+def visit_order(mask, seed):
+    """The pixels in the order the per-sample reference visits them."""
+    ys, xs = np.nonzero(mask.bits)
+    pool = list(zip(xs.tolist(), ys.tolist()))
+    rng = np.random.default_rng(seed)
+    order = []
+    while pool:
+        j = int(rng.integers(len(pool)))
+        order.append(pool[j])
+        pool[j] = pool[-1]
+        pool.pop()
+    return order
+
+
+def test_matches_reference_on_a_640_scene():
+    # the first hough-640 benchmark pool scene, binarized as the benchmark does
+    scene = make_scene(np.random.default_rng([640, 0]), 640, 640, 60)
+    mask = binarize(render_target_heatmap(scene), 0.5)
+    assert mask.bits.sum() > 100 * _BLOCK
+    got = hough_segments(mask)
+    assert got == reference_hough_segments(mask) and len(got) > 30
+
+
+@pytest.mark.parametrize("votes", [1, 2, 30])
+@pytest.mark.parametrize("case", range(2))
+def test_matches_reference_over_many_blocks(votes, case):
+    rng = np.random.default_rng([31, case])
+    mask = random_mask(rng, 160, 120, 8, 0.03)
+    assert mask.bits.sum() > 6 * _BLOCK
+    for seed in (0, 5):
+        params = HoughParams(votes=votes, min_length=6.0, seed=seed)
+        assert hough_segments(mask, params) == reference_hough_segments(mask, params)
+
+
+def test_tied_bins_on_the_trigger_pixel_take_the_first():
+    # any two pixels of a short vertical line share theta bin 0 and bin 179,
+    # so the second visit lifts both to votes=2 at once; bin 0 walks down the
+    # line (a -> b by rising y), bin 179 would walk it up
+    mask = BinaryMask(20, 20)
+    mask.bits[5:10, 10] = True
+    thetas = np.radians([0.0, 179.0])
+    for y in range(5, 10):
+        assert np.array_equal(np.rint(10 * np.cos(thetas) + y * np.sin(thetas)), [10, -10])
+    for seed in range(4):
+        params = HoughParams(votes=2, min_length=1.0, seed=seed)
+        got = hough_segments(mask, params)
+        assert got == reference_hough_segments(mask, params) == [seg(10, 5, 10, 9)]
+
+
+def test_run_consumes_later_pixels_of_its_block():
+    # votes=2: the first two visits trigger, and when both lie on the long
+    # row their run eats the row's later visits in the same block, whose
+    # votes must be taken back; the noise keeps voting afterwards
+    rng = np.random.default_rng(41)
+    mask = BinaryMask(300, 8)
+    mask.bits[2, :200] = True
+    mask.bits |= rng.random((8, 300)) < 0.05
+    row = {(x, 2) for x in range(200)}
+    checked = 0
+    for seed in range(20):
+        order = visit_order(mask, seed)
+        if not (order[0] in row and order[1] in row
+                and sum(p in row for p in order[2:_BLOCK]) > 10):
+            continue
+        params = HoughParams(votes=2, min_length=5.0, seed=seed)
+        got = hough_segments(mask, params)
+        assert got == reference_hough_segments(mask, params)
+        assert got[0].length >= 199.0  # the row, maybe with noise past its end
+        checked += 1
+    assert checked >= 3
+
+
+def test_blocks_of_dead_draws():
+    # the first run eats a 3000 px row, so later stretches of two blocks'
+    # worth of visits are all dead; the short row still has to be found
+    mask = BinaryMask(3000, 30)
+    mask.bits[5, :] = True
+    mask.bits[25, 100:125] = True
+    checked = 0
+    for seed in range(6):
+        order = visit_order(mask, seed)
+        dead = np.array([y == 5 for _, y in order])
+        window = np.convolve(dead[2:], np.ones(2 * _BLOCK, dtype=int), "valid")
+        if not (dead[0] and dead[1] and window.max() == 2 * _BLOCK):
+            continue
+        params = HoughParams(votes=2, min_length=5.0, seed=seed)
+        got = hough_segments(mask, params)
+        assert got == reference_hough_segments(mask, params)
+        assert endpoint_error(got[0], seg(0, 5, 2999, 5)) == 0.0
+        assert min(endpoint_error(g, seg(100, 25, 124, 25)) for g in got[1:]) == 0.0
+        checked += 1
+    assert checked >= 3
 
 
 def test_one_pixel_and_empty_match_reference():
