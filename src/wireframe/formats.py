@@ -2,16 +2,20 @@
 and the grid-encoding JSON.
 
 JSON numbers are serialized with up to 9 significant digits, so writers are
-a fixed point of write -> read -> write.  The WFHM container is magic
-"WFHM", version u16 = 1, width u32, height u32 (little-endian), then
-width x height little-endian float32 values in row-major order; its total
-length is exactly 14 + 4 * width * height bytes.
+a fixed point of write -> read -> write.  A JSON file is exactly
+json.dumps(doc, indent=1) plus a newline (``_emit``; keys are strings), and
+readers stop at the first bad field in file order with the message it has
+always had.  The WFHM container is magic "WFHM", version u16 = 1, width u32,
+height u32 (little-endian), then width x height little-endian float32 values
+in row-major order; its total length is exactly 14 + 4 * width * height bytes.
 """
 
 from __future__ import annotations
 
 import json
 import struct
+from json.encoder import encode_basestring_ascii
+from math import isfinite
 from typing import Sequence
 
 import numpy as np
@@ -24,6 +28,7 @@ from .gridcodec import GridConfig, GridEncoding
 WFHM_MAGIC = b"WFHM"
 WFHM_VERSION = 1
 WFHM_HEADER = struct.Struct("<4sHII")
+_GRID_ARRAYS = ("center_conf", "displacement", "bin_conf", "bin_residual")
 
 
 class FormatError(ValueError):
@@ -34,31 +39,50 @@ def _round9(v: float) -> float:
     return float(f"{float(v):.9g}")
 
 
+_SCALARS = {int, float, bool, type(None)}  # leaves spelled from their repr
+_JSON_SPELLING = {"None": "null", "True": "true", "False": "false",
+                  "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _emit(obj, pad: str = "\n") -> str:
+    """json.dumps(obj, indent=1); `pad` is the enclosing level's line break."""
+    if not isinstance(obj, (list, tuple, dict)) or not obj:
+        return json.dumps(obj)  # a leaf or an empty container: no indent applies
+    inner = pad + " "
+    if isinstance(obj, dict):
+        return "{" + inner + ("," + inner).join([encode_basestring_ascii(k) + ": " + (
+            _JSON_SPELLING.get(s := repr(v), s) if type(v) in _SCALARS else _emit(v, inner))
+            for k, v in obj.items()]) + pad + "}"
+    return "[" + inner + ("," + inner).join([_JSON_SPELLING.get(s := repr(v), s)
+        if type(v) in _SCALARS else _emit(v, inner) for v in obj]) + pad + "]"
+
+
 def _dump(obj, path: str) -> None:
     with open(path, "w", encoding="ascii", newline="\n") as f:
-        json.dump(obj, f, indent=1, sort_keys=False)
-        f.write("\n")
+        f.write(_emit(obj) + "\n")
 
 
 def _load(path: str):
     try:
         with open(path, "r", encoding="utf-8") as f:
             return json.load(f)
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+    except (ValueError, RecursionError) as e:  # also too many digits or too deep
         raise FormatError(f"{path}: invalid JSON ({e})") from e
 
 
-def _require(cond: bool, path: str, why: str) -> None:
-    if not cond:
-        raise FormatError(f"{path}: {why}")
+def _require(cond: bool, path: str, why: str, *args) -> None:
+    if not cond:  # `why` is formatted with args only here
+        raise FormatError(f"{path}: {why.format(*args) if args else why}")
 
 
-def _number(v, path: str, where: str) -> float:
+def _number(v, path: str, where: str, *args) -> float:
+    if type(v) is float and isfinite(v):
+        return v
     try:
         x = float("nan") if isinstance(v, bool) else float(v)
     except (TypeError, ValueError, OverflowError):
         x = float("nan")
-    _require(bool(np.isfinite(x)), path, f"{where}: {v!r} is not a finite number")
+    _require(isfinite(x), path, "{}: {!r} is not a finite number", where.format(*args), v)
     return x
 
 
@@ -90,8 +114,8 @@ def read_scene(path: str) -> AnnotatedScene:
     lines = []
     for i, row in enumerate(doc["lines"]):
         _require(isinstance(row, list) and len(row) == 4,
-                 path, f"lines[{i}] must be [x1, y1, x2, y2]")
-        x1, y1, x2, y2 = (_number(v, path, f"lines[{i}]") for v in row)
+                 path, "lines[{}] must be [x1, y1, x2, y2]", i)
+        x1, y1, x2, y2 = (_number(v, path, "lines[{}]", i) for v in row)
         try:
             lines.append(Segment(Point(x1, y1), Point(x2, y2)))
         except GeometryError as e:
@@ -117,29 +141,31 @@ def _junction_record(j: Junction, derived: bool | None = None) -> dict:
 
 
 def _parse_junctions(doc: dict, path: str) -> list[Junction]:
-    """Inverse of _junction_record over doc["junctions"]; every malformed
-    field is a FormatError."""
+    """Inverse of _junction_record; every malformed field is a FormatError."""
     out = []
     for i, rec in enumerate(doc["junctions"]):
-        at = f"junctions[{i}]"
-        _require(isinstance(rec, dict) and "x" in rec and "y" in rec
-                 and isinstance(rec.get("branches", []), list)
-                 and isinstance(rec.get("derived", False), bool), path,
-                 f"{at} must be an object with x, y, a branches list and a boolean derived")
-        score = _number(rec.get("score", 1.0), path, f"{at}.score")
-        _require(0.0 <= score <= 1.0, path, f"{at}: score {score} outside [0,1]")
-        branches = []
-        for k, br in enumerate(rec.get("branches", [])):
-            bat = f"{at}.branches[{k}]"
-            _require(isinstance(br, dict) and "theta" in br, path, f"{bat} needs a theta")
-            theta = _number(br["theta"], path, f"{bat}.theta")
-            bscore = _number(br.get("score", 1.0), path, f"{bat}.score")
-            _require(0.0 <= theta < 360.0, path, f"{bat}: theta {theta} outside [0,360)")
-            _require(0.0 <= bscore <= 1.0, path, f"{bat}: score {bscore} outside [0,1]")
-            branches.append(Branch(theta, bscore))
-        out.append(Junction(Point(_number(rec["x"], path, f"{at}.x"),
-                                  _number(rec["y"], path, f"{at}.y")),
-                            tuple(branches), score, rec.get("derived", False)))
+        branches = rec.get("branches", []) if isinstance(rec, dict) else None
+        _require(isinstance(branches, list) and "x" in rec and "y" in rec
+                 and isinstance(rec.get("derived", False), bool), path, "junctions[{}] must "
+                 "be an object with x, y, a branches list and a boolean derived", i)
+        score = _number(rec.get("score", 1.0), path, "junctions[{}].score", i)
+        _require(0.0 <= score <= 1.0, path, "junctions[{}]: score {} outside [0,1]", i, score)
+        parsed = []
+        for k, br in enumerate(branches):
+            is_dict = type(br) is dict
+            theta, bscore = (br.get("theta"), br.get("score", 1.0)) if is_dict else (None, None)
+            if not (type(theta) is type(bscore) is float and 0.0 <= theta < 360.0
+                    and 0.0 <= bscore <= 1.0):  # else check in order and convert ints
+                at = f"junctions[{i}].branches[{k}]"
+                _require(is_dict and "theta" in br, path, at + " needs a theta")
+                theta = _number(br["theta"], path, at + ".theta")
+                bscore = _number(bscore, path, at + ".score")
+                _require(0.0 <= theta < 360.0, path, at + ": theta {} outside [0,360)", theta)
+                _require(0.0 <= bscore <= 1.0, path, at + ": score {} outside [0,1]", bscore)
+            parsed.append(Branch(theta, bscore))
+        out.append(Junction(Point(_number(rec["x"], path, "junctions[{}].x", i),
+                                  _number(rec["y"], path, "junctions[{}].y", i)),
+                            tuple(parsed), score, rec.get("derived", False)))
     return out
 
 
@@ -162,10 +188,9 @@ def read_junctions(path: str) -> tuple[int, int, list[Junction]]:
 # -- heat maps (WFHM binary) --
 
 def write_heatmap(hm: HeatMap, path: str) -> None:
-    data = np.ascontiguousarray(hm.values, dtype="<f4")
     with open(path, "wb") as f:
         f.write(WFHM_HEADER.pack(WFHM_MAGIC, WFHM_VERSION, hm.width, hm.height))
-        f.write(data.tobytes())
+        f.write(np.ascontiguousarray(hm.values, dtype="<f4"))
 
 
 def read_heatmap(path: str) -> HeatMap:
@@ -179,24 +204,20 @@ def read_heatmap(path: str) -> HeatMap:
     _require(len(blob) == want, path,
              f"length {len(blob)} != {want} (14 + 4*{width}*{height})")
     values = np.frombuffer(blob, dtype="<f4", offset=WFHM_HEADER.size)
-    values = values.reshape(height, width).astype(np.float64)
+    # float32 -> float64 is exact, so checking before widening is the same
     _require(bool(np.isfinite(values).all()) and bool((values >= 0).all()),
              path, "heat values must be finite and >= 0")
-    return HeatMap(width, height, values)
+    return HeatMap(width, height, values.reshape(height, width).astype(np.float64))
 
 
 # -- wireframes --
 
 def write_wireframe(wf: Wireframe, width: int, height: int, path: str) -> None:
     index = {(j.center.x, j.center.y): n for n, j in enumerate(wf.junctions)}
-    segments = []
-    for m, s in enumerate(wf.segments):
-        try:
-            segments.append([index[(s.a.x, s.a.y)], index[(s.b.x, s.b.y)]])
-        except KeyError:
-            raise FormatError(
-                f"{path}: segment {m} endpoint is not a junction center") from None
-    incidence = [[int(n), int(m), 1] for n, m in zip(*np.nonzero(wf.incidence))]
+    segments = [[index.get((s.a.x, s.a.y)), index.get((s.b.x, s.b.y))] for s in wf.segments]
+    bad = next((m for m, pair in enumerate(segments) if None in pair), None)
+    _require(bad is None, path, "segment {} endpoint is not a junction center", bad)
+    incidence = [[n, m, 1] for n, m in zip(*(a.tolist() for a in np.nonzero(wf.incidence)))]
     _dump({
         "width": width,
         "height": height,
@@ -206,32 +227,45 @@ def write_wireframe(wf: Wireframe, width: int, height: int, path: str) -> None:
     }, path)
 
 
+def _index_rows(rows: list, bounds: tuple, name: str, form: str, outside: str):
+    """Rows of one exact int per (low, high) bound, low <= v < high, as int64,
+    up to the first bad row; and what is wrong with that row, or None."""
+    try:
+        if {type(v) for row in rows for v in row} <= {int}:
+            arr = np.array(rows, dtype=np.int64).reshape(len(rows), len(bounds))
+            lo, hi = zip(*bounds)
+            if ((arr >= lo) & (arr < hi)).all():
+                return arr, None
+    except (TypeError, ValueError, OverflowError):
+        pass  # not all rows are int lists of one width
+    for k, row in enumerate(rows):
+        typed = type(row) is list and len(row) == len(bounds) and {*map(type, row)} <= {int}
+        if not (typed and all(a <= v < b for v, (a, b) in zip(row, bounds))):
+            return (np.array(rows[:k], dtype=np.int64).reshape(k, len(bounds)),
+                    f"{name}[{k}] {outside if typed else form}")
+    return np.array(rows, dtype=np.int64).reshape(len(rows), len(bounds)), None
+
+
 def read_wireframe(path: str) -> tuple[int, int, Wireframe]:
     doc = _load_sized(path, "wireframe file", ("junctions", "segments"))
     junctions = _parse_junctions(doc, path)
     n = len(junctions)
+    pairs, bad = _index_rows(doc["segments"], ((0, n), (0, n)), "segments",
+                             "must be an index pair", "index out of range")
     segments = []
-    for m, pair in enumerate(doc["segments"]):
-        _require(isinstance(pair, list) and len(pair) == 2
-                 and all(type(v) is int for v in pair), path,
-                 f"segments[{m}] must be an index pair")
-        a, b = pair
-        _require(0 <= a < n and 0 <= b < n, path, f"segments[{m}] index out of range")
-        try:
+    try:
+        for a, b in pairs.tolist():
             segments.append(Segment(junctions[a].center, junctions[b].center))
-        except GeometryError as e:
-            raise FormatError(f"{path}: segments[{m}]: {e}") from e
-    incidence = np.zeros((n, len(segments)), dtype=np.int64)
+    except GeometryError as e:  # a degenerate segment comes before the first bad row
+        raise FormatError(f"{path}: segments[{len(segments)}]: {e}") from e
+    _require(bad is None, path, bad)
     triplets = doc.get("incidence", [])
     _require(isinstance(triplets, list), path, "incidence must be a list")
-    for t, triplet in enumerate(triplets):
-        _require(isinstance(triplet, list) and len(triplet) == 3
-                 and all(type(v) is int for v in triplet), path,
-                 f"incidence[{t}] must be [junction, segment, 1]")
-        jn, m, bit = triplet
-        _require(0 <= jn < n and 0 <= m < len(segments) and bit == 1, path,
-                 f"incidence[{t}] out of range")
-        incidence[jn, m] = 1
+    rows, bad = _index_rows(triplets, ((0, n), (0, len(segments)), (1, 2)), "incidence",
+                            "must be [junction, segment, 1]", "out of range")
+    _require(bad is None, path, bad)
+    incidence = np.zeros((n, len(segments)), dtype=np.int64)
+    incidence[rows[:, 0], rows[:, 1]] = 1
     return doc["width"], doc["height"], Wireframe(junctions, segments, incidence)
 
 
@@ -242,17 +276,8 @@ def write_grid(enc: GridEncoding, path: str) -> None:
     _dump({
         "config": {"image_w": cfg.image_w, "image_h": cfg.image_h,
                    "grid_w": cfg.grid_w, "grid_h": cfg.grid_h, "bins": cfg.bins},
-        "center_conf": _round_nested(enc.center_conf),
-        "displacement": _round_nested(enc.displacement),
-        "bin_conf": _round_nested(enc.bin_conf),
-        "bin_residual": _round_nested(enc.bin_residual),
+        **{k: np.frompyfunc(_round9, 1, 1)(getattr(enc, k)).tolist() for k in _GRID_ARRAYS},
     }, path)
-
-
-def _round_nested(arr: np.ndarray):
-    if arr.ndim == 1:
-        return [_round9(v) for v in arr]
-    return [_round_nested(sub) for sub in arr]
 
 
 def read_grid(path: str) -> GridEncoding:
@@ -264,10 +289,10 @@ def read_grid(path: str) -> GridEncoding:
              f"grid config needs integer {', '.join(sizes)}")
     try:
         cfg = GridConfig(*(c[k] for k in sizes))
-        return GridEncoding(cfg,
-                            center_conf=np.array(doc["center_conf"], dtype=np.float64),
-                            displacement=np.array(doc["displacement"], dtype=np.float64),
-                            bin_conf=np.array(doc["bin_conf"], dtype=np.float64),
-                            bin_residual=np.array(doc["bin_residual"], dtype=np.float64))
-    except (KeyError, TypeError, ValueError, OverflowError, GeometryError) as e:
+        for k in _GRID_ARRAYS:  # every leaf must be a finite JSON number
+            for v in np.array(doc[k], dtype=object).reshape(-1):  # .flat stops at 32 dims
+                _require(type(v) in (int, float), path, "{}: {!r} is not a finite number", k, v)
+                _number(v, path, k)
+        return GridEncoding(cfg, *(np.array(doc[k], dtype=np.float64) for k in _GRID_ARRAYS))
+    except (KeyError, GeometryError) as e:
         raise FormatError(f"{path}: {e}") from e

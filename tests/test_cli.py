@@ -106,6 +106,8 @@ JUNCTION_FILE = '{"width": 8, "height": 8, "junctions": [%s]}'
 GRID_FILE = ('{"config": {"image_w": %s, "image_h": 8, "grid_w": %s, "grid_h": 1, '
              '"bins": %s}, "center_conf": [[0]], "displacement": [[[0, 0]]], '
              '"bin_conf": [[[0, 0]]], "bin_residual": [[[0, 0]]]}')
+# the same grid with a valid config; %s is the center_conf leaf
+GRID_LEAF_FILE = GRID_FILE.replace("[[0]]", "[[%s]]") % ("8", "1", "2", "%s")
 
 
 @pytest.mark.parametrize("command, doc", [
@@ -119,9 +121,18 @@ GRID_FILE = ('{"config": {"image_w": %s, "image_h": 8, "grid_w": %s, "grid_h": 1
     ("loss", GRID_FILE % ("8", "1", "2.5")),
     ("loss", GRID_FILE % ("8", "true", "2")),
     ("loss", GRID_FILE % ("8.5", "1", "2")),
+    ("loss", GRID_LEAF_FILE % '"0.5"'),
+    ("loss", GRID_LEAF_FILE % "true"),
+    ("loss", GRID_LEAF_FILE % "null"),
+    ("loss", GRID_LEAF_FILE % "Infinity"),
+    ("loss", GRID_LEAF_FILE % ("[" * 40 + "0" + "]" * 40)),
+    ("derive-gt", '{"width": 8, "height": 8, "lines": [[%s, 0, 1, 1]]}' % ("9" * 5000)),
+    ("derive-gt", "[" * 100000 + "]" * 100000),
 ], ids=["branch-without-theta", "non-numeric-x", "lines-not-a-list", "non-numeric-row",
         "boolean-x", "boolean-width", "string-derived", "float-bins", "boolean-grid-w",
-        "float-image-w"])
+        "float-image-w", "string-grid-leaf", "boolean-grid-leaf", "null-grid-leaf",
+        "infinite-grid-leaf", "deeply-nested-grid-leaf", "5000-digit-int",
+        "nested-past-recursion-limit"])
 def test_malformed_file_exits_3(tmp_path, capsys, command, doc):
     path, scene = str(tmp_path / "bad.json"), str(tmp_path / "scene.json")
     open(path, "w").write(doc)

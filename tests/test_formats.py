@@ -6,20 +6,24 @@ in 9 significant digits (and float32 for the heat map) also survive
 structurally.
 """
 
+import enum
 import functools
 import json
 import os
+import struct
 import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wireframe.annotate import AnnotatedScene, HeatMap, render_target_heatmap
 from wireframe.construct import ConstructionParams, construct_wireframe
 from wireframe.annotate import derive_junctions
 from wireframe.formats import (
     FormatError,
+    _emit,
+    _load_sized,
     read_grid,
     read_heatmap,
     read_junctions,
@@ -33,6 +37,7 @@ from wireframe.formats import (
 )
 from wireframe.geometry import (
     Branch,
+    GeometryError,
     Junction,
     Point,
     Segment,
@@ -174,7 +179,6 @@ def test_heatmap_rejects_bad_container(tmp_path):
     open(p, "wb").write(b"JUNK")
     with pytest.raises(FormatError, match="truncated"):
         read_heatmap(p)
-    import struct
     open(p, "wb").write(struct.pack("<4sHII", b"XXXX", 1, 1, 1) + b"\x00" * 4)
     with pytest.raises(FormatError, match="magic"):
         read_heatmap(p)
@@ -184,10 +188,11 @@ def test_heatmap_rejects_bad_container(tmp_path):
     open(p, "wb").write(struct.pack("<4sHII", b"WFHM", 1, 2, 2) + b"\x00" * 4)
     with pytest.raises(FormatError, match="length"):
         read_heatmap(p)
-    open(p, "wb").write(struct.pack("<4sHII", b"WFHM", 1, 1, 1)
-                        + struct.pack("<f", -1.0))
-    with pytest.raises(FormatError, match=">= 0"):
-        read_heatmap(p)
+    for bad in (-1.0, float("nan"), float("inf"), -float("inf")):
+        open(p, "wb").write(struct.pack("<4sHII", b"WFHM", 1, 1, 1)
+                            + struct.pack("<f", bad))
+        with pytest.raises(FormatError, match=">= 0"):
+            read_heatmap(p)
 
 
 # -- wireframes --
@@ -296,21 +301,264 @@ def _valid_doc(kind):
             return f.read()
 
 
+# -- reference readers: the field-by-field walks the readers must agree with --
+
+def _reference_require(cond: bool, path: str, why: str) -> None:
+    if not cond:
+        raise FormatError(f"{path}: {why}")
+
+
+def _reference_number(v, path: str, where: str) -> float:
+    try:
+        x = float("nan") if isinstance(v, bool) else float(v)
+    except (TypeError, ValueError, OverflowError):
+        x = float("nan")
+    _reference_require(bool(np.isfinite(x)), path, f"{where}: {v!r} is not a finite number")
+    return x
+
+
+def reference_read_scene(path: str) -> AnnotatedScene:
+    doc = _load_sized(path, "scene", ("lines",))
+    lines = []
+    for i, row in enumerate(doc["lines"]):
+        _reference_require(isinstance(row, list) and len(row) == 4,
+                           path, f"lines[{i}] must be [x1, y1, x2, y2]")
+        x1, y1, x2, y2 = (_reference_number(v, path, f"lines[{i}]") for v in row)
+        try:
+            lines.append(Segment(Point(x1, y1), Point(x2, y2)))
+        except GeometryError as e:
+            raise FormatError(f"{path}: lines[{i}]: {e}") from e
+    try:
+        return AnnotatedScene(doc["width"], doc["height"], tuple(lines))
+    except GeometryError as e:
+        raise FormatError(f"{path}: {e}") from e
+
+
+def reference_parse_junctions(doc: dict, path: str) -> list[Junction]:
+    out = []
+    for i, rec in enumerate(doc["junctions"]):
+        at = f"junctions[{i}]"
+        _reference_require(isinstance(rec, dict) and "x" in rec and "y" in rec
+                           and isinstance(rec.get("branches", []), list)
+                           and isinstance(rec.get("derived", False), bool), path,
+                           f"{at} must be an object with x, y, a branches list and a "
+                           "boolean derived")
+        score = _reference_number(rec.get("score", 1.0), path, f"{at}.score")
+        _reference_require(0.0 <= score <= 1.0, path, f"{at}: score {score} outside [0,1]")
+        branches = []
+        for k, br in enumerate(rec.get("branches", [])):
+            bat = f"{at}.branches[{k}]"
+            _reference_require(isinstance(br, dict) and "theta" in br, path,
+                               f"{bat} needs a theta")
+            theta = _reference_number(br["theta"], path, f"{bat}.theta")
+            bscore = _reference_number(br.get("score", 1.0), path, f"{bat}.score")
+            _reference_require(0.0 <= theta < 360.0, path,
+                               f"{bat}: theta {theta} outside [0,360)")
+            _reference_require(0.0 <= bscore <= 1.0, path,
+                               f"{bat}: score {bscore} outside [0,1]")
+            branches.append(Branch(theta, bscore))
+        out.append(Junction(Point(_reference_number(rec["x"], path, f"{at}.x"),
+                                  _reference_number(rec["y"], path, f"{at}.y")),
+                            tuple(branches), score, rec.get("derived", False)))
+    return out
+
+
+def reference_read_junctions(path: str):
+    doc = _load_sized(path, "junction file", ("junctions",))
+    return doc["width"], doc["height"], reference_parse_junctions(doc, path)
+
+
+def reference_read_wireframe(path: str):
+    doc = _load_sized(path, "wireframe file", ("junctions", "segments"))
+    junctions = reference_parse_junctions(doc, path)
+    n = len(junctions)
+    segments = []
+    for m, pair in enumerate(doc["segments"]):
+        _reference_require(isinstance(pair, list) and len(pair) == 2
+                           and all(type(v) is int for v in pair), path,
+                           f"segments[{m}] must be an index pair")
+        a, b = pair
+        _reference_require(0 <= a < n and 0 <= b < n, path,
+                           f"segments[{m}] index out of range")
+        try:
+            segments.append(Segment(junctions[a].center, junctions[b].center))
+        except GeometryError as e:
+            raise FormatError(f"{path}: segments[{m}]: {e}") from e
+    incidence = np.zeros((n, len(segments)), dtype=np.int64)
+    triplets = doc.get("incidence", [])
+    _reference_require(isinstance(triplets, list), path, "incidence must be a list")
+    for t, triplet in enumerate(triplets):
+        _reference_require(isinstance(triplet, list) and len(triplet) == 3
+                           and all(type(v) is int for v in triplet), path,
+                           f"incidence[{t}] must be [junction, segment, 1]")
+        jn, m, bit = triplet
+        _reference_require(0 <= jn < n and 0 <= m < len(segments) and bit == 1, path,
+                           f"incidence[{t}] out of range")
+        incidence[jn, m] = 1
+    return doc["width"], doc["height"], Wireframe(junctions, segments, incidence)
+
+
+READERS = {"scene": (read_scene, reference_read_scene),
+           "junctions": (read_junctions, reference_read_junctions),
+           "wireframe": (read_wireframe, reference_read_wireframe)}
+
+
+def _outcome(read, path):
+    """What a reader did, comparable exactly: the repr of what it returned
+    (so 1 and 1.0, or 0.0 and -0.0, differ) or the error's type and message."""
+    try:
+        out = read(path)
+    except Exception as e:
+        return type(e).__name__, str(e)
+    if isinstance(out, tuple) and isinstance(out[2], Wireframe):
+        wf = out[2]
+        return repr((out[:2], wf.junctions, wf.segments)), wf.incidence.dtype, \
+            wf.incidence.shape, wf.incidence.tolist()
+    return repr(out)
+
+
+@st.composite
+def mutated_docs(draw):
+    kind = draw(st.sampled_from(sorted(READERS)))
+    return kind, _mutate(json.loads(_valid_doc(kind)), draw)
+
+
+def _junction(x=1.0, y=1.0, **extra):
+    return {"x": x, "y": y, "score": 1.0, "branches": [{"theta": 0.0, "score": 1.0}], **extra}
+
+
+def _wireframe(segments, incidence=(), junctions=None):
+    junctions = junctions or [_junction(1.0, 1.0, derived=False),
+                              _junction(5.0, 1.0, derived=True)]
+    return {"width": 9, "height": 9, "junctions": junctions,
+            "segments": segments, "incidence": list(incidence)}
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from([("scene", read_scene), ("junctions", read_junctions),
-                        ("wireframe", read_wireframe)]), st.data())
-def test_json_readers_fuzz(tmp_path_factory, reader, data):
-    """A JSON reader returns valid objects or raises FormatError, whatever
-    one node of a valid document is replaced with."""
-    kind, read = reader
-    doc = _mutate(json.loads(_valid_doc(kind)), data.draw)
+@given(mutated_docs())
+# an int too big for float(), -0.0, 1e308 and int-valued floats
+@example(("scene", {"width": 10, "height": 10, "lines": [[10 ** 400, 0, 1, 1]]}))
+@example(("scene", {"width": 10, "height": 10, "lines": [[-0.0, 2, 3.0, 1e308]]}))
+@example(("scene", {"width": 10, "height": 10, "lines": [[-0.0, 2, 3.0, 4.0]]}))
+@example(("junctions", {"width": 8, "height": 8, "junctions": [
+    _junction(-0.0, 1e308), {"x": 2, "y": 3.0, "score": 1, "branches": [{"theta": 90}]},
+    _junction(10 ** 400)]}))
+@example(("junctions", {"width": 8, "height": 8, "junctions": [
+    {"x": "nan", "y": 1.0, "branches": [{"theta": 400.0}]}]}))
+# range edges on exact floats
+@example(("junctions", {"width": 8, "height": 8, "junctions": [
+    {"x": 1.0, "y": 1.0, "score": 1.0, "branches": [
+        {"theta": -0.0, "score": 1.0}, {"theta": 359.99999999999994, "score": 0.0},
+        {"theta": 360.0, "score": 1.0}]}]}))
+@example(("junctions", {"width": 8, "height": 8, "junctions": [
+    {"x": 1.0, "y": 1.0, "score": 1.0, "branches": [{"theta": -5e-324, "score": 1.0}]}]}))
+@example(("junctions", {"width": 8, "height": 8, "junctions": [
+    {"x": 1.0, "y": 1.0, "score": 1.0, "branches": [
+        {"theta": 1.0, "score": 1.0000000000000002}]}]}))
+@example(("junctions", {"width": 8, "height": 8, "junctions": [
+    {"x": 1.0, "y": 1.0, "score": 1.0000000000000002, "branches": []}]}))
+# boolean, float, huge and out-of-range indices; rows of the wrong shape
+@example(("wireframe", _wireframe([[0, True]])))
+@example(("wireframe", _wireframe([[0, 1]], [[0, 0, True]])))
+@example(("wireframe", _wireframe([[0, 1.0]])))
+@example(("wireframe", _wireframe([[0, 2 ** 70]])))
+@example(("wireframe", _wireframe([[0, 1], [1, -1]])))
+@example(("wireframe", _wireframe([[0, 1], [0, 1, 0]])))
+@example(("wireframe", _wireframe([[0, 1], []])))
+@example(("wireframe", _wireframe([[0, 1], 7])))
+@example(("wireframe", _wireframe([[0, 1], {"0": 1}])))
+@example(("wireframe", _wireframe([[0, 1]], [[0, 0, 1], [1, 0, 2]])))
+@example(("wireframe", _wireframe([[0, 1]], [[0, 0, 1], [1, 1, 1]])))
+@example(("wireframe", _wireframe([[0, 1]], [[0, 0, 1], [1, 0]])))
+@example(("wireframe", _wireframe([[1, 0]], [[1, 0, 1], [0, 0, 1]])))
+# a degenerate segment before a bad index reports the degenerate segment
+@example(("wireframe", _wireframe([[0, 1], [1, 1], [0, 5]])))
+@example(("wireframe", _wireframe([[0, 1], [0, 2], [1, True]], junctions=[
+    _junction(1.0, 1.0), _junction(5.0, 1.0), _junction(1.0, 1.0)])))
+def test_json_readers_fuzz(tmp_path_factory, case):
+    """Whatever one node of a valid document is replaced with, each JSON
+    reader returns what the field-by-field reference walk returns, or raises
+    the same error with the same message."""
+    kind, doc = case
     p = str(tmp_path_factory.getbasetemp() / "fuzz.json")
     with open(p, "w") as f:
         json.dump(doc, f)
-    try:
-        read(p)
-    except FormatError:
-        pass
+    read, reference = READERS[kind]
+    assert _outcome(read, p) == _outcome(reference, p)
+
+
+# -- the JSON emitter --
+
+json_trees = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-10 ** 40, 10 ** 40)
+    | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.tuples(inner, inner)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=30)
+
+
+class _Float(float):
+    def __repr__(self):
+        return "not used by json"
+
+
+class _Int(int):
+    def __repr__(self):
+        return "not used by json"
+
+
+class _Color(enum.IntEnum):
+    RED = 1
+
+
+@given(json_trees)
+@example([-0.0, float("nan"), float("inf"), -float("inf"), 10 ** 100, -(10 ** 100), 1e308])
+@example({"\u00e9\x00\u2028": ["\x1f", "\U0001f600", {}, [], "", "\"\\"]})
+@example((1, (2.5, [True, None, False])))
+@example([_Float(1.5), _Float("nan"), _Int(3), _Color.RED, True])
+@example({"a": {"b": {"c": [[[]], [{}], {"d": [1, [2, [3.0]]]}]}}})
+@example([])
+@example({})
+@example("\u00e9")
+@example(_Float("-inf"))
+def test_emit_is_json_dumps_indent_1(doc):
+    assert _emit(doc) == json.dumps(doc, indent=1)
+
+
+@pytest.mark.parametrize("doc", [{1, 2}, b"x", object(), 1j, [set()], {"a": object()},
+                                 {"a": [1, {"b": b"x"}]}, {1: "int key"}])
+def test_emit_rejects_other_types(doc):
+    with pytest.raises(TypeError):
+        _emit(doc)
+    if not (isinstance(doc, dict) and 1 in doc):  # json converts number keys
+        with pytest.raises(TypeError):
+            json.dumps(doc, indent=1)
+
+
+def test_writers_emit_json_dumps_indent_1(tmp_path):
+    scene = hexagon_scene()
+    enc = encode(derive_junctions(scene), GridConfig(100, 100, 8, 8, 12))
+    wf = construct_wireframe(derive_junctions(scene), render_target_heatmap(scene),
+                             ConstructionParams(omega=0.5))
+    writers = [lambda p: write_scene(scene, p),
+               lambda p: write_junctions(100, 100, derive_junctions(scene), p),
+               lambda p: write_wireframe(wf, 100, 100, p),
+               lambda p: write_grid(enc, p)]
+    for n, write in enumerate(writers):
+        p = str(tmp_path / f"{n}.json")
+        write(p)
+        text = open(p, "rb").read().decode("ascii")
+        # json.loads gives back the exact numbers, so this is the writer's document
+        assert text == json.dumps(json.loads(text), indent=1) + "\n"
+        assert text.count("\n") > 10
+
+
+def test_huge_integer_literal_is_a_format_error(tmp_path):
+    # more digits than int() accepts is a ValueError inside json, not a crash
+    p = str(tmp_path / "s.json")
+    open(p, "w").write('{"width": 8, "height": 8, "lines": [[' + "9" * 5000 + ", 0, 1, 1]]}")
+    with pytest.raises(FormatError, match="invalid JSON"):
+        read_scene(p)
 
 
 # -- grid encodings --
@@ -334,6 +582,39 @@ def test_grid_roundtrip(tmp_path):
     p2 = str(tmp_path / "g2.json")
     write_grid(back, p2)
     assert open(p, "rb").read() == open(p2, "rb").read()
+
+
+GRID_DOC = ('{"config": {"image_w": 8, "image_h": 8, "grid_w": 1, "grid_h": 1, "bins": 2}, '
+            '"center_conf": [[%s]], "displacement": [[[0, 0.5]]], '
+            '"bin_conf": [[[0, 0]]], "bin_residual": [[[0, 0]]]}')
+
+
+def test_grid_accepts_int_and_float_leaves(tmp_path):
+    p = str(tmp_path / "g.json")
+    open(p, "w").write(GRID_DOC % "1")
+    enc = read_grid(p)
+    assert enc.center_conf.tolist() == [[1.0]] and enc.center_conf.dtype == np.float64
+    assert enc.displacement.tolist() == [[[0.0, 0.5]]]
+
+
+@pytest.mark.parametrize("leaf", ['"0.5"', "true", "false", "null", "Infinity", "-Infinity",
+                                  "NaN", "1e999", "1" + "0" * 400, "{}", "0, [1]"],
+                         ids=["string", "true", "false", "null", "inf", "-inf", "nan",
+                              "1e999", "int-10^400", "object", "list-leaf"])
+def test_grid_rejects_bad_leaves(tmp_path, leaf):
+    p = str(tmp_path / "g.json")
+    open(p, "w").write(GRID_DOC % leaf)
+    with pytest.raises(FormatError, match="center_conf: .* is not a finite number"):
+        read_grid(p)
+
+
+def test_grid_rejects_deep_nesting(tmp_path):
+    # object arrays deeper than 32 dimensions cannot be iterated with .flat
+    p = str(tmp_path / "g.json")
+    for depth in (33, 40, 70):
+        open(p, "w").write(GRID_DOC.replace("[[%s]]", "[" * depth + "0" + "]" * depth))
+        with pytest.raises(FormatError):
+            read_grid(p)
 
 
 def test_grid_rejects_bad_config(tmp_path):
