@@ -152,16 +152,14 @@ def _parse_junctions(doc: dict, path: str) -> list[Junction]:
         _require(0.0 <= score <= 1.0, path, "junctions[{}]: score {} outside [0,1]", i, score)
         parsed = []
         for k, br in enumerate(branches):
-            is_dict = type(br) is dict
-            theta, bscore = (br.get("theta"), br.get("score", 1.0)) if is_dict else (None, None)
-            if not (type(theta) is type(bscore) is float and 0.0 <= theta < 360.0
-                    and 0.0 <= bscore <= 1.0):  # else check in order and convert ints
-                at = f"junctions[{i}].branches[{k}]"
-                _require(is_dict and "theta" in br, path, at + " needs a theta")
-                theta = _number(br["theta"], path, at + ".theta")
-                bscore = _number(bscore, path, at + ".score")
-                _require(0.0 <= theta < 360.0, path, at + ": theta {} outside [0,360)", theta)
-                _require(0.0 <= bscore <= 1.0, path, at + ": score {} outside [0,1]", bscore)
+            _require(type(br) is dict and "theta" in br, path,
+                     "junctions[{}].branches[{}] needs a theta", i, k)
+            theta = _number(br["theta"], path, "junctions[{}].branches[{}].theta", i, k)
+            bscore = _number(br.get("score", 1.0), path, "junctions[{}].branches[{}].score", i, k)
+            _require(0.0 <= theta < 360.0, path,
+                     "junctions[{}].branches[{}]: theta {} outside [0,360)", i, k, theta)
+            _require(0.0 <= bscore <= 1.0, path,
+                     "junctions[{}].branches[{}]: score {} outside [0,1]", i, k, bscore)
             parsed.append(Branch(theta, bscore))
         out.append(Junction(Point(_number(rec["x"], path, "junctions[{}].x", i),
                                   _number(rec["y"], path, "junctions[{}].y", i)),
@@ -243,7 +241,7 @@ def _index_rows(rows: list, bounds: tuple, name: str, form: str, outside: str):
         if not (typed and all(a <= v < b for v, (a, b) in zip(row, bounds))):
             return (np.array(rows[:k], dtype=np.int64).reshape(k, len(bounds)),
                     f"{name}[{k}] {outside if typed else form}")
-    return np.array(rows, dtype=np.int64).reshape(len(rows), len(bounds)), None
+    raise AssertionError("numpy rejected rows that each pass the per-row check")
 
 
 def read_wireframe(path: str) -> tuple[int, int, Wireframe]:
