@@ -68,61 +68,84 @@ class HeatMap:
             raise GeometryError("heat map values must be finite and >= 0")
 
 
-def clip_segment(s: Segment, width: int, height: int):
-    """Liang-Barsky clip of a segment to the pixel box [0,w-1] x [0,h-1].
-
-    Returns clipped float endpoints ((x1,y1), (x2,y2)) or None when the
-    segment misses the box entirely.
-    """
-    x1, y1 = s.a.x, s.a.y
-    dx, dy = s.b.x - x1, s.b.y - y1
+def clip_segment(row, width: int, height: int):
+    """Liang-Barsky clip of a segment row (x1, y1, x2, y2) to the pixel box
+    [0,w-1] x [0,h-1]: clipped float ends ((x1,y1), (x2,y2)), or None when
+    the segment misses the box."""
+    x1, y1, x2, y2 = row
+    dx, dy = x2 - x1, y2 - y1
     t0, t1 = 0.0, 1.0
     for p, q in ((-dx, x1 - 0.0), (dx, (width - 1.0) - x1),
                  (-dy, y1 - 0.0), (dy, (height - 1.0) - y1)):
-        if p == 0.0:
-            if q < 0.0:
-                return None
-            continue
-        r = q / p
+        if p == 0.0 and q < 0.0:
+            return None
         if p < 0.0:
-            if r > t1:
-                return None
-            t0 = max(t0, r)
-        else:
-            if r < t0:
-                return None
-            t1 = min(t1, r)
+            t0 = max(t0, q / p)
+        elif p > 0.0:
+            t1 = min(t1, q / p)
     if t0 > t1:
         return None
     return (x1 + t0 * dx, y1 + t0 * dy), (x1 + t1 * dx, y1 + t1 * dy)
 
 
-def _round_px(v: float) -> int:
-    # round-half-up keeps the walk deterministic across platforms
-    return int(math.floor(v + 0.5))
+_BLOCK_PX = 1 << 15  # pixels per block of rasterize_segments: temporaries of a few MB
+
+
+def digital_lines(segs: np.ndarray, width: int, height: int) -> tuple[np.ndarray, np.ndarray]:
+    """Clip each row of an (M, 4) segment array by ``clip_segment`` and round
+    its ends half up to (x0, y0), (x0 + dx, y0 + dy): n + 1 pixels with
+    n = max(|dx|, |dy|), numbered across the rows in order, so step i of a
+    line whose first pixel is f is pixel p = f + i.  Returns the rows that
+    meet the image and their (R, 6) intp table for ``line_pixels``: 2*dx,
+    2*dy, bx, by, den = max(2*n, 1), n + 1; bx = x0*den + n - (dx < 0) - 2*dx*f.
+    """
+    rows, lines, first = [], [], 0
+    for i, row in enumerate(segs.tolist()):
+        clipped = clip_segment(row, width, height)
+        if clipped is not None:
+            (x1, y1), (x2, y2) = clipped
+            x0, y0 = math.floor(x1 + 0.5), math.floor(y1 + 0.5)  # half up on every platform
+            dx, dy = math.floor(x2 + 0.5) - x0, math.floor(y2 + 0.5) - y0
+            n = max(abs(dx), abs(dy))
+            den = max(2 * n, 1)
+            rows.append(i)
+            lines.append((2 * dx, 2 * dy, x0 * den + n - (dx < 0) - 2 * dx * first,
+                          y0 * den + n - (dy < 0) - 2 * dy * first, den, n + 1))
+            first += n + 1
+    return np.array(rows, dtype=np.intp), np.array(lines, dtype=np.intp).reshape(-1, 6)
+
+
+def line_pixels(lines: np.ndarray, reps, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pixels (xs, ys) number ``p`` of ``lines``, line r for ``reps[r]`` numbers.
+
+    Bresenham's line (IBM Systems Journal 4(1), 1965) in closed form: step i
+    moves i*|dx|/n along x, rounded half up in magnitude, in the sign of dx:
+    x = (2*dx*p + bx) // den in the terms of ``digital_lines``; y likewise.
+    """
+    t = np.repeat(lines.T[:5], reps, axis=1)
+    xs, ys = (p * t[0:2] + t[2:4]) // t[4]
+    return xs, ys
+
+
+def rasterize_segments(segs: np.ndarray, width: int, height: int):
+    """8-connected digital lines of an (M, 4) segment array in one pass:
+    (xs, ys, ids) blocks of about _BLOCK_PX pixels, ids the row of each.
+    Rows come in order, each from a to b, both ends included."""
+    rows, lines = digital_lines(segs, width, height)
+    counts = lines[:, 5]
+    first = np.concatenate(([0], np.cumsum(counts)))  # number of each row's first pixel
+    bounds = sorted({0, len(rows), *np.searchsorted(
+        first, range(_BLOCK_PX, first[-1], _BLOCK_PX)).tolist()})
+    for lo, hi in zip(bounds, bounds[1:]):
+        yield (*line_pixels(lines[lo:hi], counts[lo:hi], np.arange(first[lo], first[hi])),
+               np.repeat(rows[lo:hi], counts[lo:hi]))
 
 
 def rasterize_segment(s: Segment, width: int, height: int) -> np.ndarray:
-    """8-connected digital line between the rounded, clipped endpoints.
-
-    Returns an (n, 2) intp array of (x, y) pixels in walk order from a to b,
-    endpoints included, or shape (0, 2) for a segment that misses the image.
-    The line is Bresenham's (IBM Systems Journal 4(1), 1965) in closed form:
-    for rounded deltas dx, dy and n = max(|dx|, |dy|), step i = 0..n moves
-    (2*i*|d| + n) // (2*n) along each axis with delta d, in the sign of d.
-    That is i along the major axis and i*m/n rounded half up along the
-    minor one, m = min(|dx|, |dy|).
-    """
-    clipped = clip_segment(s, width, height)
-    if clipped is None:
-        return np.empty((0, 2), dtype=np.intp)
-    (cx1, cy1), (cx2, cy2) = clipped
-    x0, y0 = _round_px(cx1), _round_px(cy1)
-    dx, dy = _round_px(cx2) - x0, _round_px(cy2) - y0
-    n = max(abs(dx), abs(dy))
-    steps = np.arange(n + 1, dtype=np.intp)[:, None]
-    moves = (steps * (2 * abs(dx), 2 * abs(dy)) + n) // max(2 * n, 1)
-    return moves * (np.sign(dx), np.sign(dy)) + (x0, y0)
+    """The (n, 2) intp pixels (x, y) of one segment, from a to b; (0, 2)
+    when it misses the image."""
+    _, lines = digital_lines(np.array([[s.a.x, s.a.y, s.b.x, s.b.y]]), width, height)
+    return np.column_stack(line_pixels(lines, lines[:, 5], np.arange(lines[:, 5].sum())))
 
 
 def _candidate_points(lines: tuple[Segment, ...],
@@ -232,8 +255,7 @@ def _circ_close(a: float, b: float) -> bool:
 def render_target_heatmap(scene: AnnotatedScene) -> HeatMap:
     """Heat map whose pixels hold the length of the longest covering line."""
     values = np.zeros((scene.height, scene.width), dtype=np.float64)
-    for seg in scene.lines:
-        # a digital line never repeats a pixel, so one gather/scatter is exact
-        xs, ys = rasterize_segment(seg, scene.width, scene.height).T
-        values[ys, xs] = np.maximum(values[ys, xs], seg.length)
+    lengths = np.array([s.length for s in scene.lines], dtype=np.float64)
+    for xs, ys, ids in rasterize_segments(segment_array(scene.lines), scene.width, scene.height):
+        np.maximum.at(values, (ys, xs), lengths[ids])
     return HeatMap(scene.width, scene.height, values)

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .annotate import HeatMap, rasterize_segment
+from .annotate import _BLOCK_PX, HeatMap, digital_lines, line_pixels
 from .geometry import (
     Branch,
     GeometryError,
@@ -215,54 +215,73 @@ def ray_boundary_point(origin: Point, angle_deg: float,
     return Point(origin.x + t_exit * dx, origin.y + t_exit * dy)
 
 
-def farthest_mask_point(origin: Point, angle_deg: float, mask: BinaryMask,
-                        max_gap: float = DEFAULT_MAX_WALK_GAP) -> Optional[Point]:
-    """Farthest supporting mask pixel found walking the rasterized ray.
+def farthest_mask_points(rays: Sequence[tuple[Point, float]], mask: BinaryMask,
+                         max_gap: float = DEFAULT_MAX_WALK_GAP) -> list[Optional[Point]]:
+    """Farthest supporting mask pixel (not ray pixel) of each (origin, angle)
+    ray's walk along its rasterized pixels to the image border, or None.
 
     Digital lines of the same geometric line drawn from different anchors
     disagree by one pixel across the dominant axis, so each ray pixel also
-    probes its two lateral neighbours.  The walk stops once more than
-    max_gap consecutive ray pixels find no support, which keeps an
-    unrelated faraway line from dragging the endpoint past the real one.
-    Returns the supporting mask pixel itself, not the ray pixel.
+    probes its two lateral neighbours.  A walk stops once more than max_gap
+    consecutive ray pixels find no support, which keeps an unrelated faraway
+    line from dragging the endpoint past the real one.  All rays walk at
+    once, in chunks of steps that grow until every walk has stopped.
     """
-    end = ray_boundary_point(origin, angle_deg, mask.width, mask.height)
-    if end is None or (abs(end.x - origin.x) < 0.5 and abs(end.y - origin.y) < 0.5):
-        return None
-    rad = math.radians(angle_deg)
-    # lateral = across the dominant axis of travel
-    across_y = abs(math.cos(rad)) >= abs(math.sin(rad))
-    last = None
-    misses = 0
-    xs, ys = rasterize_segment(Segment(origin, end), mask.width, mask.height).T.tolist()
-    for x, y in zip(xs, ys):
-        probes = ((x, y), (x, y - 1), (x, y + 1)) if across_y \
-            else ((x, y), (x - 1, y), (x + 1, y))
-        hit = None
-        for px, py in probes:
-            if 0 <= px < mask.width and 0 <= py < mask.height and mask.bits[py, px]:
-                hit = (px, py)
-                break
-        if hit is not None:
-            last = hit
-            misses = 0
-        else:
-            misses += 1
-            if misses > max_gap:
-                break
-    if last is None:
-        return None
-    return Point(float(last[0]), float(last[1]))
+    w = mask.width + 2  # row length of the padded mask
+    segs, lateral, which = [], [], []
+    for i, (origin, angle_deg) in enumerate(rays):
+        end = ray_boundary_point(origin, angle_deg, mask.width, mask.height)
+        if end is None or (abs(end.x - origin.x) < 0.5 and abs(end.y - origin.y) < 0.5):
+            continue
+        rad = math.radians(angle_deg)  # lateral = across the dominant axis of travel
+        lateral.append(w if abs(math.cos(rad)) >= abs(math.sin(rad)) else 1)
+        segs.append((origin.x, origin.y, end.x, end.y))
+        which.append(i)
+    rows, lines = digital_lines(np.array(segs).reshape(-1, 4), mask.width, mask.height)
+    which, lateral = np.array(which, dtype=np.intp)[rows], np.array(lateral, dtype=np.intp)[rows]
+    n, first = lines[:, 5] - 1, np.cumsum(lines[:, 5]) - lines[:, 5]
+    padded = np.pad(mask.bits, 1).ravel()
+    last = np.full(len(rows), -1)  # step of each walk's last supported pixel
+    found = np.zeros(len(rows), dtype=np.intp)  # that pixel's padded index
+    active, lo, k = np.arange(len(rows)), 0, 32
+    while len(active):
+        steps, ends = lo + np.arange(k), n[active, None]
+        xs, ys = line_pixels(lines[active], k,
+                             (np.minimum(steps, ends) + first[active, None]).ravel())
+        at, side = ys * w + xs + w + 1, np.repeat(lateral[active], k)
+        probes = np.stack((at, at - side, at + side))
+        bits = padded[probes]
+        pixel = probes[bits.argmax(axis=0), np.arange(len(at))].reshape(-1, k)
+        hit = bits.any(axis=0).reshape(-1, k) & (steps <= ends)
+        seen = np.maximum(np.maximum.accumulate(np.where(hit, steps, -1), axis=1),
+                          last[active, None])
+        # a walk ends at its first step past max_gap misses, or past its last pixel
+        over = (steps - seen > max_gap) | (steps > ends)
+        done, r = over.any(axis=1), np.arange(len(active))
+        step = seen[r, np.where(done, over.argmax(axis=1), k - 1)]
+        here = step >= lo
+        found[active[here]] = pixel[r[here], step[here] - lo]
+        last[active], active, lo = step, active[~done], lo + k
+        k = max(32, min(2 * k, _BLOCK_PX // max(len(active), 1)))
+    out: list[Optional[Point]] = [None] * len(rays)
+    for i, s, f in zip(which.tolist(), last.tolist(), found.tolist()):
+        if s >= 0:
+            out[i] = Point(float(f % w - 1), float(f // w - 1))
+    return out
 
 
-def line_support_ratio(a: Point, b: Point, mask: BinaryMask) -> float:
-    """Fraction of the rasterized a-b pixels set in the mask (0 if none)."""
-    if a.x == b.x and a.y == b.y:
-        return 0.0
-    px = rasterize_segment(Segment(a, b), mask.width, mask.height)
-    if not len(px):
-        return 0.0
-    return np.count_nonzero(mask.bits[px[:, 1], px[:, 0]]) / len(px)
+def line_support_ratios(pieces: Sequence[tuple[Point, Point]],
+                        mask: BinaryMask) -> list[float]:
+    """Fraction of each rasterized a-b piece's pixels set in the mask (0 if
+    it has none or a == b), all pieces rasterized in one call."""
+    segs = np.array([(a.x, a.y, b.x, b.y) for a, b in pieces]).reshape(-1, 4)
+    rows, lines = digital_lines(segs, mask.width, mask.height)
+    counts = lines[:, 5]
+    xs, ys = line_pixels(lines, counts, np.arange(counts.sum()))
+    ratio = np.zeros(len(pieces))
+    ratio[rows] = np.add.reduceat(mask.bits[ys, xs].astype(np.intp),
+                                  np.cumsum(counts) - counts) / counts
+    return [r if (a.x, a.y) != (b.x, b.y) else 0.0 for r, (a, b) in zip(ratio.tolist(), pieces)]
 
 
 def recover_unmatched(junctions: Sequence[Junction], unmatched: Sequence[Ray],
@@ -300,14 +319,18 @@ def recover_unmatched(junctions: Sequence[Junction], unmatched: Sequence[Ray],
                 point_keys.add((p.x, p.y))
                 new_points.append(p)
 
-    for ray in sorted(unmatched, key=lambda r: (r.junction, r.branch)):
-        q_b = ray_boundary_point(ray.origin, ray.angle_deg, mask.width, mask.height)
-        if q_b is not None and 0.0 < ray.origin.distance_to(q_b) <= limit:
+    order = sorted(unmatched, key=lambda r: (r.junction, r.branch))
+    exits = [ray_boundary_point(r.origin, r.angle_deg, mask.width, mask.height) for r in order]
+    short = [q is not None and 0.0 < r.origin.distance_to(q) <= limit
+             for r, q in zip(order, exits)]
+    # a walk depends only on its ray and the mask, not on the pool: walk all at once
+    walks = iter(farthest_mask_points([(r.origin, r.angle_deg) for r, s in zip(order, short)
+                                       if not s], mask, params.max_walk_gap))
+    for ray, q_b, s in zip(order, exits, short):
+        if s:
             add(ray.origin, q_b)
             continue
-
-        q_m = farthest_mask_point(ray.origin, ray.angle_deg, mask,
-                                  params.max_walk_gap)
+        q_m = next(walks)
         if q_m is None or ray.origin.distance_to(q_m) < params.min_piece_len:
             continue
         whole = Segment(ray.origin, q_m)
@@ -323,10 +346,10 @@ def recover_unmatched(junctions: Sequence[Junction], unmatched: Sequence[Ray],
                 if c.distance_to(ray.origin) > 1e-9 and c.distance_to(q_m) > 1e-9]
         cuts.sort(key=lambda c: c.distance_to(ray.origin))
         stops = [ray.origin] + cuts + [q_m]
-        for a, b in zip(stops, stops[1:]):
-            if a.distance_to(b) < params.min_piece_len:
-                continue
-            if line_support_ratio(a, b, mask) > params.kappa_min:
+        pieces = [(a, b) for a, b in zip(stops, stops[1:])
+                  if a.distance_to(b) >= params.min_piece_len]
+        for (a, b), kappa in zip(pieces, line_support_ratios(pieces, mask)):
+            if kappa > params.kappa_min:
                 add(a, b)
     return new_points, new_segments
 

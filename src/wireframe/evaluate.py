@@ -17,8 +17,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .annotate import rasterize_segment
-from .geometry import GeometryError, Junction, Point, Segment
+from .annotate import rasterize_segments
+from .geometry import (GeometryError, Junction, Point, Segment, candidate_pairs, pairs_by_row,
+                       point_array, point_distances, segment_array, within)
 
 DEFAULT_TOLERANCE_FRAC = 0.01
 DEFAULT_SWEEP = tuple(i / 10 for i in range(1, 10))
@@ -67,9 +68,12 @@ def match_points(gt: Sequence[Point], pred: Sequence[Point], tol: float) -> int:
 
     Augmenting paths (Kuhn) from an empty matching, one search per gt point,
     with an explicit stack so long alternating chains need no recursion.
+    The array prefilter proposes the pairs; ``distance_to`` decides each.
     """
-    adj = [[j for j in range(len(pred)) if gt[i].distance_to(pred[j]) <= tol]
-           for i in range(len(gt))]
+    rows, cols = candidate_pairs(lambda p, q: within(point_distances(p, q), tol),
+                                 point_array(gt), point_array(pred))
+    adj = [[j for j in near if gt[i].distance_to(pred[j]) <= tol]
+           for i, near in enumerate(pairs_by_row(rows, cols, len(gt)))]
     owner = [-1] * len(pred)
     matches = 0
     for root in range(len(gt)):
@@ -106,8 +110,7 @@ def junction_pr(gt: Sequence[Junction], pred: Sequence[Junction],
 
 def _pixel_mask(segments: Sequence[Segment], width: int, height: int) -> np.ndarray:
     mask = np.zeros((height, width), dtype=bool)
-    for s in segments:
-        xs, ys = rasterize_segment(s, width, height).T
+    for xs, ys, _ in rasterize_segments(segment_array(segments), width, height):
         mask[ys, xs] = True
     return mask
 
@@ -117,22 +120,32 @@ def _near_count(mask: np.ndarray, other: np.ndarray, tol: float) -> int:
 
     Within tol is the Euclidean disk sqrt(dx^2 + dy^2) <= tol: per row offset
     dy a run of columns, which a row-major prefix sum of `other` answers.
+    First settled: pixels `other` sets too, then (if the disk holds the 3x3
+    block) pixels with a set 8-neighbour; only the rest need the prefix sum.
     """
     h, w = other.shape
-    ys, xs = np.divmod(np.flatnonzero(mask), w)
-    prefix = np.zeros(h * w + 1, dtype=np.int32)
-    np.cumsum(other, dtype=np.int32, out=prefix[1:])
     reach = min(math.floor(tol), h - 1)
     dys = np.arange(-reach, reach + 1)
     cols = np.arange(min(math.floor(tol), w - 1) + 1)
     halves = np.count_nonzero(np.sqrt(cols ** 2 + dys[:, None] ** 2) <= tol, axis=1) - 1
+    idx = np.flatnonzero(mask)
+    total, idx = len(idx), idx[~other.ravel()[idx]]
+    if reach and halves[reach + 1] >= 1:  # the disk holds (1, 1), so all 8 neighbours
+        ring = np.array([-w - 3, -w - 2, -w - 1, -1, 1, w + 1, w + 2, w + 3])
+        padded = np.pad(other, 1).ravel()  # (x, y) sits at idx + 2y + w + 3
+        idx = idx[~padded[(idx + 2 * (idx // w) + w + 3)[:, None] + ring].any(axis=1)]
+    if not len(idx):
+        return total
+    ys, xs = np.divmod(idx, w)
+    prefix = np.zeros(h * w + 1, dtype=np.int32)
+    np.cumsum(other, dtype=np.int32, out=prefix[1:])
     near = np.zeros(len(ys), dtype=bool)
     for dy, half in zip(dys.tolist(), halves.tolist()):
         lo, hi = np.searchsorted(ys, (-dy, h - dy))  # ys ascend: rows y + dy in range
         row, x = (ys[lo:hi] + dy) * w, xs[lo:hi]
         left = prefix[row + np.maximum(x - half, 0)]
         near[lo:hi] |= prefix[row + np.minimum(x + half + 1, w)] > left
-    return int(np.count_nonzero(near))
+    return total - len(idx) + int(np.count_nonzero(near))
 
 
 def line_pixel_pr(gt: Sequence[Segment], pred: Sequence[Segment],

@@ -78,9 +78,9 @@ def _require(cond: bool, path: str, why: str, *args) -> None:
 def _number(v, path: str, where: str, *args) -> float:
     if type(v) is float and isfinite(v):
         return v
-    try:
-        x = float("nan") if isinstance(v, bool) else float(v)
-    except (TypeError, ValueError, OverflowError):
+    try:  # only a JSON number is a number: no bool, no numeric string
+        x = float(v) if type(v) is int else float("nan")
+    except OverflowError:
         x = float("nan")
     _require(isfinite(x), path, "{}: {!r} is not a finite number", where.format(*args), v)
     return x
@@ -202,10 +202,10 @@ def read_heatmap(path: str) -> HeatMap:
     _require(len(blob) == want, path,
              f"length {len(blob)} != {want} (14 + 4*{width}*{height})")
     values = np.frombuffer(blob, dtype="<f4", offset=WFHM_HEADER.size)
-    # float32 -> float64 is exact, so checking before widening is the same
-    _require(bool(np.isfinite(values).all()) and bool((values >= 0).all()),
-             path, "heat values must be finite and >= 0")
-    return HeatMap(width, height, values.reshape(height, width).astype(np.float64))
+    try:  # HeatMap checks the values; its shape matches by construction
+        return HeatMap(width, height, values.reshape(height, width).astype(np.float64))
+    except GeometryError as e:
+        raise FormatError(f"{path}: heat values must be finite and >= 0") from e
 
 
 # -- wireframes --
@@ -289,7 +289,6 @@ def read_grid(path: str) -> GridEncoding:
         cfg = GridConfig(*(c[k] for k in sizes))
         for k in _GRID_ARRAYS:  # every leaf must be a finite JSON number
             for v in np.array(doc[k], dtype=object).reshape(-1):  # .flat stops at 32 dims
-                _require(type(v) in (int, float), path, "{}: {!r} is not a finite number", k, v)
                 _number(v, path, k)
         return GridEncoding(cfg, *(np.array(doc[k], dtype=np.float64) for k in _GRID_ARRAYS))
     except (KeyError, GeometryError) as e:

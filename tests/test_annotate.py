@@ -13,9 +13,16 @@ from wireframe.annotate import (
     clip_segment,
     derive_junctions,
     rasterize_segment,
+    rasterize_segments,
     render_target_heatmap,
 )
-from wireframe.geometry import GeometryError, Point, Segment, point_segment_distance
+from wireframe.geometry import (
+    GeometryError,
+    Point,
+    Segment,
+    point_segment_distance,
+    segment_array,
+)
 
 
 def seg(x1, y1, x2, y2):
@@ -100,14 +107,43 @@ def test_rasterize_direction_independent(s):
     assert fwd[0] == rev[-1] and fwd[-1] == rev[0]
 
 
+def reference_clip_segment(s, width, height):
+    """Oracle: Liang-Barsky with an early exit at the first empty bound."""
+    x1, y1 = s.a.x, s.a.y
+    dx, dy = s.b.x - x1, s.b.y - y1
+    t0, t1 = 0.0, 1.0
+    for p, q in ((-dx, x1 - 0.0), (dx, (width - 1.0) - x1),
+                 (-dy, y1 - 0.0), (dy, (height - 1.0) - y1)):
+        if p == 0.0:
+            if q < 0.0:
+                return None
+            continue
+        r = q / p
+        if p < 0.0:
+            if r > t1:
+                return None
+            t0 = max(t0, r)
+        else:
+            if r < t0:
+                return None
+            t1 = min(t1, r)
+    if t0 > t1:
+        return None
+    return (x1 + t0 * dx, y1 + t0 * dy), (x1 + t1 * dx, y1 + t1 * dy)
+
+
+def round_px(v):
+    return int(math.floor(v + 0.5))  # half up
+
+
 def reference_rasterize_segment(s, width, height):
     """Oracle: Bresenham's error-accumulating walk, one pixel per step."""
-    clipped = clip_segment(s, width, height)
+    clipped = reference_clip_segment(s, width, height)
     if clipped is None:
         return []
     (cx1, cy1), (cx2, cy2) = clipped
-    x0, y0 = annotate._round_px(cx1), annotate._round_px(cy1)
-    x1, y1 = annotate._round_px(cx2), annotate._round_px(cy2)
+    x0, y0 = round_px(cx1), round_px(cy1)
+    x1, y1 = round_px(cx2), round_px(cy2)
     dx = abs(x1 - x0)
     sx = 1 if x0 < x1 else -1
     dy = -abs(y1 - y0)
@@ -143,7 +179,7 @@ def test_rasterize_matches_reference_every_offset():
             assert_matches_reference(s, 91, 91)
 
 
-# floats that often sit on half pixels, where _round_px breaks ties upward
+# floats that often sit on half pixels, where rounding breaks ties upward
 border_coords = st.one_of(st.floats(min_value=-30.0, max_value=94.0, allow_nan=False),
                           st.integers(-60, 188).map(lambda k: k / 2))
 border_segments = st.tuples(border_coords, border_coords, border_coords,
@@ -175,13 +211,58 @@ def test_rasterize_matches_reference_thin_images(s):
     assert_matches_reference(s, 20, 1)
 
 
+# a mix of segments inside, clipped and fully off a 64 x 40 image: ends on
+# the last column and row, negative coordinates, and segments that round to
+# a single pixel
+set_coords = st.one_of(st.floats(min_value=-40.0, max_value=104.0, allow_nan=False),
+                       st.integers(-80, 208).map(lambda k: k / 2),
+                       st.sampled_from([0.0, 39.0, 63.0, -0.5, 39.49, 63.5, -12.0]))
+tiny_segments = st.tuples(st.integers(0, 63), st.integers(0, 39),
+                          st.floats(-0.49, 0.49), st.floats(-0.49, 0.49)).map(
+    lambda q: (q[0], q[1], q[0] + q[2], q[1] + q[3])).filter(
+    lambda q: (q[0], q[1]) != (q[2], q[3])).map(lambda q: seg(*q))
+set_segments = st.tuples(set_coords, set_coords, set_coords, set_coords).filter(
+    lambda q: (q[0], q[1]) != (q[2], q[3])).map(lambda q: seg(*q)) | tiny_segments
+
+
+@given(st.lists(set_segments, max_size=12), st.sampled_from([1 << 15, 40, 7, 1]))
+@settings(max_examples=300, deadline=None)
+@example([], 1 << 15)
+@example([seg(70.0, -3.0, 90.0, 10.0), seg(-5.0, -5.0, -1.0, -2.0)], 1 << 15)  # all off
+@example([seg(63.0, 39.0, 0.0, 0.0), seg(63.0, 0.0, 63.0, 39.0), seg(5.2, 5.3, 5.4, 5.1)], 7)
+@example([seg(-5.5, 3.5, 70.5, 60.5), seg(0.5, 0.5, 1.5, 2.5), seg(20.0, 20.0, 20.4, 20.4)], 1)
+def test_rasterize_segments_matches_reference(segments, block):
+    """The batched kernel gives every segment's pixels in order, as the
+    per-segment Bresenham walk does, whatever the block size."""
+    with mock.patch.object(annotate, "_BLOCK_PX", block):
+        blocks = list(rasterize_segments(segment_array(segments), 64, 40))
+    got = [(x, y, i) for xs, ys, ids in blocks
+           for x, y, i in zip(xs.tolist(), ys.tolist(), ids.tolist())]
+    want = [(x, y, i) for i, s in enumerate(segments)
+            for x, y in reference_rasterize_segment(s, 64, 40)]
+    assert got == want
+    assert all(len(ids) for _, _, ids in blocks)  # no empty block
+    assert all(xs.dtype == ys.dtype == ids.dtype == np.intp for xs, ys, ids in blocks)
+
+
+@given(st.lists(set_segments, min_size=1, max_size=4), st.sampled_from([(64, 40), (1, 20), (20, 1)]))
+@settings(max_examples=300, deadline=None)
+@example([seg(0.0, 5.0, 0.0, 9.0), seg(-1.0, 5.0, -1.0, 9.0), seg(5.0, 39.0, 9.0, 39.0)], (64, 40))
+@example([seg(-0.0, 3.0, 5.0, 3.0), seg(3.0, -1e-300, 8.0, 1e-300)], (64, 40))
+def test_clip_matches_early_exit_reference(segments, shape):
+    # bit for bit, so the ends' -0.0 and +0.0 must agree too
+    for s in segments:
+        got = clip_segment((s.a.x, s.a.y, s.b.x, s.b.y), *shape)
+        assert repr(got) == repr(reference_clip_segment(s, *shape))
+
+
 def test_clip_inside_unchanged():
-    got = clip_segment(seg(1, 1, 5, 5), 10, 10)
+    got = clip_segment((1.0, 1.0, 5.0, 5.0), 10, 10)
     assert got == ((1.0, 1.0), (5.0, 5.0))
 
 
 def test_clip_crossing_boundary():
-    got = clip_segment(seg(-3, 4, 20, 4), 10, 10)
+    got = clip_segment((-3.0, 4.0, 20.0, 4.0), 10, 10)
     assert got == ((0.0, 4.0), (9.0, 4.0))
 
 
@@ -287,6 +368,32 @@ def test_heatmap_crossing_takes_max():
         for x, y in rasterize_segment(s, 12, 12):
             oracle[y, x] = max(oracle[y, x], s.length)
     assert (hm.values == oracle).all()
+
+
+def reference_render_target_heatmap(scene):
+    """Oracle: one gather and scatter per segment."""
+    values = np.zeros((scene.height, scene.width), dtype=np.float64)
+    for s in scene.lines:
+        xs, ys = np.array(reference_rasterize_segment(s, scene.width, scene.height),
+                          dtype=np.intp).reshape(-1, 2).T
+        values[ys, xs] = np.maximum(values[ys, xs], s.length)
+    return values
+
+
+heat_coords = st.one_of(st.integers(0, 30).map(float), st.floats(0.0, 30.0))
+heat_segments = st.tuples(heat_coords, heat_coords, heat_coords, heat_coords).filter(
+    lambda q: (q[0], q[1]) != (q[2], q[3])).map(lambda q: seg(*q))
+
+
+@given(st.lists(heat_segments, max_size=8))
+@settings(max_examples=150, deadline=None)
+# equal lengths crossing, overlapping along a line, and the same segment twice
+@example([seg(0, 5, 10, 5), seg(5, 0, 5, 10), seg(2, 5, 12, 5), seg(12, 5, 2, 5)])
+@example([seg(0, 0, 30, 30), seg(30, 0, 0, 30), seg(0, 0, 30, 30)])
+def test_heatmap_matches_per_segment_loop(lines):
+    scene = AnnotatedScene(30, 30, tuple(lines))
+    assert np.array_equal(render_target_heatmap(scene).values,
+                          reference_render_target_heatmap(scene))
 
 
 @given(st.lists(grid_segments, min_size=0, max_size=5))

@@ -148,6 +148,17 @@ def test_malformed_file_exits_3(tmp_path, capsys, command, doc):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("value", ['"1"', '" 1e3 "', '"1_000"'])
+def test_numeric_string_in_scene_line_exits_3(tmp_path, capsys, value):
+    path = tmp_path / "scene.json"
+    path.write_text('{"width": 8, "height": 8, "lines": [[%s, 0, 2.5, 1]]}' % value)
+    assert main(["derive-gt", "--scene", str(path), "--out-junctions",
+                 str(tmp_path / "j.json")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"lines[0]: {json.loads(value)!r} is not a finite number" in err
+
+
 def test_parse_sweep():
     assert _parse_sweep("0.1:0.9:0.1") == (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
     assert _parse_sweep("0.5:0.5:1") == (0.5,)

@@ -15,6 +15,7 @@ from wireframe.annotate import (
     render_target_heatmap,
 )
 from wireframe.construct import (
+    DEFAULT_MAX_WALK_GAP,
     BinaryMask,
     ConstructionParams,
     Ray,
@@ -22,9 +23,9 @@ from wireframe.construct import (
     binarize,
     construct_wireframe,
     dedup_junctions,
-    farthest_mask_point,
+    farthest_mask_points,
     junction_rays,
-    line_support_ratio,
+    line_support_ratios,
     match_ray_pairs,
     ray_boundary_point,
     recover_unmatched,
@@ -134,13 +135,154 @@ def test_ray_boundary_point():
 
 def test_farthest_mask_point():
     mask = BinaryMask(20, 10)
-    assert farthest_mask_point(Point(2, 5), 0.0, mask) is None
+    assert farthest_mask_points([(Point(2, 5), 0.0)], mask) == [None]
     mask.bits[5, 4] = mask.bits[5, 9] = True
     # four misses (x=5..8) exceed the default gap of 3: the walk stops
-    assert farthest_mask_point(Point(2, 5), 0.0, mask) == Point(4.0, 5.0)
+    assert farthest_mask_points([(Point(2, 5), 0.0)], mask) == [Point(4.0, 5.0)]
     mask.bits[5, 7] = True
-    assert farthest_mask_point(Point(2, 5), 0.0, mask) == Point(9.0, 5.0)
-    assert farthest_mask_point(Point(4, 5), 0.0, mask, max_gap=1.0) == Point(4.0, 5.0)
+    assert farthest_mask_points([(Point(2, 5), 0.0), (Point(4, 5), 0.0)], mask) == [
+        Point(9.0, 5.0), Point(9.0, 5.0)]
+    assert farthest_mask_points([(Point(4, 5), 0.0)], mask, max_gap=1.0) == [Point(4.0, 5.0)]
+    assert farthest_mask_points([], mask) == []
+
+
+# -- the batched walk and support ratios against the old per-ray code --
+
+def reference_farthest_mask_point(origin, angle_deg, mask, max_gap=DEFAULT_MAX_WALK_GAP):
+    """Oracle: one ray, one pixel and one scalar probe at a time."""
+    end = ray_boundary_point(origin, angle_deg, mask.width, mask.height)
+    if end is None or (abs(end.x - origin.x) < 0.5 and abs(end.y - origin.y) < 0.5):
+        return None
+    rad = math.radians(angle_deg)
+    across_y = abs(math.cos(rad)) >= abs(math.sin(rad))
+    last = None
+    misses = 0
+    for x, y in rasterize_segment(Segment(origin, end), mask.width, mask.height).tolist():
+        probes = ((x, y), (x, y - 1), (x, y + 1)) if across_y \
+            else ((x, y), (x - 1, y), (x + 1, y))
+        hit = None
+        for px, py in probes:
+            if 0 <= px < mask.width and 0 <= py < mask.height and mask.bits[py, px]:
+                hit = (px, py)
+                break
+        if hit is not None:
+            last = hit
+            misses = 0
+        else:
+            misses += 1
+            if misses > max_gap:
+                break
+    if last is None:
+        return None
+    return Point(float(last[0]), float(last[1]))
+
+
+def reference_line_support_ratio(a, b, mask):
+    if a.x == b.x and a.y == b.y:
+        return 0.0
+    px = rasterize_segment(Segment(a, b), mask.width, mask.height)
+    if not len(px):
+        return 0.0
+    return np.count_nonzero(mask.bits[px[:, 1], px[:, 0]]) / len(px)
+
+
+def assert_walks_match(rays, mask, max_gap=DEFAULT_MAX_WALK_GAP):
+    want = [reference_farthest_mask_point(o, a, mask, max_gap) for o, a in rays]
+    assert farthest_mask_points(rays, mask, max_gap) == want
+    return want
+
+
+@st.composite
+def walk_cases(draw):
+    w, h = draw(st.integers(1, 90)), draw(st.integers(1, 50))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    bits = rng.random((h, w)) < draw(st.sampled_from([0.0, 0.02, 0.2]))
+    for _ in range(draw(st.integers(0, 4))):  # broken lines to walk along
+        x1, x2 = rng.uniform(0, w - 1, 2)
+        y1, y2 = rng.uniform(0, h - 1, 2)
+        if (x1, y1) != (x2, y2):
+            for x, y in rasterize_segment(Segment(Point(x1, y1), Point(x2, y2)), w, h):
+                bits[y, x] |= rng.random() < 0.8
+    xs = st.one_of(st.floats(-1.0, float(w)), st.integers(0, w - 1).map(float),
+                   st.integers(-1, 2 * w).map(lambda k: k / 2))
+    ys = st.one_of(st.floats(-1.0, float(h)), st.integers(0, h - 1).map(float),
+                   st.integers(-1, 2 * h).map(lambda k: k / 2))
+    angles = st.sampled_from([0.0, 45.0, 90.0, 135.0, 180.0, 225.0, 270.0, 315.0,
+                              26.56505117707799]) | st.floats(0.0, 360.0, exclude_max=True)
+    rays = draw(st.lists(st.tuples(st.builds(Point, xs, ys), angles), max_size=12))
+    return rays, BinaryMask(w, h, bits), draw(st.sampled_from([0.0, 1.0, 2.5, 3.0, 6.0]))
+
+
+@given(walk_cases())
+@settings(max_examples=300, deadline=None)
+def test_farthest_mask_points_match_scalar_walk(case):
+    assert_walks_match(*case)
+
+
+def test_walk_gap_of_max_gap_continues_and_one_more_stops():
+    mask = BinaryMask(40, 9)
+    mask.bits[4, [2, 3, 4, 8, 13]] = True  # gaps of 3 (x = 5..7) and 4 (x = 9..12)
+    ray = [(Point(2.0, 4.0), 0.0)]
+    assert assert_walks_match(ray, mask, 3.0) == [Point(8.0, 4.0)]
+    assert assert_walks_match(ray, mask, 4.0) == [Point(13.0, 4.0)]
+    assert assert_walks_match(ray, mask, 2.9) == [Point(4.0, 4.0)]
+
+
+def test_walk_probes_centre_then_minus_then_plus():
+    mask = BinaryMask(30, 30)
+    mask.bits[9, 5] = mask.bits[11, 5] = True  # both lateral probes of a row walk
+    mask.bits[9, 6] = mask.bits[10, 6] = True  # centre and the minus probe
+    mask.bits[11, 7] = True  # only the plus probe
+    assert assert_walks_match([(Point(5.0, 10.0), 0.0)], mask) == [Point(7.0, 11.0)]
+    mask.bits[11, 7] = False
+    assert assert_walks_match([(Point(5.0, 10.0), 0.0)], mask) == [Point(6.0, 10.0)]
+    mask.bits[10, 6] = False
+    assert assert_walks_match([(Point(5.0, 10.0), 0.0)], mask) == [Point(6.0, 9.0)]
+    # a column walk probes x - 1 before x + 1
+    mask = BinaryMask(30, 30)
+    mask.bits[8, 9] = mask.bits[8, 11] = True
+    assert assert_walks_match([(Point(10.0, 5.0), 90.0)], mask) == [Point(9.0, 8.0)]
+
+
+@pytest.mark.parametrize("stop", [30, 31, 32, 33, 95, 96, 97, 223, 224])
+def test_walk_ends_across_chunk_boundaries(stop):
+    # supported up to step `stop`, then a gap of max_gap misses and one
+    # more hit whose step may sit in the next chunk
+    mask = BinaryMask(400, 5)
+    mask.bits[2, :stop + 1] = True
+    mask.bits[2, stop + 4] = True
+    rays = [(Point(0.0, 2.0), 0.0), (Point(1.0, 2.0), 0.0), (Point(399.0, 2.0), 180.0)]
+    got = assert_walks_match(rays, mask, 3.0)
+    assert got[:2] == [Point(float(stop + 4), 2.0)] * 2
+    mask.bits[2, stop + 4] = False
+    assert assert_walks_match(rays, mask, 3.0)[:2] == [Point(float(stop), 2.0)] * 2
+
+
+def test_walk_origins_on_the_border_and_ends_on_the_origin():
+    mask = BinaryMask(20, 10, np.ones((10, 20), dtype=bool))
+    rays = [(Point(0.0, 5.0), 180.0),   # on the border, pointing out: None
+            (Point(19.0, 9.0), 0.0),    # on the far corner, pointing out: None
+            (Point(0.0, 0.0), 45.0),    # on a corner, into the image
+            (Point(18.5, 4.0), 0.0),    # end 0.5 away, both round to x = 19
+            (Point(18.6, 4.0), 0.0),    # end 0.4 away: None
+            (Point(19.5, 4.0), 0.0),    # origin outside the pixel box: None
+            (Point(10.0, 0.0), 90.0)]   # on the top border, down
+    got = assert_walks_match(rays, mask)
+    assert got == [None, None, Point(9.0, 9.0), Point(19.0, 4.0), None, None,
+                   Point(10.0, 9.0)]
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_line_support_ratios_match_per_piece(data):
+    bits = np.array(data.draw(st.lists(st.lists(st.booleans(), min_size=12, max_size=12),
+                                       min_size=9, max_size=9)))
+    mask = BinaryMask(12, 9, bits)
+    coord = st.floats(-3.0, 14.0) | st.integers(-2, 28).map(lambda k: k / 2)
+    pieces = data.draw(st.lists(st.tuples(st.builds(Point, coord, coord),
+                                          st.builds(Point, coord, coord)), max_size=5))
+    want = [reference_line_support_ratio(a, b, mask) for a, b in pieces]
+    assert line_support_ratios(pieces, mask) == want
 
 
 def test_recover_boundary_case():
@@ -169,7 +311,7 @@ def test_recover_kappa_accepts_sparse_support():
     rays = junction_rays([origin])
     pts, segs = recover_unmatched([origin], rays, mask, [], ConstructionParams())
     assert segs == [Segment(Point(2.0, 5.0), Point(12.0, 5.0))]
-    assert line_support_ratio(Point(2.0, 5.0), Point(12.0, 5.0), mask) == pytest.approx(7 / 11)
+    assert line_support_ratios([(Point(2.0, 5.0), Point(12.0, 5.0))], mask) == [7 / 11]
 
 
 def test_recover_kappa_rejects_weak_support():
@@ -297,7 +439,7 @@ def test_kappa_in_unit_interval(data):
     y2 = data.draw(st.integers(0, 7))
     if (x1, y1) == (x2, y2):
         return
-    k = line_support_ratio(Point(float(x1), float(y1)), Point(float(x2), float(y2)), mask)
+    [k] = line_support_ratios([(Point(float(x1), float(y1)), Point(float(x2), float(y2)))], mask)
     assert 0.0 <= k <= 1.0
 
 

@@ -20,6 +20,7 @@ from wireframe.evaluate import (
     read_pr_csv,
     sweep_pr,
 )
+from wireframe.annotate import rasterize_segment
 from wireframe.geometry import Branch, GeometryError, Junction, Point, Segment
 
 CFG = EvalConfig()
@@ -168,7 +169,6 @@ def test_line_pixel_pr_half_coverage():
     assert p.recall == pytest.approx(0.5, abs=0.05)
     # brute-force oracle: pairwise pixel distances
     tol = CFG.tolerance(100, 100)
-    from wireframe.annotate import rasterize_segment
     gt_px = set(map(tuple, rasterize_segment(gt[0], 100, 100).tolist()))
     pr_px = set(map(tuple, rasterize_segment(pred[0], 100, 100).tolist()))
     covered = sum(1 for g in gt_px
@@ -250,6 +250,90 @@ def test_near_count_tolerance_extremes():
     assert _near_count(mask, other, 1e9) == near_count_edt(mask, other, 1e9) == 3
     empty = np.zeros_like(mask)
     assert _near_count(empty, other, 2.0) == _near_count(mask, empty, 2.0) == 0
+
+
+def reference_near_count(mask, other, tol):
+    """Oracle: the disk test of every set pixel on row prefix sums, with no
+    settled tiers."""
+    h, w = other.shape
+    ys, xs = np.divmod(np.flatnonzero(mask), w)
+    prefix = np.zeros(h * w + 1, dtype=np.int32)
+    np.cumsum(other, dtype=np.int32, out=prefix[1:])
+    reach = min(math.floor(tol), h - 1)
+    dys = np.arange(-reach, reach + 1)
+    cols = np.arange(min(math.floor(tol), w - 1) + 1)
+    halves = np.count_nonzero(np.sqrt(cols ** 2 + dys[:, None] ** 2) <= tol, axis=1) - 1
+    near = np.zeros(len(ys), dtype=bool)
+    for dy, half in zip(dys.tolist(), halves.tolist()):
+        lo, hi = np.searchsorted(ys, (-dy, h - dy))
+        row, x = (ys[lo:hi] + dy) * w, xs[lo:hi]
+        left = prefix[row + np.maximum(x - half, 0)]
+        near[lo:hi] |= prefix[row + np.minimum(x + half + 1, w)] > left
+    return int(np.count_nonzero(near))
+
+
+@st.composite
+def line_mask_pairs(draw):
+    """Masks of up to 99 x 99 pixels: random lines, one slightly moved copy
+    of them and scattered noise."""
+    h, w = draw(st.integers(1, 99)), draw(st.integers(1, 99))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    masks = [rng.random((h, w)) < draw(st.sampled_from([0.0, 0.005, 0.05]))
+             for _ in range(2)]
+    for _ in range(draw(st.integers(0, 6))):
+        x1, x2 = rng.uniform(0, w - 1, 2)
+        y1, y2 = rng.uniform(0, h - 1, 2)
+        dx, dy = rng.integers(-3, 4, 2)
+        for m, (ox, oy) in zip(masks, ((0, 0), (dx, dy))):
+            if (x1, y1) != (x2, y2):
+                for x, y in rasterize_segment(seg(x1 + ox, y1 + oy, x2 + ox, y2 + oy), w, h):
+                    m[y, x] = True
+    return masks[0], masks[1]
+
+
+# below sqrt(2) the 3x3 tier is off; on a disk radius the disk gains a ring
+TIER_TOLS = [0.5, 1.0, math.nextafter(math.sqrt(2.0), 0.0), math.sqrt(2.0), 2.0,
+             math.sqrt(5.0), math.nextafter(math.sqrt(5.0), 0.0), 5.0, 13.6]
+
+
+@settings(max_examples=300, deadline=None)
+@given(line_mask_pairs(), st.one_of(st.sampled_from(TIER_TOLS), st.floats(0.01, 30.0)))
+@example((np.zeros((5, 7), dtype=bool), np.ones((5, 7), dtype=bool)), 2.0)
+@example((np.ones((5, 7), dtype=bool), np.zeros((5, 7), dtype=bool)), 2.0)
+@example((np.zeros((1, 1), dtype=bool), np.zeros((1, 1), dtype=bool)), 0.5)
+def test_near_count_matches_untiered_disk_test(pair, tol):
+    mask, other = pair
+    assert _near_count(mask, other, tol) == reference_near_count(mask, other, tol)
+    assert _near_count(other, mask, tol) == reference_near_count(other, mask, tol)
+
+
+def reference_match_points(gt, pred, tol):
+    """Oracle: match_points with its adjacency from every scalar distance."""
+    adj = [[j for j in range(len(pred)) if gt[i].distance_to(pred[j]) <= tol]
+           for i in range(len(gt))]
+    owner = [-1] * len(pred)
+
+    def augment(i, seen):
+        for j in adj[i]:
+            if not seen[j]:
+                seen[j] = True
+                if owner[j] < 0 or augment(owner[j], seen):
+                    owner[j] = i
+                    return True
+        return False
+
+    return sum(augment(i, [False] * len(pred)) for i in range(len(gt)))
+
+
+grid_points = st.builds(pt, st.integers(0, 12), st.integers(0, 12))
+
+
+@given(st.lists(grid_points | points, max_size=25), st.lists(grid_points | points, max_size=25),
+       st.sampled_from([1.0, math.sqrt(2.0), 5.0, math.nextafter(5.0, 0.0)])
+       | st.floats(0.1, 30))
+@settings(max_examples=200, deadline=None)
+def test_match_points_prefilter_matches_all_pairs(gt, q, tol):
+    assert match_points(gt, q, tol) == reference_match_points(gt, q, tol)
 
 
 def test_sweep_constant_detector():

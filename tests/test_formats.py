@@ -310,8 +310,8 @@ def _reference_require(cond: bool, path: str, why: str) -> None:
 
 def _reference_number(v, path: str, where: str) -> float:
     try:
-        x = float("nan") if isinstance(v, bool) else float(v)
-    except (TypeError, ValueError, OverflowError):
+        x = float(v) if type(v) in (int, float) else float("nan")
+    except OverflowError:
         x = float("nan")
     _reference_require(bool(np.isfinite(x)), path, f"{where}: {v!r} is not a finite number")
     return x
