@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Optional, Sequence
@@ -28,7 +29,7 @@ from .evaluate import (
     EvalConfig,
     emit_pr_csv,
     emit_pr_svg,
-    junction_pr,
+    junction_sweep,
     line_pixel_pr,
     pool_pr,
     sweep_pr,
@@ -55,6 +56,7 @@ from .losses import (
 )
 
 DEFAULT_SWEEP_SPEC = "0.1:0.9:0.1"
+_MAX_SWEEP = 10_000
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -94,15 +96,25 @@ class _Options:
 
 
 def _parse_sweep(spec: str) -> tuple[float, ...]:
+    """start:stop:step: start, start + step, ... while <= stop (+1e-9), to
+    9 decimals.  The parts are finite, start <= stop, step > 0, there are at
+    most _MAX_SWEEP thresholds and every step advances the threshold."""
     try:
         start, stop, step = (float(v) for v in spec.split(":"))
     except ValueError as e:
         raise FormatError(f"sweep {spec!r}: expected start:stop:step") from e
-    if step <= 0:
-        raise FormatError(f"sweep {spec!r}: step must be > 0")
-    values = []
-    t = start
+    if not (math.isfinite(start) and start <= stop < math.inf and 0 < step < math.inf):
+        raise FormatError(f"sweep {spec!r}: need finite start <= stop and finite step > 0")
+    # counted before the loop, and in it, as rounding may add one (the count is
+    # NaN where both quotients overflow: then no step advances)
+    if (stop + 1e-9) / step - start / step >= _MAX_SWEEP:
+        raise FormatError(f"sweep {spec!r}: more than {_MAX_SWEEP} thresholds")
+    values, t = [], start
     while t <= stop + 1e-9:
+        if len(values) == _MAX_SWEEP:
+            raise FormatError(f"sweep {spec!r}: more than {_MAX_SWEEP} thresholds")
+        if t + step == t:
+            raise FormatError(f"sweep {spec!r}: step does not advance {t!r}")
         values.append(round(t, 9))
         t += step
     return tuple(values)
@@ -186,16 +198,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
     pairs = _pair_files(args.gt, args.pred)
 
     if args.mode == "junctions":
-        images = []
+        sweeps = []
         for gt_path, pred_path in pairs:
             w, h, gt_js = read_junctions(gt_path)
             pred_js = read_junctions(pred_path)[2] if pred_path else []
-            images.append((w, h, gt_js, pred_js))
+            sweeps.append(junction_sweep(gt_js, pred_js, config, w, h))
 
         def eval_at(t):
-            return pool_pr(t, [junction_pr(gt_js, [j for j in pred_js if j.confidence > t],
-                                           config, w, h, threshold=t)
-                               for w, h, gt_js, pred_js in images])
+            # the pairs within tolerance come once per image, the matching per t
+            return pool_pr(t, [at(t) for at in sweeps])
     else:
         per_image = []
         for gt_path, pred_path in pairs:

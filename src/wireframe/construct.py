@@ -20,6 +20,8 @@ import numpy as np
 
 from .annotate import _BLOCK_PX, HeatMap, digital_lines, line_pixels
 from .geometry import (
+    _ANGLE_SLACK,
+    _BLOCK_PAIRS,
     Branch,
     GeometryError,
     Junction,
@@ -27,18 +29,20 @@ from .geometry import (
     Segment,
     Wireframe,
     angle_diff,
+    angle_offsets,
     build_incidence,
     candidate_pairs,
     direction_deg,
+    directions,
     intersection_flags,
     normalize_angle,
     pairs_by_row,
     point_array,
     point_distances,
     prefilter_bound,
-    ray_aims,
     segment_array,
     segment_intersection,
+    surely_within,
     within,
 )
 
@@ -136,61 +140,66 @@ def _on_ray(origin: Point, angle_deg: float, q: Point, delta_ray: float) -> bool
     return abs(angle_diff(direction_deg(origin, q), angle_deg)) <= delta_ray
 
 
-def match_ray_pairs(junctions: Sequence[Junction],
-                    delta_ray: float = DEFAULT_DELTA_RAY) -> list[tuple[Ray, Ray]]:
-    """Mutually nearest aligned ray pairs.
+def match_ray_pairs(junctions: Sequence[Junction], delta_ray: float = DEFAULT_DELTA_RAY,
+                    rays: Optional[Sequence[Ray]] = None) -> list[tuple[Ray, Ray]]:
+    """Mutually nearest aligned ray pairs (``rays``, if given: junction_rays(junctions)).
 
     A ray points at the nearest junction that lies along it and that aims a
     branch back along the reverse direction; two rays pointing at each other
-    form a pair.  Each ray lands in at most one pair.
+    form a pair.  Each ray lands in at most one pair.  The junction direction
+    matrix gives every ray's aim at every junction at once.  No candidate
+    farther than a ray's nearest one surely on both rays can win; a ray left
+    with one such candidate takes it, the rest go nearest first to ``_on_ray``.
     """
-    rays = junction_rays(junctions)
-    xy = point_array([j.center for j in junctions])
-    ray_j = np.array([r.junction for r in rays], dtype=np.int64)
+    rays = junction_rays(junctions) if rays is None else rays
+    n, nr, xy = len(junctions), len(rays), point_array([j.center for j in junctions])
+    ray_j = np.array([r.junction for r in rays], dtype=np.intp)
     ray_a = np.array([r.angle_deg for r in rays], dtype=np.float64)
-    ray_xy = xy[ray_j]
-    first = np.searchsorted(ray_j, np.arange(len(junctions) + 1)).tolist()
-
-    choice: dict[tuple[int, int], tuple[int, int]] = {}
-    for i in range(len(junctions)):
-        lo, hi = first[i], first[i + 1]
-        if lo == hi:
+    first = np.searchsorted(ray_j, np.arange(n + 1))
+    # aims[r, j]: ray r may aim at junction j; sure_aims[r, j]: it surely does
+    aims, sure_aims = np.zeros((nr, n), dtype=bool), np.zeros((nr, n), dtype=bool)
+    step = max(1, _BLOCK_PAIRS // max(nr, n, 1))  # rays of a block x junctions
+    for lo in range(0, n, step):
+        at = slice(first[lo], first[min(lo + step, n)])
+        off = angle_offsets(directions(xy[lo:lo + step, None], xy[None])[ray_j[at] - lo],
+                            ray_a[at, None])
+        aims[at] = within(off, delta_ray, _ANGLE_SLACK)
+        sure_aims[at] = surely_within(off, delta_ray, _ANGLE_SLACK)
+    # candidates (r, q) where aims[r, J(q)] & aims[q, J(r)], junction pairs first
+    fr, fj = np.divmod(np.flatnonzero(aims), n)
+    pair = np.zeros(n * n, dtype=bool)  # some ray of junction i aims at j
+    pair[ray_j[fr] * n + fj] = True
+    keep = pair[fj * n + ray_j[fr]] & (fj != ray_j[fr])  # not a ray's own junction
+    fr, fj = fr[keep], fj[keep]
+    m = first[fj + 1] - first[fj]  # q runs over the rays first[j], ..., first[j + 1] - 1
+    r, q = np.repeat(fr, m), np.arange(m.sum()) + np.repeat(first[fj] - np.cumsum(m) + m, m)
+    keep = aims.ravel()[q * n + ray_j[r]]
+    r, q = r[keep], q[keep]
+    dist = point_distances(xy[ray_j[r]], xy[ray_j[q]])
+    # surely on both rays; a coincident centre is on no ray
+    sure = (sure_aims.ravel()[r * n + ray_j[q]] & sure_aims.ravel()[q * n + ray_j[r]]
+            & (dist > 0))
+    nearest = np.full(nr, np.inf)
+    np.minimum.at(nearest, r[sure], dist[sure])
+    keep = ~(dist > prefilter_bound(prefilter_bound(nearest[r])))
+    r, q, dist, sure = r[keep], q[keep], dist[keep], sure[keep]
+    choice = np.full(nr, -1)
+    alone = sure & (np.bincount(r, minlength=nr)[r] == 1)
+    choice[r[alone]] = q[alone]
+    order = np.lexsort((q, dist, r))  # nearest first per ray
+    best: dict[int, tuple[float, int, int, int]] = {}
+    for k, b, d, s in zip(*(a[order[~alone[order]]].tolist() for a in (r, q, dist, sure))):
+        if k in best and d > prefilter_bound(best[k][0]):
             continue
-        # candidates (k, q): ray lo + k may aim at the junction of ray q,
-        # and ray q may aim back at junction i
-        aims = ray_aims(xy[i], ray_a[lo:hi, None], xy, delta_ray)
-        aims[:, i] = False
-        back = ray_aims(ray_xy, ray_a, xy[i], delta_ray)
-        ks, qs = np.nonzero(aims[:, ray_j] & back)
-        dist = point_distances(xy[i], xy)[ray_j[qs]]
-        # nearest first per ray: once a candidate is surely farther than the
-        # best confirmed one, the rest of that ray's candidates cannot win
-        order = np.lexsort((qs, dist, ks))
-        best: dict[int, tuple[float, int, int]] = {}
-        for k, q, d in zip(ks[order].tolist(), qs[order].tolist(), dist[order].tolist()):
-            if k in best and d > prefilter_bound(best[k][0]):
-                continue
-            r, b = rays[lo + k], rays[q]
-            c = junctions[b.junction].center
-            if not (_on_ray(r.origin, r.angle_deg, c, delta_ray)
-                    and _on_ray(c, b.angle_deg, r.origin, delta_ray)):
-                continue
-            cand = (r.origin.distance_to(c), b.junction, b.branch)
+        o, t = rays[k], rays[b]
+        if s or (_on_ray(o.origin, o.angle_deg, t.origin, delta_ray)
+                 and _on_ray(t.origin, t.angle_deg, o.origin, delta_ray)):
+            cand = (o.origin.distance_to(t.origin), t.junction, t.branch, b)
             if k not in best or cand < best[k]:
                 best[k] = cand
-        for k, (_, j, branch) in best.items():
-            choice[(i, rays[lo + k].branch)] = (j, branch)
-
-    pairs = []
-    for r in rays:
-        t1 = (r.junction, r.branch)
-        t2 = choice.get(t1)
-        if t2 is None or t2 < t1:
-            continue
-        if choice.get(t2) == t1:
-            pairs.append((r, Ray(t2[0], t2[1], junctions[t2[0]].center,
-                                 normalize_angle(junctions[t2[0]].branches[t2[1]].angle_deg))))
-    return pairs
+    choice[list(best)] = [c[3] for c in best.values()]
+    mutual = np.flatnonzero((choice > np.arange(nr)) & (choice[choice] == np.arange(nr)))
+    return [(rays[k], rays[b]) for k, b in zip(mutual.tolist(), choice[mutual].tolist())]
 
 
 def ray_boundary_point(origin: Point, angle_deg: float,
@@ -367,10 +376,11 @@ def construct_wireframe(junctions: Sequence[Junction], h: HeatMap,
     kept = dedup_junctions(confident, params.rho_nms)
 
     mask = binarize(h, params.omega)
-    pairs = match_ray_pairs(kept, params.delta_ray)
+    rays = junction_rays(kept)
+    pairs = match_ray_pairs(kept, params.delta_ray, rays)
     matched_segments = [Segment(a.origin, b.origin) for a, b in pairs]
     taken = {(r.junction, r.branch) for pair in pairs for r in pair}
-    unmatched = [r for r in junction_rays(kept) if (r.junction, r.branch) not in taken]
+    unmatched = [r for r in rays if (r.junction, r.branch) not in taken]
     new_points, new_segments = recover_unmatched(kept, unmatched, mask,
                                                  matched_segments, params)
 

@@ -63,21 +63,23 @@ def _pr_from_counts(threshold: float, n_gt: int, n_pred: int,
     return PRPoint(threshold, precision, recall, n_gt, n_pred, matched_gt, matched_pred)
 
 
-def match_points(gt: Sequence[Point], pred: Sequence[Point], tol: float) -> int:
-    """Maximum one-to-one matching within tol, each point used once.
-
-    Augmenting paths (Kuhn) from an empty matching, one search per gt point,
-    with an explicit stack so long alternating chains need no recursion.
-    The array prefilter proposes the pairs; ``distance_to`` decides each.
-    """
+def near_pairs(gt: Sequence[Point], pred: Sequence[Point], tol: float) -> list[list[int]]:
+    """Per gt point, the pred points within tol, in pred order.  The array
+    prefilter proposes the pairs; ``distance_to`` decides each."""
     rows, cols = candidate_pairs(lambda p, q: within(point_distances(p, q), tol),
                                  point_array(gt), point_array(pred))
-    adj = [[j for j in near if gt[i].distance_to(pred[j]) <= tol]
-           for i, near in enumerate(pairs_by_row(rows, cols, len(gt)))]
-    owner = [-1] * len(pred)
+    return [[j for j in near if gt[i].distance_to(pred[j]) <= tol]
+            for i, near in enumerate(pairs_by_row(rows, cols, len(gt)))]
+
+
+def max_matching(adj: Sequence[Sequence[int]], n_pred: int) -> int:
+    """Size of a maximum matching of gt point i to a pred of ``adj[i]``: augmenting
+    paths (Kuhn) from an empty matching, one search per gt point, with an
+    explicit stack so long alternating chains need no recursion."""
+    owner = [-1] * n_pred
     matches = 0
-    for root in range(len(gt)):
-        seen = [False] * len(pred)
+    for root in range(len(adj)):
+        seen = [False] * n_pred
         # stack[k] is a gt point on the path; via[k] the pred leading on from it
         stack = [(root, iter(adj[root]))]
         via: list[int] = []
@@ -99,6 +101,11 @@ def match_points(gt: Sequence[Point], pred: Sequence[Point], tol: float) -> int:
     return matches
 
 
+def match_points(gt: Sequence[Point], pred: Sequence[Point], tol: float) -> int:
+    """Maximum one-to-one matching within tol, each point used once."""
+    return max_matching(near_pairs(gt, pred, tol), len(pred))
+
+
 def junction_pr(gt: Sequence[Junction], pred: Sequence[Junction],
                 config: EvalConfig, width: int, height: int,
                 threshold: float = 0.0) -> PRPoint:
@@ -106,6 +113,20 @@ def junction_pr(gt: Sequence[Junction], pred: Sequence[Junction],
     tol = config.tolerance(width, height)
     m = match_points([j.center for j in gt], [j.center for j in pred], tol)
     return _pr_from_counts(threshold, len(gt), len(pred), m, m)
+
+
+def junction_sweep(gt: Sequence[Junction], pred: Sequence[Junction], config: EvalConfig,
+                   width: int, height: int) -> Callable[[float], PRPoint]:
+    """t -> junction_pr of the preds with confidence > t.  The pairs within
+    tolerance are found once, for all preds; each t keeps its columns."""
+    adj = near_pairs([j.center for j in gt], [j.center for j in pred],
+                     config.tolerance(width, height))
+    conf = [j.confidence for j in pred]
+
+    def at(t: float) -> PRPoint:
+        m = max_matching([[j for j in near if conf[j] > t] for near in adj], len(pred))
+        return _pr_from_counts(t, len(gt), sum(c > t for c in conf), m, m)
+    return at
 
 
 def _pixel_mask(segments: Sequence[Segment], width: int, height: int) -> np.ndarray:

@@ -11,9 +11,10 @@ array kernel below for candidates: the kernel evaluates the same formula in
 numpy over whole arrays and proposes a superset of the pairs that can pass,
 with a small margin for the ulp by which ``np.hypot``/``np.arctan2`` may
 differ from ``math.hypot``/``math.atan2`` (NaN from an underflow or overflow
-counts as a candidate).  The scalar function then decides each candidate in
-the original iteration order, so the result is that of the all-pairs loop:
-numpy proposes, the scalar function decides.
+counts as a candidate).  A value that is inside the limit by more than that
+margin (``surely_within``) passes the scalar test too, so the array accepts
+it at once; the scalar function decides the rest in the original iteration
+order, and the result is that of the all-pairs loop.
 """
 
 from __future__ import annotations
@@ -199,17 +200,23 @@ def build_incidence(junctions: Sequence[Junction],
     """N x M binary matrix; entry (n, m) is 1 iff junction n lies on segment m.
 
     "Lies on" means distance from the junction center to the closed segment
-    is at most ``tol``.
+    is at most ``tol``.  Only pairs inside the segment's box, padded by tol
+    and the prefilter slack, reach the distance kernel.
     """
     if not 0 <= tol < math.inf:  # NaN fails too
         raise GeometryError(f"incidence tolerance {tol} must be finite and >= 0")
     w = np.zeros((len(junctions), len(segments)), dtype=np.int64)
-    rows, cols = candidate_pairs(
-        lambda p, s: within(point_segment_distances(p, s), tol),
-        point_array([j.center for j in junctions]), segment_array(segments))
-    for n, m in zip(rows.tolist(), cols.tolist()):
-        if point_segment_distance(junctions[n].center, segments[m]) <= tol:
-            w[n, m] = 1
+    p, s = point_array([j.center for j in junctions]), segment_array(segments)
+    # the pad is also relative to the coordinates: the scalar closest point
+    # may leave the box by a few of their ulps
+    pad = (prefilter_bound(tol) + _REL_SLACK * np.abs(s).max(axis=1, initial=0.0))[:, None]
+    box = np.hstack([np.minimum(s[:, :2], s[:, 2:]) - pad, np.maximum(s[:, :2], s[:, 2:]) + pad])
+    rows, cols = candidate_pairs(lambda p, b: (p[..., 0] >= b[..., 0]) & (p[..., 0] <= b[..., 2])
+                                 & (p[..., 1] >= b[..., 1]) & (p[..., 1] <= b[..., 3]), p, box)
+    d = point_segment_distances(p[rows], s[cols])
+    w[rows, cols] = surely_within(d, tol)
+    for n, m in zip(*(a[within(d, tol) & ~surely_within(d, tol)].tolist() for a in (rows, cols))):
+        w[n, m] = point_segment_distance(junctions[n].center, segments[m]) <= tol
     return w
 
 
@@ -236,6 +243,12 @@ def within(values: np.ndarray, limit: float, slack: float = _DIST_SLACK) -> np.n
     """Mask of values that may be <= limit once computed by the scalar
     function; NaN is kept."""
     return ~(values > prefilter_bound(limit, slack))
+
+
+def surely_within(values: np.ndarray, limit: float, slack: float = _DIST_SLACK) -> np.ndarray:
+    """Mask of values that are <= limit once computed by the scalar function
+    too; NaN is not."""
+    return values < limit * (1.0 - _REL_SLACK) - slack
 
 
 def point_distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -278,16 +291,18 @@ def intersection_flags(s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
     return parallel | ((t >= lo) & (t <= hi) & (u >= lo) & (u <= hi))
 
 
-def ray_aims(origin: np.ndarray, angle_deg: np.ndarray, target: np.ndarray,
-             delta_deg: float) -> np.ndarray:
-    """Broadcast mask: the direction origin -> target may lie within
-    delta_deg of angle_deg (in [0, 360)), as
-    ``abs(angle_diff(direction_deg(o, t), a))`` would judge it.  Coincident
-    points are not excluded."""
-    d = np.abs(np.degrees(np.arctan2(target[..., 1] - origin[..., 1],
-                                     target[..., 0] - origin[..., 0])) - angle_deg)
+def directions(origin: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Broadcast ``direction_deg`` over (..., 2) arrays, in [-180, 180]."""
+    return np.degrees(np.arctan2(target[..., 1] - origin[..., 1],
+                                 target[..., 0] - origin[..., 0]))
+
+
+def angle_offsets(direction: np.ndarray, angle_deg: np.ndarray) -> np.ndarray:
+    """Broadcast ``abs(angle_diff(d, a))`` for ``directions`` d and angles a
+    in [0, 360); compare it with delta by ``within(..., _ANGLE_SLACK)``."""
+    d = np.abs(direction - angle_deg)
     # d is in [0, 540]: the wrapped difference is d or |360 - d|
-    return within(np.minimum(d, np.abs(360.0 - d)), delta_deg, _ANGLE_SLACK)
+    return np.minimum(d, np.abs(360.0 - d))
 
 
 def candidate_pairs(test: Callable[[np.ndarray, np.ndarray], np.ndarray],

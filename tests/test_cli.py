@@ -3,13 +3,15 @@
 import json
 import os
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from wireframe import cli
+from wireframe import cli, evaluate
 from wireframe.annotate import AnnotatedScene
 from wireframe.cli import _parse_sweep, main
 from wireframe.evaluate import (DEFAULT_SWEEP, EvalConfig, PRCurve, emit_pr_csv, emit_pr_svg,
-                                line_pixel_pr, pool_pr)
+                                junction_pr, line_pixel_pr, pool_pr)
 from wireframe.formats import (
     FormatError,
     read_heatmap,
@@ -20,7 +22,7 @@ from wireframe.formats import (
     write_junctions,
     write_scene,
 )
-from wireframe.geometry import Branch, Junction, Point, Segment
+from wireframe.geometry import Branch, Junction, Point, Segment, candidate_pairs
 from wireframe.gridcodec import GridConfig, GridEncoding, encode
 from wireframe.synth import make_scenes
 
@@ -159,6 +161,27 @@ def test_numeric_string_in_scene_line_exits_3(tmp_path, capsys, value):
     assert f"lines[0]: {json.loads(value)!r} is not a finite number" in err
 
 
+def old_parse_sweep(spec):
+    """The values _parse_sweep gave before it had limits, for a spec it took."""
+    start, stop, step = (float(v) for v in spec.split(":"))
+    values = []
+    t = start
+    while t <= stop + 1e-9:
+        values.append(round(t, 9))
+        t += step
+    return tuple(values)
+
+
+BAD_SWEEPS = [
+    "0.5:1:1e-17",  # t += step never moves t
+    "0:inf:0.1", "nan:1:0.1", "0:1:nan", "0:1:inf", "-inf:0:1",  # non-finite parts
+    "1:0:0.1",  # start > stop
+    "0:1:0.0001", "0:10000:1",  # 10,001 thresholds
+    "9007199254740991:9007199254740999:1",  # t sticks at 2**53 after one step
+    "5e-324:1e-323:5e-324",  # stop + 1e-9 lies 2e14 steps away
+]
+
+
 def test_parse_sweep():
     assert _parse_sweep("0.1:0.9:0.1") == (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
     assert _parse_sweep("0.5:0.5:1") == (0.5,)
@@ -166,6 +189,39 @@ def test_parse_sweep():
         _parse_sweep("0.1:0.9")
     with pytest.raises(FormatError):
         _parse_sweep("0.1:0.9:0")
+    for spec in BAD_SWEEPS:
+        with pytest.raises(FormatError):
+            _parse_sweep(spec)
+    # the most thresholds; a stop - start that overflows while the count does not
+    assert _parse_sweep("0:9999:1") == tuple(float(v) for v in range(10_000))
+    assert _parse_sweep("0:0.9999:0.0001") == old_parse_sweep("0:0.9999:0.0001")
+    assert len(_parse_sweep("0:0.9999:0.0001")) == 10_000
+    assert _parse_sweep("-1e308:1e308:1e308") == (-1e308, 0.0, 1e308)
+
+
+@given(st.floats(-10, 10), st.floats(0, 12),
+       st.sampled_from([1e-3, 0.01, 0.1, 1 / 3, 0.25, 1.0, 7.0]) | st.floats(1e-3, 10))
+@settings(max_examples=200, deadline=None)
+@example(0.0, 0.9999, 0.0001)
+@example(0.0, 1.0, 0.0001)
+@example(0.1, 0.8, 0.1)
+def test_parse_sweep_keeps_every_sweep_of_at_most_the_limit(start, span, step):
+    spec = f"{start!r}:{start + span!r}:{step!r}"
+    want = old_parse_sweep(spec)
+    if len(want) <= 10_000:
+        assert _parse_sweep(spec) == want
+    else:
+        with pytest.raises(FormatError):
+            _parse_sweep(spec)
+
+
+@pytest.mark.parametrize("spec", BAD_SWEEPS)
+def test_eval_bad_sweep_exits_3(tmp_path, capsys, spec):
+    scene = str(tmp_path / "scene.json")
+    cross_scene(scene)
+    assert main(["eval", "lines", "--gt", scene, "--pred", scene, f"--sweep={spec}"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_eval_junctions_identical(tmp_path, capsys):
@@ -245,6 +301,44 @@ def test_eval_lines_counts_once_per_image(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "line_pixel_pr", counted)
     assert main(["eval", "lines", "--gt", str(tmp_path / "gt"), "--pred", str(tmp_path / "pred"),
+                 "--csv", str(tmp_path / "got.csv"), "--svg", str(tmp_path / "got.svg")]) == 0
+    assert len(calls) == 2
+    for ext in ("csv", "svg"):
+        assert (tmp_path / f"got.{ext}").read_bytes() == (tmp_path / f"want.{ext}").read_bytes()
+
+
+def test_eval_junctions_counts_once_per_image(tmp_path, monkeypatch):
+    # two images, the default sweep: the pairs within tolerance are found once
+    # per image, and the files equal those built from a junction PR per threshold
+    rng = np.random.default_rng(5)
+    for side in ("gt", "pred"):
+        (tmp_path / side).mkdir()
+    for k in range(2):
+        xy = rng.uniform(0, 64, (12, 2))
+        gt = [Junction(Point(x, y), (Branch(0.0),), 1.0) for x, y in xy.tolist()]
+        near = xy[:10] + rng.uniform(-1.5, 1.5, (10, 2))  # 10 near ones and 4 strays
+        pred = [Junction(Point(x, y), (Branch(90.0),), c) for (x, y), c in zip(
+            np.vstack([near, rng.uniform(0, 64, (4, 2))]).tolist(), rng.uniform(0, 1, 14).tolist())]
+        write_junctions(64, 64, gt, str(tmp_path / "gt" / f"{k}.json"))
+        write_junctions(64, 64, pred, str(tmp_path / "pred" / f"{k}.json"))
+    images = [(read_junctions(str(tmp_path / "gt" / f"{k}.json")),
+               read_junctions(str(tmp_path / "pred" / f"{k}.json"))[2]) for k in range(2)]
+    config = EvalConfig()
+    want = PRCurve(tuple(pool_pr(t, [
+        junction_pr(g, [j for j in p if j.confidence > t], config, w, h, threshold=t)
+        for (w, h, g), p in images]) for t in DEFAULT_SWEEP))
+    assert len({(p.precision, p.recall) for p in want.points}) > 3  # the sweep moves
+    emit_pr_csv(want, str(tmp_path / "want.csv"))
+    emit_pr_svg(want, str(tmp_path / "want.svg"))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return candidate_pairs(*args, **kwargs)
+
+    monkeypatch.setattr(evaluate, "candidate_pairs", counted)
+    assert main(["eval", "junctions", "--gt", str(tmp_path / "gt"),
+                 "--pred", str(tmp_path / "pred"),
                  "--csv", str(tmp_path / "got.csv"), "--svg", str(tmp_path / "got.svg")]) == 0
     assert len(calls) == 2
     for ext in ("csv", "svg"):

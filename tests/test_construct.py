@@ -496,10 +496,56 @@ deltas = st.sampled_from([0.0, 12.0, 45.0]) | st.floats(0.0, 30.0)
 @example([jn(0, 0, [0]), jn(4, 3, [180]), jn(4, -3, [180])], 45.0)  # distance tie
 @example([jn(3, 3, [])], 12.0)
 @example([], 12.0)
+# one ulp either side of +delta and of -delta, on the ray and on the one aiming back
+@example([jn(0, 0, [math.nextafter(12.0, 13.0)]), jn(10, 0, [180])], 12.0)
+@example([jn(0, 0, [math.nextafter(12.0, 11.0)]), jn(10, 0, [180])], 12.0)
+@example([jn(0, 0, [math.nextafter(348.0, 347.0)]), jn(10, 0, [180])], 12.0)
+@example([jn(0, 0, [math.nextafter(348.0, 349.0)]), jn(10, 0, [180])], 12.0)
+@example([jn(0, 0, [0]), jn(10, 0, [math.nextafter(192.0, 193.0)])], 12.0)
+@example([jn(0, 0, [0]), jn(10, 0, [math.nextafter(168.0, 167.0)])], 12.0)
+# np.hypot ties the two candidates, math.hypot puts the second nearer
+@example([jn(0, 0, [9]), jn(26.625, 4.25, [189]),
+          jn(26.624999999999996, 4.250000000000002, [189])], 12.0)
 def test_match_ray_pairs_matches_all_pairs_oracle(junctions, delta):
+    assert_pairs_match_oracle(junctions, delta)
+
+
+def assert_pairs_match_oracle(junctions, delta):
     got = [((a.junction, a.branch), (b.junction, b.branch))
            for a, b in match_ray_pairs(junctions, delta)]
     assert got == match_oracle(junctions, delta)
+
+
+def test_equal_array_distances_are_ordered_by_the_scalar_distance():
+    near, far = (26.624999999999996, 4.250000000000002), (26.625, 4.25)
+    assert np.hypot(*near) == np.hypot(*far) and math.hypot(*near) < math.hypot(*far)
+    pairs = match_ray_pairs([jn(0, 0, [9]), jn(*far, [189]), jn(*near, [189])], 12.0)
+    assert [(a.junction, b.junction) for a, b in pairs] == [(0, 2)]
+
+
+@given(junction_sets, deltas)
+@settings(max_examples=100, deadline=None)
+@example([jn(0, 0, [0, 90]), jn(4, 0, [0, 180]), jn(8, 0, [180]), jn(4, 4, [270])], 12.0)
+def test_match_ray_pairs_in_blocks_of_a_few_pairs(junctions, delta):
+    # blocks of one, two and three rows of the junction direction matrix
+    width = max(sum(j.order for j in junctions), len(junctions), 1)
+    for rows in (1, 2, 3):
+        with mock.patch.object(construct, "_BLOCK_PAIRS", rows * width):
+            assert_pairs_match_oracle(junctions, delta)
+
+
+def test_construct_builds_rays_once():
+    calls = []
+
+    def counted(junctions):
+        calls.append(len(junctions))
+        return junction_rays(junctions)
+
+    hm = render_target_heatmap(AnnotatedScene(32, 32, (Segment(Point(4, 4), Point(28, 4)),)))
+    with mock.patch.object(construct, "junction_rays", counted):
+        wf = construct_wireframe([jn(4, 4, [0]), jn(28, 4, [180])], hm,
+                                 ConstructionParams(omega=0.5))
+    assert calls == [2] and wf.segments == [Segment(Point(4, 4), Point(28, 4))]
 
 
 @given(junction_sets, st.sampled_from([0.0, 1.0, 2.0, 5.0]) | st.floats(0.0, 6.0))

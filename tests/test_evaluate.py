@@ -14,6 +14,7 @@ from wireframe.evaluate import (
     emit_pr_csv,
     emit_pr_svg,
     junction_pr,
+    junction_sweep,
     line_pixel_pr,
     match_points,
     pool_pr,
@@ -334,6 +335,23 @@ grid_points = st.builds(pt, st.integers(0, 12), st.integers(0, 12))
 @settings(max_examples=200, deadline=None)
 def test_match_points_prefilter_matches_all_pairs(gt, q, tol):
     assert match_points(gt, q, tol) == reference_match_points(gt, q, tol)
+
+
+confidences = st.sampled_from([0.1, 0.45, 0.5, 0.9, 1.0]) | st.floats(0.0, 1.0)
+scored = st.builds(jn, st.integers(0, 12), st.integers(0, 12), confidences)
+
+
+@given(st.lists(scored, max_size=15), st.lists(scored, max_size=15),
+       st.lists(st.sampled_from([0.0, 0.1, 0.45, 0.5, 0.9, 1.0]) | st.floats(-0.5, 1.5),
+                min_size=1, max_size=5))
+@settings(max_examples=150, deadline=None)
+def test_junction_sweep_matches_junction_pr_per_threshold(gt, pred, thresholds):
+    # the pairs are found once for all preds; each threshold keeps its columns
+    config = EvalConfig(tolerance_frac=0.2)  # about 3.4 px: matches compete
+    at = junction_sweep(gt, pred, config, 12, 12)
+    for t in thresholds:
+        kept = [j for j in pred if j.confidence > t]
+        assert at(t) == junction_pr(gt, kept, config, 12, 12, threshold=t)
 
 
 def test_sweep_constant_detector():

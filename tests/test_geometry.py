@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,16 +14,19 @@ from wireframe.geometry import (
     Point,
     Segment,
     angle_diff,
+    angle_offsets,
     build_incidence,
     candidate_pairs,
     direction_deg,
+    directions,
     intersection_flags,
     normalize_angle,
     point_array,
     point_segment_distance,
-    ray_aims,
     segment_array,
     segment_intersection,
+    surely_within,
+    within,
 )
 
 coords = st.floats(min_value=-1e4, max_value=1e4, allow_nan=False, allow_infinity=False)
@@ -224,11 +228,47 @@ def incidence_oracle(junctions, segments, tol):
 @example([], [seg(0, 0, 1, 1)], 1.0)
 @example([pt(1, 1)], [], 1.0)
 @example([], [], 1.0)
+# zero-width boxes: exactly tol, and one ulp beyond, off a vertical and a
+# horizontal segment, beside the interior and beyond an end
+@example([pt(2, 5), pt(math.nextafter(2.0, 3.0), 5), pt(0, 12),
+          pt(0, math.nextafter(12.0, 13.0))], [seg(0, 0, 0, 10)], 2.0)
+@example([pt(5, -1), pt(5, math.nextafter(-1.0, -2.0)), pt(-1, 0),
+          pt(math.nextafter(-1.0, -2.0), 0)], [seg(0, 0, 10, 0)], 1.0)
+@example([pt(0.5, 0.5), pt(3, 3), pt(-3, 4)], [seg(0, 0, 10, 0), seg(0, 0, 0, 10)], 0.0)
+# a + (b - a) rounds past b by an ulp of a: the closest point leaves the box
+@example([pt(9943.698715776205, 0)], [seg(230770222.9625077, 0, 9944.19871578422, 0)], 0.5)
 def test_build_incidence_matches_all_pairs_oracle(points, segments, tol):
+    assert_incidence_matches_oracle(points, segments, tol)
+
+
+def assert_incidence_matches_oracle(points, segments, tol):
     junctions = [Junction(p) for p in points]
     w = build_incidence(junctions, segments, tol)
     assert w.shape == (len(points), len(segments))
     assert np.array_equal(w, incidence_oracle(junctions, segments, tol))
+
+
+@given(st.lists(grid_points, max_size=8), st.lists(grid_segments, max_size=8), tols)
+@settings(max_examples=100, deadline=None)
+@example([pt(3, 4), pt(1, 1), pt(9, 9)], [seg(0, 0, 0, 10), seg(0, 0, 10, 10)], 3.0)
+def test_build_incidence_in_blocks_of_a_few_pairs(points, segments, tol):
+    for block in (1, 3, 7):
+        with mock.patch.object(geometry, "_BLOCK_PAIRS", block):
+            assert_incidence_matches_oracle(points, segments, tol)
+
+
+far = st.sampled_from([1e6, 1e9, -3e11, 2.0 ** 40])
+
+
+@given(far, st.lists(grid_points, max_size=6), st.lists(grid_segments, max_size=6), tols)
+@settings(max_examples=150, deadline=None)
+@example(1e9, [pt(3, 4)], [seg(0, 0, 0, 10)], 3.0)
+@example(1e9, [pt(6.5, 4.5)], [seg(0, 0, 6, 8)], 0.5)
+def test_build_incidence_far_from_the_origin(base, points, segments, tol):
+    # coordinate ulps far above the absolute slack: the box pad scales with them
+    moved = [pt(p.x + base, p.y - base) for p in points]
+    assert_incidence_matches_oracle(moved, [seg(s.a.x + base, s.a.y - base, s.b.x + base,
+                                                 s.b.y - base) for s in segments], tol)
 
 
 def meets(s1, s2):
@@ -273,8 +313,11 @@ def test_intersection_prefilter_covers_scalar_wide(s1, s2):
 def test_ray_prefilter_covers_scalar(origin, target, angle, delta):
     if origin == target:
         return
-    if abs(angle_diff(direction_deg(origin, target), angle)) <= delta:
-        assert ray_aims(point_array([origin])[0], angle, point_array([target])[0], delta)
+    # within: a superset of the scalar test; surely_within: a subset of it
+    off = angle_offsets(directions(point_array([origin])[0], point_array([target])[0]), angle)
+    on = abs(angle_diff(direction_deg(origin, target), angle)) <= delta
+    assert within(off, delta, geometry._ANGLE_SLACK) or not on
+    assert on or not surely_within(off, delta, geometry._ANGLE_SLACK)
 
 
 def test_candidate_pairs_blocks_keep_row_major_order(monkeypatch):
