@@ -19,10 +19,11 @@ from .geometry import (
     Junction,
     Point,
     Segment,
+    angle_diff,
     candidate_pairs,
     direction_deg,
     intersection_flags,
-    pairs_by_row,
+    near_lists,
     point_array,
     point_distances,
     point_segment_distance,
@@ -141,13 +142,6 @@ def rasterize_segments(segs: np.ndarray, width: int, height: int):
                np.repeat(rows[lo:hi], counts[lo:hi]))
 
 
-def rasterize_segment(s: Segment, width: int, height: int) -> np.ndarray:
-    """The (n, 2) intp pixels (x, y) of one segment, from a to b; (0, 2)
-    when it misses the image."""
-    _, lines = digital_lines(np.array([[s.a.x, s.a.y, s.b.x, s.b.y]]), width, height)
-    return np.column_stack(line_pixels(lines, lines[:, 5], np.arange(lines[:, 5].sum())))
-
-
 def _candidate_points(lines: tuple[Segment, ...],
                       merge_radius: float) -> list[tuple[Point, bool]]:
     """All pairwise intersection / incidence points, duplicates included.
@@ -223,33 +217,23 @@ def derive_junctions(scene: AnnotatedScene,
                for members in clusters]
     hubs = [Point(sum(m.x for m in a) / len(a), sum(m.y for m in a) / len(a))
             for a in anchors]
-    rows, cols = candidate_pairs(
-        lambda c, s: within(point_segment_distances(c, s), merge_radius),
-        point_array(hubs), segment_array(scene.lines))
+    near = near_lists(point_segment_distances, point_segment_distance, hubs, scene.lines,
+                      point_array(hubs), segment_array(scene.lines), merge_radius)
     junctions = []
-    for c, near in zip(hubs, pairs_by_row(rows, cols, len(hubs))):
+    for c, lines in zip(hubs, near):
         angles: list[float] = []
-        for seg in (scene.lines[m] for m in near):
-            if point_segment_distance(c, seg) > merge_radius:
-                continue
+        for seg in (scene.lines[m] for m in lines):
             for e in (seg.a, seg.b):
                 if c.distance_to(e) > merge_radius:
                     angles.append(direction_deg(c, e))
-        angles.sort()
-        branches = []
-        for a in angles:
-            if any(_circ_close(a, b.angle_deg) for b in branches):
-                continue
-            branches.append(Branch(a, 1.0))
+        branches: list[Branch] = []
+        for a in sorted(angles):
+            if not any(abs(angle_diff(a, b.angle_deg)) <= _ANGLE_DEDUP_DEG for b in branches):
+                branches.append(Branch(a, 1.0))
         if len(branches) >= 2:
             junctions.append(Junction(c, tuple(branches), 1.0))
     junctions.sort(key=lambda j: (j.center.y, j.center.x))
     return junctions
-
-
-def _circ_close(a: float, b: float) -> bool:
-    d = abs(a - b) % 360.0
-    return min(d, 360.0 - d) <= _ANGLE_DEDUP_DEG
 
 
 def render_target_heatmap(scene: AnnotatedScene) -> HeatMap:

@@ -3,9 +3,11 @@
 Subcommands: derive-gt (scene -> junctions + heat map), construct
 (junctions + heat map -> wireframe), hough (heat map -> segments), eval
 (junctions|lines PR sweep over a file or directory pair), loss (grid
-prediction vs scene).  Every option can also come from a --config file of
-`key = value` lines; explicit flags beat the config file, which beats
-built-in defaults.  Exit codes: 0 success, 2 usage error, 3 data error.
+prediction vs scene).  Every option in _OPTIONS can also come from a
+--config file of `key = value` lines; explicit flags beat the config file,
+which beats the library's defaults.  A key that no subcommand takes is an
+error; one that another subcommand takes is ignored, so one file can serve
+several.  Exit codes: 0 success, 2 usage error, 3 data error.
 """
 
 from __future__ import annotations
@@ -17,15 +19,9 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from .annotate import (
-    AnnotatedScene,
-    DEFAULT_MERGE_RADIUS,
-    derive_junctions,
-    render_target_heatmap,
-)
+from .annotate import AnnotatedScene, derive_junctions, render_target_heatmap
 from .construct import ConstructionParams, binarize, construct_wireframe
 from .evaluate import (
-    DEFAULT_TOLERANCE_FRAC,
     EvalConfig,
     emit_pr_csv,
     emit_pr_svg,
@@ -48,14 +44,8 @@ from .formats import (
 from .geometry import GeometryError
 from .gridcodec import CellCollisionError, encode
 from .hough import HoughParams, hough_segments
-from .losses import (
-    DEFAULT_NEG_POS_RATIO,
-    LossWeights,
-    junction_loss,
-    sample_cells,
-)
+from .losses import LossWeights, junction_loss, sample_cells
 
-DEFAULT_SWEEP_SPEC = "0.1:0.9:0.1"
 _MAX_SWEEP = 10_000
 
 
@@ -71,28 +61,9 @@ def _read_config_file(path: str) -> dict[str, str]:
                     raise FormatError(f"{path}:{ln}: expected `key = value`")
                 key, value = line.split("=", 1)
                 opts[key.strip().replace("-", "_")] = value.strip()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise FormatError(f"cannot read config {path}: {e}") from e
     return opts
-
-
-class _Options:
-    """Flag > config-file > default resolution."""
-
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.file = _read_config_file(args.config) if args.config else {}
-
-    def get(self, name: str, default, cast):
-        flag = getattr(self.args, name, None)
-        if flag is not None:
-            return flag
-        if name in self.file:
-            try:
-                return cast(self.file[name])
-            except ValueError as e:
-                raise FormatError(f"config key {name}: {e}") from e
-        return default
 
 
 def _parse_sweep(spec: str) -> tuple[float, ...]:
@@ -127,27 +98,59 @@ def _parse_weights(spec: str) -> LossWeights:
     return LossWeights(*(float(v) for v in parts))
 
 
-def cmd_derive_gt(args: argparse.Namespace) -> int:
-    opts = _Options(args)
-    merge_radius = opts.get("merge_radius", DEFAULT_MERGE_RADIUS, float)
+# subcommand -> {option: cast}.  Each option is a flag and a config key; a
+# float or int flag is cast by argparse (a bad one is a usage error), the
+# rest when the options are resolved.
+_OPTIONS = {
+    "derive-gt": {"merge_radius": float},
+    "construct": {"omega": float, "tau_c": float, "tau_b": float, "delta_ray": float,
+                  "rho_nms": float},
+    "hough": {"omega": float, "seed": int},
+    "eval": {"tol_frac": float, "sweep": _parse_sweep},
+    "loss": {"weights": _parse_weights, "rmax": float, "seed": int, "merge_radius": float},
+}
+
+
+def _options(args: argparse.Namespace) -> dict:
+    """The options of args.command set by a flag or else by the config file,
+    cast.  Unset ones are left out, so the library's defaults apply."""
+    file = _read_config_file(args.config) if args.config else {}
+    known = {name for options in _OPTIONS.values() for name in options}
+    unknown = [key for key in file if key not in known]  # in file order
+    if unknown:
+        raise FormatError(f"{args.config}: no subcommand takes config key {unknown[0]!r}")
+    opts = {}
+    for name, cast in _OPTIONS[args.command].items():
+        value, where = getattr(args, name), "--" + name.replace("_", "-")
+        if value is None and name in file:
+            value, where = file[name], f"config key {name}"
+        if isinstance(value, str):
+            try:
+                value = cast(value)
+            except ValueError as e:  # FormatError and GeometryError too
+                raise FormatError(f"{where}: {e}") from e
+        if value is not None:
+            opts[name] = value
+    return opts
+
+
+def _kw(opts: dict, **names: str) -> dict:
+    """Keyword arguments keyword=opts[name] for each keyword=name set in opts."""
+    return {kw: opts[name] for kw, name in names.items() if name in opts}
+
+
+def cmd_derive_gt(args: argparse.Namespace, opts: dict) -> int:
     scene = read_scene(args.scene)
     if args.out_junctions:
         write_junctions(scene.width, scene.height,
-                        derive_junctions(scene, merge_radius), args.out_junctions)
+                        derive_junctions(scene, **opts), args.out_junctions)
     if args.out_heatmap:
         write_heatmap(render_target_heatmap(scene), args.out_heatmap)
     return 0
 
 
-def cmd_construct(args: argparse.Namespace) -> int:
-    opts = _Options(args)
-    params = ConstructionParams(
-        omega=opts.get("omega", ConstructionParams.omega, float),
-        tau_c=opts.get("tau_c", ConstructionParams.tau_c, float),
-        tau_b=opts.get("tau_b", ConstructionParams.tau_b, float),
-        delta_ray=opts.get("delta_ray", ConstructionParams.delta_ray, float),
-        rho_nms=opts.get("rho_nms", ConstructionParams.rho_nms, float),
-    )
+def cmd_construct(args: argparse.Namespace, opts: dict) -> int:
+    params = ConstructionParams(**opts)
     jw, jh, junctions = read_junctions(args.junctions)
     hm = read_heatmap(args.heatmap)
     if (jw, jh) != (hm.width, hm.height):
@@ -157,13 +160,11 @@ def cmd_construct(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_hough(args: argparse.Namespace) -> int:
-    opts = _Options(args)
+def cmd_hough(args: argparse.Namespace, opts: dict) -> int:
     # the construct rule for omega: finite and >= 0
-    omega = ConstructionParams(omega=opts.get("omega", ConstructionParams.omega, float)).omega
-    seed = opts.get("seed", 0, int)
+    omega = ConstructionParams(**_kw(opts, omega="omega")).omega
     hm = read_heatmap(args.heatmap)
-    segments = hough_segments(binarize(hm, omega), HoughParams(seed=seed))
+    segments = hough_segments(binarize(hm, omega), HoughParams(**_kw(opts, seed="seed")))
     write_scene(AnnotatedScene(hm.width, hm.height, tuple(segments)), args.out)
     return 0
 
@@ -190,36 +191,23 @@ def _pair_files(gt: str, pred: str) -> list[tuple[str, Optional[str]]]:
             for n in gt_names]
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
-    opts = _Options(args)
-    tol_frac = opts.get("tol_frac", DEFAULT_TOLERANCE_FRAC, float)
-    sweep = _parse_sweep(opts.get("sweep", DEFAULT_SWEEP_SPEC, str))
-    config = EvalConfig(tolerance_frac=tol_frac, sweep=sweep)
-    pairs = _pair_files(args.gt, args.pred)
-
-    if args.mode == "junctions":
-        sweeps = []
-        for gt_path, pred_path in pairs:
+def cmd_eval(args: argparse.Namespace, opts: dict) -> int:
+    config = EvalConfig(**_kw(opts, tolerance_frac="tol_frac", sweep="sweep"))
+    sweeps = []  # per image: t -> its PR counts
+    for gt_path, pred_path in _pair_files(args.gt, args.pred):
+        if args.mode == "junctions":
+            # the pairs within tolerance come once per image, the matching per t
             w, h, gt_js = read_junctions(gt_path)
             pred_js = read_junctions(pred_path)[2] if pred_path else []
             sweeps.append(junction_sweep(gt_js, pred_js, config, w, h))
-
-        def eval_at(t):
-            # the pairs within tolerance come once per image, the matching per t
-            return pool_pr(t, [at(t) for at in sweeps])
-    else:
-        per_image = []
-        for gt_path, pred_path in pairs:
+        else:
+            # segment lists carry no confidences: one count per image, a flat sweep
             scene = read_scene(gt_path)
             pred_lines = list(read_scene(pred_path).lines) if pred_path else []
-            per_image.append(line_pixel_pr(list(scene.lines), pred_lines, config,
-                                           scene.width, scene.height))
-
-        def eval_at(t):
-            # segment lists carry no confidences: one count per image, a flat sweep
-            return pool_pr(t, per_image)
-
-    curve = sweep_pr(eval_at, config)
+            counts = line_pixel_pr(list(scene.lines), pred_lines, config,
+                                   scene.width, scene.height)
+            sweeps.append(lambda t, counts=counts: counts)
+    curve = sweep_pr(lambda t: pool_pr(t, [at(t) for at in sweeps]), config)
     for p in curve.points:
         print(f"{p.threshold:.6g},{p.precision:.6g},{p.recall:.6g}")
     if args.csv:
@@ -229,22 +217,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_loss(args: argparse.Namespace) -> int:
-    opts = _Options(args)
-    weights = _parse_weights(opts.get("weights", "1,0.1,1,0.1", str))
-    r_max = opts.get("rmax", DEFAULT_NEG_POS_RATIO, float)
-    seed = opts.get("seed", 0, int)
-    merge_radius = opts.get("merge_radius", DEFAULT_MERGE_RADIUS, float)
-
+def cmd_loss(args: argparse.Namespace, opts: dict) -> int:
     pred = read_grid(args.pred_grid)
     scene = read_scene(args.scene)
     if (scene.width, scene.height) != (pred.config.image_w, pred.config.image_h):
         raise FormatError(
             f"scene {scene.width}x{scene.height} != grid image "
             f"{pred.config.image_w}x{pred.config.image_h}")
-    gt = derive_junctions(scene, merge_radius)
-    mask = sample_cells(encode(gt, pred.config), r_max, seed)
-    report = junction_loss(pred, gt, weights, mask)
+    gt = derive_junctions(scene, **_kw(opts, merge_radius="merge_radius"))
+    mask = sample_cells(encode(gt, pred.config), **_kw(opts, r_max="rmax", seed="seed"))
+    report = junction_loss(pred, gt, sample_mask=mask, **_kw(opts, weights="weights"))
     doc = {name: float(f"{getattr(report, name):.9g}")
            for name in ("total", "conf_c", "loc_c", "conf_b", "loc_b")}
     print(json.dumps(doc))
@@ -258,65 +240,48 @@ def build_parser() -> argparse.ArgumentParser:
                     "baselines, and evaluation.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="file of `key = value` option overrides")
-
     p = sub.add_parser("derive-gt", help="derive junctions and heat map from a scene")
     p.add_argument("--scene", required=True)
     p.add_argument("--out-junctions")
     p.add_argument("--out-heatmap")
-    p.add_argument("--merge-radius", type=float)
-    common(p)
     p.set_defaults(func=cmd_derive_gt)
 
     p = sub.add_parser("construct", help="build a wireframe from junctions + heat map")
     p.add_argument("--junctions", required=True)
     p.add_argument("--heatmap", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--omega", type=float)
-    p.add_argument("--tau-c", type=float, dest="tau_c")
-    p.add_argument("--tau-b", type=float, dest="tau_b")
-    p.add_argument("--delta-ray", type=float, dest="delta_ray")
-    p.add_argument("--rho-nms", type=float, dest="rho_nms")
-    common(p)
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("hough", help="probabilistic Hough baseline on a heat map")
     p.add_argument("--heatmap", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--omega", type=float)
-    p.add_argument("--seed", type=int)
-    common(p)
     p.set_defaults(func=cmd_hough)
 
     p = sub.add_parser("eval", help="precision/recall sweep")
     p.add_argument("mode", choices=("junctions", "lines"))
     p.add_argument("--gt", required=True)
     p.add_argument("--pred", required=True)
-    p.add_argument("--tol-frac", type=float, dest="tol_frac")
-    p.add_argument("--sweep", help="start:stop:step, default " + DEFAULT_SWEEP_SPEC)
     p.add_argument("--csv")
     p.add_argument("--svg")
-    common(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("loss", help="junction loss of a grid prediction vs a scene")
-    p.add_argument("--pred-grid", required=True, dest="pred_grid")
+    p.add_argument("--pred-grid", required=True)
     p.add_argument("--scene", required=True)
-    p.add_argument("--weights")
-    p.add_argument("--rmax", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--merge-radius", type=float)
-    common(p)
     p.set_defaults(func=cmd_loss)
 
+    for command, p in sub.choices.items():
+        for name, cast in _OPTIONS[command].items():
+            p.add_argument("--" + name.replace("_", "-"),
+                           type=cast if cast in (float, int) else None)
+        p.add_argument("--config", help="file of `key = value` option overrides")
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _options(args))
     except (FormatError, GeometryError, CellCollisionError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3

@@ -13,7 +13,7 @@ Everything here is deterministic: identical inputs give identical output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -31,12 +31,11 @@ from .geometry import (
     angle_diff,
     angle_offsets,
     build_incidence,
-    candidate_pairs,
     direction_deg,
     directions,
     intersection_flags,
+    near_lists,
     normalize_angle,
-    pairs_by_row,
     point_array,
     point_distances,
     prefilter_bound,
@@ -92,11 +91,9 @@ class ConstructionParams:
     max_walk_gap: float = DEFAULT_MAX_WALK_GAP
 
     def __post_init__(self) -> None:
-        for name in ("omega", "tau_c", "tau_b", "delta_ray", "rho_nms",
-                     "boundary_frac", "kappa_min", "min_piece_len",
-                     "max_walk_gap"):
-            if not 0 <= getattr(self, name) < math.inf:  # NaN fails too
-                raise GeometryError(f"{name} must be finite and >= 0")
+        for f in fields(self):
+            if not 0 <= getattr(self, f.name) < math.inf:  # NaN fails too
+                raise GeometryError(f"{f.name} must be finite and >= 0")
         if not 0.0 <= self.kappa_min <= 1.0:
             raise GeometryError(f"kappa_min={self.kappa_min} outside [0, 1]")
 
@@ -113,19 +110,13 @@ def dedup_junctions(junctions: Sequence[Junction], rho_nms: float) -> list[Junct
     junction within rho_nms of one already kept.
     """
     order = sorted(junctions, key=lambda j: (-j.confidence, j.center.y, j.center.x))
-    xy = point_array([j.center for j in order])
-    rows, cols = candidate_pairs(lambda a, b: within(point_distances(a, b), rho_nms),
-                                 xy, xy)
-    near = pairs_by_row(rows, cols, len(order))
-    kept: list[Junction] = []
+    centers = [j.center for j in order]
+    xy = point_array(centers)
+    near = near_lists(point_distances, Point.distance_to, centers, centers, xy, xy, rho_nms)
     is_kept = [False] * len(order)
-    for i, j in enumerate(order):
-        # only earlier junctions the prefilter finds near can be within rho_nms
-        if all(j.center.distance_to(order[k].center) > rho_nms
-               for k in near[i] if k < i and is_kept[k]):
-            kept.append(j)
-            is_kept[i] = True
-    return kept
+    for i, near_i in enumerate(near):
+        is_kept[i] = not any(is_kept[k] for k in near_i if k < i)
+    return [j for j, k in zip(order, is_kept) if k]
 
 
 def junction_rays(junctions: Sequence[Junction]) -> list[Ray]:
@@ -346,11 +337,9 @@ def recover_unmatched(junctions: Sequence[Junction], unmatched: Sequence[Ray],
         cuts: list[Point] = []
         flags = intersection_flags(segment_array([whole])[0], pool_xy[:len(pool)])
         for m in np.flatnonzero(flags).tolist():
-            hit = segment_intersection(whole, pool[m])
-            if hit.point is None:
-                continue
-            if all(hit.point.distance_to(c) > 1e-6 for c in cuts):
-                cuts.append(hit.point)
+            hit = segment_intersection(whole, pool[m]).point
+            if hit is not None and all(hit.distance_to(c) > 1e-6 for c in cuts):
+                cuts.append(hit)
         cuts = [c for c in cuts
                 if c.distance_to(ray.origin) > 1e-9 and c.distance_to(q_m) > 1e-9]
         cuts.sort(key=lambda c: c.distance_to(ray.origin))
@@ -384,13 +373,10 @@ def construct_wireframe(junctions: Sequence[Junction], h: HeatMap,
     new_points, new_segments = recover_unmatched(kept, unmatched, mask,
                                                  matched_segments, params)
 
-    segments: list[Segment] = []
-    seen: set[tuple[tuple[float, float], tuple[float, float]]] = set()
+    unique: dict[tuple, Segment] = {}  # the first segment per unordered endpoint pair
     for s in matched_segments + new_segments:
-        key = tuple(sorted(((s.a.x, s.a.y), (s.b.x, s.b.y))))
-        if key not in seen:
-            seen.add(key)
-            segments.append(s)
+        unique.setdefault(tuple(sorted(((s.a.x, s.a.y), (s.b.x, s.b.y)))), s)
+    segments = list(unique.values())
 
     centers = {(j.center.x, j.center.y) for j in kept}
     derived: dict[tuple[float, float], set[float]] = {}

@@ -18,8 +18,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .annotate import rasterize_segments
-from .geometry import (GeometryError, Junction, Point, Segment, candidate_pairs, pairs_by_row,
-                       point_array, point_distances, segment_array, within)
+from .geometry import (GeometryError, Junction, Point, Segment, near_lists, point_array,
+                       point_distances, segment_array)
 
 DEFAULT_TOLERANCE_FRAC = 0.01
 DEFAULT_SWEEP = tuple(i / 10 for i in range(1, 10))
@@ -64,12 +64,9 @@ def _pr_from_counts(threshold: float, n_gt: int, n_pred: int,
 
 
 def near_pairs(gt: Sequence[Point], pred: Sequence[Point], tol: float) -> list[list[int]]:
-    """Per gt point, the pred points within tol, in pred order.  The array
-    prefilter proposes the pairs; ``distance_to`` decides each."""
-    rows, cols = candidate_pairs(lambda p, q: within(point_distances(p, q), tol),
-                                 point_array(gt), point_array(pred))
-    return [[j for j in near if gt[i].distance_to(pred[j]) <= tol]
-            for i, near in enumerate(pairs_by_row(rows, cols, len(gt)))]
+    """Per gt point, the pred points within tol, in pred order."""
+    return near_lists(point_distances, Point.distance_to, gt, pred,
+                      point_array(gt), point_array(pred), tol)
 
 
 def max_matching(adj: Sequence[Sequence[int]], n_pred: int) -> int:

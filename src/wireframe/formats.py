@@ -23,12 +23,14 @@ import numpy as np
 from .annotate import AnnotatedScene, HeatMap
 from .geometry import (Branch, GeometryError, Junction, Point, Segment, Wireframe,
                        normalize_angle)
-from .gridcodec import GridConfig, GridEncoding
+from .gridcodec import ARRAYS, GridConfig, GridEncoding
 
 WFHM_MAGIC = b"WFHM"
 WFHM_VERSION = 1
 WFHM_HEADER = struct.Struct("<4sHII")
-_GRID_ARRAYS = ("center_conf", "displacement", "bin_conf", "bin_residual")
+# Most pixels (8192^2) an image read from a file may have: its float64 heat
+# map takes 512 MB.
+MAX_PIXELS = 1 << 26
 
 
 class FormatError(ValueError):
@@ -86,6 +88,11 @@ def _number(v, path: str, where: str, *args) -> float:
     return x
 
 
+def _check_pixels(width: int, height: int, path: str) -> None:
+    _require(width * height <= MAX_PIXELS, path,
+             "image {}x{} has more than MAX_PIXELS = {} pixels", width, height, MAX_PIXELS)
+
+
 def _load_sized(path: str, what: str, keys: tuple[str, ...]) -> dict:
     """A JSON object with integer width and height and list-valued keys."""
     doc = _load(path)
@@ -93,6 +100,7 @@ def _load_sized(path: str, what: str, keys: tuple[str, ...]) -> dict:
              f"{what} needs width, height, {', '.join(keys)}")
     _require(type(doc["width"]) is int and type(doc["height"]) is int,
              path, "width/height must be integers")
+    _check_pixels(doc["width"], doc["height"], path)
     _require(all(isinstance(doc[k], list) for k in keys), path,
              f"{', '.join(keys)} must be lists")
     return doc
@@ -198,6 +206,7 @@ def read_heatmap(path: str) -> HeatMap:
     magic, version, width, height = WFHM_HEADER.unpack_from(blob)
     _require(magic == WFHM_MAGIC, path, f"bad magic {magic!r}")
     _require(version == WFHM_VERSION, path, f"unsupported version {version}")
+    _check_pixels(width, height, path)
     want = WFHM_HEADER.size + 4 * width * height
     _require(len(blob) == want, path,
              f"length {len(blob)} != {want} (14 + 4*{width}*{height})")
@@ -274,7 +283,7 @@ def write_grid(enc: GridEncoding, path: str) -> None:
     _dump({
         "config": {"image_w": cfg.image_w, "image_h": cfg.image_h,
                    "grid_w": cfg.grid_w, "grid_h": cfg.grid_h, "bins": cfg.bins},
-        **{k: np.frompyfunc(_round9, 1, 1)(getattr(enc, k)).tolist() for k in _GRID_ARRAYS},
+        **{k: np.frompyfunc(_round9, 1, 1)(getattr(enc, k)).tolist() for k in ARRAYS},
     }, path)
 
 
@@ -285,11 +294,12 @@ def read_grid(path: str) -> GridEncoding:
     sizes = ("image_w", "image_h", "grid_w", "grid_h", "bins")
     _require(isinstance(c, dict) and all(type(c.get(k)) is int for k in sizes), path,
              f"grid config needs integer {', '.join(sizes)}")
+    _check_pixels(c["image_w"], c["image_h"], path)
     try:
         cfg = GridConfig(*(c[k] for k in sizes))
-        for k in _GRID_ARRAYS:  # every leaf must be a finite JSON number
+        for k in ARRAYS:  # every leaf must be a finite JSON number
             for v in np.array(doc[k], dtype=object).reshape(-1):  # .flat stops at 32 dims
                 _number(v, path, k)
-        return GridEncoding(cfg, *(np.array(doc[k], dtype=np.float64) for k in _GRID_ARRAYS))
+        return GridEncoding(cfg, *(np.array(doc[k], dtype=np.float64) for k in ARRAYS))
     except (KeyError, GeometryError) as e:
         raise FormatError(f"{path}: {e}") from e

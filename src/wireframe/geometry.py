@@ -320,11 +320,16 @@ def candidate_pairs(test: Callable[[np.ndarray, np.ndarray], np.ndarray],
     return np.concatenate(out_i), np.concatenate(out_j)
 
 
-def pairs_by_row(rows: np.ndarray, cols: np.ndarray, n_rows: int) -> list[list[int]]:
-    """Row-major pairs from candidate_pairs as one column list per row."""
-    bounds = np.searchsorted(rows, np.arange(n_rows + 1)).tolist()
-    c = cols.tolist()
-    return [c[bounds[i]:bounds[i + 1]] for i in range(n_rows)]
+def near_lists(kernel: Callable[[np.ndarray, np.ndarray], np.ndarray], scalar: Callable,
+               a: Sequence, b: Sequence, a_xy: np.ndarray, b_xy: np.ndarray,
+               limit: float) -> list[list[int]]:
+    """Per a[i], the j in order with ``scalar(a[i], b[j]) <= limit``.  The
+    array form ``kernel`` of ``scalar`` over the rows of a_xy and b_xy
+    proposes the pairs by ``within``; the scalar function decides each."""
+    rows, cols = candidate_pairs(lambda p, q: within(kernel(p, q), limit), a_xy, b_xy)
+    bounds, c = np.searchsorted(rows, np.arange(len(a) + 1)).tolist(), cols.tolist()
+    return [[j for j in c[bounds[i]:bounds[i + 1]] if scalar(a[i], b[j]) <= limit]
+            for i in range(len(a))]
 
 
 @dataclass

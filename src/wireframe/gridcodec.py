@@ -23,6 +23,8 @@ DEFAULT_GRID = 60
 DEFAULT_BINS = 15
 DEFAULT_TAU_C = 0.5
 DEFAULT_TAU_B = 0.5
+# the fields of a GridEncoding, in order
+ARRAYS = ("center_conf", "displacement", "bin_conf", "bin_residual")
 
 
 class CellCollisionError(ValueError):
@@ -52,10 +54,6 @@ class GridConfig:
     @property
     def cell_h(self) -> float:
         return self.image_h / self.grid_h
-
-    @property
-    def bin_width(self) -> float:
-        return 360.0 / self.bins
 
     def cell_of(self, p: Point) -> tuple[int, int]:
         """(row, col) of the cell owning a point; right/bottom edges inclusive."""
@@ -95,21 +93,13 @@ class GridEncoding:
 
     def __post_init__(self) -> None:
         h, w, k = self.config.grid_h, self.config.grid_w, self.config.bins
-        if self.center_conf is None:
-            self.center_conf = np.zeros((h, w))
-        if self.displacement is None:
-            self.displacement = np.zeros((h, w, 2))
-        if self.bin_conf is None:
-            self.bin_conf = np.zeros((h, w, k))
-        if self.bin_residual is None:
-            self.bin_residual = np.zeros((h, w, k))
-        self.center_conf = np.asarray(self.center_conf, dtype=np.float64)
-        self.displacement = np.asarray(self.displacement, dtype=np.float64)
-        self.bin_conf = np.asarray(self.bin_conf, dtype=np.float64)
-        self.bin_residual = np.asarray(self.bin_residual, dtype=np.float64)
-        shapes = (self.center_conf.shape, self.displacement.shape,
-                  self.bin_conf.shape, self.bin_residual.shape)
-        if shapes != ((h, w), (h, w, 2), (h, w, k), (h, w, k)):
+        want = ((h, w), (h, w, 2), (h, w, k), (h, w, k))
+        for name, shape in zip(ARRAYS, want):
+            value = getattr(self, name)
+            setattr(self, name, np.asarray(np.zeros(shape) if value is None else value,
+                                           dtype=np.float64))
+        shapes = tuple(getattr(self, name).shape for name in ARRAYS)
+        if shapes != want:
             raise GeometryError(f"encoding arrays {shapes} do not match config {self.config}")
 
 

@@ -67,23 +67,23 @@ def _ce_grad(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
     return g
 
 
-def _wrap_deg(d: np.ndarray) -> np.ndarray:
-    """Wrap angle differences onto [-180, 180)."""
-    return (d + 180.0) % 360.0 - 180.0
-
-
-def _full_mask(enc: GridEncoding) -> np.ndarray:
-    return np.ones((enc.config.grid_h, enc.config.grid_w), dtype=bool)
-
-
-def _check_mask(pred: GridEncoding, sample_mask: Optional[np.ndarray]) -> np.ndarray:
-    if sample_mask is None:
-        return _full_mask(pred)
-    mask = np.asarray(sample_mask, dtype=bool)
+def _targets(pred: GridEncoding, gt_junctions: Sequence[Junction],
+             sample_mask: Optional[np.ndarray]):
+    """What the loss and its gradient compare against: the encoded ground
+    truth, the sample mask (every cell when None), the ground-truth cells, and
+    per such cell (row, col, its occupied bins, their wrapped residual errors)."""
+    gt = encode(gt_junctions, pred.config)
     want = (pred.config.grid_h, pred.config.grid_w)
+    mask = np.ones(want, dtype=bool) if sample_mask is None else np.asarray(sample_mask, dtype=bool)
     if mask.shape != want:
         raise GeometryError(f"sample mask shape {mask.shape} != grid {want}")
-    return mask
+    gt_cells = gt.center_conf == 1.0
+    cells = []
+    for rows, cols in zip(*np.nonzero(gt_cells)):
+        occupied = gt.bin_conf[rows, cols] == 1.0
+        d = pred.bin_residual[rows, cols, occupied] - gt.bin_residual[rows, cols, occupied]
+        cells.append((rows, cols, occupied, (d + 180.0) % 360.0 - 180.0))  # onto [-180, 180)
+    return gt, mask, gt_cells, cells
 
 
 def junction_loss(pred: GridEncoding, gt_junctions: Sequence[Junction],
@@ -94,29 +94,18 @@ def junction_loss(pred: GridEncoding, gt_junctions: Sequence[Junction],
     With no ground-truth junctions the location and branch terms are 0 and
     only the center confidence term (over the mask) remains.
     """
-    gt = encode(gt_junctions, pred.config)
-    mask = _check_mask(pred, sample_mask)
+    gt, mask, gt_cells, cells = _targets(pred, gt_junctions, sample_mask)
 
     conf_c = float(_ce_terms(pred.center_conf, gt.center_conf)[mask].mean()) \
         if mask.any() else 0.0
 
-    gt_cells = gt.center_conf == 1.0
-    n = int(gt_cells.sum())
+    n = len(cells)
     loc_c = conf_b = loc_b = 0.0
     if n:
         derr = pred.displacement[gt_cells] - gt.displacement[gt_cells]
         loc_c = float((derr ** 2).sum() / n)
         conf_b = float(_ce_terms(pred.bin_conf[gt_cells], gt.bin_conf[gt_cells]).mean())
-        per_junction = []
-        for rows, cols in zip(*np.nonzero(gt_cells)):
-            occupied = gt.bin_conf[rows, cols] == 1.0
-            if not occupied.any():
-                per_junction.append(0.0)
-                continue
-            d = _wrap_deg(pred.bin_residual[rows, cols, occupied]
-                          - gt.bin_residual[rows, cols, occupied])
-            per_junction.append(float((d ** 2).mean()))
-        loc_b = sum(per_junction) / n
+        loc_b = sum(float((d ** 2).mean()) if len(d) else 0.0 for *_, d in cells) / n
 
     total = (weights.conf_c * conf_c + weights.loc_c * loc_c
              + weights.conf_b * conf_b + weights.loc_b * loc_b)
@@ -127,16 +116,14 @@ def junction_loss_grad(pred: GridEncoding, gt_junctions: Sequence[Junction],
                        weights: LossWeights = LossWeights(),
                        sample_mask: Optional[np.ndarray] = None) -> GridEncoding:
     """d(total)/d(every prediction field), packed in a GridEncoding."""
-    gt = encode(gt_junctions, pred.config)
-    mask = _check_mask(pred, sample_mask)
+    gt, mask, gt_cells, cells = _targets(pred, gt_junctions, sample_mask)
     grad = GridEncoding(pred.config)
 
     if mask.any():
         g = _ce_grad(pred.center_conf, gt.center_conf) * (weights.conf_c / mask.sum())
         grad.center_conf[mask] = g[mask]
 
-    gt_cells = gt.center_conf == 1.0
-    n = int(gt_cells.sum())
+    n = len(cells)
     if not n:
         return grad
 
@@ -148,14 +135,9 @@ def junction_loss_grad(pred: GridEncoding, gt_junctions: Sequence[Junction],
     gb = _ce_grad(pred.bin_conf[gt_cells], gt.bin_conf[gt_cells])
     grad.bin_conf[gt_cells] = gb * (weights.conf_b / (n * k))
 
-    for rows, cols in zip(*np.nonzero(gt_cells)):
-        occupied = gt.bin_conf[rows, cols] == 1.0
-        r_n = int(occupied.sum())
-        if not r_n:
-            continue
-        d = _wrap_deg(pred.bin_residual[rows, cols, occupied]
-                      - gt.bin_residual[rows, cols, occupied])
-        grad.bin_residual[rows, cols, occupied] = 2.0 * d * (weights.loc_b / (n * r_n))
+    for rows, cols, occupied, d in cells:
+        if len(d):
+            grad.bin_residual[rows, cols, occupied] = 2.0 * d * (weights.loc_b / (n * len(d)))
     return grad
 
 
@@ -186,7 +168,7 @@ def sample_cells(gt: GridEncoding, r_max: float = DEFAULT_NEG_POS_RATIO,
     pos = gt.center_conf == 1.0
     n_pos = int(pos.sum())
     if math.isinf(r_max) or n_pos == 0:
-        return _full_mask(gt)
+        return np.ones(pos.shape, dtype=bool)
     neg_flat = np.nonzero(~pos.ravel())[0]
     take = min(len(neg_flat), int(math.floor(r_max * n_pos)))
     rng = np.random.default_rng(seed)

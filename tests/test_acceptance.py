@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+from conftest import segment_pixels
 from wireframe.annotate import (
     AnnotatedScene,
     HeatMap,
     derive_junctions,
-    rasterize_segment,
     render_target_heatmap,
 )
 from wireframe.cli import main
@@ -122,7 +122,7 @@ def random_junction_set(rng: np.random.Generator, config: GridConfig,
                         n: int) -> list[Junction]:
     """Collision-free draw: distinct cells, distinct angle bins per junction."""
     cells = rng.choice(config.grid_w * config.grid_h, size=n, replace=False)
-    bw = config.bin_width
+    bw = 360.0 / config.bins
     out = []
     for c in cells:
         row, col = divmod(int(c), config.grid_w)
@@ -332,7 +332,7 @@ def separated_mask(rng: np.random.Generator) -> tuple[BinaryMask, list[Segment]]
             segments.append(cand)
     mask = BinaryMask(320, 320)
     for s in segments:
-        for x, y in rasterize_segment(s, 320, 320):
+        for x, y in segment_pixels(s, 320, 320):
             mask.bits[y, x] = True
     return mask, segments
 

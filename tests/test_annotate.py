@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import segment_pixels
 from wireframe import annotate
 
 from wireframe.annotate import (
@@ -12,7 +13,6 @@ from wireframe.annotate import (
     HeatMap,
     clip_segment,
     derive_junctions,
-    rasterize_segment,
     rasterize_segments,
     render_target_heatmap,
 )
@@ -45,7 +45,7 @@ def nearest_pixel_walk(s, width, height, stride=0.1):
 
 def pixels(s, width, height):
     """The rasterized pixels as a list of (x, y) tuples, in walk order."""
-    return list(map(tuple, rasterize_segment(s, width, height).tolist()))
+    return list(map(tuple, segment_pixels(s, width, height).tolist()))
 
 
 def test_rasterize_horizontal():
@@ -164,7 +164,7 @@ def reference_rasterize_segment(s, width, height):
 
 
 def assert_matches_reference(s, width, height):
-    got = rasterize_segment(s, width, height)
+    got = segment_pixels(s, width, height)
     want = np.array(reference_rasterize_segment(s, width, height), dtype=np.intp)
     assert got.dtype == np.intp and got.shape == (len(want), 2)
     assert np.array_equal(got, want.reshape(-1, 2)), s
@@ -345,7 +345,7 @@ def test_derive_junction_invariants(lines):
 def test_heatmap_single_segment():
     scene = AnnotatedScene(10, 10, (seg(0, 0, 3, 4),))
     hm = render_target_heatmap(scene)
-    on = rasterize_segment(seg(0, 0, 3, 4), 10, 10)
+    on = segment_pixels(seg(0, 0, 3, 4), 10, 10)
     for x, y in on:
         assert hm.values[y, x] == 5.0
     assert hm.values.sum() == 5.0 * len(on)
@@ -365,7 +365,7 @@ def test_heatmap_crossing_takes_max():
     # oracle: per-pixel max over both rasterizations
     oracle = np.zeros((12, 12))
     for s in (long, short):
-        for x, y in rasterize_segment(s, 12, 12):
+        for x, y in segment_pixels(s, 12, 12):
             oracle[y, x] = max(oracle[y, x], s.length)
     assert (hm.values == oracle).all()
 

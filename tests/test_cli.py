@@ -22,7 +22,7 @@ from wireframe.formats import (
     write_junctions,
     write_scene,
 )
-from wireframe.geometry import Branch, Junction, Point, Segment, candidate_pairs
+from wireframe.geometry import Branch, Junction, Point, Segment, near_lists, normalize_angle
 from wireframe.gridcodec import GridConfig, GridEncoding, encode
 from wireframe.synth import make_scenes
 
@@ -334,9 +334,9 @@ def test_eval_junctions_counts_once_per_image(tmp_path, monkeypatch):
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return candidate_pairs(*args, **kwargs)
+        return near_lists(*args, **kwargs)
 
-    monkeypatch.setattr(evaluate, "candidate_pairs", counted)
+    monkeypatch.setattr(evaluate, "near_lists", counted)
     assert main(["eval", "junctions", "--gt", str(tmp_path / "gt"),
                  "--pred", str(tmp_path / "pred"),
                  "--csv", str(tmp_path / "got.csv"), "--svg", str(tmp_path / "got.svg")]) == 0
@@ -513,3 +513,148 @@ def test_hough_bad_omega_exits_3(tmp_path, capsys, value):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "omega" in err and err.count("\n") == 1
     assert not out.exists()
+
+
+# -- the option table and the config-file contract --
+
+# a valid value for every option of cli._OPTIONS that changes the output of
+# command_argv's run
+OPTION_VALUES = {"merge_radius": "8", "omega": "100", "tau_c": "0.3", "tau_b": "0.3",
+                 "delta_ray": "5", "rho_nms": "3", "seed": "3", "tol_frac": "0.02",
+                 "sweep": "0.2:0.8:0.3", "weights": "1,0.2,1,0.3", "rmax": "3"}
+
+
+def command_argv(tmp_path, command):
+    """argv for one run of a subcommand, all outputs under tmp_path/out.  The
+    inputs, written once to tmp_path: a synthetic scene, its junctions and
+    heat map, predicted junctions (moved, turned, with spread confidences and
+    a weaker near-duplicate each) and a random grid prediction."""
+    scene, gt, pred, hm, grid = (str(tmp_path / n) for n in (
+        "scene.json", "gt.json", "pred.json", "h.wfhm", "grid.json"))
+    if not os.path.exists(scene):
+        write_scene(make_scenes(seed=3, count=1)[0], scene)
+        assert main(["derive-gt", "--scene", scene, "--out-junctions", gt,
+                     "--out-heatmap", hm]) == 0
+        rng = np.random.default_rng(0)
+        w, h, junctions = read_junctions(gt)
+        moved = []
+        for j in junctions:
+            x, y = j.center.x + rng.uniform(-5, 5), j.center.y + rng.uniform(-5, 5)
+            branches = tuple(Branch(normalize_angle(b.angle_deg + rng.uniform(-8, 8)),
+                                    rng.uniform(0, 1)) for b in j.branches)
+            score = rng.uniform(0, 1)
+            moved += [Junction(Point(x, y), branches, score),
+                      Junction(Point(x + 2.5, y), branches, 0.9 * score)]
+        write_junctions(w, h, moved, pred)
+        # cells of 5.3 px and bins of 24 degrees: no two junctions of a synth scene
+        # (8 px apart, crossing at >= 25 degrees) share a cell or a bin
+        n, k = 60, 15
+        write_grid(GridEncoding(GridConfig(w, h, n, n, k), rng.uniform(0, 1, (n, n)),
+                                rng.uniform(-2, 2, (n, n, 2)), rng.uniform(0, 1, (n, n, k)),
+                                rng.uniform(-12, 12, (n, n, k))), grid)
+    out = str(tmp_path / "out")
+    return {
+        "derive-gt": ["derive-gt", "--scene", scene, "--out-junctions", out + ".json",
+                      "--out-heatmap", out + ".wfhm"],
+        "construct": ["construct", "--junctions", pred, "--heatmap", hm, "--out", out + ".json"],
+        "hough": ["hough", "--heatmap", hm, "--out", out + ".json"],
+        "eval": ["eval", "junctions", "--gt", gt, "--pred", pred, "--csv", out + ".csv"],
+        "loss": ["loss", "--pred-grid", grid, "--scene", scene],
+    }[command]
+
+
+def run_outputs(tmp_path, capsys, argv):
+    """Exit code, stdout and the bytes of every output file of one run."""
+    for old in tmp_path.glob("out.*"):
+        old.unlink()
+    rc = main(argv)
+    files = {p.name: p.read_bytes() for p in sorted(tmp_path.glob("out.*"))}
+    return rc, capsys.readouterr().out, files
+
+
+@pytest.mark.parametrize("command, name", [
+    (command, name) for command, options in cli._OPTIONS.items() for name in options])
+def test_option_by_flag_or_config_writes_the_same_bytes(tmp_path, capsys, command, name):
+    argv = command_argv(tmp_path, command)
+    value = OPTION_VALUES[name]
+    cfg = tmp_path / "opts.cfg"
+    cfg.write_text(f"{name} = {value}\n")
+    by_flag = run_outputs(tmp_path, capsys, argv + ["--" + name.replace("_", "-"), value])
+    by_file = run_outputs(tmp_path, capsys, argv + ["--config", str(cfg)])
+    assert by_flag[0] == 0 and (by_flag[1] or by_flag[2])
+    assert by_file == by_flag
+    assert run_outputs(tmp_path, capsys, argv) != by_flag  # the option reaches the library
+
+
+def test_every_subcommand_keeps_its_options():
+    assert {command: sorted(options) for command, options in cli._OPTIONS.items()} == {
+        "derive-gt": ["merge_radius"],
+        "construct": ["delta_ray", "omega", "rho_nms", "tau_b", "tau_c"],
+        "hough": ["omega", "seed"],
+        "eval": ["sweep", "tol_frac"],
+        "loss": ["merge_radius", "rmax", "seed", "weights"],
+    }
+
+
+def assert_one_error_line(capsys, *words):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert all(w in err for w in words)
+
+
+def test_config_file_not_utf8_exits_3(tmp_path, capsys):
+    argv = command_argv(tmp_path, "construct")
+    cfg = tmp_path / "opts.cfg"
+    cfg.write_bytes(b"omega = 0.5 \xff\xfe\n")
+    assert main(argv + ["--config", str(cfg)]) == 3
+    assert_one_error_line(capsys, "opts.cfg")
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+@pytest.mark.parametrize("weights", ["a,b,c,d", "1,0.1,1", "1,0.1,1,nan", "1,,1,1"])
+def test_loss_bad_weights_exit_3(tmp_path, capsys, how, weights):
+    argv = command_argv(tmp_path, "loss")
+    if how == "flag":
+        argv += ["--weights", weights]
+    else:
+        (tmp_path / "opts.cfg").write_text(f"weights = {weights}\n")
+        argv += ["--config", str(tmp_path / "opts.cfg")]
+    assert main(argv) == 3
+    assert_one_error_line(capsys, "weights")
+
+
+@pytest.mark.parametrize("key", ["bogus", "omgea", "out"])
+def test_config_key_no_subcommand_takes_exits_3(tmp_path, capsys, key):
+    argv = command_argv(tmp_path, "construct")
+    (tmp_path / "opts.cfg").write_text(f"omega = 0.5\n{key} = 3\n")
+    assert main(argv + ["--config", str(tmp_path / "opts.cfg")]) == 3
+    assert_one_error_line(capsys, repr(key))
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_shared_config_file_serves_construct_and_hough(tmp_path, capsys):
+    # tau_c is a construct option: hough ignores it, as construct ignores seed
+    cfg = tmp_path / "opts.cfg"
+    cfg.write_text("omega = 0.5\ntau_c = 0.3\nseed = 3\n")
+    for command in ("construct", "hough"):
+        argv = command_argv(tmp_path, command)
+        shared = run_outputs(tmp_path, capsys, argv + ["--config", str(cfg)])
+        own = [f"--{k.replace('_', '-')}={v}" for k, v in
+               (("omega", "0.5"), ("tau_c", "0.3"), ("seed", "3")) if k in cli._OPTIONS[command]]
+        assert shared[0] == 0 and shared == run_outputs(tmp_path, capsys, argv + own)
+
+
+def test_hough_config_with_tau_c_exits_0(tmp_path, capsys):
+    argv = command_argv(tmp_path, "hough")
+    (tmp_path / "opts.cfg").write_text("tau_c = 0.3\n")
+    assert main(argv + ["--config", str(tmp_path / "opts.cfg")]) == 0
+    assert (tmp_path / "out.json").exists()
+
+
+def test_derive_gt_scene_past_max_pixels_exits_3(tmp_path, capsys):
+    scene = tmp_path / "scene.json"
+    scene.write_text('{"width": 100000, "height": 100000, "lines": []}')
+    assert main(["derive-gt", "--scene", str(scene), "--out-heatmap",
+                 str(tmp_path / "h.wfhm")]) == 3
+    assert_one_error_line(capsys, "MAX_PIXELS")
+    assert not (tmp_path / "h.wfhm").exists()

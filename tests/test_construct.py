@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import segment_pixels
 from wireframe import construct
 
 from wireframe.annotate import (
     AnnotatedScene,
     HeatMap,
     derive_junctions,
-    rasterize_segment,
     render_target_heatmap,
 )
 from wireframe.construct import (
@@ -157,7 +157,7 @@ def reference_farthest_mask_point(origin, angle_deg, mask, max_gap=DEFAULT_MAX_W
     across_y = abs(math.cos(rad)) >= abs(math.sin(rad))
     last = None
     misses = 0
-    for x, y in rasterize_segment(Segment(origin, end), mask.width, mask.height).tolist():
+    for x, y in segment_pixels(Segment(origin, end), mask.width, mask.height).tolist():
         probes = ((x, y), (x, y - 1), (x, y + 1)) if across_y \
             else ((x, y), (x - 1, y), (x + 1, y))
         hit = None
@@ -180,7 +180,7 @@ def reference_farthest_mask_point(origin, angle_deg, mask, max_gap=DEFAULT_MAX_W
 def reference_line_support_ratio(a, b, mask):
     if a.x == b.x and a.y == b.y:
         return 0.0
-    px = rasterize_segment(Segment(a, b), mask.width, mask.height)
+    px = segment_pixels(Segment(a, b), mask.width, mask.height)
     if not len(px):
         return 0.0
     return np.count_nonzero(mask.bits[px[:, 1], px[:, 0]]) / len(px)
@@ -201,7 +201,7 @@ def walk_cases(draw):
         x1, x2 = rng.uniform(0, w - 1, 2)
         y1, y2 = rng.uniform(0, h - 1, 2)
         if (x1, y1) != (x2, y2):
-            for x, y in rasterize_segment(Segment(Point(x1, y1), Point(x2, y2)), w, h):
+            for x, y in segment_pixels(Segment(Point(x1, y1), Point(x2, y2)), w, h):
                 bits[y, x] |= rng.random() < 0.8
     xs = st.one_of(st.floats(-1.0, float(w)), st.integers(0, w - 1).map(float),
                    st.integers(-1, 2 * w).map(lambda k: k / 2))
@@ -565,7 +565,7 @@ def propose_all(s1, s2):
 def mask_of(lines, width, height):
     mask = BinaryMask(width, height)
     for s in lines:
-        for x, y in rasterize_segment(s, width, height):
+        for x, y in segment_pixels(s, width, height):
             mask.bits[y, x] = True
     return mask
 

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import ndimage
 from scipy.optimize import linear_sum_assignment
 
+from conftest import segment_pixels
 from wireframe.evaluate import (
     EvalConfig,
     PRCurve,
@@ -21,7 +22,6 @@ from wireframe.evaluate import (
     read_pr_csv,
     sweep_pr,
 )
-from wireframe.annotate import rasterize_segment
 from wireframe.geometry import Branch, GeometryError, Junction, Point, Segment
 
 CFG = EvalConfig()
@@ -170,8 +170,8 @@ def test_line_pixel_pr_half_coverage():
     assert p.recall == pytest.approx(0.5, abs=0.05)
     # brute-force oracle: pairwise pixel distances
     tol = CFG.tolerance(100, 100)
-    gt_px = set(map(tuple, rasterize_segment(gt[0], 100, 100).tolist()))
-    pr_px = set(map(tuple, rasterize_segment(pred[0], 100, 100).tolist()))
+    gt_px = set(map(tuple, segment_pixels(gt[0], 100, 100).tolist()))
+    pr_px = set(map(tuple, segment_pixels(pred[0], 100, 100).tolist()))
     covered = sum(1 for g in gt_px
                   if any(math.hypot(g[0] - q[0], g[1] - q[1]) <= tol for q in pr_px))
     assert p.matched_gt == covered
@@ -287,7 +287,7 @@ def line_mask_pairs(draw):
         dx, dy = rng.integers(-3, 4, 2)
         for m, (ox, oy) in zip(masks, ((0, 0), (dx, dy))):
             if (x1, y1) != (x2, y2):
-                for x, y in rasterize_segment(seg(x1 + ox, y1 + oy, x2 + ox, y2 + oy), w, h):
+                for x, y in segment_pixels(seg(x1 + ox, y1 + oy, x2 + ox, y2 + oy), w, h):
                     m[y, x] = True
     return masks[0], masks[1]
 

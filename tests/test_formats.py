@@ -21,6 +21,7 @@ from wireframe.annotate import AnnotatedScene, HeatMap, render_target_heatmap
 from wireframe.construct import ConstructionParams, construct_wireframe
 from wireframe.annotate import derive_junctions
 from wireframe.formats import (
+    MAX_PIXELS,
     FormatError,
     _emit,
     _load_sized,
@@ -44,7 +45,7 @@ from wireframe.geometry import (
     Wireframe,
     build_incidence,
 )
-from wireframe.gridcodec import GridConfig, encode
+from wireframe.gridcodec import GridConfig, GridEncoding, encode
 
 
 def seg(x1, y1, x2, y2):
@@ -148,6 +149,43 @@ def test_junctions_empty(tmp_path):
     p = str(tmp_path / "j.json")
     write_junctions(16, 16, [], p)
     assert read_junctions(p) == (16, 16, [])
+
+
+# -- the image-size limit --
+
+@pytest.mark.parametrize("kind", ["scene", "junctions", "wireframe"])
+def test_json_readers_take_at_most_max_pixels(tmp_path, kind):
+    # 8192^2 is the most; 8192 x 8193, or a product past 64 bits, is rejected
+    read, rest = {"scene": (read_scene, '"lines": []'),
+                  "junctions": (read_junctions, '"junctions": []'),
+                  "wireframe": (read_wireframe, '"junctions": [], "segments": []')}[kind]
+    p = tmp_path / "doc.json"
+    assert MAX_PIXELS == 8192 * 8192
+    p.write_text('{"width": 8192, "height": 8192, %s}' % rest)
+    assert read(str(p))
+    for w, h in ((8192, 8193), (100000, 100000), (2 ** 40, 2 ** 40)):
+        p.write_text('{"width": %d, "height": %d, %s}' % (w, h, rest))
+        with pytest.raises(FormatError, match=f"{w}x{h} has more than MAX_PIXELS"):
+            read(str(p))
+
+
+def test_heatmap_and_grid_take_at_most_max_pixels(tmp_path):
+    p = tmp_path / "h.wfhm"
+    # the header alone is checked: no 256 MB body is written or read
+    p.write_bytes(struct.pack("<4sHII", b"WFHM", 1, 8193, 8192))
+    with pytest.raises(FormatError, match="8193x8192 has more than MAX_PIXELS"):
+        read_heatmap(str(p))
+    p.write_bytes(struct.pack("<4sHII", b"WFHM", 1, 2 ** 32 - 1, 2 ** 32 - 1))
+    with pytest.raises(FormatError, match="MAX_PIXELS"):
+        read_heatmap(str(p))
+    g = tmp_path / "grid.json"
+    for w, ok in ((8192, True), (8193, False)):
+        write_grid(GridEncoding(GridConfig(w, 8192, 1, 1, 2)), str(g))
+        if ok:
+            assert read_grid(str(g)).config.image_w == w
+        else:
+            with pytest.raises(FormatError, match="MAX_PIXELS"):
+                read_grid(str(g))
 
 
 # -- WFHM heat maps --

@@ -20,9 +20,12 @@ from wireframe.geometry import (
     direction_deg,
     directions,
     intersection_flags,
+    near_lists,
     normalize_angle,
     point_array,
+    point_distances,
     point_segment_distance,
+    point_segment_distances,
     segment_array,
     segment_intersection,
     surely_within,
@@ -329,3 +332,40 @@ def test_candidate_pairs_blocks_keep_row_major_order(monkeypatch):
     assert np.array_equal(rows, whole[0]) and np.array_equal(cols, whole[1])
     empty = candidate_pairs(intersection_flags, a, b[:0])
     assert empty[0].shape == empty[1].shape == (0,)
+
+
+def assert_near_lists_match_oracle(points, others, segments, limit):
+    got = near_lists(point_distances, Point.distance_to, points, others,
+                     point_array(points), point_array(others), limit)
+    assert got == [[j for j, q in enumerate(others) if p.distance_to(q) <= limit]
+                   for p in points]
+    got = near_lists(point_segment_distances, point_segment_distance, points, segments,
+                     point_array(points), segment_array(segments), limit)
+    assert got == [[j for j, s in enumerate(segments) if point_segment_distance(p, s) <= limit]
+                   for p in points]
+
+
+@given(st.lists(grid_points, max_size=8), st.lists(grid_points, max_size=8),
+       st.lists(grid_segments, max_size=8), tols)
+@settings(max_examples=200, deadline=None)
+@example([pt(0, 0), pt(3, 4)], [pt(3, 4), pt(6, 8), pt(0, 0)], [seg(0, 5, 10, 5)], 5.0)
+@example([pt(3, 4)], [pt(0, 0), pt(math.nextafter(3.0, 4.0), 4)], [seg(0, 0, 0, 10)], 3.0)
+@example([pt(1, 1), pt(1, 1)], [pt(1, 1)], [seg(1, 1, 2, 2)], 0.0)
+# one ulp under the distance: the prefilter proposes the pair, the scalar drops it
+@example([pt(3, 4)], [pt(0, 0)], [seg(0, 0, 0, 10)], math.nextafter(3.0, 0.0))
+@example([pt(3, 4)], [pt(0, 0)], [seg(0, 0, 0, 10)], math.nextafter(5.0, 0.0))
+@example([], [pt(1, 1)], [seg(0, 0, 1, 1)], 1.0)
+@example([pt(1, 1)], [], [], 1.0)
+def test_near_lists_matches_all_pairs_oracle(points, others, segments, limit):
+    # the lists of a[i]: every j whose scalar value is within limit, in order
+    assert_near_lists_match_oracle(points, others, segments, limit)
+
+
+@given(st.lists(grid_points, max_size=8), st.lists(grid_points, max_size=8),
+       st.lists(grid_segments, max_size=8), tols)
+@settings(max_examples=100, deadline=None)
+@example([pt(0, 0), pt(1, 1), pt(2, 2)], [pt(0, 0), pt(1, 1)], [seg(0, 0, 2, 0)], 1.0)
+def test_near_lists_in_blocks_of_a_few_pairs(points, others, segments, limit):
+    for block in (1, 3, 7):
+        with mock.patch.object(geometry, "_BLOCK_PAIRS", block):
+            assert_near_lists_match_oracle(points, others, segments, limit)

@@ -89,7 +89,6 @@ def test_config_validation():
 
 def test_cell_geometry():
     assert CFG.cell_w == pytest.approx(16 / 3)
-    assert CFG.bin_width == 24.0
     assert CFG.cell_of(Point(8.0, 2.0)) == (0, 1)
     assert CFG.cell_of(Point(320.0, 320.0)) == (59, 59)  # far edge stays in grid
     c = CFG.cell_center(0, 1)
@@ -174,7 +173,7 @@ def test_decode_drops_branchless():
 
 def junction_sets(cfg, max_junctions=8):
     """Collision-free junction sets: distinct cells, distinct bins."""
-    bw = cfg.bin_width
+    bw = 360.0 / cfg.bins
 
     def build(picks):
         out = []

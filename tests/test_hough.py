@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from wireframe.annotate import rasterize_segment, render_target_heatmap
+from conftest import segment_pixels
+from wireframe.annotate import render_target_heatmap
 from wireframe.construct import BinaryMask, binarize
 from wireframe.geometry import GeometryError, Point, Segment, point_segment_distance
 from wireframe.hough import _BLOCK, HoughParams, _walk_dir, hough_segments
@@ -11,7 +12,7 @@ from wireframe.synth import make_scene
 
 
 def draw(mask, seg):
-    for x, y in rasterize_segment(seg, mask.width, mask.height):
+    for x, y in segment_pixels(seg, mask.width, mask.height):
         mask.bits[y, x] = True
 
 
@@ -294,7 +295,7 @@ def test_outputs_supported_by_mask():
         draw(mask, s)
     original = [seg(*map(float, (s.a.x, s.a.y, s.b.x, s.b.y))) for s in wanted]
     for g in hough_segments(mask):
-        px = rasterize_segment(g, 150, 150)
+        px = segment_pixels(g, 150, 150)
         near = sum(
             1 for x, y in px
             if min(point_segment_distance(Point(float(x), float(y)), s)

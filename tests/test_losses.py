@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wireframe.geometry import Branch, GeometryError, Junction, Point
-from wireframe.gridcodec import GridConfig, GridEncoding, bin_to_angle, encode
+from wireframe.gridcodec import ARRAYS, GridConfig, GridEncoding, bin_to_angle, encode
 from wireframe.losses import (
     LossReport,
+    _ce_grad,
     LossWeights,
     _ce_terms,
     heatmap_l2_loss,
@@ -26,7 +27,7 @@ def make_junctions(cfg, cells_and_bins, rng):
         c = cfg.cell_center(row, col)
         dx, dy = rng.uniform(-0.4, 0.4, 2)
         branches = tuple(
-            Branch(bin_to_angle(k, rng.uniform(-0.4, 0.4) * cfg.bin_width, cfg.bins))
+            Branch(bin_to_angle(k, rng.uniform(-0.4, 0.4) * (360.0 / cfg.bins), cfg.bins))
             for k in sorted(bins_))
         out.append(Junction(Point(c.x + dx * cfg.cell_w, c.y + dy * cfg.cell_h),
                             branches))
@@ -41,7 +42,7 @@ def random_pred(cfg, rng):
         center_conf=rng.uniform(0.05, 0.95, (h, w)),
         displacement=rng.uniform(-2.0, 2.0, (h, w, 2)),
         bin_conf=rng.uniform(0.05, 0.95, (h, w, k)),
-        bin_residual=rng.uniform(-cfg.bin_width / 2, cfg.bin_width / 2, (h, w, k)),
+        bin_residual=rng.uniform(-360.0 / cfg.bins / 2, 360.0 / cfg.bins / 2, (h, w, k)),
     )
 
 
@@ -274,3 +275,128 @@ def test_sample_cells_validation():
 def test_sample_cells_rejects_bad_seed(seed):
     with pytest.raises(GeometryError):
         sample_cells(GridEncoding(GridConfig(32, 32, 8, 8, 15)), seed=seed)
+
+
+# -- the loss and its gradient before their set-up was shared, kept verbatim
+# so the shared set-up is checked bit for bit --
+
+def reference_check_mask(pred, sample_mask):
+    if sample_mask is None:
+        return np.ones((pred.config.grid_h, pred.config.grid_w), dtype=bool)
+    mask = np.asarray(sample_mask, dtype=bool)
+    want = (pred.config.grid_h, pred.config.grid_w)
+    if mask.shape != want:
+        raise GeometryError(f"sample mask shape {mask.shape} != grid {want}")
+    return mask
+
+
+def reference_wrap_deg(d):
+    return (d + 180.0) % 360.0 - 180.0
+
+
+def reference_junction_loss(pred, gt_junctions, weights=LossWeights(), sample_mask=None):
+    gt = encode(gt_junctions, pred.config)
+    mask = reference_check_mask(pred, sample_mask)
+
+    conf_c = float(_ce_terms(pred.center_conf, gt.center_conf)[mask].mean()) \
+        if mask.any() else 0.0
+
+    gt_cells = gt.center_conf == 1.0
+    n = int(gt_cells.sum())
+    loc_c = conf_b = loc_b = 0.0
+    if n:
+        derr = pred.displacement[gt_cells] - gt.displacement[gt_cells]
+        loc_c = float((derr ** 2).sum() / n)
+        conf_b = float(_ce_terms(pred.bin_conf[gt_cells], gt.bin_conf[gt_cells]).mean())
+        per_junction = []
+        for rows, cols in zip(*np.nonzero(gt_cells)):
+            occupied = gt.bin_conf[rows, cols] == 1.0
+            if not occupied.any():
+                per_junction.append(0.0)
+                continue
+            d = reference_wrap_deg(pred.bin_residual[rows, cols, occupied]
+                                   - gt.bin_residual[rows, cols, occupied])
+            per_junction.append(float((d ** 2).mean()))
+        loc_b = sum(per_junction) / n
+
+    total = (weights.conf_c * conf_c + weights.loc_c * loc_c
+             + weights.conf_b * conf_b + weights.loc_b * loc_b)
+    return LossReport(total, conf_c, loc_c, conf_b, loc_b)
+
+
+def reference_junction_loss_grad(pred, gt_junctions, weights=LossWeights(), sample_mask=None):
+    gt = encode(gt_junctions, pred.config)
+    mask = reference_check_mask(pred, sample_mask)
+    grad = GridEncoding(pred.config)
+
+    if mask.any():
+        g = _ce_grad(pred.center_conf, gt.center_conf) * (weights.conf_c / mask.sum())
+        grad.center_conf[mask] = g[mask]
+
+    gt_cells = gt.center_conf == 1.0
+    n = int(gt_cells.sum())
+    if not n:
+        return grad
+
+    grad.displacement[gt_cells] = (
+        2.0 * (pred.displacement[gt_cells] - gt.displacement[gt_cells])
+        * (weights.loc_c / n))
+
+    k = pred.config.bins
+    gb = _ce_grad(pred.bin_conf[gt_cells], gt.bin_conf[gt_cells])
+    grad.bin_conf[gt_cells] = gb * (weights.conf_b / (n * k))
+
+    for rows, cols in zip(*np.nonzero(gt_cells)):
+        occupied = gt.bin_conf[rows, cols] == 1.0
+        r_n = int(occupied.sum())
+        if not r_n:
+            continue
+        d = reference_wrap_deg(pred.bin_residual[rows, cols, occupied]
+                               - gt.bin_residual[rows, cols, occupied])
+        grad.bin_residual[rows, cols, occupied] = 2.0 * d * (weights.loc_b / (n * r_n))
+    return grad
+
+
+@st.composite
+def loss_cases(draw):
+    """A grid, ground truth on some cells (none, or cells whose junction has no
+    branch, included), a prediction with values on and past the clamp and
+    wrap edges, weights and a mask (None, empty or random)."""
+    cfg = GridConfig(draw(st.integers(4, 40)), draw(st.integers(4, 40)),
+                     draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(2, 6)))
+    h, w, k = cfg.grid_h, cfg.grid_w, cfg.bins
+    cells = draw(st.sets(st.integers(0, h * w - 1), max_size=h * w))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    gt = make_junctions(cfg, [(divmod(c, w), draw(st.sets(st.integers(0, k - 1))))
+                              for c in sorted(cells)], rng)
+
+    def field(shape, lo, hi, edges):
+        return np.where(rng.random(shape) < 0.2, rng.choice(edges, shape),
+                        rng.uniform(lo, hi, shape))
+
+    pred = GridEncoding(cfg, field((h, w), 0.0, 1.0, [0.0, 1.0, 1e-8, 1 - 1e-8]),
+                        field((h, w, 2), -3.0, 3.0, [0.0]),
+                        field((h, w, k), 0.0, 1.0, [0.0, 1.0, 1e-8]),
+                        field((h, w, k), -200.0, 200.0, [-180.0, 180.0, 0.0]))
+    weights = LossWeights(*draw(st.lists(st.sampled_from([0.0, 0.1, 1.0, 2.5]),
+                                         min_size=4, max_size=4)))
+    mask = draw(st.sampled_from([None, "empty", "random"]))
+    if mask == "empty":
+        mask = np.zeros((h, w), dtype=bool)
+    elif mask == "random":
+        mask = rng.random((h, w)) < 0.5
+    return pred, gt, weights, mask
+
+
+@given(loss_cases())
+@settings(max_examples=200, deadline=None)
+@example((GridEncoding(SMALL), [], LossWeights(), None))  # an empty scene
+@example((GridEncoding(SMALL), [Junction(Point(5.0, 5.0))], LossWeights(), None))  # no bins
+def test_loss_and_gradient_equal_the_unshared_set_up(case):
+    pred, gt, weights, mask = case
+    assert junction_loss(pred, gt, weights, mask) == reference_junction_loss(
+        pred, gt, weights, mask)
+    got = junction_loss_grad(pred, gt, weights, mask)
+    want = reference_junction_loss_grad(pred, gt, weights, mask)
+    for name in ARRAYS:
+        assert np.array_equal(getattr(got, name), getattr(want, name))
