@@ -109,6 +109,8 @@ def dedup_junctions(junctions: Sequence[Junction], rho_nms: float) -> list[Junct
     Walk junctions in descending confidence (ties by (y, x)); drop any
     junction within rho_nms of one already kept.
     """
+    if not 0 <= rho_nms < math.inf:  # NaN fails too
+        raise GeometryError(f"NMS radius {rho_nms} must be finite and >= 0")
     order = sorted(junctions, key=lambda j: (-j.confidence, j.center.y, j.center.x))
     centers = [j.center for j in order]
     xy = point_array(centers)

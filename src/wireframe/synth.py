@@ -12,24 +12,30 @@ exactly on both carrier lines, so the digital line between a crossing and a
 mask pixel tracks the mask rasterization instead of drifting half a pixel
 off it the way rounded float endpoints do.
 
-A candidate meets the scalar ``_row_check`` only on the accepted segments an
-array pass flags.  The rest surely pass: their four endpoint-to-line distances
-exceed MIN_CLEARANCE (with the ``within`` margin), which rules out a near end
-or a continuation, and their ends do not straddle each other's lines both
-ways, which rules out a crossing.  A row's verdict depends on that row alone,
-so likely failures are checked first; crossings keep the accepted order.
+Draws are decoded from blocks of raw words, and ``make_scene`` leaves the
+generator exactly where one-at-a-time draws would.  Candidates are screened
+_QUEUE at a time in one array pass over the accepted segments (after an
+accept, over the new one only).  A candidate that some segment surely
+rejects, or that needs a crossing while every segment is surely apart, is
+dropped there, since one failing segment rejects it.  The rest meet the
+scalar ``_row_check`` only on the segments the pass flags; the others surely
+pass, as their four endpoint-to-line distances exceed MIN_CLEARANCE (with
+the ``within`` margin) and their ends do not straddle each other's lines
+both ways.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .annotate import AnnotatedScene
 from .geometry import (GeometryError, Point, Segment, check_seed, point_array, point_distances,
-                       point_segment_distance, segment_intersection, within)
+                       point_segment_distance, segment_array,
+                       segment_intersection, surely_within, within)
 
 MIN_SEGMENTS = 5
 MAX_SEGMENTS = 30
@@ -47,14 +53,25 @@ MAX_ATTEMPTS = 20
 # Accepted segments below which the array pass costs more than the scalar
 # checks it saves (timed per candidate on 320^2 scenes): all rows are flagged.
 _ROW_CROSSOVER = 5
+# Candidates screened together, and draw passes decoded in a first block
+# (each next one is twice as large, up to 16 times).
+_QUEUE, _BLOCK = 32, 1024
+# Distance (px) beyond which a sign is sure: far above the ulps of either
+# form, below the least nonzero distance of integer endpoints (1 / length).
+_SIDE = 1e-6
 _SIN_CROSS = math.sin(math.radians(MIN_CROSS_ANGLE))
-# A candidate's (5, 8) matrix as indices into (0, 1, nx, ny, c, a.x, a.y,
-# b.x, b.y, -ny).  Times a segment's column it gives the signed distances of
-# the segment's a and b from the candidate's line, of the candidate's a and b
-# from the segment's line, and the sine of the angle between the two.
-_PASS = np.array([[2, 3, 0, 0, 0, 0, 0, 4], [0, 0, 2, 3, 0, 0, 0, 4],
-                  [0, 0, 0, 0, 5, 6, 1, 0], [0, 0, 0, 0, 7, 8, 1, 0],
-                  [0, 0, 0, 0, 9, 2, 0, 0]])
+# A candidate's (13, 10) matrix as indices into its ``_lines`` row.  Times a
+# segment's column it gives the signed distances of the segment's a and b
+# from the candidate's line and of the candidate's a and b from the
+# segment's, the sine of the angle between the lines, and for the same four
+# ends the coordinate along the other line, from its a and from its b.
+_PASS = np.array([[2, 3, 0, 0, 0, 0, 0, 4, 0, 0], [0, 0, 2, 3, 0, 0, 0, 4, 0, 0],
+                  [0, 0, 0, 0, 5, 6, 1, 0, 0, 0], [0, 0, 0, 0, 7, 8, 1, 0, 0, 0],
+                  [0, 0, 0, 0, 9, 2, 0, 0, 0, 0], [9, 2, 0, 0, 0, 0, 0, 10, 0, 0],
+                  [0, 0, 9, 2, 0, 0, 0, 10, 0, 0], [0, 0, 0, 0, 6, 12, 0, 0, 1, 0],
+                  [0, 0, 0, 0, 8, 13, 0, 0, 1, 0], [9, 2, 0, 0, 0, 0, 0, 11, 0, 0],
+                  [0, 0, 9, 2, 0, 0, 0, 11, 0, 0], [0, 0, 0, 0, 6, 12, 0, 0, 0, 1],
+                  [0, 0, 0, 0, 8, 13, 0, 0, 0, 1]])
 
 
 def _crossing_angle(s: Segment, t: Segment) -> float:
@@ -74,25 +91,94 @@ def _min_separation(s: Segment, t: Segment) -> float:
                point_segment_distance(t.a, s), point_segment_distance(t.b, s))
 
 
-def _unit_line(s: Segment) -> tuple[float, float, float]:
-    """Unit normal (nx, ny) and offset c of the line through s: nx*x + ny*y + c."""
+def _unit_line(s: Segment) -> tuple[float, float, float, float]:
+    """Unit normal (nx, ny) and offset c of the line through s, nx*x + ny*y + c,
+    and the offset e of the coordinate along it from s.a, -ny*x + nx*y + e."""
     length = s.length
     nx, ny = (s.b.y - s.a.y) / length, (s.a.x - s.b.x) / length
-    return nx, ny, -(nx * s.a.x + ny * s.a.y)
+    return nx, ny, -(nx * s.a.x + ny * s.a.y), ny * s.a.x - nx * s.a.y
+
+
+def _lines(q: np.ndarray) -> np.ndarray:
+    """Rows (0, 1, nx, ny, c, a.x, a.y, b.x, b.y, -ny, e, e - length, -a.x,
+    -b.x) of (K, 4) segments, with ``_unit_line``'s terms."""
+    d = q[:, 2:] - q[:, :2]
+    length = np.hypot(d[:, 0], d[:, 1])
+    nx, ny = d[:, 1] / length, -d[:, 0] / length
+    c, e = -(nx * q[:, 0] + ny * q[:, 1]), ny * q[:, 0] - nx * q[:, 1]
+    return np.column_stack([0 * c, 0 * c + 1, nx, ny, c, q, -ny, e, e - length, -q[:, ::2]])
+
+
+def _ends(x1: int, y1: int, theta: float, length: float, width: int,
+          height: int) -> Optional[tuple[int, int, int, int]]:
+    """A draw pass's candidate, or None if its far end misses the image."""
+    x2, y2 = round(x1 + length * math.cos(theta)), round(y1 + length * math.sin(theta))
+    if ENDPOINT_MARGIN <= x2 <= width - ENDPOINT_MARGIN and \
+            ENDPOINT_MARGIN <= y2 <= height - ENDPOINT_MARGIN and \
+            math.hypot(x2 - x1, y2 - y1) >= MIN_LENGTH:
+        return x1, y1, x2, y2
 
 
 def _candidate(rng: np.random.Generator, width: int, height: int) -> Segment:
     while True:
-        x1 = int(rng.integers(ENDPOINT_MARGIN, width - ENDPOINT_MARGIN + 1))
-        y1 = int(rng.integers(ENDPOINT_MARGIN, height - ENDPOINT_MARGIN + 1))
-        theta = rng.uniform(0, 2 * math.pi)
-        length = rng.uniform(MIN_LENGTH, MAX_LENGTH_FRAC * min(width, height))
-        x2 = round(x1 + length * math.cos(theta))
-        y2 = round(y1 + length * math.sin(theta))
-        if ENDPOINT_MARGIN <= x2 <= width - ENDPOINT_MARGIN and \
-                ENDPOINT_MARGIN <= y2 <= height - ENDPOINT_MARGIN and \
-                math.hypot(x2 - x1, y2 - y1) >= MIN_LENGTH:
-            return Segment(Point(float(x1), float(y1)), Point(float(x2), float(y2)))
+        ends = _ends(int(rng.integers(ENDPOINT_MARGIN, width - ENDPOINT_MARGIN + 1)),
+                     int(rng.integers(ENDPOINT_MARGIN, height - ENDPOINT_MARGIN + 1)),
+                     rng.uniform(0, 2 * math.pi),
+                     rng.uniform(MIN_LENGTH, MAX_LENGTH_FRAC * min(width, height)),
+                     width, height)
+        if ends:
+            return Segment(Point(*map(float, ends[:2])), Point(*map(float, ends[2:])))
+
+
+def _seek(bg: np.random.BitGenerator, mark: tuple) -> None:
+    """Put the generator at a mark: a state, the raw words drawn after it,
+    and the 32-bit half then left over."""
+    state, words, half = mark
+    bg.state = state
+    if words:
+        bg.random_raw(words)
+        bg.state = {**bg.state, "uinteger": half}
+
+
+def _draws(rng: np.random.Generator, width: int, height: int) -> Iterator[tuple]:
+    """``_candidate``'s candidates, each as its ends and the mark where it
+    leaves the generator.  A pass (x1, y1, angle, length) takes three raw
+    words: numpy's Lemire draw in [lo, lo + r) is ``(v * r) >> 32`` of a
+    32-bit v (a word's low half, then its high one; a half left over comes
+    first), redrawn while ``(v * r) mod 2^32 < (2^32 - r) mod r``, and a
+    double is ``(w >> 11) * 2^-53``.  An array test proposes the passes
+    whose far end may land in the image; ``_ends`` decides each.  A pass
+    that would redraw, and a generator with no 32-bit buffer (MT19937), go
+    through ``_candidate``."""
+    bg, mid = rng.bit_generator, np.array([width, height]) / 2
+    scale = (2 * math.pi, MAX_LENGTH_FRAC * min(width, height) - MIN_LENGTH)
+    half, size = bg.state.get("uinteger"), _BLOCK
+    while True:
+        state = bg.state
+        if "has_uint32" in state and max(width, height) < 1 << 31:
+            state["uinteger"] = half  # random_raw leaves the 32-bit buffer alone
+            span = np.array([width, height], dtype=np.uint64) - int(2 * ENDPOINT_MARGIN - 1)
+            w = bg.random_raw(3 * size).reshape(-1, 3)
+            lo, hi = w[:, 0] & 0xFFFFFFFF, w[:, 0] >> 32
+            m = np.column_stack([np.append(np.uint64(half), hi[:-1]), lo] if state["has_uint32"]
+                                else [lo, hi]) * span
+            redraw = ((m & 0xFFFFFFFF) < (2 ** 32 - span) % span).any(axis=1)
+            k = int(np.append(redraw, True).argmax())  # passes before the first redraw
+            x1, y1 = ((m[:k] >> 32) + int(ENDPOINT_MARGIN)).T
+            theta, length = ((w[:k, 1:] >> 11) * 2.0 ** -53 * scale + (0.0, MIN_LENGTH)).T
+            far = np.column_stack([x1 + length * np.cos(theta), y1 + length * np.sin(theta)])
+            j = np.flatnonzero((np.abs(far - mid) <= mid - ENDPOINT_MARGIN + 1).all(axis=1))
+            for words, h, *draw in zip(*(a.tolist() for a in (3 * j + 3, hi[j], x1[j], y1[j],
+                                                              theta[j], length[j]))):
+                if ends := _ends(*draw, width, height):
+                    yield ends, (state, words, h)
+            half, size = int(hi[k - 1]) if k else half, min(2 * size, 16 * _BLOCK)
+            if k == len(w):
+                continue
+            _seek(bg, (state, 3 * k, half))
+        s = _candidate(rng, width, height)
+        yield (s.a.x, s.a.y, s.b.x, s.b.y), (bg.state, 0, None)
+        half = bg.state.get("uinteger")
 
 
 def _row_check(cand: Segment, other: Segment, width: int, height: int) -> Point | bool | None:
@@ -121,50 +207,101 @@ def _row_check(cand: Segment, other: Segment, width: int, height: int) -> Point 
 
 class _Layout:
     """Accepted segments and crossings, with array copies: a column per segment
-    (a.x, a.y, b.x, b.y, its unit line nx, ny, c, and 1), a row per crossing."""
+    (a.x, a.y, b.x, b.y, its ``_unit_line`` nx, ny, c, then 1, e, e - length),
+    a row per crossing."""
 
     def __init__(self) -> None:
         self.segments: list[Segment] = []
         self.junctions: list[Point] = []
-        self.cols, self.points = np.empty((8, 0)), np.empty((0, 2))
+        self.cols, self.points = np.empty((10, 0)), np.empty((0, 2))
 
     def add(self, seg: Segment, crossings: list[Point]) -> None:
-        col = (seg.a.x, seg.a.y, seg.b.x, seg.b.y, *_unit_line(seg), 1.0)
+        nx, ny, c, e = _unit_line(seg)
+        col = (seg.a.x, seg.a.y, seg.b.x, seg.b.y, nx, ny, c, 1.0, e, e - seg.length)
         self.cols = np.column_stack([self.cols, col])
         self.points = np.concatenate([self.points, point_array(crossings)])
         self.segments.append(seg)
         self.junctions.extend(crossings)
 
-    def flagged(self, cand: Segment) -> Iterator[int]:
-        """Rows that may fail ``_row_check`` for the candidate, likeliest
-        failures first: shallow crossings, near rows, then other crossings.
-        Every row below _ROW_CROSSOVER."""
-        n = len(self.segments)
+    def screen(self, lines: np.ndarray, width: int, height: int,
+               start: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """For candidates given by their ``_lines`` rows, against the segments
+        from ``start`` on: which a segment surely rejects (K,), and per pair
+        (K, segments) which are surely apart and which may fail ``_row_check``
+        (a near end or a crossing)."""
+        cols = self.cols[:, start:]
+        g = lines[:, _PASS].swapaxes(0, 1) @ cols  # (13, K, segments)
+        dist, across = np.abs(g[:4]), g[0:4:2] * g[1:4:2]  # the ends straddle a line if < 0
+        sure = np.minimum(dist[0::2], dist[1::2]) > _SIDE
+        apart = ((across > 0) & sure).any(axis=0)
+        near = within(dist.min(axis=0), MIN_CLEARANCE)
+        rejected = np.zeros(len(lines), dtype=bool)
+        k, i = np.nonzero(((across < 0) & sure).all(axis=0))  # sure crossings
+        d, q = np.abs(g[:, k, i]), lines[k, 5:9]
+        p = q[:, :2] + (d[2] / (d[2] + d[3]))[:, None] * (q[:, 2:] - q[:, :2])  # the crossing
+        mid = np.array([width, height]) / 2
+        out = ~within(np.abs(p - mid) - (mid - JUNCTION_MARGIN), 0.0).all(axis=1)
+        rejected[k[out | surely_within(d[4], _SIN_CROSS)
+                   | surely_within(d[:4].min(axis=0), MIN_STUB * d[4])]] = True
+        k, i = np.nonzero(apart & near)  # an end surely near the other segment, facing it
+        d = g[:, k, i]
+        rejected[k[(surely_within(np.abs(d[:4]), MIN_CLEARANCE)
+                    & (np.minimum(d[5:9], -d[9:]) > _SIDE)).any(axis=0)]] = True
+        return rejected, apart, near | (across < 0).all(axis=0)
+
+
+class _Queue:
+    """Candidates drawn ahead of ``make_scene``'s loop and screened together;
+    ``mark`` is where the last one taken leaves the generator."""
+
+    def __init__(self, rng: np.random.Generator, width: int, height: int) -> None:
+        self.size, self.draws = (width, height), _draws(rng, width, height)
+        self.mark, self.ends, self.i = (rng.bit_generator.state, 0, None), (), 0
+
+    def pop(self, layout: _Layout) -> tuple[tuple, Optional[Sequence[int]]]:
+        """The next candidate's ends and the rows to check by hand, None if
+        the array pass rejects it."""
+        if self.i == len(self.ends):
+            self.ends, self.marks = zip(*itertools.islice(self.draws, _QUEUE))
+            self.lines, self.i, self.seen = _lines(np.array(self.ends, float)), 0, (None, 0)
+        i, n = self.i, len(layout.segments)
+        self.i, self.mark = i + 1, self.marks[i]
         if n < _ROW_CROSSOVER:
-            yield from range(n)
-            return
-        nx, ny, c = _unit_line(cand)
-        a, b = cand.a, cand.b
-        g = np.array((0.0, 1.0, nx, ny, c, a.x, a.y, b.x, b.y, -ny))[_PASS] @ self.cols
-        crossing = np.maximum(g[0] * g[1], g[2] * g[3]) < 0.0  # straddle both ways
-        shallow = crossing & (np.abs(g[4]) < _SIN_CROSS)
-        yield from shallow.nonzero()[0].tolist()
-        near = within(np.abs(g[:4]).min(axis=0), MIN_CLEARANCE)
-        yield from (near & ~shallow).nonzero()[0].tolist()
-        yield from (crossing & ~(near | shallow)).nonzero()[0].tolist()
+            return self.ends[i], range(n)
+        if self.seen != (layout, n):  # screen the new segments, or all of a new layout
+            start = self.seen[1] if self.seen[0] is layout else 0
+            screen = layout.screen(self.lines, *self.size, start)
+            if start:
+                screen = (screen[0] | self.screen[0],
+                          *(np.hstack(pair) for pair in zip(self.screen[1:], screen[1:])))
+            self.screen, self.seen = screen, (layout, n)
+            # a candidate needs a crossing once a segment is placed
+            self.dropped = (screen[0] | (n > 0) & screen[1].all(axis=1)).tolist()
+        if self.dropped[i]:
+            return self.ends[i], None
+        return self.ends[i], np.flatnonzero(self.screen[2][i]).tolist()
 
 
-def _check(cand: Segment, layout: _Layout, width: int, height: int,
-           need_crossing: bool) -> Optional[list[Point]]:
-    """New crossings if the candidate is acceptable, else None."""
-    found = {}
-    for i in layout.flagged(cand):
+def _check(cand: Segment, layout: _Layout, width: int, height: int, need_crossing: bool,
+           rows: Optional[Sequence[int]] = None) -> Optional[list[Point]]:
+    """New crossings if the candidate is acceptable, else None.  Only
+    ``rows`` are checked by hand, by default the rows the array pass leaves
+    (all of them below _ROW_CROSSOVER)."""
+    if rows is None:
+        rows = range(len(layout.segments))
+        if len(rows) >= _ROW_CROSSOVER:
+            screen = layout.screen(_lines(segment_array([cand])), width, height)
+            rejected, apart, flagged = (a[0] for a in screen)
+            if rejected or (need_crossing and apart.all()):
+                return None
+            rows = np.flatnonzero(flagged).tolist()
+    new = []
+    for i in rows:
         p = _row_check(cand, layout.segments[i], width, height)
         if p is False:
             return None
         if p is not None:
-            found[i] = p
-    new = [found[i] for i in sorted(found)]
+            new.append(p)
     if need_crossing and not new:
         return None
     xy = point_array(new)
@@ -189,26 +326,32 @@ def make_scene(rng: np.random.Generator, width: int = 320, height: int = 320,
     if n_segments is None:
         n_segments = int(rng.integers(MIN_SEGMENTS, MAX_SEGMENTS + 1))
     floor = min(n_segments, MIN_SEGMENTS)
-    for _ in range(MAX_ATTEMPTS):
-        layout = _Layout()
-        # the second segment must cross the first, and every later one must
-        # cross something already placed, so no segment ends up isolated
-        while len(layout.segments) < n_segments:
-            for _ in range(max_tries):
-                cand = _candidate(rng, width, height)
-                crossings = _check(cand, layout, width, height,
-                                   need_crossing=bool(layout.segments))
-                if crossings is not None:
-                    layout.add(cand, crossings)
-                    break
-            else:
-                break  # crowded: settle for fewer, or redraw below
-        if len(layout.segments) >= floor:
-            return AnnotatedScene(width, height, tuple(layout.segments))
-        # an awkward early segment (say, hugging the border) can block all
-        # crossings; scrap the attempt and redraw from scratch
-    raise GeometryError(f"no {width}x{height} scene with {floor} crossing segments "
-                        f"in {MAX_ATTEMPTS} attempts")
+    queue = _Queue(rng, width, height)
+    try:
+        for _ in range(MAX_ATTEMPTS):
+            layout = _Layout()
+            # the second segment must cross the first, and every later one must
+            # cross something already placed, so no segment ends up isolated
+            while len(layout.segments) < n_segments:
+                for _ in range(max_tries):
+                    ends, rows = queue.pop(layout)
+                    if rows is None:
+                        continue
+                    cand = Segment(Point(*map(float, ends[:2])), Point(*map(float, ends[2:])))
+                    crossings = _check(cand, layout, width, height, bool(layout.segments), rows)
+                    if crossings is not None:
+                        layout.add(cand, crossings)
+                        break
+                else:
+                    break  # crowded: settle for fewer, or redraw below
+            if len(layout.segments) >= floor:
+                return AnnotatedScene(width, height, tuple(layout.segments))
+            # an awkward early segment (say, hugging the border) can block all
+            # crossings; scrap the attempt and redraw from scratch
+        raise GeometryError(f"no {width}x{height} scene with {floor} crossing segments "
+                            f"in {MAX_ATTEMPTS} attempts")
+    finally:
+        _seek(rng.bit_generator, queue.mark)
 
 
 def make_scenes(seed: int, count: int, width: int = 320,

@@ -76,6 +76,14 @@ def test_dedup_chain():
     assert dedup_junctions([a, b, c], 5.0) == [a, c]
 
 
+@pytest.mark.parametrize("rho", [float("nan"), float("inf"), -1.0])
+def test_dedup_rejects_bad_radius(rho):
+    # NaN would otherwise propose every pair and keep every junction
+    js = [jn(0, 0, [0], 0.9), jn(50, 0, [0], 0.8), jn(100, 0, [0], 0.7)]
+    with pytest.raises(GeometryError, match="NMS radius"):
+        dedup_junctions(js, rho)
+
+
 def test_binarize():
     hm = HeatMap(3, 1, np.array([[5.0, 10.0, 15.0]]))
     assert binarize(hm, 10.0).bits.tolist() == [[False, False, True]]

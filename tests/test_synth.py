@@ -1,16 +1,18 @@
+import itertools
 import math
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from wireframe import synth
 from wireframe.annotate import AnnotatedScene
-from wireframe.geometry import GeometryError, Point, Segment, segment_intersection
+from wireframe.geometry import GeometryError, Point, Segment, segment_array, segment_intersection
 from wireframe.synth import (JUNCTION_MARGIN, MAX_ATTEMPTS, MAX_SEGMENTS, MIN_CLEARANCE,
                              MIN_CROSS_ANGLE, MIN_JUNCTION_SEP, MIN_SEGMENTS, MIN_STUB,
-                             _candidate, _check, _crossing_angle,
-                             _Layout, _line_distance, _min_separation, make_scene, make_scenes)
+                             _candidate, _check, _crossing_angle, _draws, _Layout, _line_distance,
+                             _lines, _min_separation, _row_check, _seek, make_scene, make_scenes)
 
 # every row to the array pass, or none
 CROSSOVERS = [0, 10 ** 9]
@@ -96,33 +98,109 @@ def both_agree(monkeypatch, cand, segments, junctions, width, height, need_cross
     return want
 
 
+def same_state(a, b):
+    """``bit_generator.state`` equality; Philox and SFC64 keep arrays in it."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
+
+
 @pytest.mark.parametrize("size, n_segments, keys", [
     (320, None, range(6)), (640, 60, [0, 1]), (960, 120, [0])])
 def test_make_scene_matches_reference(size, n_segments, keys):
-    # the benchmark pool keys: same rng stream, byte-identical scenes
+    # the benchmark pool keys: byte-identical scenes, and the generator left
+    # where the one-at-a-time draws leave it
     for k in keys:
-        got = make_scene(np.random.default_rng([size, k]), size, size, n_segments)
-        want = reference_make_scene(np.random.default_rng([size, k]), size, size, n_segments)
-        assert got == want
+        rng, ref = np.random.default_rng([size, k]), np.random.default_rng([size, k])
+        assert make_scene(rng, size, size, n_segments) == \
+            reference_make_scene(ref, size, size, n_segments)
+        assert same_state(rng.bit_generator.state, ref.bit_generator.state)
+
+
+@pytest.mark.parametrize("crossover", [synth._ROW_CROSSOVER, 0])
+def test_make_scene_state_after_error_and_between_scenes(monkeypatch, crossover):
+    # at 64x64 every attempt is scrapped; crossover 0 screens its layouts too
+    monkeypatch.setattr(synth, "_ROW_CROSSOVER", crossover)
+    rng, ref = np.random.default_rng(0), np.random.default_rng(0)
+    with pytest.raises(GeometryError):
+        make_scene(rng, 64, 64)
+    with pytest.raises(GeometryError):
+        reference_make_scene(ref, 64, 64)
+    assert same_state(rng.bit_generator.state, ref.bit_generator.state)
+    ref = np.random.default_rng(7)
+    assert make_scenes(7, 5) == [reference_make_scene(ref) for _ in range(5)]
+
+
+def take(rng, width, height, n):
+    """n candidates of ``_draws``, with the generator put after the last."""
+    got = list(itertools.islice(_draws(rng, width, height), n))
+    _seek(rng.bit_generator, got[-1][1])
+    return [seg(*ends) for ends, _ in got]
+
+
+BIT_GENERATORS = [np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64,
+                  np.random.MT19937]
+
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda b: b.__name__)
+@pytest.mark.parametrize("buffered", [False, True])
+@pytest.mark.parametrize("width, height, n", [(50, 50, 12), (320, 200, 700), (961, 640, 300)])
+def test_draws_match_candidate(bit_generator, buffered, width, height, n):
+    # the block decoder gives _candidate's segments and leaves the same
+    # state, with a 32-bit half left over on entry or not, across blocks
+    for seed in range(3):
+        rng, ref = (np.random.Generator(bit_generator(seed)) for _ in range(2))
+        if buffered:
+            rng.integers(5, 31), ref.integers(5, 31)
+        assert rng.bit_generator.state.get("has_uint32", int(buffered)) == int(buffered)
+        assert take(rng, width, height, n) == [_candidate(ref, width, height) for _ in range(n)]
+        assert same_state(rng.bit_generator.state, ref.bit_generator.state)
+        assert rng.random() == ref.random()
+
+
+# default_rng(0)'s raw word 315592 has a low half that Lemire's method
+# redraws for the 305 values of a 320 px side (found by scanning the stream)
+REDRAW_SEED, REDRAW_WORD = 0, 315592
+
+
+@pytest.mark.parametrize("passes_before", [0, 10])
+@pytest.mark.parametrize("buffered", [False, True])
+def test_draws_match_candidate_through_a_redraw(passes_before, buffered):
+    word = np.random.default_rng(REDRAW_SEED).bit_generator.random_raw(REDRAW_WORD + 1)[-1]
+    assert (int(word) & 0xFFFFFFFF) * 305 % 2 ** 32 < (2 ** 32 - 305) % 305
+    rng, ref = (np.random.default_rng(REDRAW_SEED) for _ in range(2))
+    for r in (rng, ref):
+        # the redraw hits x1 of a pass, or y1 after a half left over
+        r.bit_generator.random_raw(REDRAW_WORD - 3 * passes_before - buffered)
+        if buffered:
+            r.integers(5, 31)
+    assert take(rng, 320, 320, 40) == [_candidate(ref, 320, 320) for _ in range(40)]
+    assert same_state(rng.bit_generator.state, ref.bit_generator.state)
 
 
 @pytest.mark.parametrize("size, n_segments, key", [(320, None, 7), (640, 60, 2), (960, 40, 3)])
 def test_check_matches_reference_while_growing(monkeypatch, size, n_segments, key):
-    # every state a scene passes through, on both sides of the crossover
-    check = synth._check
+    # every candidate a scene draws: the queue's verdict, and _check on both
+    # sides of the crossover, against the reference
+    pop, crossover = synth._Queue.pop, synth._ROW_CROSSOVER
     seen = []
 
-    def checked(cand, layout, width, height, need_crossing):
+    def popped(queue, layout):
+        ends, rows = pop(queue, layout)
+        cand, need = seg(*ends), bool(layout.segments)
         want = reference_check(cand, list(layout.segments), list(layout.junctions),
-                               width, height, need_crossing)
-        for crossover in CROSSOVERS:
-            synth._ROW_CROSSOVER = crossover
-            assert check(cand, layout, width, height, need_crossing) == want
+                               size, size, need)
+        assert (want is None if rows is None else _check(cand, layout, size, size, need, rows)
+                == want)
+        for c in CROSSOVERS:
+            synth._ROW_CROSSOVER = c
+            assert _check(cand, layout, size, size, need) == want
+        synth._ROW_CROSSOVER = crossover
         seen.append(want is not None)
-        return want
+        return ends, rows
 
-    monkeypatch.setattr(synth, "_ROW_CROSSOVER", synth._ROW_CROSSOVER)
-    monkeypatch.setattr(synth, "_check", checked)
+    monkeypatch.setattr(synth, "_ROW_CROSSOVER", crossover)
+    monkeypatch.setattr(synth._Queue, "pop", popped)
     make_scene(np.random.default_rng([size, key]), size, size, n_segments)
     assert any(seen) and not all(seen)
 
@@ -225,36 +303,51 @@ def test_check_junction_separation(monkeypatch):
         assert (got is not None) == accepted
 
 
+def screen_one(cand, segments, width=320, height=320):
+    """The array pass on one candidate: (rejected, apart row mask, flagged row mask)."""
+    return [a[0] for a in layout_of(segments).screen(_lines(segment_array([cand])), width, height)]
+
+
 def test_crossings_in_accepted_order(monkeypatch):
-    # row 3 ends 5.4 px past the candidate's line, so it is decided first,
-    # but the crossings still come back in row order
+    # row 3, inserted last, crosses between rows 2 and 4: the pass flags all
+    # nine rows and the crossings come back in row order
     rows = [seg(40 + 30 * i, 40, 40 + 30 * i, 280) for i in range(8)]
     rows.insert(3, seg(65, 130, 124, 165.4))
     cand = seg(30, 160, 290, 160)
-    monkeypatch.setattr(synth, "_ROW_CROSSOVER", 0)
-    assert next(layout_of(rows).flagged(cand)) == 3
+    rejected, apart, flagged = screen_one(cand, rows)
+    assert not rejected and not apart.any() and flagged.all()
     got = both_agree(monkeypatch, cand, rows, [], 320, 320, True)
     assert [p.x for p in got] == pytest.approx([40, 70, 100, 115, 130, 160, 190, 220, 250])
 
 
-def test_small_image_raises_in_bounded_time():
-
-    # a 64x64 image leaves a 16 px window for crossings: the redraws give
-    # up after a bounded number of attempts instead of looping forever
+def raises_within(size, seconds):
     outcome = []
 
     def attempt():
         try:
-            make_scene(np.random.default_rng(0), 64, 64)
+            make_scene(np.random.default_rng(0), size, size)
             outcome.append(None)
         except GeometryError as e:
             outcome.append(e)
 
     worker = threading.Thread(target=attempt, daemon=True)
     worker.start()
-    worker.join(timeout=30.0)
-    assert outcome, "make_scene(64x64) did not return within 30 s"
-    assert isinstance(outcome[0], GeometryError) and "64x64" in str(outcome[0])
+    worker.join(timeout=seconds)
+    assert outcome, f"make_scene({size}x{size}) did not return within {seconds} s"
+    assert isinstance(outcome[0], GeometryError) and f"{size}x{size}" in str(outcome[0])
+
+
+def test_small_image_raises_in_bounded_time():
+    # a 64x64 image leaves a 16 px window for crossings: the redraws give
+    # up after a bounded number of attempts instead of looping forever
+    raises_within(64, 30.0)
+
+
+def test_smallest_image_raises_in_bounded_time():
+    # at 50x50 every segment is 40 px and about one draw pass in 250 lands
+    # inside; the block decoder settles those passes in arrays (it took
+    # about 25 s one pass at a time)
+    raises_within(50, 10.0)
 
 
 @pytest.mark.parametrize("width, height", [(16, 16), (49, 320), (320, 1)])
@@ -267,3 +360,116 @@ def test_image_too_small_for_a_segment(width, height):
 def test_make_scenes_rejects_bad_seed_and_count(seed, count):
     with pytest.raises(GeometryError):
         make_scenes(seed, count)
+
+
+# -- the array pass's sure verdicts against the scalar row check --
+
+def assert_screen_sound(cand, other, width=320, height=320):
+    """A sure reject is a scalar reject, a sure apart row gives no crossing,
+    and a row left unflagged passes."""
+    want = _row_check(cand, other, width, height)
+    rejected, apart, flagged = screen_one(cand, [other], width, height)
+    assert not rejected or want is False
+    assert not apart[0] or not isinstance(want, Point)
+    assert flagged[0] or want is None
+    return rejected
+
+
+coords = st.floats(0.0, 320.0)
+
+
+@st.composite
+def row_pairs(draw):
+    """(candidate, accepted segment) endpoints, the candidate placed about a
+    point near the other's line: crossings, T ends and near misses at any
+    angle and stub length; integer endpoints half of the time."""
+    ax, ay, bx, by = draw(st.tuples(coords, coords, coords, coords))
+    length = math.hypot(bx - ax, by - ay)
+    assume(length > 1.0)
+    tx, ty = (bx - ax) / length, (by - ay) / length
+    u, off = draw(st.floats(-0.3, 1.3)), draw(st.floats(-9.0, 9.0))
+    px, py = ax + u * (bx - ax) - off * ty, ay + u * (by - ay) + off * tx
+    phi = math.radians(draw(st.floats(0.0, 180.0)))
+    cx, cy = tx * math.cos(phi) - ty * math.sin(phi), tx * math.sin(phi) + ty * math.cos(phi)
+    s1, s2 = draw(st.floats(0.0, 40.0)), draw(st.floats(0.5, 200.0))
+    cand = (px - s1 * cx, py - s1 * cy, px + s2 * cx, py + s2 * cy)
+    if draw(st.booleans()):
+        cand = tuple(float(round(v)) for v in cand)
+    assume(cand[:2] != cand[2:])
+    return cand, (ax, ay, bx, by)
+
+
+def ulps(v):
+    return [math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf)]
+
+
+def crossing_at(x):
+    """A horizontal candidate crossing a vertical segment at (x, 100)."""
+    return (x - 30, 100.0, x + 30, 100.0), (x, 50.0, x, 150.0)
+
+
+C25, S25 = math.cos(math.radians(MIN_CROSS_ANGLE)), math.sin(math.radians(MIN_CROSS_ANGLE))
+HT = (100.0, 100.0, 200.0, 100.0)  # H as a tuple
+
+
+@given(row_pairs())
+@settings(max_examples=600, deadline=None)
+# stub exactly MIN_STUB, one ulp either side
+@example(((150.0, ulps(90.0)[0], 150.0, 200.0), HT))
+@example(((150.0, 90.0, 150.0, 200.0), HT))
+@example(((150.0, ulps(90.0)[2], 150.0, 200.0), HT))
+# crossing on the junction window's edges
+@example(crossing_at(ulps(JUNCTION_MARGIN)[0]))
+@example(crossing_at(JUNCTION_MARGIN))
+@example(crossing_at(ulps(JUNCTION_MARGIN)[2]))
+@example(crossing_at(ulps(320 - JUNCTION_MARGIN)[0]))
+@example(crossing_at(320 - JUNCTION_MARGIN))
+@example(crossing_at(ulps(320 - JUNCTION_MARGIN)[2]))
+# crossing angle MIN_CROSS_ANGLE, one ulp either side
+@example(((200 - 80 * C25, 200 - 80 * S25, 200 + 80 * C25, ulps(200 + 80 * S25)[0]),
+          (100.0, 200.0, 300.0, 200.0)))
+@example(((200 - 80 * C25, 200 - 80 * S25, 200 + 80 * C25, 200 + 80 * S25),
+          (100.0, 200.0, 300.0, 200.0)))
+@example(((200 - 80 * C25, 200 - 80 * S25, 200 + 80 * C25, ulps(200 + 80 * S25)[2]),
+          (100.0, 200.0, 300.0, 200.0)))
+# clearance MIN_CLEARANCE, one ulp either side: parallel, and an end facing the segment
+@example(((100.0, ulps(106.0)[0], 200.0, ulps(106.0)[0]), HT))
+@example(((100.0, 106.0, 200.0, 106.0), HT))
+@example(((100.0, ulps(106.0)[2], 200.0, ulps(106.0)[2]), HT))
+@example(((150.0, ulps(106.0)[0], 150.0, 200.0), HT))
+@example(((150.0, 106.0, 150.0, 200.0), HT))
+@example(((150.0, ulps(106.0)[2], 150.0, 200.0), HT))
+# an end within 6 px of the other's line but just past its end, 6 px away
+@example(((200.0005, 105.99999999, 200.0005, 200.0), HT))
+# an end on the other's line, one ulp either side
+@example(((150.0, ulps(100.0)[0], 150.0, 200.0), HT))
+@example(((150.0, 100.0, 150.0, 200.0), HT))
+@example(((150.0, ulps(100.0)[2], 150.0, 200.0), HT))
+def test_screen_agrees_with_row_check(pair):
+    assert_screen_sound(*(seg(*s) for s in pair))
+
+
+@pytest.mark.parametrize("cand", [
+    seg(150, 94, 150, 200),   # a 6 px stub
+    seg(150, 108, 150, 40),   # an 8 px stub, at the candidate's a
+    seg(16, 100, 60, 100),    # crossing a row at x = 20, outside the window
+    seg(120, 105, 220, 105),  # parallel 5 px away, overlapping
+    seg(150, 103, 150, 200),  # an end 3 px from the row's middle
+])
+def test_screen_settles_sure_rejects(monkeypatch, cand):
+    # no scalar row check runs for them
+    row = seg(20, 50, 20, 150) if cand.a.x == 16 else H
+    assert assert_screen_sound(cand, row)
+    assert _row_check(cand, row, 320, 320) is False
+    monkeypatch.setattr(synth, "_row_check", None)
+    assert _check(cand, layout_of([row] * 5), 320, 320, need_crossing=True) is None
+
+
+def test_screen_drops_a_candidate_no_row_can_cross(monkeypatch):
+    rows = [seg(40 + 30 * i, 40, 40 + 30 * i, 120) for i in range(6)]
+    cand = seg(30, 200, 290, 200)
+    rejected, apart, flagged = screen_one(cand, rows)
+    assert not rejected and apart.all() and not flagged.any()
+    monkeypatch.setattr(synth, "_row_check", None)
+    assert _check(cand, layout_of(rows), 320, 320, need_crossing=True) is None
+    assert _check(cand, layout_of(rows), 320, 320, need_crossing=False) == []
