@@ -31,10 +31,10 @@ from .geometry import (
     angle_diff,
     angle_offsets,
     build_incidence,
+    candidate_pairs,
     direction_deg,
     directions,
     intersection_flags,
-    near_lists,
     normalize_angle,
     point_array,
     point_distances,
@@ -114,10 +114,13 @@ def dedup_junctions(junctions: Sequence[Junction], rho_nms: float) -> list[Junct
     order = sorted(junctions, key=lambda j: (-j.confidence, j.center.y, j.center.x))
     centers = [j.center for j in order]
     xy = point_array(centers)
-    near = near_lists(point_distances, Point.distance_to, centers, centers, xy, xy, rho_nms)
+    rows, cols = candidate_pairs(lambda p, q: within(point_distances(p, q), rho_nms), xy, xy)
+    rows, cols = rows[cols < rows], cols[cols < rows]  # only earlier ones can suppress
+    first, cols = np.searchsorted(rows, np.arange(len(order) + 1)).tolist(), cols.tolist()
     is_kept = [False] * len(order)
-    for i, near_i in enumerate(near):
-        is_kept[i] = not any(is_kept[k] for k in near_i if k < i)
+    for i, p in enumerate(centers):  # the scalar distance confirms, up to the first kept
+        is_kept[i] = not any(is_kept[k] and p.distance_to(centers[k]) <= rho_nms
+                             for k in cols[first[i]:first[i + 1]])
     return [j for j, k in zip(order, is_kept) if k]
 
 

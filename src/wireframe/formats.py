@@ -3,7 +3,8 @@ and the grid-encoding JSON.
 
 JSON numbers are serialized with up to 9 significant digits, so writers are
 a fixed point of write -> read -> write.  A JSON file is exactly
-json.dumps(doc, indent=1) plus a newline (``_emit``; keys are strings), and
+json.dumps(doc, indent=1) plus a newline (scene, junction and wireframe
+files from %-templates and ``_spell``, grid files from ``_emit``), and
 readers stop at the first bad field in file order with the message it has
 always had.  The WFHM container is magic "WFHM", version u16 = 1, width u32,
 height u32 (little-endian), then width x height little-endian float32 values
@@ -12,8 +13,10 @@ in row-major order; its total length is exactly 14 + 4 * width * height bytes.
 
 from __future__ import annotations
 
+import functools
 import json
 import struct
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 from math import isfinite
 from typing import Sequence
@@ -59,9 +62,24 @@ def _emit(obj, pad: str = "\n") -> str:
         if type(v) in _SCALARS else _emit(v, inner) for v in obj]) + pad + "]"
 
 
-def _dump(obj, path: str) -> None:
+def _dump(path: str, **fields: str) -> None:
     with open(path, "w", encoding="ascii", newline="\n") as f:
-        f.write(_emit(obj) + "\n")
+        f.write("{\n " + ",\n ".join(f'"{k}": {v}' for k, v in fields.items()) + "\n}\n")
+
+
+def _spell(vals: list) -> list[str]:
+    """_emit(_round9(v)) for each v, from one batched %.9g pass: it has repr's
+    digits, bar an integral ".0"; an exponent, nan or inf goes to _emit."""
+    text = ("%.9g\0" * len(vals)) % tuple(vals)
+    out = [s if "." in s else s + ".0" for s in text.split("\0")[:-1]]
+    if "e" in text or "n" in text:
+        out = [_emit(_round9(v)) if "e" in s or "n" in s else s for v, s in zip(vals, out)]
+    return out
+
+
+def _block(items: list[str]) -> str:
+    """A list at indent level 1 of these items (templates), spelled at level 2."""
+    return "[\n" + ",\n".join(items) + "\n ]" if items else "[]"
 
 
 def _load(path: str):
@@ -78,10 +96,8 @@ def _require(cond: bool, path: str, why: str, *args) -> None:
 
 
 def _number(v, path: str, where: str, *args) -> float:
-    if type(v) is float and isfinite(v):
-        return v
     try:  # only a JSON number is a number: no bool, no numeric string
-        x = float(v) if type(v) is int else float("nan")
+        x = float(v) if type(v) in (int, float) else float("nan")
     except OverflowError:
         x = float("nan")
     _require(isfinite(x), path, "{}: {!r} is not a finite number", where.format(*args), v)
@@ -109,23 +125,24 @@ def _load_sized(path: str, what: str, keys: tuple[str, ...]) -> dict:
 # -- scenes (also the segment-list output of the Hough baseline) --
 
 def write_scene(scene: AnnotatedScene, path: str) -> None:
-    _dump({
-        "width": scene.width,
-        "height": scene.height,
-        "lines": [[_round9(s.a.x), _round9(s.a.y), _round9(s.b.x), _round9(s.b.y)]
-                  for s in scene.lines],
-    }, path)
+    vals = [v for s in scene.lines for v in (s.a.x, s.a.y, s.b.x, s.b.y)]
+    _dump(path, width=_emit(scene.width), height=_emit(scene.height), lines=_block(
+        ["  [\n   %s,\n   %s,\n   %s,\n   %s\n  ]"] * len(scene.lines)) % tuple(_spell(vals)))
 
 
 def read_scene(path: str) -> AnnotatedScene:
     doc = _load_sized(path, "scene", ("lines",))
+    rows = doc["lines"]  # rows of 4 finite exact floats are checked at once
+    checked = ({*map(type, rows)} <= {list} and {*map(len, rows)} <= {4} and {type(v) for row
+               in rows for v in row} <= {float} and np.isfinite(np.array(rows, float)).all())
     lines = []
-    for i, row in enumerate(doc["lines"]):
-        _require(isinstance(row, list) and len(row) == 4,
-                 path, "lines[{}] must be [x1, y1, x2, y2]", i)
-        x1, y1, x2, y2 = (_number(v, path, "lines[{}]", i) for v in row)
+    for i, row in enumerate(rows):
+        if not checked:  # a flagged file: find and word its first bad row
+            _require(isinstance(row, list) and len(row) == 4,
+                     path, "lines[{}] must be [x1, y1, x2, y2]", i)
+            row = [_number(v, path, "lines[{}]", i) for v in row]
         try:
-            lines.append(Segment(Point(x1, y1), Point(x2, y2)))
+            lines.append(Segment(Point(*row[:2]), Point(*row[2:])))
         except GeometryError as e:
             raise FormatError(f"{path}: lines[{i}]: {e}") from e
     try:
@@ -136,29 +153,53 @@ def read_scene(path: str) -> AnnotatedScene:
 
 # -- junction records, shared by junction and wireframe files --
 
-def _junction_record(j: Junction, derived: bool | None = None) -> dict:
-    """One junction as JSON; wireframe files also record `derived`."""
-    rec = {"x": _round9(j.center.x), "y": _round9(j.center.y),
-           "score": _round9(j.confidence)}
-    if derived is not None:
-        rec["derived"] = derived
-    # rounding can carry an angle just below 360 up to 360.0
-    rec["branches"] = [{"theta": normalize_angle(_round9(b.angle_deg)),
-                        "score": _round9(b.confidence)} for b in j.branches]
-    return rec
+@functools.lru_cache(maxsize=64)
+def _record(order: int, flag: str) -> str:
+    """The template of a junction record with `order` branches."""
+    return ('  {\n   "x": %s,\n   "y": %s,\n   "score": %s,\n' + flag + '   "branches": ' + (
+        "[\n" + ",\n".join(['    {\n     "theta": %s,\n     "score": %s\n    }'] * order)
+        + "\n   ]" if order else "[]") + "\n  }")
+
+
+def _junction_list(junctions: Sequence[Junction], derived: bool) -> str:
+    vals, wrap, records = [], [], []
+    flags = ('   "derived": false,\n', '   "derived": true,\n') if derived else ("", "")
+    for j in junctions:
+        vals += (j.center.x, j.center.y, j.confidence)
+        for b in j.branches:
+            if not 0.0 <= b.angle_deg < 359.9999:  # may round to 360.0 or lie outside
+                wrap.append(len(vals))
+            vals += (b.angle_deg, b.confidence)
+        records.append(_record(len(j.branches), flags[bool(j.derived)]))
+    spelled = _spell(vals)
+    for k in wrap:
+        spelled[k] = _emit(normalize_angle(_round9(vals[k])))
+    return _block(records) % tuple(spelled)
 
 
 def _parse_junctions(doc: dict, path: str) -> list[Junction]:
-    """Inverse of _junction_record; every malformed field is a FormatError."""
-    out = []
-    for i, rec in enumerate(doc["junctions"]):
+    """Inverse of _junction_list; every malformed field is a FormatError,
+    found by a walk in file order when the array checks flag the file."""
+    recs = doc["junctions"]
+    try:  # each field's values in one run: x, y, score, theta, branch score
+        lists = [r.get("branches", []) for r in recs]
+        flags = [r.get("derived", False) for r in recs]
+        n, m = len(recs), len(brs := [b for bs in lists for b in bs])
+        nums = ([r["x"] for r in recs] + [r["y"] for r in recs] + [r.get("score", 1.0) for r
+                in recs] + [b["theta"] for b in brs] + [b.get("score", 1.0) for b in brs])
+        ok = ({*map(type, lists)} <= {list} and {*map(type, flags)} <= {bool}
+              and {*map(type, nums)} <= {float} and np.isfinite(a := np.array(nums)).all()
+              and (a[2 * n:] >= 0.0).all()  # and scores <= 1, theta < 360:
+              and (a[2 * n:] <= np.repeat([1.0, np.nextafter(360.0, 0), 1.0], [n, m, m])).all())
+    except (TypeError, KeyError, AttributeError):  # a record or branch is no object
+        ok = False
+    for i, rec in enumerate(recs if not ok else ()):  # flagged: find the first bad field
         branches = rec.get("branches", []) if isinstance(rec, dict) else None
         _require(isinstance(branches, list) and "x" in rec and "y" in rec
                  and isinstance(rec.get("derived", False), bool), path, "junctions[{}] must "
                  "be an object with x, y, a branches list and a boolean derived", i)
         score = _number(rec.get("score", 1.0), path, "junctions[{}].score", i)
         _require(0.0 <= score <= 1.0, path, "junctions[{}]: score {} outside [0,1]", i, score)
-        parsed = []
         for k, br in enumerate(branches):
             _require(type(br) is dict and "theta" in br, path,
                      "junctions[{}].branches[{}] needs a theta", i, k)
@@ -168,22 +209,20 @@ def _parse_junctions(doc: dict, path: str) -> list[Junction]:
                      "junctions[{}].branches[{}]: theta {} outside [0,360)", i, k, theta)
             _require(0.0 <= bscore <= 1.0, path,
                      "junctions[{}].branches[{}]: score {} outside [0,1]", i, k, bscore)
-            parsed.append(Branch(theta, bscore))
-        out.append(Junction(Point(_number(rec["x"], path, "junctions[{}].x", i),
-                                  _number(rec["y"], path, "junctions[{}].y", i)),
-                            tuple(parsed), score, rec.get("derived", False)))
-    return out
+        for c in "xy":
+            _number(rec[c], path, "junctions[{}].{}", i, c)
+    nums = nums if ok else [float(v) for v in nums]  # the walk passed: some are ints
+    parsed = iter(list(map(Branch, nums[3 * n:3 * n + m], nums[3 * n + m:])))
+    return [Junction(Point(x, y), tuple(islice(parsed, len(bs))), score, derived)
+            for x, y, score, bs, derived in zip(nums, nums[n:], nums[2 * n:], lists, flags)]
 
 
 # -- junction predictions / ground truth --
 
 def write_junctions(width: int, height: int, junctions: Sequence[Junction],
                     path: str) -> None:
-    _dump({
-        "width": width,
-        "height": height,
-        "junctions": [_junction_record(j) for j in junctions],
-    }, path)
+    _dump(path, width=_emit(width), height=_emit(height),
+          junctions=_junction_list(junctions, derived=False))
 
 
 def read_junctions(path: str) -> tuple[int, int, list[Junction]]:
@@ -221,17 +260,16 @@ def read_heatmap(path: str) -> HeatMap:
 
 def write_wireframe(wf: Wireframe, width: int, height: int, path: str) -> None:
     index = {(j.center.x, j.center.y): n for n, j in enumerate(wf.junctions)}
-    segments = [[index.get((s.a.x, s.a.y)), index.get((s.b.x, s.b.y))] for s in wf.segments]
-    bad = next((m for m, pair in enumerate(segments) if None in pair), None)
+    ends = [index.get((p.x, p.y)) for s in wf.segments for p in (s.a, s.b)]
+    bad = next((m // 2 for m, v in enumerate(ends) if v is None), None)
     _require(bad is None, path, "segment {} endpoint is not a junction center", bad)
-    incidence = [[n, m, 1] for n, m in zip(*(a.tolist() for a in np.nonzero(wf.incidence)))]
-    _dump({
-        "width": width,
-        "height": height,
-        "junctions": [_junction_record(j, derived=bool(j.derived)) for j in wf.junctions],
-        "segments": segments,
-        "incidence": incidence,
-    }, path)
+    inc = wf.incidence  # np.nonzero's (n, m) order, from a bool copy's flat indices (faster)
+    ones = np.column_stack(divmod(np.flatnonzero(inc.astype(bool)), inc.shape[1]))
+    _dump(path, width=_emit(width), height=_emit(height),
+          junctions=_junction_list(wf.junctions, derived=True),
+          segments=_block(["  [\n   %d,\n   %d\n  ]"] * len(wf.segments)) % tuple(ends),
+          incidence=_block(["  [\n   %d,\n   %d,\n   1\n  ]"] * len(ones)) % tuple(
+              ones.ravel().tolist()))
 
 
 def _index_rows(rows: list, bounds: tuple, name: str, form: str, outside: str):
@@ -280,11 +318,10 @@ def read_wireframe(path: str) -> tuple[int, int, Wireframe]:
 
 def write_grid(enc: GridEncoding, path: str) -> None:
     cfg = enc.config
-    _dump({
-        "config": {"image_w": cfg.image_w, "image_h": cfg.image_h,
-                   "grid_w": cfg.grid_w, "grid_h": cfg.grid_h, "bins": cfg.bins},
-        **{k: np.frompyfunc(_round9, 1, 1)(getattr(enc, k)).tolist() for k in ARRAYS},
-    }, path)
+    _dump(path, config=_emit({"image_w": cfg.image_w, "image_h": cfg.image_h, "grid_w": cfg.grid_w,
+                              "grid_h": cfg.grid_h, "bins": cfg.bins}, "\n "),
+          **{k: _emit(np.frompyfunc(_round9, 1, 1)(getattr(enc, k)).tolist(), "\n ")
+             for k in ARRAYS})
 
 
 def read_grid(path: str) -> GridEncoding:

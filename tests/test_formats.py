@@ -25,6 +25,8 @@ from wireframe.formats import (
     FormatError,
     _emit,
     _load_sized,
+    _round9,
+    _spell,
     read_grid,
     read_heatmap,
     read_junctions,
@@ -44,6 +46,7 @@ from wireframe.geometry import (
     Segment,
     Wireframe,
     build_incidence,
+    normalize_angle,
 )
 from wireframe.gridcodec import GridConfig, GridEncoding, encode
 
@@ -510,6 +513,38 @@ def _wireframe(segments, incidence=(), junctions=None):
 @example(("wireframe", _wireframe([[0, 1]], [[0, 0, 1], [1, 1, 1]])))
 @example(("wireframe", _wireframe([[0, 1]], [[0, 0, 1], [1, 0]])))
 @example(("wireframe", _wireframe([[1, 0]], [[1, 0, 1], [0, 0, 1]])))
+# the only fault in the last junction's last branch, past a valid file body
+@example(("junctions", {"width": 8, "height": 8, "junctions": [
+    _junction(1.0, 1.0), _junction(2.0, 2.0, branches=[
+        {"theta": 0.0, "score": 1.0}, {"theta": 90.0, "score": 1.5}])]}))
+@example(("wireframe", _wireframe([[0, 1]], junctions=[
+    _junction(1.0, 1.0, derived=False), _junction(5.0, 1.0, derived=True, branches=[
+        {"theta": 0.0, "score": 1.0}, {"theta": 360.0, "score": 1.0}])])))
+@example(("wireframe", _wireframe([[0, 1]], junctions=[
+    _junction(1.0, 1.0), _junction(5.0, 1.0, branches=[{"theta": 0.0}, {"score": 1.0}])])))
+@example(("wireframe", _wireframe([[0, 1]], junctions=[
+    _junction(1.0, 1.0, derived=False), _junction(5.0, 1.0, derived=1)])))
+@example(("wireframe", _wireframe([[0, 1]], junctions=[
+    _junction(1.0, 1.0, derived=None), _junction(5.0, 1.0, derived=True)])))
+# a non-finite float in a row of floats
+@example(("scene", {"width": 10, "height": 10, "lines": [[0.5, 1.0, 2.0, float("inf")]]}))
+@example(("junctions", {"width": 8, "height": 8, "junctions": [_junction(float("nan"), 1.0)]}))
+# the only fault in the first junction's score
+@example(("junctions", {"width": 8, "height": 8, "junctions": [
+    _junction(1.0, 1.0, score=-0.5), _junction(2.0, 2.0)]}))
+# int-valued fields and an int too big for float() in each kind of field
+@example(("scene", {"width": 10, "height": 10, "lines": [[1, 2, 3, 4], [0.5, 0, 1, 1]]}))
+@example(("scene", {"width": 10, "height": 10, "lines": [[0.5, 1.0, 1.0, 2 ** 1100]]}))
+@example(("junctions", {"width": 8, "height": 8, "junctions": [
+    {"x": 2, "y": 3, "score": 1, "derived": False, "branches": [{"theta": 90, "score": 0}]}]}))
+@example(("junctions", {"width": 8, "height": 8, "junctions": [
+    _junction(1.0, 2.0), _junction(1.0, 2 ** 1100)]}))
+@example(("junctions", {"width": 8, "height": 8, "junctions": [
+    _junction(1.0, 2.0, score=2 ** 1100)]}))
+@example(("wireframe", _wireframe([[0, 1]], junctions=[
+    _junction(1.0, 1.0), _junction(5.0, 1.0, branches=[{"theta": 2 ** 1100, "score": 1.0}])])))
+@example(("wireframe", _wireframe([[0, 1]], junctions=[
+    _junction(1.0, 1.0), _junction(5, 1, branches=[{"theta": 0.0, "score": 1}])])))
 # a degenerate segment before a bad index reports the degenerate segment
 @example(("wireframe", _wireframe([[0, 1], [1, 1], [0, 5]])))
 @example(("wireframe", _wireframe([[0, 1], [0, 2], [1, True]], junctions=[
@@ -590,6 +625,143 @@ def test_writers_emit_json_dumps_indent_1(tmp_path):
         # json.loads gives back the exact numbers, so this is the writer's document
         assert text == json.dumps(json.loads(text), indent=1) + "\n"
         assert text.count("\n") > 10
+
+
+# -- the record templates and their batched number spelling --
+
+@given(st.lists(st.floats() | st.integers(-10 ** 20, 10 ** 20) | st.booleans(), max_size=12))
+@settings(deadline=None)
+@example([-0.0, 5e-324, 1e-4, 1e-5])
+@example([123456789.0, 999999999.5, 1e9, 1234567890.0])
+@example([1e16, float("nan"), float("inf"), -float("inf")])
+@example([True, 7, np.float64(0.1)])
+@example([359.9999999996, -1e-12, 360.0, 720.5, -5.0])
+@example([])
+def test_batched_spelling_is_the_scalar_spelling(vals):
+    assert _spell(vals) == [_emit(_round9(v)) for v in vals]
+    # the same values as branch angles, which are written in [0, 360)
+    j = Junction(Point(1.0, 2.0), tuple(Branch(v, v) for v in vals))
+    assert_writes(lambda p: write_junctions(8, 8, [j], p), lambda: {
+        "width": 8, "height": 8, "junctions": [reference_junction_record(j)]})
+
+
+def reference_junction_record(j: Junction, derived=None) -> dict:
+    """One junction as the document the writers spell; wireframe files also
+    record `derived`."""
+    rec = {"x": _round9(j.center.x), "y": _round9(j.center.y),
+           "score": _round9(j.confidence)}
+    if derived is not None:
+        rec["derived"] = derived
+    # rounding can carry an angle just below 360 up to 360.0
+    rec["branches"] = [{"theta": normalize_angle(_round9(b.angle_deg)),
+                        "score": _round9(b.confidence)} for b in j.branches]
+    return rec
+
+
+def reference_text(doc) -> str:
+    return json.dumps(doc, indent=1) + "\n"
+
+
+def written(write) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        p = os.path.join(tmp, "doc.json")
+        write(p)
+        with open(p, "rb") as f:
+            return f.read().decode("ascii")
+
+
+def assert_writes(write, reference_doc):
+    """`write` writes the text of reference_doc(), or raises what building
+    that document raises (an infinite angle has no value in [0, 360))."""
+    try:
+        want = reference_text(reference_doc())
+    except (ValueError, TypeError) as e:
+        with pytest.raises(type(e)):
+            written(write)
+    else:
+        assert written(write) == want
+
+
+edge_floats = st.sampled_from([0.0, -0.0, 5e-324, 1e-5, 123456789.0, 999999999.5,
+                               1234567890.0, 1e16, 359.9999999996, 1 / 3])
+coords = st.floats(allow_nan=False, allow_infinity=False) | edge_floats
+anything = st.floats() | edge_floats | st.sampled_from([-1e-12, 360.0, 720.5, -5.0])
+junction_lists = st.lists(st.builds(
+    lambda x, y, c, bs, d: Junction(Point(x, y), tuple(bs), c, d),
+    coords, coords, anything, st.lists(st.builds(Branch, anything, anything), max_size=3),
+    st.booleans()), max_size=6)
+
+
+@given(junction_lists)
+@settings(deadline=None)
+@example([])
+@example([Junction(Point(1.0, 2.0)), Junction(Point(3.0, 4.0), derived=True)])
+def test_junction_writer_spells_the_record_documents(junctions):
+    assert_writes(lambda p: write_junctions(96, 64, junctions, p), lambda: {
+        "width": 96, "height": 64, "junctions": [reference_junction_record(j) for j in junctions]})
+
+
+@st.composite
+def wireframes(draw):
+    junctions = draw(junction_lists)
+    n = len(junctions)
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=5)) if n else []
+    segments = [Segment(junctions[a].center, junctions[b].center) for a, b in pairs
+                if junctions[a].center != junctions[b].center]
+    # any nonzero entry is a one, whatever its value
+    incidence = np.array(draw(st.lists(st.sampled_from([0, 0, 1, 2, -1]),
+                                       min_size=n * len(segments),
+                                       max_size=n * len(segments))),
+                         dtype=np.int64).reshape(n, len(segments))
+    return Wireframe(junctions, segments, incidence)
+
+
+def reference_wireframe_doc(wf: Wireframe, width, height) -> dict:
+    index = {(j.center.x, j.center.y): n for n, j in enumerate(wf.junctions)}
+    return {"width": width, "height": height,
+            "junctions": [reference_junction_record(j, derived=bool(j.derived))
+                          for j in wf.junctions],
+            "segments": [[index[(s.a.x, s.a.y)], index[(s.b.x, s.b.y)]] for s in wf.segments],
+            "incidence": [[n, m, 1] for n, m in zip(*(a.tolist()
+                                                      for a in np.nonzero(wf.incidence)))]}
+
+
+@given(wireframes())
+@settings(deadline=None)
+@example(Wireframe())
+@example(two_point_wireframe())
+def test_wireframe_writer_spells_the_record_documents(wf):
+    assert_writes(lambda p: write_wireframe(wf, 32, 48, p),
+                  lambda: reference_wireframe_doc(wf, 32, 48))
+
+
+@given(st.lists(st.tuples(*[st.floats(0.0, 50.0) | edge_floats.filter(lambda v: v <= 50)] * 4)
+                .filter(lambda r: r[:2] != r[2:]), max_size=5))
+@settings(deadline=None)
+def test_scene_writer_spells_the_documents(rows):
+    scene = AnnotatedScene(50, 50.0, tuple(seg(*r) for r in rows))
+    assert written(lambda p: write_scene(scene, p)) == reference_text(
+        {"width": 50, "height": 50.0, "lines": [[_round9(v) for v in r] for r in rows]})
+
+
+@pytest.mark.parametrize("width, height", [(960.0, 960), (True, 8), (np.float64(64.0), 2.5)])
+def test_float_and_bool_sizes_are_spelled_as_json_does(width, height):
+    j = Junction(Point(1.0, 2.0), (Branch(90.0),))
+    assert written(lambda p: write_junctions(width, height, [j], p)) == reference_text(
+        {"width": width, "height": height, "junctions": [reference_junction_record(j)]})
+    wf = two_point_wireframe()
+    assert written(lambda p: write_wireframe(wf, width, height, p)) == reference_text(
+        reference_wireframe_doc(wf, width, height))
+
+
+def test_numpy_int_size_is_a_type_error(tmp_path):
+    # json.dumps has no spelling for numpy integers, and neither have the writers
+    p = str(tmp_path / "doc.json")
+    with pytest.raises(TypeError):
+        write_junctions(np.int64(8), 8, [], p)
+    with pytest.raises(TypeError):
+        write_wireframe(two_point_wireframe(), 20, np.int64(20), p)
 
 
 def test_huge_integer_literal_is_a_format_error(tmp_path):
