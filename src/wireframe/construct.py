@@ -22,6 +22,8 @@ from .annotate import _BLOCK_PX, HeatMap, digital_lines, line_pixels
 from .geometry import (
     _ANGLE_SLACK,
     _BLOCK_PAIRS,
+    _DIST_SLACK,
+    _REL_SLACK,
     Branch,
     GeometryError,
     Junction,
@@ -35,6 +37,8 @@ from .geometry import (
     direction_deg,
     directions,
     intersection_flags,
+    intersection_params,
+    intersection_points,
     normalize_angle,
     point_array,
     point_distances,
@@ -204,26 +208,19 @@ def ray_boundary_point(origin: Point, angle_deg: float,
     origin is already outside."""
     if not (0.0 <= origin.x <= width - 1 and 0.0 <= origin.y <= height - 1):
         return None
-    dx = math.cos(math.radians(angle_deg))
-    dy = math.sin(math.radians(angle_deg))
-    t_exit = math.inf
-    if dx > 0:
-        t_exit = min(t_exit, (width - 1 - origin.x) / dx)
-    elif dx < 0:
-        t_exit = min(t_exit, -origin.x / dx)
-    if dy > 0:
-        t_exit = min(t_exit, (height - 1 - origin.y) / dy)
-    elif dy < 0:
-        t_exit = min(t_exit, -origin.y / dy)
+    dx, dy = math.cos(math.radians(angle_deg)), math.sin(math.radians(angle_deg))
+    tx = (width - 1 - origin.x) / dx if dx > 0 else -origin.x / dx if dx < 0 else math.inf
+    ty = (height - 1 - origin.y) / dy if dy > 0 else -origin.y / dy if dy < 0 else math.inf
+    t_exit = min(tx, ty)
     if not math.isfinite(t_exit):
         return None
     return Point(origin.x + t_exit * dx, origin.y + t_exit * dy)
 
 
-def farthest_mask_points(rays: Sequence[tuple[Point, float]], mask: BinaryMask,
+def farthest_mask_points(rays: Sequence[tuple[Point, float, Optional[Point]]], mask: BinaryMask,
                          max_gap: float = DEFAULT_MAX_WALK_GAP) -> list[Optional[Point]]:
-    """Farthest supporting mask pixel (not ray pixel) of each (origin, angle)
-    ray's walk along its rasterized pixels to the image border, or None.
+    """Farthest supporting mask pixel (not ray pixel) of each (origin, angle,
+    exit) ray's walk along its rasterized pixels to its boundary exit, or None.
 
     Digital lines of the same geometric line drawn from different anchors
     disagree by one pixel across the dominant axis, so each ray pixel also
@@ -234,8 +231,7 @@ def farthest_mask_points(rays: Sequence[tuple[Point, float]], mask: BinaryMask,
     """
     w = mask.width + 2  # row length of the padded mask
     segs, lateral, which = [], [], []
-    for i, (origin, angle_deg) in enumerate(rays):
-        end = ray_boundary_point(origin, angle_deg, mask.width, mask.height)
+    for i, (origin, angle_deg, end) in enumerate(rays):
         if end is None or (abs(end.x - origin.x) < 0.5 and abs(end.y - origin.y) < 0.5):
             continue
         rad = math.radians(angle_deg)  # lateral = across the dominant axis of travel
@@ -289,6 +285,38 @@ def line_support_ratios(pieces: Sequence[tuple[Point, Point]],
     return [r if (a.x, a.y) != (b.x, b.y) else 0.0 for r, (a, b) in zip(ratio.tolist(), pieces)]
 
 
+def _may_cut(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs (i, j), row-major, that no axis (x, y or a normal) puts more
+    than 2e-3 (|r| + |s|) and some ulps apart: a superset of those where
+    ``segment_intersection`` gives a point for pieces of p[i] and q[j].  Past
+    its parallel test (sin > 1e-12) t and u err by under (5|r| + 4|q - p|)
+    2^-53 / 1e-12 in length, so the point is within 1.5e-3 (|r| + |s|) of both."""
+    share = [2e-3 * np.hypot(s[:, 2] - s[:, 0], s[:, 3] - s[:, 1]) + _DIST_SLACK
+             + _REL_SLACK * np.abs(s).max(axis=1, initial=0.0) for s in (p, q)]
+    boxes = [np.hstack([np.minimum(s[:, :2], s[:, 2:]) - e[:, None],  # padded by its share
+                        np.maximum(s[:, :2], s[:, 2:]) + e[:, None]])
+             for s, e in zip((p, q), share)]
+    i, j = candidate_pairs(lambda a, b: (a[..., 0] <= b[..., 2]) & (b[..., 0] <= a[..., 2])
+                           & (a[..., 1] <= b[..., 3]) & (b[..., 1] <= a[..., 3]), *boxes)
+    denom, tn, un, lp, lq = intersection_params(p[i], q[j])
+    pad, apart = share[0][i] + share[1][j], False
+    for c, d, length in ((un, un - denom, lp), (tn, tn - denom, lq)):  # q off p's line, p off q's
+        apart = apart | (np.minimum(c, d) > pad * length) | (np.maximum(c, d) < -pad * length)
+    return i[~apart], j[~apart]
+
+
+def _pieces(whole: Segment, hits: list, min_len: float) -> list[tuple[Point, Point]]:
+    """The stretches of whole, min_len or longer, between its cuts: the hits
+    (points or None) in pool order, less those within 1e-6 of an earlier cut."""
+    o, q, cuts = whole.a, whole.b, []
+    for hit in hits:
+        if hit is not None and all(hit.distance_to(c) > 1e-6 for c in cuts):
+            cuts.append(hit)
+    stops = [o] + sorted((c for c in cuts if c.distance_to(o) > 1e-9 and c.distance_to(q) > 1e-9),
+                         key=lambda c: c.distance_to(o)) + [q]
+    return [(a, b) for a, b in zip(stops, stops[1:]) if a.distance_to(b) >= min_len]
+
+
 def recover_unmatched(junctions: Sequence[Junction], unmatched: Sequence[Ray],
                       mask: BinaryMask, segments: Sequence[Segment],
                       params: ConstructionParams) -> tuple[list[Point], list[Segment]]:
@@ -300,61 +328,57 @@ def recover_unmatched(junctions: Sequence[Junction], unmatched: Sequence[Ray],
     crosses known segments and every piece with support ratio above
     kappa_min survives.  Newly created endpoints are reported as points.
     New segments join the splitting pool immediately, so later rays split
-    against them.
+    against them, in (junction, branch) order and pool order.
+
+    Walks, cuts on the given segments and support ratios are batched:
+    ``intersection_points`` settles all pairs but near-touching ones.  A
+    later segment is a boundary segment or a piece of an earlier ray's whole
+    walk, so ``_may_cut`` of whole segments lists the earlier rays that may
+    cut a ray; only theirs go to the scalar, and changed pieces are redone.
     """
     limit = params.boundary_frac * max(mask.width, mask.height)
-    pool = list(segments)
-    # the pool as an array with room to grow, for the cut prefilter
-    pool_xy = np.empty((2 * len(pool) + 16, 4), dtype=np.float64)
-    pool_xy[:len(pool)] = segment_array(pool)
-    new_points: list[Point] = []
-    point_keys: set[tuple[float, float]] = {(j.center.x, j.center.y) for j in junctions}
-    new_segments: list[Segment] = []
-
-    def add(a: Point, b: Point) -> None:
-        nonlocal pool_xy
-        s = Segment(a, b)
-        if len(pool) == len(pool_xy):
-            pool_xy = np.concatenate([pool_xy, np.empty_like(pool_xy)])
-        pool_xy[len(pool)] = (a.x, a.y, b.x, b.y)
-        pool.append(s)
-        new_segments.append(s)
-        for p in (a, b):
-            if (p.x, p.y) not in point_keys:
-                point_keys.add((p.x, p.y))
-                new_points.append(p)
-
     order = sorted(unmatched, key=lambda r: (r.junction, r.branch))
     exits = [ray_boundary_point(r.origin, r.angle_deg, mask.width, mask.height) for r in order]
-    short = [q is not None and 0.0 < r.origin.distance_to(q) <= limit
-             for r, q in zip(order, exits)]
+    short = [q is not None and 0.0 < r.origin.distance_to(q) <= limit for r, q in zip(order, exits)]
     # a walk depends only on its ray and the mask, not on the pool: walk all at once
-    walks = iter(farthest_mask_points([(r.origin, r.angle_deg) for r, s in zip(order, short)
-                                       if not s], mask, params.max_walk_gap))
-    for ray, q_b, s in zip(order, exits, short):
-        if s:
-            add(ray.origin, q_b)
-            continue
-        q_m = next(walks)
-        if q_m is None or ray.origin.distance_to(q_m) < params.min_piece_len:
-            continue
-        whole = Segment(ray.origin, q_m)
-        cuts: list[Point] = []
-        flags = intersection_flags(segment_array([whole])[0], pool_xy[:len(pool)])
-        for m in np.flatnonzero(flags).tolist():
-            hit = segment_intersection(whole, pool[m]).point
-            if hit is not None and all(hit.distance_to(c) > 1e-6 for c in cuts):
-                cuts.append(hit)
-        cuts = [c for c in cuts
-                if c.distance_to(ray.origin) > 1e-9 and c.distance_to(q_m) > 1e-9]
-        cuts.sort(key=lambda c: c.distance_to(ray.origin))
-        stops = [ray.origin] + cuts + [q_m]
-        pieces = [(a, b) for a, b in zip(stops, stops[1:])
-                  if a.distance_to(b) >= params.min_piece_len]
-        for (a, b), kappa in zip(pieces, line_support_ratios(pieces, mask)):
-            if kappa > params.kappa_min:
-                add(a, b)
-    return new_points, new_segments
+    walked = [k for k, s in enumerate(short) if not s]
+    ends = farthest_mask_points([(order[k].origin, order[k].angle_deg, exits[k]) for k in walked],
+                                mask, params.max_walk_gap)
+    # each ray's whole segment: to its exit, or to its farthest support
+    whole = {k: Segment(order[k].origin, exits[k]) for k, s in enumerate(short) if s}
+    whole.update((k, Segment(order[k].origin, q)) for k, q in zip(walked, ends)
+                 if q is not None and order[k].origin.distance_to(q) >= params.min_piece_len)
+    src = np.array(sorted(whole), dtype=np.intp)
+    rows = [k for k in src.tolist() if not short[k]]
+    w_xy, m_xy = segment_array([whole[k] for k in rows]), segment_array(segments)
+    i, m = candidate_pairs(intersection_flags, w_xy, m_xy)
+    sure, xy = intersection_points(w_xy[i], m_xy[m])
+    keep, hits = ~sure | (xy[:, 0] == xy[:, 0]), [[] for _ in rows]  # unsettled, or a point
+    for n, k, x, y in zip(i[keep].tolist(), m[keep].tolist(), *xy[keep].T.tolist()):
+        hits[n].append(Point(x, y) if x == x else
+                       segment_intersection(whole[rows[n]], segments[k]).point)
+    pieces = [_pieces(whole[k], hs, params.min_piece_len) for k, hs in zip(rows, hits)]
+    ratios = iter(line_support_ratios([p for ps in pieces for p in ps], mask))
+    kappas = [[next(ratios) for _ in ps] for ps in pieces]
+    i, j = _may_cut(w_xy, segment_array([whole[k] for k in src.tolist()]))
+    keep = src[j] < np.array(rows, dtype=np.intp)[i]  # segments of earlier rays
+    first = np.searchsorted(i[keep], np.arange(len(rows) + 1)).tolist()
+    tail, row, added = src[j[keep]].tolist(), {k: n for n, k in enumerate(rows)}, {}
+    for k in src.tolist():  # each ray's segments join the pool before the next ray is cut
+        n = row.get(k)
+        new = [] if n is None else [segment_intersection(whole[k], s).point
+                                    for t in tail[first[n]:first[n + 1]] for s in added[t]]
+        if any(h is not None for h in new) and (  # a later segment cuts: new pieces?
+                redone := _pieces(whole[k], hits[n] + new, params.min_piece_len)) != pieces[n]:
+            pieces[n], kappas[n] = redone, line_support_ratios(redone, mask)
+        added[k] = [whole[k]] if n is None else [
+            Segment(*ab) for ab, kappa in zip(pieces[n], kappas[n]) if kappa > params.kappa_min]
+    new_segments = [s for k in src.tolist() for s in added[k]]
+    # the new endpoints, first seen first; a junction's centre is not new
+    firsts: dict = dict.fromkeys((j.center.x, j.center.y) for j in junctions)
+    for p in (p for s in new_segments for p in (s.a, s.b)):
+        firsts.setdefault((p.x, p.y), p)
+    return [p for p in firsts.values() if p is not None], new_segments
 
 
 def construct_wireframe(junctions: Sequence[Junction], h: HeatMap,

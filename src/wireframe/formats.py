@@ -18,7 +18,7 @@ import json
 import struct
 from itertools import islice
 from json.encoder import encode_basestring_ascii
-from math import isfinite
+from math import fmod, isfinite
 from typing import Sequence
 
 import numpy as np
@@ -172,8 +172,8 @@ def _junction_list(junctions: Sequence[Junction], derived: bool) -> str:
             vals += (b.angle_deg, b.confidence)
         records.append(_record(len(j.branches), flags[bool(j.derived)]))
     spelled = _spell(vals)
-    for k in wrap:
-        spelled[k] = _emit(normalize_angle(_round9(vals[k])))
+    for k in wrap:  # rounded again, as a hair below 0 wraps to 360 - 1e-12, then to 0.0
+        spelled[k] = _emit(fmod(_round9(normalize_angle(_round9(vals[k]))), 360.0))
     return _block(records) % tuple(spelled)
 
 

@@ -269,26 +269,52 @@ def point_segment_distances(p: np.ndarray, s: np.ndarray) -> np.ndarray:
         return np.hypot(px - (ax + t * dx), py - (ay + t * dy))
 
 
-def intersection_flags(s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
-    """Broadcast over (..., 4) segments: True where ``segment_intersection``
-    may return a point or the collinear flag.
-
-    The cross products and t/u are the scalar formula bit for bit; only the
-    parallel test's scale goes through ``np.hypot``, so it gets a factor 2.
-    """
+def intersection_params(s1: np.ndarray, s2: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Broadcast over (..., 4) segments: ``segment_intersection``'s denom,
+    t * denom and u * denom bit for bit, and |r| and |s| by ``np.hypot``."""
     ax, ay = s1[..., 0], s1[..., 1]
     rx, ry = s1[..., 2] - ax, s1[..., 3] - ay
-    cx, cy = s2[..., 0], s2[..., 1]
-    sx, sy = s2[..., 2] - cx, s2[..., 3] - cy
-    qpx, qpy = cx - ax, cy - ay
-    denom = rx * sy - ry * sx
-    lo, hi = -_PARALLEL_EPS, 1.0 + _PARALLEL_EPS
+    sx, sy = s2[..., 2] - s2[..., 0], s2[..., 3] - s2[..., 1]
+    qpx, qpy = s2[..., 0] - ax, s2[..., 1] - ay
+    return (rx * sy - ry * sx, qpx * sy - qpy * sx, qpx * ry - qpy * rx,
+            np.hypot(rx, ry), np.hypot(sx, sy))
+
+
+def _in_unit(t: np.ndarray) -> np.ndarray:
+    return (t >= -_PARALLEL_EPS) & (t <= 1.0 + _PARALLEL_EPS)
+
+
+def intersection_flags(s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
+    """Broadcast over (..., 4) segments: True where ``segment_intersection``
+    may return a point or the collinear flag.  Only the parallel test's
+    scale goes through ``np.hypot``, so it gets a factor 2."""
+    denom, tn, un, lr, ls = intersection_params(s1, s2)
     with np.errstate(all="ignore"):
-        parallel = ~(np.abs(denom) > 2 * _PARALLEL_EPS
-                     * (np.hypot(rx, ry) * np.hypot(sx, sy)))
-        t = (qpx * sy - qpy * sx) / denom
-        u = (qpx * ry - qpy * rx) / denom
-    return parallel | ((t >= lo) & (t <= hi) & (u >= lo) & (u <= hi))
+        parallel = ~(np.abs(denom) > 2 * _PARALLEL_EPS * (lr * ls))
+        return parallel | (_in_unit(tn / denom) & _in_unit(un / denom))
+
+
+def intersection_points(s1: np.ndarray, s2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Broadcast ``segment_intersection(s1, s2).point`` over (..., 4)
+    segments where the arrays settle it: (sure, xy), xy NaN for no point.
+    A pair surely not parallel has the scalar's t, u and point.  A surely
+    parallel one has none if surely off the line (by both cross products:
+    the scalar may swap) or, along r, apart or overlapping by more than a
+    margin for rounding and the < 1e-12 turn.  Others are not sure."""
+    denom, tn, un, lr, ls = intersection_params(s1, s2)
+    a, r = s1[..., :2], s1[..., 2:] - s1[..., :2]
+    with np.errstate(all="ignore"):
+        eps, t = _PARALLEL_EPS * (lr * ls), tn / denom
+        crossing = np.abs(denom) > 2 * eps
+        ends = ((s2.reshape(*s2.shape[:-1], 2, 2) - a[..., None, :]) * r[..., None, :]).sum(-1)
+        lo, hi = np.maximum(ends.min(-1) / lr, 0.0), np.minimum(ends.max(-1) / lr, lr)
+        margin = _REL_SLACK * (lr + ls + np.abs(s2[..., :2] - a).sum(-1)) + _DIST_SLACK
+        none = (np.abs(denom) < eps / 2) & ((np.abs(tn) > 2 * eps) & (np.abs(un) > 2 * eps)
+                                            | (np.abs(hi - lo) > margin)
+                                            & (np.maximum(lr, ls) < 1e150))  # finite squares
+        hit = crossing & _in_unit(t) & _in_unit(un / denom)
+        xy = np.where(hit[..., None], a + np.clip(t, 0.0, 1.0)[..., None] * r, np.nan)
+    return crossing | none, xy
 
 
 def directions(origin: np.ndarray, target: np.ndarray) -> np.ndarray:

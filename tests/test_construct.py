@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import segment_pixels
-from wireframe import construct
+from wireframe import construct, geometry
 
 from wireframe.annotate import (
     AnnotatedScene,
@@ -37,7 +37,10 @@ from wireframe.geometry import (
     Point,
     Segment,
     build_incidence,
+    direction_deg,
     point_segment_distance,
+    segment_array,
+    segment_intersection,
 )
 
 
@@ -141,17 +144,28 @@ def test_ray_boundary_point():
     assert ray_boundary_point(Point(-5, 50), 0.0, 100, 100) is None
 
 
+def with_exits(rays, mask):
+    """(origin, angle) rays as farthest_mask_points takes them, with their exits."""
+    return [(o, a, ray_boundary_point(o, a, mask.width, mask.height)) for o, a in rays]
+
+
 def test_farthest_mask_point():
     mask = BinaryMask(20, 10)
-    assert farthest_mask_points([(Point(2, 5), 0.0)], mask) == [None]
+    assert farthest_mask_points(with_exits([(Point(2, 5), 0.0)], mask), mask) == [None]
     mask.bits[5, 4] = mask.bits[5, 9] = True
     # four misses (x=5..8) exceed the default gap of 3: the walk stops
-    assert farthest_mask_points([(Point(2, 5), 0.0)], mask) == [Point(4.0, 5.0)]
+    assert farthest_mask_points(with_exits([(Point(2, 5), 0.0)], mask), mask) == [
+        Point(4.0, 5.0)]
     mask.bits[5, 7] = True
-    assert farthest_mask_points([(Point(2, 5), 0.0), (Point(4, 5), 0.0)], mask) == [
-        Point(9.0, 5.0), Point(9.0, 5.0)]
-    assert farthest_mask_points([(Point(4, 5), 0.0)], mask, max_gap=1.0) == [Point(4.0, 5.0)]
+    rays = with_exits([(Point(2, 5), 0.0), (Point(4, 5), 0.0)], mask)
+    assert farthest_mask_points(rays, mask) == [Point(9.0, 5.0), Point(9.0, 5.0)]
+    assert farthest_mask_points(with_exits([(Point(4, 5), 0.0)], mask), mask, max_gap=1.0) == [
+        Point(4.0, 5.0)]
     assert farthest_mask_points([], mask) == []
+    # the walk runs to the exit it is given
+    assert farthest_mask_points([(Point(2, 5), 0.0, Point(5.0, 5.0))], mask) == [
+        Point(4.0, 5.0)]
+    assert farthest_mask_points([(Point(2, 5), 0.0, None)], mask) == [None]
 
 
 # -- the batched walk and support ratios against the old per-ray code --
@@ -196,7 +210,7 @@ def reference_line_support_ratio(a, b, mask):
 
 def assert_walks_match(rays, mask, max_gap=DEFAULT_MAX_WALK_GAP):
     want = [reference_farthest_mask_point(o, a, mask, max_gap) for o, a in rays]
-    assert farthest_mask_points(rays, mask, max_gap) == want
+    assert farthest_mask_points(with_exits(rays, mask), mask, max_gap) == want
     return want
 
 
@@ -565,11 +579,6 @@ def test_dedup_matches_greedy_oracle(junctions, rho):
     assert dedup_junctions(junctions, rho) == dedup_oracle(junctions, rho)
 
 
-def propose_all(s1, s2):
-    """An intersection prefilter that proposes every pair."""
-    return np.ones(np.broadcast_shapes(np.shape(s1)[:-1], np.shape(s2)[:-1]), dtype=bool)
-
-
 def mask_of(lines, width, height):
     mask = BinaryMask(width, height)
     for s in lines:
@@ -578,38 +587,248 @@ def mask_of(lines, width, height):
     return mask
 
 
-def recover_both(junctions, lines, pool):
-    """recover_unmatched as is, and with the cut search testing every pool
-    segment (the scalar all-pairs loop)."""
-    mask = mask_of(lines, 24, 24)
-    rays = junction_rays(junctions)
+def reference_recover_unmatched(junctions, unmatched, mask, segments, params):
+    """Oracle: the rescue pass one ray at a time, each walked by the scalar
+    walk and cut against every pool segment by ``segment_intersection``, the
+    pool growing as rays add segments (the per-ray loop the batched pass
+    replaced, with an all-pairs cut search)."""
+    limit = params.boundary_frac * max(mask.width, mask.height)
+    pool = list(segments)
+    new_points = []
+    point_keys = {(j.center.x, j.center.y) for j in junctions}
+    new_segments = []
+
+    def add(a, b):
+        s = Segment(a, b)
+        pool.append(s)
+        new_segments.append(s)
+        for p in (a, b):
+            if (p.x, p.y) not in point_keys:
+                point_keys.add((p.x, p.y))
+                new_points.append(p)
+
+    for ray in sorted(unmatched, key=lambda r: (r.junction, r.branch)):
+        q_b = ray_boundary_point(ray.origin, ray.angle_deg, mask.width, mask.height)
+        if q_b is not None and 0.0 < ray.origin.distance_to(q_b) <= limit:
+            add(ray.origin, q_b)
+            continue
+        q_m = reference_farthest_mask_point(ray.origin, ray.angle_deg, mask,
+                                            params.max_walk_gap)
+        if q_m is None or ray.origin.distance_to(q_m) < params.min_piece_len:
+            continue
+        whole = Segment(ray.origin, q_m)
+        cuts = []
+        for other in list(pool):
+            hit = segment_intersection(whole, other).point
+            if hit is not None and all(hit.distance_to(c) > 1e-6 for c in cuts):
+                cuts.append(hit)
+        cuts = [c for c in cuts
+                if c.distance_to(ray.origin) > 1e-9 and c.distance_to(q_m) > 1e-9]
+        cuts.sort(key=lambda c: c.distance_to(ray.origin))
+        stops = [ray.origin] + cuts + [q_m]
+        pieces = [(a, b) for a, b in zip(stops, stops[1:])
+                  if a.distance_to(b) >= params.min_piece_len]
+        for a, b in pieces:
+            if reference_line_support_ratio(a, b, mask) > params.kappa_min:
+                add(a, b)
+    return new_points, new_segments
+
+
+def assert_recover_matches(junctions, lines, pool):
+    """recover_unmatched equals its oracle on a 24 x 24 mask of the lines."""
+    mask, rays = mask_of(lines, 24, 24), junction_rays(junctions)
     got = recover_unmatched(junctions, rays, mask, pool, ConstructionParams())
-    with mock.patch.object(construct, "intersection_flags", propose_all):
-        want = recover_unmatched(junctions, rays, mask, pool, ConstructionParams())
-    return got, want
+    want = reference_recover_unmatched(junctions, rays, mask, pool, ConstructionParams())
+    assert repr(got) == repr(want)  # repr: the same floats, signed zeros too
+    return got
 
 
 grid24 = st.integers(2, 21).map(float)
 lines24 = st.tuples(grid24, grid24, grid24, grid24).filter(
     lambda q: q[:2] != q[2:]).map(lambda q: Segment(Point(q[0], q[1]), Point(q[2], q[3])))
+# tiny offsets across a line: the parallel and collinear margins of the cut tests
+hairs = st.sampled_from([0.0, 1e-13, 5e-13, 1e-12, 2e-12, 1.6e-11, 1e-9, 5e-7, 1e-6, 0.5])
+hairs = st.tuples(hairs, st.booleans()).map(lambda h: -h[0] if h[1] else h[0])
 
 
-@given(st.lists(st.builds(jn, grid24, grid24, st.lists(angles, min_size=1, max_size=3)),
-                max_size=5),
-       st.lists(lines24, max_size=6), st.lists(lines24, max_size=4))
-@settings(max_examples=150, deadline=None)
-@example([jn(2, 5, [0])], [Segment(Point(2, 5), Point(14, 5))],
-         [Segment(Point(8, 5), Point(8, 10))])  # a cut that only touches an endpoint
-@example([jn(2, 5, [0])], [Segment(Point(2, 5), Point(14, 5))],
-         [Segment(Point(4, 5), Point(9, 5))])  # collinear overlap: no cut
-@example([jn(2, 5, [0])], [Segment(Point(2, 5), Point(14, 5))], [])
-@example([], [Segment(Point(2, 5), Point(14, 5))], [])
-def test_recover_cut_search_matches_all_pairs(junctions, lines, pool):
-    got, want = recover_both(junctions, lines, pool)
-    assert got == want
+@st.composite
+def rescue_cases(draw):
+    """Junctions, mask lines and a pool: random, plus rays that start on a
+    line's end and walk along it, junctions next to the border (boundary
+    segments), and pool segments on a line's own line or a hair off it,
+    touching, overlapping or apart."""
+    lines = draw(st.lists(lines24, max_size=5))
+    coord = grid24 | st.integers(0, 23).map(float) | st.sampled_from([0.5, 1.0, 22.5])
+    junctions = draw(st.lists(st.builds(jn, coord, coord, st.lists(angles, min_size=1,
+                                                                   max_size=3)), max_size=4))
+    pool = draw(st.lists(lines24, max_size=3))
+    for s in (draw(st.lists(st.sampled_from(lines), max_size=3)) if lines else []):
+        a, b = (s.a, s.b) if draw(st.booleans()) else (s.b, s.a)
+        junctions.insert(draw(st.integers(0, len(junctions))),
+                         jn(a.x, a.y, [direction_deg(a, b)] + draw(st.lists(angles, max_size=1))))
+    ts = st.sampled_from([-0.5, 0.0, 0.25, 0.5, 1.0, 1.5]) | st.floats(-0.5, 1.5)
+    for s in (draw(st.lists(st.sampled_from(lines), max_size=4)) if lines else []):
+        dx, dy = s.b.x - s.a.x, s.b.y - s.a.y
+        n = math.hypot(dx, dy)
+        c, d = [Point(s.a.x + t * dx - h * dy / n, s.a.y + t * dy + h * dx / n)
+                for t, h in ((draw(ts), draw(hairs)), (draw(ts), draw(hairs)))]
+        if c != d:
+            pool.insert(draw(st.integers(0, len(pool))), Segment(c, d))
+    return junctions, lines, pool
+
+
+def margin_pool(delta):
+    """Whole segment (2, 0)-(10, 0), and pool segments one step from each
+    margin: tilted by delta through (5, 0) (t/u point or parallel overlap),
+    a hair delta above the line touching the origin, collinear delta past
+    the far end, each followed by a crossing within 1e-6 of the touch."""
+    return [Segment(Point(5.0, 0.0), Point(6.0, delta)),
+            Segment(Point(1.0, delta), Point(2.0, delta)),
+            Segment(Point(2.0 + 5e-7, -1.0), Point(2.0 + 5e-7, 1.0)),
+            Segment(Point(10.0 + delta, 0.0), Point(12.0, 0.0)),
+            Segment(Point(10.0 - 5e-7, -1.0), Point(10.0 - 5e-7, 1.0))]
+
+
+# one ulp either side of the margins on this whole segment (|r| = 8): the
+# sure-parallel and crossing limits 5e-13 and 2e-12 of the tilt, the
+# scalar's 1e-12, and the sure-off limit 1.6e-11 of the hair
+MARGIN_DELTAS = [f(v) for v in (5e-13, 1e-12, 2e-12, 1.6e-11)
+                 for f in (lambda v: math.nextafter(v, 0.0), lambda v: v,
+                           lambda v: math.nextafter(v, 1.0))] + [0.0, 1e-9]
+
+
+@given(rescue_cases())
+@settings(deadline=None)  # 100 examples, 1,000 under the ci profile
+@example(([jn(2, 5, [0])], [Segment(Point(2, 5), Point(14, 5))],
+          [Segment(Point(8, 5), Point(8, 10))]))  # a cut that only touches an endpoint
+@example(([jn(2, 5, [0])], [Segment(Point(2, 5), Point(14, 5))],
+          [Segment(Point(4, 5), Point(9, 5))]))  # collinear overlap: no cut
+# collinear, touching the origin, touching the far end, overlapping past it
+@example(([jn(2, 5, [0])], [Segment(Point(2, 5), Point(14, 5))],
+          [Segment(Point(0, 5), Point(2, 5)), Segment(Point(14, 5), Point(18, 5)),
+           Segment(Point(10, 5), Point(20, 5))]))
+# cuts on the origin, the far end, and two 1e-6 apart (kept) or a hair nearer (merged)
+@example(([jn(2, 5, [0])], [Segment(Point(2, 5), Point(14, 5))],
+          [Segment(Point(x, 0), Point(x, 10)) for x in
+           (2.0, 14.0, 8.0, 8.0 + 1e-6, 6.0, math.nextafter(6.0 + 1e-6, 0.0))]))
+@example(([jn(2, 5, [0])], [Segment(Point(2, 5), Point(14, 5))], []))
+@example(([], [Segment(Point(2, 5), Point(14, 5))], []))
+# a later cut from a boundary segment, and one from an earlier walk's piece
+@example(([jn(10, 1, [270]), jn(5, 0.5, [0])], [Segment(Point(5, 1), Point(15, 1))], []))
+@example(([jn(2, 5, [0]), jn(8, 2, [90])],
+          [Segment(Point(2, 5), Point(14, 5)), Segment(Point(8, 2), Point(8, 12))], []))
+def test_recover_cut_search_matches_all_pairs(case):
+    assert_recover_matches(*case)
+
+
+@pytest.mark.parametrize("delta", MARGIN_DELTAS)
+def test_recover_at_the_cut_margins(delta):
+    assert_recover_matches([jn(2, 0, [0])], [Segment(Point(2, 0), Point(10, 0))],
+                           margin_pool(delta))
+
+
+@given(rescue_cases(), st.sampled_from([1, 3, 7]))
+@settings(max_examples=50, deadline=None)
+@example(([jn(2, 5, [0]), jn(8, 2, [90]), jn(10, 1, [270]), jn(5, 0.5, [0])],
+          [Segment(Point(2, 5), Point(14, 5)), Segment(Point(8, 2), Point(8, 12)),
+           Segment(Point(5, 1), Point(15, 1))], [Segment(Point(4, 0), Point(4, 10))]), 1)
+def test_recover_in_blocks_of_a_few_pairs(case, block):
+    with mock.patch.object(geometry, "_BLOCK_PAIRS", block):
+        assert_recover_matches(*case)
+
+
+def test_recover_later_cuts_within_1e6_keep_pool_order():
+    # two earlier walks cross the last one 3.5e-7 apart: the first one's cut
+    # is kept and the second merges into it, as in pool order
+    _, segs = assert_recover_matches(
+        [jn(8, 2, [90]), jn(8 + 5e-7, 2, [90]), jn(2, 5, [0])],
+        [Segment(Point(8, 2), Point(8, 12)), Segment(Point(2, 5), Point(14, 5))], [])
+    assert Segment(Point(2, 5), Point(8, 5)) in segs
+    # a given segment comes before every later one: its cut 5e-7 away wins
+    _, segs = assert_recover_matches(
+        [jn(8, 2, [90]), jn(2, 5, [0])],
+        [Segment(Point(8, 2), Point(8, 12)), Segment(Point(2, 5), Point(14, 5))],
+        [Segment(Point(8 + 5e-7, 0), Point(8 + 5e-7, 10))])
+    assert Segment(Point(2, 5), Point(8 + 5e-7, 5)) in segs
+
+
+@st.composite
+def near_cut_pairs(draw):
+    """A segment and one nearly on its line, turned by a hair just past the
+    scalar's parallel limit and a short gap past its end: the scalar's t
+    and u then carry errors of up to a few hundredths of a pixel."""
+    ax, ay = draw(st.floats(0, 960)), draw(st.floats(0, 960))
+    ang, length, other = draw(st.floats(0, 2 * math.pi)), draw(st.floats(3, 400)), draw(
+        st.floats(3, 400))
+    turn = draw(st.sampled_from([1.01e-12, 1.5e-12, 2e-12, 1e-11, 1e-9, 0.3]))
+    gap = draw(st.sampled_from([0.0, 1e-6, 1e-4, 1e-2]))
+    b = Point(ax + length * math.cos(ang), ay + length * math.sin(ang))
+    c = Point(b.x + gap * math.cos(ang), b.y + gap * math.sin(ang))
+    d = Point(c.x + other * math.cos(ang + turn), c.y + other * math.sin(ang + turn))
+    return Segment(Point(ax, ay), b), Segment(c, d)
+
+
+def assert_may_cut_covers(pairs, ts=(0.0, 0.3, 0.7, 1.0)):
+    """_may_cut lists every pair where segment_intersection gives a point
+    for the first segment and a piece of the second (cut as the rescue
+    pass cuts), or for the pieces of the first and the second."""
+    p, q = [a for a, _ in pairs], [b for _, b in pairs]
+    i, j = construct._may_cut(segment_array(p), segment_array(q))
+    listed = set(zip(i.tolist(), j.tolist()))
+    for n, a in enumerate(p):
+        for m, b in enumerate(q):
+            stops = [Point(b.a.x + t * (b.b.x - b.a.x), b.a.y + t * (b.b.y - b.a.y)) for t in ts]
+            pieces = [b] + [Segment(u, v) for u, v in zip(stops, stops[1:]) if u != v]
+            if any(segment_intersection(a, piece).point is not None for piece in pieces):
+                assert (n, m) in listed, (a, b)
+
+
+@given(st.lists(near_cut_pairs() | st.tuples(lines24, lines24), max_size=6))
+@settings(deadline=None)
+# the scalar puts this point 0.066 px from the second segment, which it misses by 5e-4
+@example([(Segment(Point(114.30972045896155, 456.4912113649966),
+                   Point(368.7540863237916, 763.9183687525028)),
+           Segment(Point(368.75443626287085, 763.9187915591782),
+                   Point(508.28226661073165, 932.5004149509275)))])
+# and this one puts its point on the first one's end, 0.043 px (1.3e-4 of the
+# two lengths) short of the second
+@example([(Segment(Point(282.0248210438178, 923.9370665243202),
+                   Point(30.997814972867644, 720.5543537271903)),
+           Segment(Point(30.96423921297871, 720.5271505619321),
+                   Point(19.309874631386226, 711.0847550140354)))])
+def test_may_cut_lists_every_pair_the_scalar_cuts(pairs):
+    assert_may_cut_covers(pairs)
+    assert_may_cut_covers([(b, a) for a, b in pairs])
 
 
 def test_recover_cut_touching_pool_endpoint_splits():
-    got, _ = recover_both([jn(2, 5, [0])], [Segment(Point(2, 5), Point(14, 5))],
-                          [Segment(Point(8, 5), Point(8, 10))])
+    got = assert_recover_matches([jn(2, 5, [0])], [Segment(Point(2, 5), Point(14, 5))],
+                                 [Segment(Point(8, 5), Point(8, 10))])
     assert got[1] == [Segment(Point(2, 5), Point(8, 5)), Segment(Point(8, 5), Point(14, 5))]
+
+
+def test_recover_later_cuts_from_a_boundary_segment_and_a_walked_piece():
+    # the first ray ends on the border: its short segment cuts the second walk
+    _, segs = assert_recover_matches([jn(10, 1, [270]), jn(5, 0.5, [0])],
+                                     [Segment(Point(5, 1), Point(15, 1))], [])
+    assert segs[0] == Segment(Point(10, 1), Point(10, 0))
+    assert segs[1].b == Point(10.0, 0.75)
+    # the first walk's piece cuts the second walk where they cross
+    _, segs = assert_recover_matches([jn(2, 5, [0]), jn(8, 2, [90])],
+                                     [Segment(Point(2, 5), Point(14, 5)),
+                                      Segment(Point(8, 2), Point(8, 12))], [])
+    assert segs == [Segment(Point(2, 5), Point(14, 5)), Segment(Point(8, 2), Point(8, 5)),
+                    Segment(Point(8, 5), Point(8, 12))]
+
+
+def test_recover_margin_cases_take_each_path():
+    # up to the scalar's 1e-12 the tilt is parallel (an overlap, no cut) and
+    # the hair touches the origin, so the crossing 5e-7 past it merges into
+    # that touch; past 1e-12 the tilt cuts at (5, 0), and the piece before
+    # it is too short.  Only a collinear pool segment that touches the far
+    # end merges the crossing 5e-7 before it.
+    for delta, ends in ((0.0, [(2.0, 10.0)]), (1e-12, [(2.0, 9.9999995)]),
+                        (math.nextafter(1e-12, 1.0), [(5.0, 9.9999995)])):
+        _, segs = assert_recover_matches([jn(2, 0, [0])], [Segment(Point(2, 0), Point(10, 0))],
+                                         margin_pool(delta))
+        assert [(s.a.x, s.b.x) for s in segs] == ends

@@ -9,6 +9,7 @@ structurally.
 import enum
 import functools
 import json
+import math
 import os
 import struct
 import tempfile
@@ -146,6 +147,33 @@ def test_junctions_angle_rounding_to_360_wraps(tmp_path):
     wf = Wireframe([j], [], np.zeros((1, 0), dtype=np.int64))
     write_wireframe(wf, 8, 8, p)
     assert read_wireframe(p)[2].junctions[0].branches[0].angle_deg == 0.0
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=4))
+@settings(deadline=None)
+@example([-1e-12])  # just below 0: 360 - 1e-12 has 15 digits, and rounds to 360
+@example([-3e-10])
+@example([-1e-300])
+@example([359.99999999])
+@example([359.9999999996])
+@example([719.9999999999])
+@example([-360.0])
+@example([359.9999, 359.99989999, -0.0, 1e300])
+def test_branch_angles_write_a_fixed_point(angles):
+    # every angle is written as a 9-digit one in [0, 360) that reads back
+    # and writes the same bytes again, in junction and wireframe files
+    j = Junction(Point(1.0, 1.0), tuple(Branch(a) for a in angles))
+    with tempfile.TemporaryDirectory() as d:
+        p1, p2 = os.path.join(d, "a.json"), os.path.join(d, "b.json")
+        write_junctions(8, 8, [j], p1)
+        write_junctions(*read_junctions(p1), p2)
+        assert open(p1, "rb").read() == open(p2, "rb").read()
+        for b in read_junctions(p1)[2][0].branches:
+            assert 0.0 <= b.angle_deg < 360.0 and _round9(b.angle_deg) == b.angle_deg
+        write_wireframe(Wireframe([j], [], np.zeros((1, 0), dtype=np.int64)), 8, 8, p1)
+        w, h, wf = read_wireframe(p1)
+        write_wireframe(wf, w, h, p2)
+        assert open(p1, "rb").read() == open(p2, "rb").read()
 
 
 def test_junctions_empty(tmp_path):
@@ -652,8 +680,9 @@ def reference_junction_record(j: Junction, derived=None) -> dict:
            "score": _round9(j.confidence)}
     if derived is not None:
         rec["derived"] = derived
-    # rounding can carry an angle just below 360 up to 360.0
-    rec["branches"] = [{"theta": normalize_angle(_round9(b.angle_deg)),
+    # rounding can carry an angle just below 360 up to 360.0, before the
+    # wrap (a hair below 0) and after it, so it is rounded again
+    rec["branches"] = [{"theta": math.fmod(_round9(normalize_angle(_round9(b.angle_deg))), 360.0),
                         "score": _round9(b.confidence)} for b in j.branches]
     return rec
 

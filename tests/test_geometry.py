@@ -20,6 +20,7 @@ from wireframe.geometry import (
     direction_deg,
     directions,
     intersection_flags,
+    intersection_points,
     near_lists,
     normalize_angle,
     point_array,
@@ -301,6 +302,76 @@ def test_intersection_prefilter_covers_scalar(s1, s2):
 def test_intersection_prefilter_covers_scalar_wide(s1, s2):
     if meets(s1, s2):
         assert intersection_flags(segment_array([s1])[0], segment_array([s2])[0])
+
+
+def assert_points_match_scalar(pairs):
+    """Where intersection_points settles a pair, it is the scalar's point
+    (or None) to the bit; returns which pairs it settled."""
+    sure, xy = intersection_points(segment_array([a for a, _ in pairs]),
+                                   segment_array([b for _, b in pairs]))
+    for (a, b), ok, (x, y) in zip(pairs, sure.tolist(), xy.tolist()):
+        if ok:
+            assert repr(None if x != x else Point(x, y)) == repr(segment_intersection(a, b).point)
+    return sure.tolist()
+
+
+hair = st.sampled_from([0.0, 1e-300, 1e-13, 5e-13, 1e-12, 2e-12, 1e-9, 4e-9, 1e-6, 0.5])
+
+
+@st.composite
+def near_line_pairs(draw):
+    """A grid segment and one on its line, or a hair off or turned from it:
+    collinear, touching, overlapping and apart pairs, both lengths longer."""
+    a = draw(grid_segments)
+    dx, dy = a.b.x - a.a.x, a.b.y - a.a.y
+    n = math.hypot(dx, dy)
+    ts = st.sampled_from([-1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 1.5, 2.0]) | st.floats(-2.0, 3.0)
+    ends = [(draw(ts), draw(hair) * draw(st.sampled_from([-1.0, 1.0]))) for _ in range(2)]
+    c, d = [pt(a.a.x + t * dx - h * dy / n, a.a.y + t * dy + h * dx / n) for t, h in ends]
+    return (a, Segment(c, d)) if c != d else (a, a)
+
+
+def unit_margin_pairs():
+    """(0, 0)-(1, 0) against segments one ulp either side of each margin of
+    intersection_points: a turn through (0.25, 0) at the sure-parallel,
+    scalar and crossing limits 5e-13, 1e-12 and 2e-12 of sin; a hair above
+    the line touching its end at the scalar and sure-off limits 1e-12 and
+    2e-12; collinear segments touching its end, or apart or overlapping it
+    by 0 or about the 4e-9 margin."""
+    unit = seg(0, 0, 1, 0)
+    steps = [lambda v: math.nextafter(v, -1.0), lambda v: v, lambda v: math.nextafter(v, 2.0)]
+    return ([(unit, seg(0.25, 0, 1.25, f(v))) for v in (5e-13, 1e-12, 2e-12) for f in steps]
+            + [(unit, seg(1, f(v), 2, f(v))) for v in (1e-12, 2e-12) for f in steps]
+            + [(unit, seg(f(v), 0, 2, 0)) for v in (1.0, 1.0 + 4e-9, 1.0 - 4e-9) for f in steps])
+
+
+@given(st.lists(near_line_pairs() | st.tuples(grid_segments, grid_segments)
+                | st.tuples(segments, segments), max_size=8))
+@settings(max_examples=300, deadline=None)
+@example(unit_margin_pairs())
+@example([(seg(0, 0, 4, 0), seg(2, 0, 6, 0)), (seg(0, 0, 2, 0), seg(2, 0, 4, 0)),
+          (seg(0, 0, 1, 0), seg(5, 0, 20, 0)), (seg(0, 0, 20, 0), seg(5, 0, 1, 0)),
+          (seg(0, 0, 4, 4), seg(0, 4, 4, 0)), (seg(0, 0, 1, 1), seg(0, 1, 1, 2))])
+# |r|^2 overflows in the scalar, which then reports this overlap as a point at (0, 0)
+@example([(seg(0, 0, 1e155, 0), seg(1e147, 0, 2e147, 0))])
+def test_intersection_points_match_scalar(pairs):
+    assert_points_match_scalar(pairs)
+
+
+def test_intersection_points_settle_all_but_the_touching_pairs():
+    pairs = [(seg(0, 0, 4, 4), seg(0, 4, 4, 0)),  # a crossing
+             (seg(0, 0, 4, 0), seg(4, 0, 4, 3)),  # touching an end, not parallel
+             (seg(0, 0, 4, 0), seg(2, 0, 6, 0)),  # collinear overlap
+             (seg(0, 0, 4, 0), seg(5, 0, 9, 0)),  # collinear, apart
+             (seg(0, 0, 4, 0), seg(9, 0, 5, 0)),  # the same, reversed
+             (seg(0, 0, 4, 0), seg(0, 1, 4, 1)),  # parallel, off the line
+             (seg(0, 0, 1, 0), seg(1, 0, 20, 0)),  # collinear, touching an end
+             (seg(0, 0, 1, 0), seg(0.25, 0, 1.25, 1e-12))]  # at the scalar's parallel limit
+    assert assert_points_match_scalar(pairs) == [True] * 6 + [False] * 2
+    assert assert_points_match_scalar(unit_margin_pairs()) == (
+        [True] + [False] * 7 + [True]  # the turn: sure parallel, or sure crossing
+        + [False] * 5 + [True]  # the hair: sure off the line
+        + [False] * 3 + [False, True, True] + [True, False, False])  # apart, overlapping
 
 
 @given(grid_points, grid_points,
