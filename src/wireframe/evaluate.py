@@ -155,12 +155,14 @@ def _near_count(mask: np.ndarray, other: np.ndarray, tol: float) -> int:
     if not len(idx):
         return total
     ys, xs = np.divmod(idx, w)
-    prefix = np.zeros(h * w + 1, dtype=np.int32)
-    np.cumsum(other, dtype=np.int32, out=prefix[1:])
+    # the prefix sum covers only rows top..bottom, those the disks reach
+    top, bottom = max(int(ys[0]) - reach, 0), min(int(ys[-1]) + reach + 1, h)
+    prefix = np.zeros((bottom - top) * w + 1, dtype=np.int32)
+    np.cumsum(other[top:bottom], dtype=np.int32, out=prefix[1:])
     near = np.zeros(len(ys), dtype=bool)
     for dy, half in zip(dys.tolist(), halves.tolist()):
         lo, hi = np.searchsorted(ys, (-dy, h - dy))  # ys ascend: rows y + dy in range
-        row, x = (ys[lo:hi] + dy) * w, xs[lo:hi]
+        row, x = (ys[lo:hi] + dy - top) * w, xs[lo:hi]
         left = prefix[row + np.maximum(x - half, 0)]
         near[lo:hi] |= prefix[row + np.minimum(x + half + 1, w)] > left
     return total - len(idx) + int(np.count_nonzero(near))

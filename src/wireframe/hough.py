@@ -7,10 +7,11 @@ vote threshold, walk that line through the mask, bridging gaps up to max_gap,
 to find the supporting run.  Runs of two or more pixels at least min_length
 long are emitted; a run's pixels are always consumed and their stored votes
 retracted in one update, so no line is found twice.  Votes are cast a block
-of visits at a time, with the segments of a one-vote loop: between runs no
-pixel dies, and no cell is at the threshold when a block starts (the pixel
+of live visits at a time, with the segments of a one-vote loop: between runs
+no pixel dies, and no cell is at the threshold when a block starts (the pixel
 that lifted it there was retracted with its run).  If a block lifts a cell
-there, the votes after the first pixel that did are taken back.
+there, the votes after the first pixel that did are taken back, and the
+live ones among those pixels, with their cells, start the next block.
 """
 
 from __future__ import annotations
@@ -26,9 +27,12 @@ from .geometry import GeometryError, Point, Segment, check_seed
 DEFAULT_VOTES = 30
 DEFAULT_MIN_LENGTH = 20.0
 DEFAULT_MAX_GAP = 3.0
-# Visits per vote block (timed on 640^2 scenes, ~42 votes between runs):
+# Live visits per vote block (timed on 640^2 scenes, ~42 votes between runs):
 # smaller blocks pay more per-call overhead, larger ones take back more votes.
-_BLOCK = 64
+_BLOCK = 32
+# Accumulator cells at most, like formats.MAX_PIXELS: a resolution near 0 is
+# an error rather than an allocation of terabytes.
+MAX_CELLS = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -52,86 +56,106 @@ class HoughParams:
         check_seed(self.seed)
 
 
-def _walk_dir(alive: np.ndarray, x0: int, y0: int, dx: float, dy: float,
-              max_gap: float) -> list[tuple[int, int]]:
-    """Follow one direction of the line from (x0, y0) over alive pixels.
+def _walk_dir(alive: memoryview, w: int, h: int, p0: int, dx: float, dy: float,
+              max_gap: float) -> list[int]:
+    """Follow one direction of the line from pixel p0 = y0 * w + x0 over
+    `alive`, the mask as a flat row-major memoryview; the hits, flat.
 
-    Steps along the dominant axis; at each step the expected pixel and its
-    two lateral neighbors are probed, and a hit re-centers the walk, which
-    tolerates the accumulator's angle quantization.  A y-major direction is
-    the same walk over the transposed mask.
+    Steps along the dominant (major) axis; at each step the expected pixel
+    and its two lateral neighbors are probed, and a hit re-centers the walk,
+    which tolerates the accumulator's angle quantization.  A y-major
+    direction is the same walk with the strides of the two axes swapped.
     """
     if abs(dx) < abs(dy):
-        return [(x, y) for y, x in _walk_dir(alive.T, y0, x0, dy, dx, max_gap)]
-    h, w = alive.shape
-    hits: list[tuple[int, int]] = []
-    sx = 1 if dx > 0 else -1
-    slope = dy / dx * sx
-    x, yf = x0, float(y0)
-    gap = 0
-    while True:
-        x += sx
-        yf += slope
-        if not 0 <= x < w:
-            break
-        y = int(math.floor(yf + 0.5))
-        found = None
-        for yy in (y, y - 1, y + 1):
-            if 0 <= yy < h and alive[yy, x]:
-                found = yy
-                break
-        if found is None:
+        m, nf, dm, dn, m_end, n_end, ms, ns = p0 // w, p0 % w, dy, dx, h, w, w, 1
+    else:
+        m, nf, dm, dn, m_end, n_end, ms, ns = p0 % w, p0 // w, dx, dy, w, h, 1, w
+    hits: list[int] = []
+    s = 1 if dm > 0 else -1
+    slope, nf, gap = dn / dm * s, float(nf), 0
+    for m in range(m + s, m_end if s > 0 else -1, s):
+        nf += slope
+        n = math.floor(nf + 0.5)
+        p = m * ms + n * ns
+        if 0 <= n < n_end and alive[p]:
+            pass
+        elif 0 < n <= n_end and alive[p - ns]:
+            n, p = n - 1, p - ns
+        elif -1 <= n < n_end - 1 and alive[p + ns]:
+            n, p = n + 1, p + ns
+        else:
             gap += 1
             if gap > max_gap:
                 break
             continue
-        gap = 0
-        yf = float(found)
-        hits.append((x, found))
+        gap, nf = 0, float(n)
+        hits.append(p)
     return hits
 
 
 def hough_segments(mask: BinaryMask, params: HoughParams = HoughParams()) -> list[Segment]:
-    """Extract line segments from a binary mask."""
-    ys, xs = np.nonzero(mask.bits)
-    if not xs.size:
+    """Extract line segments from a binary mask.  Raises GeometryError when
+    the accumulator would hold more than MAX_CELLS cells."""
+    w, h = mask.width, mask.height
+    # clamped first, so that a resolution near 0 cannot overflow int()
+    n_theta = max(1, int(round(min(180.0 / params.theta_res, MAX_CELLS + 1))))
+    rho_off = int(math.ceil(min(math.hypot(w, h) / params.rho_res, MAX_CELLS)))
+    n_rho = 2 * rho_off + 1
+    if n_theta * n_rho > MAX_CELLS:
+        raise GeometryError(f"{n_theta} x {n_rho} Hough cells pass MAX_CELLS = {MAX_CELLS}")
+    alive = mask.bits.ravel().copy()
+    px = np.flatnonzero(alive)  # pixel (x, y) is y * w + x
+    if not px.size:
         return []
-    alive = mask.bits.copy()
     voted = np.zeros_like(alive)
 
-    n_theta = max(1, int(round(180.0 / params.theta_res)))
     thetas = np.arange(n_theta) * math.radians(params.theta_res)
     cos_t, sin_t = np.cos(thetas), np.sin(thetas)
-    rho_off = int(math.ceil(math.hypot(mask.width, mask.height) / params.rho_res))
-    # flat accumulator: (theta bin t, rho bin r) is cell t * (2 * rho_off + 1) + r
-    acc = np.zeros(n_theta * (2 * rho_off + 1), dtype=np.int64)
-    cell_base = np.arange(n_theta) * (2 * rho_off + 1) + rho_off
+    # tabled before acc is made: the other order read ~1 MB more hough-640 peak RSS
+    x_cos, y_sin = np.arange(w)[:, None] * cos_t, np.arange(h)[:, None] * sin_t
+    # flat accumulator: (theta bin t, rho bin r) is cell t * n_rho + r; int32
+    # counts, and an int32 one, keep np.add.at on its fast path
+    acc, one = np.zeros(n_theta * n_rho, dtype=np.int32), np.int32(1)
+    cell_base = np.arange(n_theta) * n_rho + rho_off
 
-    def cells_of(px: np.ndarray, py: np.ndarray) -> np.ndarray:  # n_theta per pixel, flat
-        return (np.rint((px[:, None] * cos_t + py[:, None] * sin_t)
-                        / params.rho_res).astype(np.int64) + cell_base).ravel()
+    def cells_of(p: np.ndarray) -> np.ndarray:  # (len(p), n_theta) cells of pixels p
+        y, x = np.divmod(p, w)
+        rho = x_cos[x]
+        rho += y_sin[y]
+        if params.rho_res != 1.0:  # x / 1.0 == x
+            rho /= params.rho_res
+        cells = np.rint(rho, out=rho).astype(np.intp)
+        cells += cell_base
+        return cells
 
-    # each visit pops one pool index, live pixel or not: the n draws are the
-    # stream of n scalar rng.integers(len(pool)) calls, made in one call
-    n = len(xs)
-    pool, order = list(range(n)), []
-    for j in np.random.default_rng(params.seed).integers(np.arange(n, 0, -1)).tolist():
-        order.append(pool[j])
-        pool[j] = pool[-1]
-        pool.pop()
-    vx, vy = xs[order], ys[order]
+    # visit k takes pool index j, live pixel or not, moves the last index into
+    # its place and parks j's in the freed slot, so the reversed pool is the
+    # order; the n draws are the n scalar rng.integers(len(pool)) calls at once
+    n = len(px)
+    pool, draws = list(range(n)), np.random.default_rng(params.seed).integers(np.arange(n, 0, -1))
+    for m, j in zip(range(n - 1, -1, -1), draws.tolist()):
+        pool[j], pool[m] = pool[m], pool[j]
+    visits = px[pool[::-1]]
     segments: list[Segment] = []
 
-    i = 0
-    while i < n:
-        live = i + np.flatnonzero(alive[vy[i:i + _BLOCK], vx[i:i + _BLOCK]])
-        i += _BLOCK  # a block of dead pixels falls through with no votes
-        bx, by = vx[live], vy[live]
-        flat = cells_of(bx, by)
-        np.add.at(acc, flat, 1)
+    i, block, cells = 0, px[:0], cells_of(px[:0])  # visits[i:] are not scanned yet
+    while True:
+        keep = alive[block]  # the pixels and cells carried from the last block
+        block, cells = block[keep], cells[keep]
+        need, span = _BLOCK - len(block), _BLOCK
+        while len(new := np.flatnonzero(alive[visits[i:i + span]])) < need and i + span < n:
+            span *= 4  # dead visits cast no votes, so they are skipped
+        end = i + int(new[need - 1]) + 1 if len(new) >= need else n
+        i, new = end, visits[i + new[:need]]
+        if not len(new) and not len(block):
+            break
+        block, cells = np.concatenate((block, new)), np.concatenate((cells, cells_of(new)))
+        flat = cells.ravel()
+        np.add.at(acc, flat, one)
         hot = np.flatnonzero(acc[flat] >= params.votes)
         if not hot.size:
-            voted[by, bx] = True
+            voted[block] = True
+            block, cells = block[:0], cells[:0]
             continue
         # a hot cell reached the threshold at its occurrence with acc - votes
         # more of it later in the block; the first such one is the trigger
@@ -139,25 +163,21 @@ def hough_segments(mask: BinaryMask, params: HoughParams = HoughParams()) -> lis
         c = flat[hot]
         later = np.searchsorted(c, c, side="right") - 1 - np.arange(len(c))
         r = int(hot[later == acc[c] - params.votes].min()) // n_theta
-        np.subtract.at(acc, flat[(r + 1) * n_theta:], 1)
-        voted[by[:r + 1], bx[:r + 1]] = True
-        k = int(acc[flat[r * n_theta:(r + 1) * n_theta]].argmax())
-        x0, y0 = int(bx[r]), int(by[r])
-        i = int(live[r]) + 1
+        np.subtract.at(acc, flat[(r + 1) * n_theta:], one)
+        voted[block[:r + 1]] = True
+        k, p0 = int(acc[cells[r]].argmax()), int(block[r])
+        block, cells = block[r + 1:], cells[r + 1:]
 
         # follow the winning direction through the mask, both ways
-        dx, dy = -sin_t[k], cos_t[k]
-        fwd = _walk_dir(alive, x0, y0, dx, dy, params.max_gap)
-        bwd = _walk_dir(alive, x0, y0, -dx, -dy, params.max_gap)
-        run = bwd[::-1] + [(x0, y0)] + fwd
-        ex1, ex2 = run[0], run[-1]
+        dx, dy = float(-sin_t[k]), float(cos_t[k])
+        fwd = _walk_dir(memoryview(alive), w, h, p0, dx, dy, params.max_gap)
+        bwd = _walk_dir(memoryview(alive), w, h, p0, -dx, -dy, params.max_gap)
+        run = np.array(bwd[::-1] + [p0] + fwd)
+        alive[run] = False
+        was = run[voted[run]]  # a run's pixels die, so none is in two runs
+        np.subtract.at(acc, cells_of(was).ravel(), one)
 
-        run_x, run_y = (np.array(v) for v in zip(*run))
-        alive[run_y, run_x] = False
-        was = voted[run_y, run_x]  # a run's pixels die, so none is in two runs
-        np.subtract.at(acc, cells_of(run_x[was], run_y[was]), 1)
-
-        if ex1 != ex2 and math.hypot(ex2[0] - ex1[0], ex2[1] - ex1[1]) >= params.min_length:
-            segments.append(Segment(Point(float(ex1[0]), float(ex1[1])),
-                                    Point(float(ex2[0]), float(ex2[1]))))
+        (y1, x1), (y2, x2) = divmod(int(run[0]), w), divmod(int(run[-1]), w)
+        if len(run) > 1 and math.hypot(x2 - x1, y2 - y1) >= params.min_length:
+            segments.append(Segment(Point(float(x1), float(y1)), Point(float(x2), float(y2))))
     return segments

@@ -308,6 +308,24 @@ def test_near_count_matches_untiered_disk_test(pair, tol):
     assert _near_count(other, mask, tol) == reference_near_count(other, mask, tol)
 
 
+@pytest.mark.parametrize("tol", [2.0, math.nextafter(3.0, 0.0), 3.0, 3.5, 7.0])
+@pytest.mark.parametrize("row", [0, 2, 30, 55, 59])
+def test_near_count_prefix_rows_reach_the_band(tol, row):
+    # the prefix sum covers only the rows of the pixels left after the 3x3
+    # tier, widened by the reach: a pixel of `other` just inside or just
+    # outside the reach above or below that band, or at the image edge, counts
+    # as it does for the full-image sum
+    h, w = 60, 9
+    mask = np.zeros((h, w), dtype=bool)
+    mask[row, 4] = mask[min(row + 3, h - 1), 1] = True
+    for dy in range(-9, 13):
+        for dx in (-3, 0, 2):
+            if 0 <= row + dy < h:
+                other = np.zeros_like(mask)
+                other[row + dy, 4 + dx] = True
+                assert _near_count(mask, other, tol) == near_count_edt(mask, other, tol)
+
+
 def reference_match_points(gt, pred, tol):
     """Oracle: match_points with its adjacency from every scalar distance."""
     adj = [[j for j in range(len(pred)) if gt[i].distance_to(pred[j]) <= tol]

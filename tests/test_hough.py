@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import segment_pixels
 from wireframe.annotate import render_target_heatmap
 from wireframe.construct import BinaryMask, binarize
 from wireframe.geometry import GeometryError, Point, Segment, point_segment_distance
-from wireframe.hough import _BLOCK, HoughParams, _walk_dir, hough_segments
+from wireframe.hough import _BLOCK, MAX_CELLS, HoughParams, _walk_dir, hough_segments
 from wireframe.synth import make_scene
 
 
@@ -39,6 +40,123 @@ def test_params_validation():
             HoughParams(**bad)
     assert HoughParams(seed=np.int64(3)).seed == 3
     assert HoughParams(votes=np.int64(3)).votes == 3
+
+
+@pytest.mark.parametrize("params", [
+    HoughParams(rho_res=1e-7), HoughParams(theta_res=1e-6), HoughParams(rho_res=1e-300),
+    HoughParams(rho_res=5e-324), HoughParams(theta_res=5e-324),
+])
+def test_accumulator_past_the_cell_limit_is_rejected(params):
+    # these once ended in a MemoryError (2.37 TiB) or a numpy ValueError
+    mask = BinaryMask(64, 64)
+    mask.bits[10, 5:40] = True
+    with pytest.raises(GeometryError, match="MAX_CELLS"):
+        hough_segments(mask, params)
+
+
+@pytest.mark.parametrize("width, height, n_rho", [(3, 4, 11), (0, 0, 1)])
+def test_accumulator_at_the_cell_limit_is_allowed(width, height, n_rho):
+    # 3 x 4 has a diagonal of 5, so 11 rho bins, and 0 x 0 one bin, which
+    # takes the limit exactly; an empty mask allocates nothing
+    n_theta = MAX_CELLS // n_rho
+    mask = BinaryMask(width, height)
+    assert hough_segments(mask, HoughParams(theta_res=180 / n_theta)) == []
+    with pytest.raises(GeometryError):
+        hough_segments(mask, HoughParams(theta_res=180 / (n_theta + 1)))
+
+
+def reference_walk_dir(alive, x0, y0, dx, dy, max_gap):
+    """Follow one direction of the line from (x0, y0) over alive pixels.
+
+    Steps along the dominant axis; at each step the expected pixel and its
+    two lateral neighbors are probed, and a hit re-centers the walk, which
+    tolerates the accumulator's angle quantization.  A y-major direction is
+    the same walk over the transposed mask.
+    """
+    if abs(dx) < abs(dy):
+        return [(x, y) for y, x in reference_walk_dir(alive.T, y0, x0, dy, dx, max_gap)]
+    h, w = alive.shape
+    hits = []
+    sx = 1 if dx > 0 else -1
+    slope = dy / dx * sx
+    x, yf = x0, float(y0)
+    gap = 0
+    while True:
+        x += sx
+        yf += slope
+        if not 0 <= x < w:
+            break
+        y = int(math.floor(yf + 0.5))
+        found = None
+        for yy in (y, y - 1, y + 1):
+            if 0 <= yy < h and alive[yy, x]:
+                found = yy
+                break
+        if found is None:
+            gap += 1
+            if gap > max_gap:
+                break
+            continue
+        gap = 0
+        yf = float(found)
+        hits.append((x, found))
+    return hits
+
+
+def bin_direction(theta_res, k):
+    """The walk direction of theta bin k (mod the bin count), as hough_segments forms it."""
+    thetas = np.arange(max(1, int(round(180.0 / theta_res)))) * math.radians(theta_res)
+    k %= len(thetas)
+    return float(-np.sin(thetas)[k]), float(np.cos(thetas)[k])
+
+
+# the walk slope of bin 1 is -0.5 - 1 ulp, -0.5, -0.5 + 1 ulp, 0.5 + 1 ulp and
+# 0.5 - 2 ulps (dy / dx along the major axis)
+HALF_SLOPE_THETA_RES = [26.565051177077986, 26.56505117707799, 26.565051177077994,
+                        63.434948822922, 63.43494882292202]
+EXACT_DIRECTIONS = [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0), (0.6, -0.6),
+                    (1.0, 0.0), (0.0, -1.0), (2.0, 1.0), (-1.0, 2.0),
+                    (1.0, math.nextafter(0.5, 0.0)), (1.0, math.nextafter(0.5, 1.0)),
+                    (1.0, 0.5 - 2.0 ** -53), (-1.0, math.nextafter(-0.5, 0.0)),
+                    (math.nextafter(-0.5, -1.0), -1.0)]
+unit = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))  # 0 and 1: the border
+
+
+@st.composite
+def walk_masks(draw):
+    w, h = draw(st.integers(1, 30)), draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    return rng.random((h, w)) < draw(st.sampled_from([0.3, 0.7, 0.9, 1.0]))
+
+
+@given(mask=walk_masks(), start=st.tuples(unit, unit),
+       direction=st.one_of(
+           st.sampled_from(EXACT_DIRECTIONS),
+           st.builds(bin_direction, st.sampled_from(HALF_SLOPE_THETA_RES), st.integers(0, 8)),
+           st.builds(bin_direction, st.floats(0.5, 45.0), st.integers(0, 400))),
+       max_gap=st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.5, 3.0]), st.floats(0.0, 6.0)))
+@settings(max_examples=300, deadline=None)
+@example(mask=np.ones((9, 9), bool), start=(0.0, 0.0), direction=(1.0, 1.0), max_gap=0.0)
+@example(mask=np.ones((9, 9), bool), start=(1.0, 0.0), direction=(-1.0, 1.0), max_gap=0.0)
+@example(mask=np.eye(12, dtype=bool)[::-1], start=(0.0, 1.0), direction=(1.0, -1.0), max_gap=0.0)
+@example(mask=np.ones((7, 20), bool), start=(0.0, 0.5), direction=(1.0, 0.5 - 2.0 ** -53),
+         max_gap=0.0)
+@example(mask=np.ones((20, 7), bool), start=(0.5, 1.0),
+         direction=bin_direction(HALF_SLOPE_THETA_RES[0], 1), max_gap=1.0)
+@example(mask=np.ones((7, 20), bool), start=(1.0, 0.5),
+         direction=bin_direction(HALF_SLOPE_THETA_RES[1], 1), max_gap=0.5)
+@example(mask=np.tile([True, False, False, True], (5, 5)), start=(0.0, 0.0),
+         direction=(1.0, 0.0), max_gap=1.5)  # gaps of two: bridged only from 2
+@example(mask=np.tile([True, False, False, True], (5, 5)), start=(0.0, 0.0),
+         direction=(1.0, 0.0), max_gap=2.0)
+@example(mask=np.ones((1, 15), bool), start=(0.5, 0.0), direction=(1.0, 0.0), max_gap=0.0)
+@example(mask=np.ones((15, 1), bool), start=(0.0, 1.0), direction=(0.0, -1.0), max_gap=0.0)
+def test_walk_matches_reference_walk(mask, start, direction, max_gap):
+    h, w = mask.shape
+    x0, y0 = min(int(start[0] * w), w - 1), min(int(start[1] * h), h - 1)
+    dx, dy = direction
+    got = _walk_dir(memoryview(mask.ravel()), w, h, y0 * w + x0, dx, dy, max_gap)
+    assert [divmod(p, w)[::-1] for p in got] == reference_walk_dir(mask, x0, y0, dx, dy, max_gap)
 
 
 def reference_hough_segments(mask, params=HoughParams()):
@@ -76,8 +194,8 @@ def reference_hough_segments(mask, params=HoughParams()):
         if acc[k, bins[k]] < params.votes:
             continue
         dx, dy = -sin_t[k], cos_t[k]
-        fwd = _walk_dir(alive, x0, y0, dx, dy, params.max_gap)
-        bwd = _walk_dir(alive, x0, y0, -dx, -dy, params.max_gap)
+        fwd = reference_walk_dir(alive, x0, y0, dx, dy, params.max_gap)
+        bwd = reference_walk_dir(alive, x0, y0, -dx, -dy, params.max_gap)
         run = bwd[::-1] + [(x0, y0)] + fwd
         ex1, ex2 = run[0], run[-1]
         for x, y in run:
@@ -118,6 +236,8 @@ def test_matches_per_sample_reference(case):
     HoughParams(votes=5, rho_res=0.5, min_length=5.0, seed=4),
     HoughParams(votes=5, rho_res=3.0, min_length=5.0, seed=9),
     HoughParams(votes=2, max_gap=0.0, min_length=3.0, seed=2),
+    HoughParams(votes=2, theta_res=HALF_SLOPE_THETA_RES[0], max_gap=0.5, min_length=3.0),
+    HoughParams(votes=3, theta_res=HALF_SLOPE_THETA_RES[3], max_gap=1.5, min_length=3.0),
 ])
 def test_matches_reference_at_parameter_edges(params):
     rng = np.random.default_rng(21)
@@ -218,6 +338,63 @@ def test_blocks_of_dead_draws():
         assert min(endpoint_error(g, seg(100, 25, 124, 25)) for g in got[1:]) == 0.0
         checked += 1
     assert checked >= 3
+
+
+def test_dead_stretches_longer_than_many_scan_windows():
+    # the first run eats a 4000 px row, and the 12 px left are far apart in
+    # the visiting order: the scan for a block's live visits has to grow its
+    # window several times over between them
+    mask = BinaryMask(4000, 6)
+    mask.bits[1, :] = True
+    mask.bits[4, 100:112] = True
+    checked = 0
+    for seed in range(8):
+        order = visit_order(mask, seed)
+        live = np.flatnonzero([y == 4 for _, y in order])
+        if not (order[0][1] == order[1][1] == 1 and np.diff(live).max() > 16 * _BLOCK):
+            continue
+        params = HoughParams(votes=2, min_length=5.0, seed=seed)
+        got = hough_segments(mask, params)
+        assert got == reference_hough_segments(mask, params)
+        assert endpoint_error(got[0], seg(0, 1, 3999, 1)) == 0.0
+        checked += 1
+    assert checked >= 3
+
+
+@pytest.mark.parametrize("noise, tail_on_row", [(4, "all"), (80, "some")])
+def test_carried_tail_consumed_whole_or_in_part(noise, tail_on_row):
+    # votes=2 and the first two visits on the row: the second one triggers,
+    # and the rest of the first block is carried; the run eats the carried
+    # pixels on the row, and the next block starts with the others
+    rng = np.random.default_rng(51)
+    mask = BinaryMask(300, 9)
+    mask.bits[4, :] = True
+    ys, xs = rng.integers(0, 9, noise), rng.integers(0, 300, noise)
+    mask.bits[ys[np.abs(ys - 4) > 1], xs[np.abs(ys - 4) > 1]] = True
+    checked = 0
+    for seed in range(40):
+        order = visit_order(mask, seed)
+        on_row = [y == 4 for _, y in order[:_BLOCK]]
+        if not (on_row[0] and on_row[1]) or (all(on_row) != (tail_on_row == "all")) \
+                or not any(on_row[2:]):
+            continue
+        params = HoughParams(votes=2, min_length=5.0, seed=seed)
+        got = hough_segments(mask, params)
+        assert got == reference_hough_segments(mask, params)
+        assert endpoint_error(got[0], seg(0, 4, 299, 4)) == 0.0
+        checked += 1
+    assert checked >= 3
+
+
+@pytest.mark.parametrize("votes", [1, 2, 5])
+@pytest.mark.parametrize("shape", [(1, 300), (300, 1), (1, 7), (7, 1)])
+def test_one_pixel_wide_masks_match_reference(shape, votes):
+    rng = np.random.default_rng([61, *shape])
+    for density in (1.0, 0.6, 0.1):
+        mask = BinaryMask(shape[1], shape[0], rng.random(shape) < density)
+        for seed in (0, 3):
+            params = HoughParams(votes=votes, min_length=2.0, seed=seed)
+            assert hough_segments(mask, params) == reference_hough_segments(mask, params)
 
 
 def test_one_pixel_and_empty_match_reference():
