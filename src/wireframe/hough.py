@@ -30,8 +30,8 @@ DEFAULT_MAX_GAP = 3.0
 # Live visits per vote block (timed on 640^2 scenes, ~42 votes between runs):
 # smaller blocks pay more per-call overhead, larger ones take back more votes.
 _BLOCK = 32
-# Accumulator cells at most, like formats.MAX_PIXELS: a resolution near 0 is
-# an error rather than an allocation of terabytes.
+# Elements at most in the accumulator and in every array a call makes (the
+# x cos / y sin tables, a block's or a run's cells), like formats.MAX_PIXELS
 MAX_CELLS = 1 << 26
 
 
@@ -95,14 +95,15 @@ def _walk_dir(alive: memoryview, w: int, h: int, p0: int, dx: float, dy: float,
 
 def hough_segments(mask: BinaryMask, params: HoughParams = HoughParams()) -> list[Segment]:
     """Extract line segments from a binary mask.  Raises GeometryError when
-    the accumulator would hold more than MAX_CELLS cells."""
+    an array would hold more than MAX_CELLS elements: n_theta angle bins by
+    the rho bins, the width plus height, or the block rows."""
     w, h = mask.width, mask.height
     # clamped first, so that a resolution near 0 cannot overflow int()
     n_theta = max(1, int(round(min(180.0 / params.theta_res, MAX_CELLS + 1))))
     rho_off = int(math.ceil(min(math.hypot(w, h) / params.rho_res, MAX_CELLS)))
     n_rho = 2 * rho_off + 1
-    if n_theta * n_rho > MAX_CELLS:
-        raise GeometryError(f"{n_theta} x {n_rho} Hough cells pass MAX_CELLS = {MAX_CELLS}")
+    if n_theta * (rows := max(n_rho, w + h, _BLOCK)) > MAX_CELLS:
+        raise GeometryError(f"{n_theta} x {rows} Hough array elements pass MAX_CELLS = {MAX_CELLS}")
     alive = mask.bits.ravel().copy()
     px = np.flatnonzero(alive)  # pixel (x, y) is y * w + x
     if not px.size:
@@ -122,8 +123,7 @@ def hough_segments(mask: BinaryMask, params: HoughParams = HoughParams()) -> lis
         y, x = np.divmod(p, w)
         rho = x_cos[x]
         rho += y_sin[y]
-        if params.rho_res != 1.0:  # x / 1.0 == x
-            rho /= params.rho_res
+        rho /= params.rho_res
         cells = np.rint(rho, out=rho).astype(np.intp)
         cells += cell_base
         return cells

@@ -42,27 +42,35 @@ def test_params_validation():
     assert HoughParams(votes=np.int64(3)).votes == 3
 
 
-@pytest.mark.parametrize("params", [
-    HoughParams(rho_res=1e-7), HoughParams(theta_res=1e-6), HoughParams(rho_res=1e-300),
-    HoughParams(rho_res=5e-324), HoughParams(theta_res=5e-324),
+@pytest.mark.parametrize("width, height, params", [
+    (64, 64, HoughParams(rho_res=1e-7)), (64, 64, HoughParams(theta_res=1e-6)),
+    (64, 64, HoughParams(rho_res=1e-300)), (64, 64, HoughParams(rho_res=5e-324)),
+    (64, 64, HoughParams(theta_res=5e-324)),
+    # the accumulator fits; the x cos / y sin tables or a block's cells do not
+    (64, 64, HoughParams(theta_res=1e-4, rho_res=10.0)), (2, 2, HoughParams(theta_res=6e-5)),
 ])
-def test_accumulator_past_the_cell_limit_is_rejected(params):
-    # these once ended in a MemoryError (2.37 TiB) or a numpy ValueError
-    mask = BinaryMask(64, 64)
-    mask.bits[10, 5:40] = True
+def test_hough_arrays_past_the_cell_limit_are_rejected(width, height, params):
+    # the first five once ended in a MemoryError (2.37 TiB) or a numpy
+    # ValueError; the last two would ask for over 1 GB of tables or cells
+    mask = BinaryMask(width, height)
+    mask.bits[height // 2, : width // 2 + 1] = True
     with pytest.raises(GeometryError, match="MAX_CELLS"):
         hough_segments(mask, params)
 
 
-@pytest.mark.parametrize("width, height, n_rho", [(3, 4, 11), (0, 0, 1)])
-def test_accumulator_at_the_cell_limit_is_allowed(width, height, n_rho):
-    # 3 x 4 has a diagonal of 5, so 11 rho bins, and 0 x 0 one bin, which
-    # takes the limit exactly; an empty mask allocates nothing
-    n_theta = MAX_CELLS // n_rho
+@pytest.mark.parametrize("width, height, rho_res, rows", [
+    (64, 64, 1.0, 183),  # diagonal 90.5: 183 rho bins
+    (64, 64, 10.0, 128),  # 21 rho bins, but the tables take 64 + 64 rows
+    (3, 4, 1.0, _BLOCK),  # diagonal 5: 11 rho bins, 7 table rows
+    (0, 0, 1.0, _BLOCK),
+])
+def test_hough_arrays_at_the_cell_limit_are_allowed(width, height, rho_res, rows):
+    # the widest array takes the limit exactly; an empty mask allocates nothing
+    n_theta = MAX_CELLS // rows
     mask = BinaryMask(width, height)
-    assert hough_segments(mask, HoughParams(theta_res=180 / n_theta)) == []
+    assert hough_segments(mask, HoughParams(rho_res=rho_res, theta_res=180 / n_theta)) == []
     with pytest.raises(GeometryError):
-        hough_segments(mask, HoughParams(theta_res=180 / (n_theta + 1)))
+        hough_segments(mask, HoughParams(rho_res=rho_res, theta_res=180 / (n_theta + 1)))
 
 
 def reference_walk_dir(alive, x0, y0, dx, dy, max_gap):
