@@ -104,12 +104,11 @@ def match_points(gt: Sequence[Point], pred: Sequence[Point], tol: float) -> int:
 
 
 def junction_pr(gt: Sequence[Junction], pred: Sequence[Junction],
-                config: EvalConfig, width: int, height: int,
-                threshold: float = 0.0) -> PRPoint:
+                config: EvalConfig, width: int, height: int) -> PRPoint:
     """One-to-one junction detection PR at the configured tolerance."""
     tol = config.tolerance(width, height)
     m = match_points([j.center for j in gt], [j.center for j in pred], tol)
-    return _pr_from_counts(threshold, len(gt), len(pred), m, m)
+    return _pr_from_counts(0.0, len(gt), len(pred), m, m)
 
 
 def junction_sweep(gt: Sequence[Junction], pred: Sequence[Junction], config: EvalConfig,
@@ -169,15 +168,14 @@ def _near_count(mask: np.ndarray, other: np.ndarray, tol: float) -> int:
 
 
 def line_pixel_pr(gt: Sequence[Segment], pred: Sequence[Segment],
-                  config: EvalConfig, width: int, height: int,
-                  threshold: float = 0.0) -> PRPoint:
+                  config: EvalConfig, width: int, height: int) -> PRPoint:
     """Coverage-based PR over rasterized line pixels."""
     tol = config.tolerance(width, height)
     gt_px = _pixel_mask(gt, width, height)
     pred_px = _pixel_mask(pred, width, height)
     matched_pred = _near_count(pred_px, gt_px, tol)
     matched_gt = _near_count(gt_px, pred_px, tol)
-    return _pr_from_counts(threshold, int(np.count_nonzero(gt_px)),
+    return _pr_from_counts(0.0, int(np.count_nonzero(gt_px)),
                            int(np.count_nonzero(pred_px)), matched_gt, matched_pred)
 
 

@@ -13,15 +13,16 @@ mask pixel tracks the mask rasterization instead of drifting half a pixel
 off it the way rounded float endpoints do.
 
 Draws are decoded from blocks of raw words, and ``make_scene`` leaves the
-generator exactly where one-at-a-time draws would.  Candidates are screened
-_QUEUE at a time in one array pass over the accepted segments (after an
-accept, over the new one only).  A candidate that some segment surely
-rejects, or that needs a crossing while every segment is surely apart, is
-dropped there, since one failing segment rejects it.  The rest meet the
-scalar ``_row_check`` only on the segments the pass flags; the others surely
-pass, as their four endpoint-to-line distances exceed MIN_CLEARANCE (with
-the ``within`` margin) and their ends do not straddle each other's lines
-both ways.
+generator exactly where one-at-a-time draws would.  Each next segment gets
+MAX_TRIES candidates, screened _QUEUE at a time in one array pass over the
+accepted segments (after an accept, over the new one only), every layout
+from its first segment on.  A candidate that some segment surely rejects,
+or that needs a crossing while every segment is surely apart, is dropped
+there, since one failing segment rejects it.  The rest meet the scalar
+``_row_check`` only on the segments the pass flags; the others surely pass,
+as their four endpoint-to-line distances exceed MIN_CLEARANCE (with the
+``within`` margin) and their ends do not straddle each other's lines both
+ways.
 """
 
 from __future__ import annotations
@@ -34,8 +35,7 @@ import numpy as np
 
 from .annotate import AnnotatedScene
 from .geometry import (GeometryError, Point, Segment, check_seed, point_array, point_distances,
-                       point_segment_distance, segment_array,
-                       segment_intersection, surely_within, within)
+                       point_segment_distance, segment_intersection, surely_within, within)
 
 MIN_SEGMENTS = 5
 MAX_SEGMENTS = 30
@@ -50,9 +50,8 @@ ENDPOINT_MARGIN = 8.0
 # Whole-scene draws before giving up (benchmark pools and tests need <= 2):
 # a small image, say 64x64 with a 16 px window for crossings, may never fit.
 MAX_ATTEMPTS = 20
-# Accepted segments below which the array pass costs more than the scalar
-# checks it saves (timed per candidate on 320^2 scenes): all rows are flagged.
-_ROW_CROSSOVER = 5
+# Candidates drawn for the next segment before a layout settles for fewer.
+MAX_TRIES = 400
 # Candidates screened together, and draw passes decoded in a first block
 # (each next one is twice as large, up to 16 times).
 _QUEUE, _BLOCK = 32, 1024
@@ -91,17 +90,10 @@ def _min_separation(s: Segment, t: Segment) -> float:
                point_segment_distance(t.a, s), point_segment_distance(t.b, s))
 
 
-def _unit_line(s: Segment) -> tuple[float, float, float, float]:
-    """Unit normal (nx, ny) and offset c of the line through s, nx*x + ny*y + c,
-    and the offset e of the coordinate along it from s.a, -ny*x + nx*y + e."""
-    length = s.length
-    nx, ny = (s.b.y - s.a.y) / length, (s.a.x - s.b.x) / length
-    return nx, ny, -(nx * s.a.x + ny * s.a.y), ny * s.a.x - nx * s.a.y
-
-
 def _lines(q: np.ndarray) -> np.ndarray:
     """Rows (0, 1, nx, ny, c, a.x, a.y, b.x, b.y, -ny, e, e - length, -a.x,
-    -b.x) of (K, 4) segments, with ``_unit_line``'s terms."""
+    -b.x) of (K, 4) segments: nx*x + ny*y + c is the distance from the line,
+    -ny*x + nx*y + e the coordinate along it from a."""
     d = q[:, 2:] - q[:, :2]
     length = np.hypot(d[:, 0], d[:, 1])
     nx, ny = d[:, 1] / length, -d[:, 0] / length
@@ -207,18 +199,16 @@ def _row_check(cand: Segment, other: Segment, width: int, height: int) -> Point 
 
 class _Layout:
     """Accepted segments and crossings, with array copies: a column per segment
-    (a.x, a.y, b.x, b.y, its ``_unit_line`` nx, ny, c, then 1, e, e - length),
-    a row per crossing."""
+    (a.x, a.y, b.x, b.y, nx, ny, c, 1, e, e - length, from its ``_lines``
+    row), a row per crossing."""
 
     def __init__(self) -> None:
         self.segments: list[Segment] = []
         self.junctions: list[Point] = []
         self.cols, self.points = np.empty((10, 0)), np.empty((0, 2))
 
-    def add(self, seg: Segment, crossings: list[Point]) -> None:
-        nx, ny, c, e = _unit_line(seg)
-        col = (seg.a.x, seg.a.y, seg.b.x, seg.b.y, nx, ny, c, 1.0, e, e - seg.length)
-        self.cols = np.column_stack([self.cols, col])
+    def add(self, seg: Segment, crossings: list[Point], line: np.ndarray) -> None:
+        self.cols = np.column_stack([self.cols, line[[5, 6, 7, 8, 2, 3, 4, 1, 10, 11]]])
         self.points = np.concatenate([self.points, point_array(crossings)])
         self.segments.append(seg)
         self.junctions.extend(crossings)
@@ -258,16 +248,14 @@ class _Queue:
         self.size, self.draws = (width, height), _draws(rng, width, height)
         self.mark, self.ends, self.i = (rng.bit_generator.state, 0, None), (), 0
 
-    def pop(self, layout: _Layout) -> tuple[tuple, Optional[Sequence[int]]]:
-        """The next candidate's ends and the rows to check by hand, None if
-        the array pass rejects it."""
+    def pop(self, layout: _Layout) -> tuple[tuple, np.ndarray, Optional[Sequence[int]]]:
+        """The next candidate's ends, its ``_lines`` row and the rows to check
+        by hand, None if the array pass rejects it."""
         if self.i == len(self.ends):
             self.ends, self.marks = zip(*itertools.islice(self.draws, _QUEUE))
             self.lines, self.i, self.seen = _lines(np.array(self.ends, float)), 0, (None, 0)
         i, n = self.i, len(layout.segments)
         self.i, self.mark = i + 1, self.marks[i]
-        if n < _ROW_CROSSOVER:
-            return self.ends[i], range(n)
         if self.seen != (layout, n):  # screen the new segments, or all of a new layout
             start = self.seen[1] if self.seen[0] is layout else 0
             screen = layout.screen(self.lines, *self.size, start)
@@ -278,23 +266,15 @@ class _Queue:
             # a candidate needs a crossing once a segment is placed
             self.dropped = (screen[0] | (n > 0) & screen[1].all(axis=1)).tolist()
         if self.dropped[i]:
-            return self.ends[i], None
-        return self.ends[i], np.flatnonzero(self.screen[2][i]).tolist()
+            return self.ends[i], self.lines[i], None
+        return self.ends[i], self.lines[i], np.flatnonzero(self.screen[2][i]).tolist()
 
 
 def _check(cand: Segment, layout: _Layout, width: int, height: int, need_crossing: bool,
-           rows: Optional[Sequence[int]] = None) -> Optional[list[Point]]:
+           rows: Sequence[int]) -> Optional[list[Point]]:
     """New crossings if the candidate is acceptable, else None.  Only
-    ``rows`` are checked by hand, by default the rows the array pass leaves
-    (all of them below _ROW_CROSSOVER)."""
-    if rows is None:
-        rows = range(len(layout.segments))
-        if len(rows) >= _ROW_CROSSOVER:
-            screen = layout.screen(_lines(segment_array([cand])), width, height)
-            rejected, apart, flagged = (a[0] for a in screen)
-            if rejected or (need_crossing and apart.all()):
-                return None
-            rows = np.flatnonzero(flagged).tolist()
+    ``rows`` are checked by hand: those the array pass leaves, which screens
+    every layout from its first placed segment on."""
     new = []
     for i in rows:
         p = _row_check(cand, layout.segments[i], width, height)
@@ -315,8 +295,7 @@ def _check(cand: Segment, layout: _Layout, width: int, height: int, need_crossin
 
 
 def make_scene(rng: np.random.Generator, width: int = 320, height: int = 320,
-               n_segments: Optional[int] = None,
-               max_tries: int = 400) -> AnnotatedScene:
+               n_segments: Optional[int] = None) -> AnnotatedScene:
     """One random scene; n_segments defaults to a draw in [5, 30].
 
     GeometryError if the image is too small for a segment or for MAX_ATTEMPTS.
@@ -333,14 +312,14 @@ def make_scene(rng: np.random.Generator, width: int = 320, height: int = 320,
             # the second segment must cross the first, and every later one must
             # cross something already placed, so no segment ends up isolated
             while len(layout.segments) < n_segments:
-                for _ in range(max_tries):
-                    ends, rows = queue.pop(layout)
+                for _ in range(MAX_TRIES):
+                    ends, line, rows = queue.pop(layout)
                     if rows is None:
                         continue
                     cand = Segment(Point(*map(float, ends[:2])), Point(*map(float, ends[2:])))
                     crossings = _check(cand, layout, width, height, bool(layout.segments), rows)
                     if crossings is not None:
-                        layout.add(cand, crossings)
+                        layout.add(cand, crossings, line)
                         break
                 else:
                     break  # crowded: settle for fewer, or redraw below

@@ -289,7 +289,7 @@ def test_eval_lines_counts_once_per_image(tmp_path, monkeypatch):
             write_scene(scene, str(tmp_path / side / f"{k}.json"))
     config = EvalConfig()
     want = PRCurve(tuple(pool_pr(t, [
-        line_pixel_pr(list(g.lines), list(p.lines), config, g.width, g.height, threshold=t)
+        line_pixel_pr(list(g.lines), list(p.lines), config, g.width, g.height)
         for g, p in zip(scenes, preds)]) for t in DEFAULT_SWEEP))
     emit_pr_csv(want, str(tmp_path / "want.csv"))
     emit_pr_svg(want, str(tmp_path / "want.svg"))
@@ -325,7 +325,7 @@ def test_eval_junctions_counts_once_per_image(tmp_path, monkeypatch):
                read_junctions(str(tmp_path / "pred" / f"{k}.json"))[2]) for k in range(2)]
     config = EvalConfig()
     want = PRCurve(tuple(pool_pr(t, [
-        junction_pr(g, [j for j in p if j.confidence > t], config, w, h, threshold=t)
+        junction_pr(g, [j for j in p if j.confidence > t], config, w, h)
         for (w, h, g), p in images]) for t in DEFAULT_SWEEP))
     assert len({(p.precision, p.recall) for p in want.points}) > 3  # the sweep moves
     emit_pr_csv(want, str(tmp_path / "want.csv"))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -369,7 +370,7 @@ def test_junction_sweep_matches_junction_pr_per_threshold(gt, pred, thresholds):
     at = junction_sweep(gt, pred, config, 12, 12)
     for t in thresholds:
         kept = [j for j in pred if j.confidence > t]
-        assert at(t) == junction_pr(gt, kept, config, 12, 12, threshold=t)
+        assert at(t) == dataclasses.replace(junction_pr(gt, kept, config, 12, 12), threshold=t)
 
 
 def test_sweep_constant_detector():

@@ -9,13 +9,15 @@ from hypothesis import assume, example, given, settings, strategies as st
 from wireframe import synth
 from wireframe.annotate import AnnotatedScene
 from wireframe.geometry import GeometryError, Point, Segment, segment_array, segment_intersection
-from wireframe.synth import (JUNCTION_MARGIN, MAX_ATTEMPTS, MAX_SEGMENTS, MIN_CLEARANCE,
-                             MIN_CROSS_ANGLE, MIN_JUNCTION_SEP, MIN_SEGMENTS, MIN_STUB,
-                             _candidate, _check, _crossing_angle, _draws, _Layout, _line_distance,
-                             _lines, _min_separation, _row_check, _seek, make_scene, make_scenes)
+from wireframe.synth import (JUNCTION_MARGIN, MAX_ATTEMPTS, MAX_SEGMENTS, MAX_TRIES,
+                             MIN_CLEARANCE, MIN_CROSS_ANGLE, MIN_JUNCTION_SEP, MIN_SEGMENTS,
+                             MIN_STUB, _candidate, _check, _crossing_angle, _draws, _Layout,
+                             _line_distance, _lines, _min_separation, _Queue, _row_check, _seek,
+                             make_scene, make_scenes)
 
-# every row to the array pass, or none
-CROSSOVERS = [0, 10 ** 9]
+# layouts from this many segments on give ``_check`` the rows the array pass
+# leaves, smaller ones every row: each row set against the reference
+SCREEN_FROM = [0, 10 ** 9]
 
 
 def seg(x1, y1, x2, y2):
@@ -58,7 +60,7 @@ def reference_check(cand, existing, junctions, width, height, need_crossing):
     return new_junctions
 
 
-def reference_make_scene(rng, width=320, height=320, n_segments=None, max_tries=400):
+def reference_make_scene(rng, width=320, height=320, n_segments=None):
     """``make_scene`` on ``reference_check``: the same draws, the same scene."""
     if n_segments is None:
         n_segments = int(rng.integers(MIN_SEGMENTS, MAX_SEGMENTS + 1))
@@ -66,7 +68,7 @@ def reference_make_scene(rng, width=320, height=320, n_segments=None, max_tries=
     for _ in range(MAX_ATTEMPTS):
         segments, junctions = [], []
         while len(segments) < n_segments:
-            for _ in range(max_tries):
+            for _ in range(MAX_TRIES):
                 cand = _candidate(rng, width, height)
                 crossings = reference_check(cand, segments, junctions, width, height,
                                             need_crossing=bool(segments))
@@ -83,19 +85,43 @@ def reference_make_scene(rng, width=320, height=320, n_segments=None, max_tries=
 
 def layout_of(segments, junctions=()):
     layout = _Layout()
-    for k, s in enumerate(segments):
-        layout.add(s, list(junctions) if k == len(segments) - 1 else [])
+    for k, (s, line) in enumerate(zip(segments, _lines(segment_array(segments)))):
+        layout.add(s, list(junctions) if k == len(segments) - 1 else [], line)
     return layout
 
 
-def both_agree(monkeypatch, cand, segments, junctions, width, height, need_crossing):
-    """``_check`` with and without the array pass equals the reference; returns it."""
+def screen_one(cand, segments, width=320, height=320):
+    """The array pass on one candidate: (rejected, apart row mask, flagged row mask)."""
+    return [a[0] for a in layout_of(segments).screen(_lines(segment_array([cand])), width, height)]
+
+
+def check(cand, layout, width, height, need_crossing, screen_from=0):
+    """``_check`` on the rows the array pass leaves, None where it drops the
+    candidate, or on every row of a layout below ``screen_from`` segments."""
+    n = len(layout.segments)
+    if n < screen_from:
+        return _check(cand, layout, width, height, need_crossing, range(n))
+    rejected, apart, flagged = screen_one(cand, layout.segments, width, height)
+    if rejected or (need_crossing and apart.all()):
+        return None
+    return _check(cand, layout, width, height, need_crossing, np.flatnonzero(flagged).tolist())
+
+
+def both_agree(cand, segments, junctions, width, height, need_crossing):
+    """``_check`` on both row sets equals the reference; returns it."""
     want = reference_check(cand, list(segments), list(junctions), width, height, need_crossing)
     layout = layout_of(segments, junctions)
-    for crossover in CROSSOVERS:
-        monkeypatch.setattr(synth, "_ROW_CROSSOVER", crossover)
-        assert _check(cand, layout, width, height, need_crossing) == want, crossover
+    for screen_from in SCREEN_FROM:
+        assert check(cand, layout, width, height, need_crossing, screen_from) == want, screen_from
     return want
+
+
+def popped(monkeypatch, cands, layout, width=320, height=320):
+    """What ``_Queue.pop`` gives each candidate, fed in place of ``_draws``'s."""
+    ends = [(c.a.x, c.a.y, c.b.x, c.b.y) for c in cands]
+    monkeypatch.setattr(synth, "_draws", lambda *args: ((e, None) for e in ends))
+    queue = _Queue(np.random.default_rng(0), width, height)
+    return [queue.pop(layout) for _ in cands]
 
 
 def same_state(a, b):
@@ -117,10 +143,8 @@ def test_make_scene_matches_reference(size, n_segments, keys):
         assert same_state(rng.bit_generator.state, ref.bit_generator.state)
 
 
-@pytest.mark.parametrize("crossover", [synth._ROW_CROSSOVER, 0])
-def test_make_scene_state_after_error_and_between_scenes(monkeypatch, crossover):
-    # at 64x64 every attempt is scrapped; crossover 0 screens its layouts too
-    monkeypatch.setattr(synth, "_ROW_CROSSOVER", crossover)
+def test_make_scene_state_after_error_and_between_scenes():
+    # at 64x64 every attempt is scrapped, its layouts screened from the first segment
     rng, ref = np.random.default_rng(0), np.random.default_rng(0)
     with pytest.raises(GeometryError):
         make_scene(rng, 64, 64)
@@ -181,33 +205,30 @@ def test_draws_match_candidate_through_a_redraw(passes_before, buffered):
 @pytest.mark.parametrize("size, n_segments, key", [(320, None, 7), (640, 60, 2), (960, 40, 3)])
 def test_check_matches_reference_while_growing(monkeypatch, size, n_segments, key):
     # every candidate a scene draws: the queue's verdict, and _check on both
-    # sides of the crossover, against the reference
-    pop, crossover = synth._Queue.pop, synth._ROW_CROSSOVER
+    # row sets, against the reference
+    pop = _Queue.pop
     seen = []
 
-    def popped(queue, layout):
-        ends, rows = pop(queue, layout)
+    def checked(queue, layout):
+        ends, line, rows = pop(queue, layout)
         cand, need = seg(*ends), bool(layout.segments)
         want = reference_check(cand, list(layout.segments), list(layout.junctions),
                                size, size, need)
         assert (want is None if rows is None else _check(cand, layout, size, size, need, rows)
                 == want)
-        for c in CROSSOVERS:
-            synth._ROW_CROSSOVER = c
-            assert _check(cand, layout, size, size, need) == want
-        synth._ROW_CROSSOVER = crossover
+        for screen_from in SCREEN_FROM:
+            assert check(cand, layout, size, size, need, screen_from) == want
         seen.append(want is not None)
-        return ends, rows
+        return ends, line, rows
 
-    monkeypatch.setattr(synth, "_ROW_CROSSOVER", crossover)
-    monkeypatch.setattr(synth._Queue, "pop", popped)
+    monkeypatch.setattr(_Queue, "pop", checked)
     make_scene(np.random.default_rng([size, key]), size, size, n_segments)
     assert any(seen) and not all(seen)
 
 
 @pytest.mark.parametrize("n", [1, 3, 4, 5, 6, 20, 60])
 @pytest.mark.parametrize("integer", [True, False])
-def test_check_matches_reference_on_random_states(monkeypatch, n, integer):
+def test_check_matches_reference_on_random_states(n, integer):
     # arbitrary (not necessarily valid) layouts; candidates drawn freely and
     # as near copies of a placed segment, to land on every distance limit
     rng = np.random.default_rng([n, integer])
@@ -229,7 +250,7 @@ def test_check_matches_reference_on_random_states(monkeypatch, n, integer):
                 cand = seg(o.a.x + dx, o.a.y + dy, o.b.x + dx + rng.integers(-3, 4),
                            o.b.y + dy + rng.integers(-3, 4))
             for need in (True, False):
-                got = both_agree(monkeypatch, cand, segments, junctions, size, size, need)
+                got = both_agree(cand, segments, junctions, size, size, need)
                 outcomes.add(got is None)
     assert outcomes == {True, False}
 
@@ -251,10 +272,9 @@ H = seg(100, 100, 200, 100)  # a horizontal accepted segment
     (seg(150, 90, 150, 200), True),      # crossing with a 10 px stub
     (seg(150, 50, 150, 150), True),      # plain crossing
 ])
-@pytest.mark.parametrize("crossover", CROSSOVERS)
-def test_check_edges(monkeypatch, cand, accepted, crossover):
-    monkeypatch.setattr(synth, "_ROW_CROSSOVER", crossover)
-    got = _check(cand, layout_of([H]), 320, 320, need_crossing=False)
+@pytest.mark.parametrize("screen_from", SCREEN_FROM)
+def test_check_edges(cand, accepted, screen_from):
+    got = check(cand, layout_of([H]), 320, 320, False, screen_from)
     assert (got is not None) == accepted
     assert got == reference_check(cand, [H], [], 320, 320, need_crossing=False)
 
@@ -262,53 +282,48 @@ def test_check_edges(monkeypatch, cand, accepted, crossover):
 @pytest.mark.parametrize("x, accepted", [(JUNCTION_MARGIN, True), (JUNCTION_MARGIN - 1, False),
                                          (320 - JUNCTION_MARGIN, True),
                                          (320 - JUNCTION_MARGIN + 1, False)])
-def test_check_crossing_on_junction_margin(monkeypatch, x, accepted):
+def test_check_crossing_on_junction_margin(x, accepted):
     other = seg(x, 50, x, 150)
     for cand in (seg(x - 20, 100, x + 20, 100), seg(x - 30, 100, x + 30, 100)):
-        got = both_agree(monkeypatch, cand, [other], [], 320, 320, True)
+        got = both_agree(cand, [other], [], 320, 320, True)
         assert (got == [Point(float(x), 100.0)]) == accepted
 
 
 @pytest.mark.parametrize("degrees", [14.0, 15.0, 16.0, 24.0, 25.0, 26.0])
-def test_check_angle_limits(monkeypatch, degrees):
+def test_check_angle_limits(degrees):
     # crossing angles around MIN_CROSS_ANGLE, and continuations around 15
     # degrees; on float endpoints an angle on the limit may round either way,
     # so there only the reference decides
     c, s = math.cos(math.radians(degrees)), math.sin(math.radians(degrees))
     crossing = seg(200 - 80 * c, 200 - 80 * s, 200 + 80 * c, 200 + 80 * s)
-    got = both_agree(monkeypatch, crossing, [seg(100, 200, 300, 200)], [], 400, 400, True)
+    got = both_agree(crossing, [seg(100, 200, 300, 200)], [], 400, 400, True)
     if degrees != MIN_CROSS_ANGLE:
         assert (got is None) == (degrees < MIN_CROSS_ANGLE)
     continuation = seg(210, 101, 210 + 100 * c, 101 + 100 * s)
-    got = both_agree(monkeypatch, continuation, [H], [], 400, 400, False)
+    got = both_agree(continuation, [H], [], 400, 400, False)
     if degrees != 15.0:
         assert (got is None) == (degrees < 15.0)
 
 
-def test_check_clearance_margin(monkeypatch):
+def test_check_clearance_margin():
     # float endpoints where the scalar separation is just below 6 while the
     # array pass computes the line distance just above it: the `within`
     # margin must still flag the row
     other = seg(181.5, 122.64, 168.37837183718352, 84.5179853483759)
     cand = seg(176.08627330347713, 88.4762127033463, 162.80888059111328, 49.90165829321298)
-    assert both_agree(monkeypatch, cand, [other], [], 320, 320, False) is None
+    assert both_agree(cand, [other], [], 320, 320, False) is None
 
 
-def test_check_junction_separation(monkeypatch):
+def test_check_junction_separation():
     # the new crossing (150, 100) against placed junctions at distance 8 and 7.9
     cross = seg(150, 50, 150, 150)
     for q, accepted in ((Point(158.0, 100.0), True), (Point(157.9, 100.0), False),
                         (Point(150.0, 100.0), True)):  # distance 0 is the same junction
-        got = both_agree(monkeypatch, cross, [H], [q], 320, 320, True)
+        got = both_agree(cross, [H], [q], 320, 320, True)
         assert (got is not None) == accepted
 
 
-def screen_one(cand, segments, width=320, height=320):
-    """The array pass on one candidate: (rejected, apart row mask, flagged row mask)."""
-    return [a[0] for a in layout_of(segments).screen(_lines(segment_array([cand])), width, height)]
-
-
-def test_crossings_in_accepted_order(monkeypatch):
+def test_crossings_in_accepted_order():
     # row 3, inserted last, crosses between rows 2 and 4: the pass flags all
     # nine rows and the crossings come back in row order
     rows = [seg(40 + 30 * i, 40, 40 + 30 * i, 280) for i in range(8)]
@@ -316,7 +331,7 @@ def test_crossings_in_accepted_order(monkeypatch):
     cand = seg(30, 160, 290, 160)
     rejected, apart, flagged = screen_one(cand, rows)
     assert not rejected and not apart.any() and flagged.all()
-    got = both_agree(monkeypatch, cand, rows, [], 320, 320, True)
+    got = both_agree(cand, rows, [], 320, 320, True)
     assert [p.x for p in got] == pytest.approx([40, 70, 100, 115, 130, 160, 190, 220, 250])
 
 
@@ -462,7 +477,8 @@ def test_screen_settles_sure_rejects(monkeypatch, cand):
     assert assert_screen_sound(cand, row)
     assert _row_check(cand, row, 320, 320) is False
     monkeypatch.setattr(synth, "_row_check", None)
-    assert _check(cand, layout_of([row] * 5), 320, 320, need_crossing=True) is None
+    assert check(cand, layout_of([row]), 320, 320, True) is None
+    assert [r for _, _, r in popped(monkeypatch, [cand], layout_of([row]))] == [None]
 
 
 def test_screen_drops_a_candidate_no_row_can_cross(monkeypatch):
@@ -471,5 +487,16 @@ def test_screen_drops_a_candidate_no_row_can_cross(monkeypatch):
     rejected, apart, flagged = screen_one(cand, rows)
     assert not rejected and apart.all() and not flagged.any()
     monkeypatch.setattr(synth, "_row_check", None)
-    assert _check(cand, layout_of(rows), 320, 320, need_crossing=True) is None
-    assert _check(cand, layout_of(rows), 320, 320, need_crossing=False) == []
+    assert [r for _, _, r in popped(monkeypatch, [cand], layout_of(rows))] == [None]
+    assert check(cand, layout_of(rows), 320, 320, False) == []
+
+
+def test_queue_screens_a_one_segment_layout(monkeypatch):
+    # a copy of the one placed segment 3 px away is dropped by the array pass
+    # alone: every layout is screened from its first segment on
+    monkeypatch.setattr(synth, "_row_check", None)
+    cands = [seg(120, 103, 220, 103), seg(150, 50, 150, 150)]
+    (ends, line, rows), crossing = popped(monkeypatch, cands, layout_of([H]))
+    assert ends == (120.0, 103.0, 220.0, 103.0) and rows is None
+    assert line.tolist() == _lines(segment_array(cands[:1]))[0].tolist()
+    assert crossing[2] == [0]  # a crossing is flagged for the scalar check
