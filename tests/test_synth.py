@@ -143,9 +143,10 @@ def test_make_scene_matches_reference(size, n_segments, keys):
         assert same_state(rng.bit_generator.state, ref.bit_generator.state)
 
 
-def test_make_scene_state_after_error_and_between_scenes():
+@pytest.mark.parametrize("seed", [0, 5])
+def test_make_scene_state_after_error_and_between_scenes(seed):
     # at 64x64 every attempt is scrapped, its layouts screened from the first segment
-    rng, ref = np.random.default_rng(0), np.random.default_rng(0)
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
     with pytest.raises(GeometryError):
         make_scene(rng, 64, 64)
     with pytest.raises(GeometryError):
