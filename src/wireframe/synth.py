@@ -15,14 +15,12 @@ off it the way rounded float endpoints do.
 Draws are decoded from blocks of raw words, and ``make_scene`` leaves the
 generator exactly where one-at-a-time draws would.  Each next segment gets
 MAX_TRIES candidates, screened _QUEUE at a time in one array pass over the
-accepted segments (after an accept, over the new one only), every layout
-from its first segment on.  A candidate that some segment surely rejects,
-or that needs a crossing while every segment is surely apart, is dropped
-there, since one failing segment rejects it.  The rest meet the scalar
-``_row_check`` only on the segments the pass flags; the others surely pass,
-as their four endpoint-to-line distances exceed MIN_CLEARANCE (with the
-``within`` margin) and their ends do not straddle each other's lines both
-ways.
+layout, once per queue and layout.  One that a segment surely rejects stays
+dropped, as layouts only grow; one needing a crossing while every segment
+is surely apart is dropped until a segment is placed.  The rest meet the
+scalar ``_row_check`` on the rows the pass flags and on every segment placed
+since (unflagged rows surely pass: ends beyond MIN_CLEARANCE with the
+``within`` margin, not straddling both ways).  Spacing uses an 8 px grid.
 """
 
 from __future__ import annotations
@@ -34,8 +32,8 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .annotate import AnnotatedScene
-from .geometry import (GeometryError, Point, Segment, check_seed, point_array, point_distances,
-                       point_segment_distance, segment_intersection, surely_within, within)
+from .geometry import (GeometryError, Point, Segment, check_seed, point_segment_distance,
+                       segment_intersection, surely_within, within)
 
 MIN_SEGMENTS = 5
 MAX_SEGMENTS = 30
@@ -197,30 +195,34 @@ def _row_check(cand: Segment, other: Segment, width: int, height: int) -> Point 
     return p
 
 
+def _cell(p: Point) -> tuple[int, int]:
+    """A crossing's MIN_JUNCTION_SEP (8 px) grid cell.  The grid is exact:
+    x / 8 is exact in binary (crossings are far from underflow), and
+    ``math.hypot(dx, dy) < 8`` implies |dx| < 8 and |dy| < 8 (rounding is
+    monotone and 8 is a float), so every pair that can fail the spacing
+    test lies in the 3x3 cells around either point."""
+    return math.floor(p.x / MIN_JUNCTION_SEP), math.floor(p.y / MIN_JUNCTION_SEP)
+
+
 class _Layout:
-    """Accepted segments and crossings, with array copies: a column per segment
-    (a.x, a.y, b.x, b.y, nx, ny, c, 1, e, e - length, from its ``_lines``
-    row), a row per crossing."""
+    """Accepted segments, a column per segment (a.x, a.y, b.x, b.y, nx, ny,
+    c, 1, e, e - length, from its ``_lines`` row) and crossings by ``_cell``."""
 
     def __init__(self) -> None:
-        self.segments: list[Segment] = []
-        self.junctions: list[Point] = []
-        self.cols, self.points = np.empty((10, 0)), np.empty((0, 2))
+        self.segments, self.cols, self.grid = [], np.empty((10, 0)), {}
 
     def add(self, seg: Segment, crossings: list[Point], line: np.ndarray) -> None:
         self.cols = np.column_stack([self.cols, line[[5, 6, 7, 8, 2, 3, 4, 1, 10, 11]]])
-        self.points = np.concatenate([self.points, point_array(crossings)])
         self.segments.append(seg)
-        self.junctions.extend(crossings)
+        for p in crossings:
+            self.grid.setdefault(_cell(p), []).append(p)
 
-    def screen(self, lines: np.ndarray, width: int, height: int,
-               start: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """For candidates given by their ``_lines`` rows, against the segments
-        from ``start`` on: which a segment surely rejects (K,), and per pair
-        (K, segments) which are surely apart and which may fail ``_row_check``
-        (a near end or a crossing)."""
-        cols = self.cols[:, start:]
-        g = lines[:, _PASS].swapaxes(0, 1) @ cols  # (13, K, segments)
+    def screen(self, lines: np.ndarray, width: int,
+               height: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """For candidates given by their ``_lines`` rows: which a segment
+        surely rejects (K,), and per pair (K, segments) which are surely apart
+        and which may fail ``_row_check`` (a near end or a crossing)."""
+        g = lines[:, _PASS].swapaxes(0, 1) @ self.cols  # (13, K, segments)
         dist, across = np.abs(g[:4]), g[0:4:2] * g[1:4:2]  # the ends straddle a line if < 0
         sure = np.minimum(dist[0::2], dist[1::2]) > _SIDE
         apart = ((across > 0) & sure).any(axis=0)
@@ -248,58 +250,56 @@ class _Queue:
         self.size, self.draws = (width, height), _draws(rng, width, height)
         self.mark, self.ends, self.i = (rng.bit_generator.state, 0, None), (), 0
 
-    def pop(self, layout: _Layout) -> tuple[tuple, np.ndarray, Optional[Sequence[int]]]:
+    def pop(self, layout: _Layout) -> tuple[tuple, np.ndarray, Optional[list[int]]]:
         """The next candidate's ends, its ``_lines`` row and the rows to check
-        by hand, None if the array pass rejects it."""
+        by hand, None if the array pass drops it."""
         if self.i == len(self.ends):
             self.ends, self.marks = zip(*itertools.islice(self.draws, _QUEUE))
-            self.lines, self.i, self.seen = _lines(np.array(self.ends, float)), 0, (None, 0)
+            self.lines, self.i, self.screened = _lines(np.array(self.ends, float)), 0, (None,)
         i, n = self.i, len(layout.segments)
         self.i, self.mark = i + 1, self.marks[i]
-        if self.seen != (layout, n):  # screen the new segments, or all of a new layout
-            start = self.seen[1] if self.seen[0] is layout else 0
-            screen = layout.screen(self.lines, *self.size, start)
-            if start:
-                screen = (screen[0] | self.screen[0],
-                          *(np.hstack(pair) for pair in zip(self.screen[1:], screen[1:])))
-            self.screen, self.seen = screen, (layout, n)
-            # a candidate needs a crossing once a segment is placed
-            self.dropped = (screen[0] | (n > 0) & screen[1].all(axis=1)).tolist()
-        if self.dropped[i]:
-            return self.ends[i], self.lines[i], None
-        return self.ends[i], self.lines[i], np.flatnonzero(self.screen[2][i]).tolist()
+        if self.screened[0] is not layout:  # one screen per queue and layout
+            rejected, apart, flagged = layout.screen(self.lines, *self.size)
+            self.screened = layout, n, rejected.tolist(), apart.all(axis=1).tolist(), flagged
+        _, since, rejected, apart, flagged = self.screened
+        # a candidate needs a crossing once a segment is placed, maybe from one since
+        rows = None if rejected[i] or apart[i] and n == since > 0 else \
+            np.flatnonzero(flagged[i]).tolist() + [*range(since, n)]
+        return self.ends[i], self.lines[i], rows
 
 
 def _check(cand: Segment, layout: _Layout, width: int, height: int, need_crossing: bool,
            rows: Sequence[int]) -> Optional[list[Point]]:
     """New crossings if the candidate is acceptable, else None.  Only
-    ``rows`` are checked by hand: those the array pass leaves, which screens
-    every layout from its first placed segment on."""
+    ``rows`` are checked by hand: those the queue's screen flags and every
+    segment placed since.  Each crossing meets the spacing test once found,
+    against the earlier new ones and the 3x3 grid cells around it."""
     new = []
     for i in rows:
         p = _row_check(cand, layout.segments[i], width, height)
         if p is False:
             return None
         if p is not None:
+            x, y = _cell(p)
+            near = [q for dx in (-1, 0, 1) for dy in (-1, 0, 1)
+                    for q in layout.grid.get((x + dx, y + dy), ())]
+            if any(0.0 < p.distance_to(q) < MIN_JUNCTION_SEP for q in new + near):
+                return None
             new.append(p)
     if need_crossing and not new:
         return None
-    xy = point_array(new)
-    every = layout.junctions + new
-    near = within(point_distances(xy[:, None], np.concatenate([layout.points, xy])),
-                  MIN_JUNCTION_SEP)
-    for i, j in zip(*near.nonzero()):
-        if 0.0 < new[i].distance_to(every[j]) < MIN_JUNCTION_SEP:
-            return None
     return new
 
 
 def make_scene(rng: np.random.Generator, width: int = 320, height: int = 320,
                n_segments: Optional[int] = None) -> AnnotatedScene:
-    """One random scene; n_segments defaults to a draw in [5, 30].
-
-    GeometryError if the image is too small for a segment or for MAX_ATTEMPTS.
-    """
+    """One random scene; n_segments defaults to a draw in [5, 30].  GeometryError
+    before any draw if a side is not an integer >= 1, n_segments not None or an
+    integer >= 0, or a segment cannot fit; and after MAX_ATTEMPTS."""
+    for v, low in (width, 1), (height, 1), (0 if n_segments is None else n_segments, 0):
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < low:
+            raise GeometryError(f"a {width!r}x{height!r} scene of {n_segments!r} segments: "
+                                "sides must be integers >= 1, n_segments None or >= 0")
     if MAX_LENGTH_FRAC * min(width, height) < MIN_LENGTH:
         raise GeometryError(f"a {width}x{height} image cannot hold a {MIN_LENGTH:g} px segment")
     if n_segments is None:

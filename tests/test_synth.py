@@ -1,6 +1,7 @@
 import itertools
 import math
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -90,6 +91,11 @@ def layout_of(segments, junctions=()):
     return layout
 
 
+def junctions_of(layout):
+    """A layout's crossings, from its spacing grid."""
+    return [q for cell in layout.grid.values() for q in cell]
+
+
 def screen_one(cand, segments, width=320, height=320):
     """The array pass on one candidate: (rejected, apart row mask, flagged row mask)."""
     return [a[0] for a in layout_of(segments).screen(_lines(segment_array([cand])), width, height)]
@@ -116,11 +122,16 @@ def both_agree(cand, segments, junctions, width, height, need_crossing):
     return want
 
 
-def popped(monkeypatch, cands, layout, width=320, height=320):
-    """What ``_Queue.pop`` gives each candidate, fed in place of ``_draws``'s."""
+def queue_of(monkeypatch, cands, width=320, height=320):
+    """A ``_Queue`` fed ``cands`` in place of ``_draws``'s candidates."""
     ends = [(c.a.x, c.a.y, c.b.x, c.b.y) for c in cands]
     monkeypatch.setattr(synth, "_draws", lambda *args: ((e, None) for e in ends))
-    queue = _Queue(np.random.default_rng(0), width, height)
+    return _Queue(np.random.default_rng(0), width, height)
+
+
+def popped(monkeypatch, cands, layout, width=320, height=320):
+    """What ``_Queue.pop`` gives each candidate of a fixed layout."""
+    queue = queue_of(monkeypatch, cands, width, height)
     return [queue.pop(layout) for _ in cands]
 
 
@@ -213,7 +224,7 @@ def test_check_matches_reference_while_growing(monkeypatch, size, n_segments, ke
     def checked(queue, layout):
         ends, line, rows = pop(queue, layout)
         cand, need = seg(*ends), bool(layout.segments)
-        want = reference_check(cand, list(layout.segments), list(layout.junctions),
+        want = reference_check(cand, list(layout.segments), junctions_of(layout),
                                size, size, need)
         assert (want is None if rows is None else _check(cand, layout, size, size, need, rows)
                 == want)
@@ -501,3 +512,79 @@ def test_queue_screens_a_one_segment_layout(monkeypatch):
     assert ends == (120.0, 103.0, 220.0, 103.0) and rows is None
     assert line.tolist() == _lines(segment_array(cands[:1]))[0].tolist()
     assert crossing[2] == [0]  # a crossing is flagged for the scalar check
+
+
+def test_queue_screens_once_per_layout(monkeypatch):
+    # one queue, three accepts: a screen-rejected candidate stays dropped, one
+    # dropped only as apart from every segment comes back once a segment
+    # placed since may cross it, and the rest get the flagged rows plus every
+    # segment placed since the screen
+    apart = seg(110, 140, 190, 140)  # apart from H, crossed by the first accept
+    cands = [apart,                   # dropped: nothing placed since the screen
+             seg(130, 60, 130, 160),  # crosses H: accepted
+             seg(120, 103, 220, 103),  # 3 px from H: rejected by the screen
+             apart,                   # crosses the segment placed since: accepted
+             seg(30, 250, 290, 250),  # apart from every segment: no crossing
+             seg(170, 60, 170, 160)]  # crosses H and the apart one: accepted
+    queue, layout, got = queue_of(monkeypatch, cands), layout_of([H]), []
+    for cand in cands:
+        want = reference_check(cand, list(layout.segments), junctions_of(layout), 320, 320, True)
+        _, line, rows = queue.pop(layout)
+        crossings = None if rows is None else _check(cand, layout, 320, 320, True, rows)
+        assert crossings == want
+        if crossings is not None:
+            layout.add(cand, crossings, line)
+        got.append(rows)
+    assert got == [None, [0], None, [1], [1, 2], [0, 1, 2]]
+    assert len(layout.segments) == 4 and sorted((p.x, p.y) for p in junctions_of(layout)) == \
+        [(130.0, 100.0), (130.0, 140.0), (170.0, 100.0), (170.0, 140.0)]
+
+
+# -- junction spacing on the 8 px grid against the all-pairs test --
+
+def below(v):
+    return math.nextafter(v, 0.0)
+
+
+spots = st.builds(Point, *[st.one_of(st.floats(0.0, 40.0), st.integers(1, 5).map(lambda k: 8.0 * k),
+                                     st.integers(1, 5).map(lambda k: below(8.0 * k)))] * 2)
+
+
+@given(st.lists(spots, max_size=12), st.lists(spots, min_size=1, max_size=4))
+@settings(max_examples=400, deadline=None)
+# neighbours across a cell edge: at 8k and one ulp below
+@example([Point(16.0, 20.0)], [Point(below(16.0), 20.0)])
+@example([Point(below(8.0), 20.0)], [Point(below(16.0), 20.0)])
+@example([Point(20.0, 16.0)], [Point(20.0, below(16.0))])
+# distance 8 passes, one ulp below fails
+@example([Point(0.0, 20.0)], [Point(8.0, 20.0)])
+@example([Point(0.0, 20.0)], [Point(below(8.0), 20.0)])
+# coincident points: distance 0 is the same junction
+@example([Point(16.0, 16.0)], [Point(16.0, 16.0)])
+# a close pair made only of two new crossings
+@example([Point(40.0, 40.0)], [Point(20.0, 20.0), Point(25.0, 20.0)])
+def test_spacing_grid_matches_all_pairs(placed, new):
+    layout, rows = layout_of([H], placed), iter(new)
+    with mock.patch.object(synth, "_row_check", lambda *args: next(rows)):
+        got = _check(H, layout, 320, 320, True, [0] * len(new))
+    close = any(0.0 < p.distance_to(q) < MIN_JUNCTION_SEP for p in new for q in placed + new)
+    assert got == (None if close else new)
+
+
+@pytest.mark.parametrize("width, height, n_segments", [
+    (math.nan, 320, None), (math.inf, 320, None), (320.5, 320, None), (320, 0, None),
+    (-320, 320, None), (True, 320, None), (320, "320", None), (320, None, None),
+    (320, 320, -3), (320, 320, 2.5), (320, 320, True), (320, 320, math.nan)])
+def test_make_scene_rejects_bad_sizes_before_any_draw(width, height, n_segments):
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(GeometryError, match="sides must be integers") as err:
+        make_scene(rng, width, height, n_segments)
+    assert "\n" not in str(err.value)
+    assert same_state(rng.bit_generator.state, state)
+
+
+def test_make_scene_takes_numpy_integers_and_zero_segments():
+    assert make_scene(np.random.default_rng(3), np.int64(320), 320, np.int32(12)) == \
+        make_scene(np.random.default_rng(3), 320, 320, 12)
+    assert make_scene(np.random.default_rng(3), 320, 320, 0).lines == ()
