@@ -58,15 +58,6 @@ MIN_PIECE_LEN = 3.0
 DEFAULT_MAX_WALK_GAP = 3.0
 
 
-@dataclass(frozen=True)
-class Ray:
-    """Branch k of junction i, as a ray from the junction center."""
-    junction: int
-    branch: int
-    origin: Point
-    angle_deg: float
-
-
 @dataclass
 class BinaryMask:
     width: int
@@ -128,33 +119,29 @@ def dedup_junctions(junctions: Sequence[Junction], rho_nms: float) -> list[Junct
     return [j for j, k in zip(order, is_kept) if k]
 
 
-def junction_rays(junctions: Sequence[Junction]) -> list[Ray]:
-    """One ray per branch of every junction, in (junction, branch) order."""
-    return [Ray(i, k, j.center, normalize_angle(b.angle_deg))
-            for i, j in enumerate(junctions) for k, b in enumerate(j.branches)]
-
-
 def _on_ray(origin: Point, angle_deg: float, q: Point, delta_ray: float) -> bool:
     if q.x == origin.x and q.y == origin.y:
         return False
     return abs(angle_diff(direction_deg(origin, q), angle_deg)) <= delta_ray
 
 
-def match_ray_pairs(junctions: Sequence[Junction], delta_ray: float = DEFAULT_DELTA_RAY,
-                    rays: Optional[Sequence[Ray]] = None) -> list[tuple[Ray, Ray]]:
-    """Mutually nearest aligned ray pairs (``rays``, if given: junction_rays(junctions)).
+def match_ray_pairs(junctions: Sequence[Junction], delta_ray: float = DEFAULT_DELTA_RAY
+                    ) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    """Mutually nearest aligned ray pairs, lower ray first, in its order.
 
-    A ray points at the nearest junction that lies along it and that aims a
-    branch back along the reverse direction; two rays pointing at each other
-    form a pair.  Each ray lands in at most one pair.  The junction direction
+    Ray (i, k) is branch k of junction i, from the junction's centre.  A ray
+    points at the nearest junction that lies along it and that aims a branch
+    back along the reverse direction; two rays pointing at each other form a
+    pair.  Each ray lands in at most one pair.  The junction direction
     matrix gives every ray's aim at every junction at once.  No candidate
     farther than a ray's nearest one surely on both rays can win; a ray left
     with one such candidate takes it, the rest go nearest first to ``_on_ray``.
     """
-    rays = junction_rays(junctions) if rays is None else rays
+    rays = [(i, k) for i, j in enumerate(junctions) for k in range(j.order)]
+    angles = [normalize_angle(b.angle_deg) for j in junctions for b in j.branches]
     n, nr, xy = len(junctions), len(rays), point_array([j.center for j in junctions])
-    ray_j = np.array([r.junction for r in rays], dtype=np.intp)
-    ray_a = np.array([r.angle_deg for r in rays], dtype=np.float64)
+    ray_j = np.array([i for i, _ in rays], dtype=np.intp)
+    ray_a = np.array(angles, dtype=np.float64)
     first = np.searchsorted(ray_j, np.arange(n + 1))
     # aims[r, j]: ray r may aim at junction j; sure_aims[r, j]: it surely does
     aims, sure_aims = np.zeros((nr, n), dtype=bool), np.zeros((nr, n), dtype=bool)
@@ -187,17 +174,16 @@ def match_ray_pairs(junctions: Sequence[Junction], delta_ray: float = DEFAULT_DE
     alone = sure & (np.bincount(r, minlength=nr)[r] == 1)
     choice[r[alone]] = q[alone]
     order = np.lexsort((q, dist, r))  # nearest first per ray
-    best: dict[int, tuple[float, int, int, int]] = {}
+    best: dict[int, tuple[float, int]] = {}  # b runs in (junction, branch) order
     for k, b, d, s in zip(*(a[order[~alone[order]]].tolist() for a in (r, q, dist, sure))):
         if k in best and d > prefilter_bound(best[k][0]):
             continue
-        o, t = rays[k], rays[b]
-        if s or (_on_ray(o.origin, o.angle_deg, t.origin, delta_ray)
-                 and _on_ray(t.origin, t.angle_deg, o.origin, delta_ray)):
-            cand = (o.origin.distance_to(t.origin), t.junction, t.branch, b)
+        o, t = junctions[rays[k][0]].center, junctions[rays[b][0]].center
+        if s or (_on_ray(o, angles[k], t, delta_ray) and _on_ray(t, angles[b], o, delta_ray)):
+            cand = (o.distance_to(t), b)
             if k not in best or cand < best[k]:
                 best[k] = cand
-    choice[list(best)] = [c[3] for c in best.values()]
+    choice[list(best)] = [c[1] for c in best.values()]
     mutual = np.flatnonzero((choice > np.arange(nr)) & (choice[choice] == np.arange(nr)))
     return [(rays[k], rays[b]) for k, b in zip(mutual.tolist(), choice[mutual].tolist())]
 
@@ -317,18 +303,17 @@ def _pieces(whole: Segment, hits: list, min_len: float) -> list[tuple[Point, Poi
     return [(a, b) for a, b in zip(stops, stops[1:]) if a.distance_to(b) >= min_len]
 
 
-def recover_unmatched(junctions: Sequence[Junction], unmatched: Sequence[Ray],
+def recover_unmatched(junctions: Sequence[Junction], unmatched: Sequence[tuple[int, int]],
                       mask: BinaryMask, segments: Sequence[Segment],
-                      params: ConstructionParams) -> tuple[list[Point], list[Segment]]:
-    """Rescue pass over rays that found no partner junction.
+                      params: ConstructionParams) -> list[Segment]:
+    """New segments that rescue the (junction, branch) rays left unmatched.
 
     A ray whose boundary exit is within boundary_frac * max(w, h) of its
     origin becomes a segment to the boundary.  Otherwise the ray walks the
     mask to its farthest supported pixel; the stretch is split where it
     crosses known segments and every piece with support ratio above
-    kappa_min survives.  Newly created endpoints are reported as points.
-    New segments join the splitting pool immediately, so later rays split
-    against them, in (junction, branch) order and pool order.
+    kappa_min survives.  Later rays split against the new segments too, in
+    (junction, branch) order and pool order.
 
     Walks, cuts on the given segments and support ratios are batched:
     ``intersection_points`` settles all pairs but near-touching ones.  A
@@ -337,17 +322,18 @@ def recover_unmatched(junctions: Sequence[Junction], unmatched: Sequence[Ray],
     cut a ray; only theirs go to the scalar, and changed pieces are redone.
     """
     limit = params.boundary_frac * max(mask.width, mask.height)
-    order = sorted(unmatched, key=lambda r: (r.junction, r.branch))
-    exits = [ray_boundary_point(r.origin, r.angle_deg, mask.width, mask.height) for r in order]
-    short = [q is not None and 0.0 < r.origin.distance_to(q) <= limit for r, q in zip(order, exits)]
+    origins = [junctions[i].center for i, _ in sorted(unmatched)]
+    angles = [normalize_angle(junctions[i].branches[k].angle_deg) for i, k in sorted(unmatched)]
+    exits = [ray_boundary_point(o, a, mask.width, mask.height) for o, a in zip(origins, angles)]
+    short = [q is not None and 0.0 < o.distance_to(q) <= limit for o, q in zip(origins, exits)]
     # a walk depends only on its ray and the mask, not on the pool: walk all at once
     walked = [k for k, s in enumerate(short) if not s]
-    ends = farthest_mask_points([(order[k].origin, order[k].angle_deg, exits[k]) for k in walked],
+    ends = farthest_mask_points([(origins[k], angles[k], exits[k]) for k in walked],
                                 mask, params.max_walk_gap)
     # each ray's whole segment: to its exit, or to its farthest support
-    whole = {k: Segment(order[k].origin, exits[k]) for k, s in enumerate(short) if s}
-    whole.update((k, Segment(order[k].origin, q)) for k, q in zip(walked, ends)
-                 if q is not None and order[k].origin.distance_to(q) >= params.min_piece_len)
+    whole = {k: Segment(origins[k], exits[k]) for k, s in enumerate(short) if s}
+    whole.update((k, Segment(origins[k], q)) for k, q in zip(walked, ends)
+                 if q is not None and origins[k].distance_to(q) >= params.min_piece_len)
     src = np.array(sorted(whole), dtype=np.intp)
     rows = [k for k in src.tolist() if not short[k]]
     w_xy, m_xy = segment_array([whole[k] for k in rows]), segment_array(segments)
@@ -373,12 +359,7 @@ def recover_unmatched(junctions: Sequence[Junction], unmatched: Sequence[Ray],
             pieces[n], kappas[n] = redone, line_support_ratios(redone, mask)
         added[k] = [whole[k]] if n is None else [
             Segment(*ab) for ab, kappa in zip(pieces[n], kappas[n]) if kappa > params.kappa_min]
-    new_segments = [s for k in src.tolist() for s in added[k]]
-    # the new endpoints, first seen first; a junction's centre is not new
-    firsts: dict = dict.fromkeys((j.center.x, j.center.y) for j in junctions)
-    for p in (p for s in new_segments for p in (s.a, s.b)):
-        firsts.setdefault((p.x, p.y), p)
-    return [p for p in firsts.values() if p is not None], new_segments
+    return [s for k in src.tolist() for s in added[k]]
 
 
 def construct_wireframe(junctions: Sequence[Junction], h: HeatMap,
@@ -394,13 +375,12 @@ def construct_wireframe(junctions: Sequence[Junction], h: HeatMap,
     kept = dedup_junctions(confident, params.rho_nms)
 
     mask = binarize(h, params.omega)
-    rays = junction_rays(kept)
-    pairs = match_ray_pairs(kept, params.delta_ray, rays)
-    matched_segments = [Segment(a.origin, b.origin) for a, b in pairs]
-    taken = {(r.junction, r.branch) for pair in pairs for r in pair}
-    unmatched = [r for r in rays if (r.junction, r.branch) not in taken]
-    new_points, new_segments = recover_unmatched(kept, unmatched, mask,
-                                                 matched_segments, params)
+    pairs = match_ray_pairs(kept, params.delta_ray)
+    matched_segments = [Segment(kept[a].center, kept[b].center) for (a, _), (b, _) in pairs]
+    taken = {ray for pair in pairs for ray in pair}
+    unmatched = [(i, k) for i, j in enumerate(kept) for k in range(j.order)
+                 if (i, k) not in taken]
+    new_segments = recover_unmatched(kept, unmatched, mask, matched_segments, params)
 
     unique: dict[tuple, Segment] = {}  # the first segment per unordered endpoint pair
     for s in matched_segments + new_segments:

@@ -215,7 +215,12 @@ def read_pr_csv(path: str) -> PRCurve:
         raise GeometryError(f"{path}: not a PR curve CSV")
     points = []
     for row in rows[1:]:
-        t, p, r = (float(v) for v in row.split(","))
+        try:
+            t, p, r = (float(v) for v in row.split(","))
+        except ValueError:  # not three fields, or a field that is not a number
+            t = p = r = math.nan
+        if not all(math.isfinite(v) for v in (t, p, r)):
+            raise GeometryError(f"{path}: row {row!r} is not three finite numbers")
         points.append(PRPoint(t, p, r))
     return PRCurve(tuple(points))
 

@@ -336,7 +336,7 @@ def make_scene(rng: np.random.Generator, width: int = 320, height: int = 320,
 def make_scenes(seed: int, count: int, width: int = 320,
                 height: int = 320) -> list[AnnotatedScene]:
     check_seed(seed)
-    if count < 0:
-        raise GeometryError(f"scene count {count} must be >= 0")
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 0:
+        raise GeometryError(f"scene count {count!r} must be an integer >= 0")
     rng = np.random.default_rng(seed)
     return [make_scene(rng, width, height) for _ in range(count)]

@@ -18,13 +18,11 @@ from wireframe.construct import (
     DEFAULT_MAX_WALK_GAP,
     BinaryMask,
     ConstructionParams,
-    Ray,
     _on_ray,
     binarize,
     construct_wireframe,
     dedup_junctions,
     farthest_mask_points,
-    junction_rays,
     line_support_ratios,
     match_ray_pairs,
     ray_boundary_point,
@@ -38,6 +36,7 @@ from wireframe.geometry import (
     Segment,
     build_incidence,
     direction_deg,
+    normalize_angle,
     point_segment_distance,
     segment_array,
     segment_intersection,
@@ -96,7 +95,8 @@ def test_binarize():
 
 def matched(junctions, **kw):
     """Segments joining the mutually matched ray pairs."""
-    return [Segment(a.origin, b.origin) for a, b in match_ray_pairs(junctions, **kw)]
+    return [Segment(junctions[a].center, junctions[b].center)
+            for (a, _), (b, _) in match_ray_pairs(junctions, **kw)]
 
 
 def test_match_two_facing():
@@ -128,8 +128,7 @@ def test_match_one_segment_per_branch():
     segs = matched([p1, p2, p3])
     starts = {}
     for a, b in match_ray_pairs([p1, p2, p3]):
-        for r in (a, b):
-            key = (r.junction, r.branch)
+        for key in (a, b):
             assert key not in starts
             starts[key] = True
     assert len(segs) == 2
@@ -310,18 +309,18 @@ def test_line_support_ratios_match_per_piece(data):
 def test_recover_boundary_case():
     mask = BinaryMask(100, 100)
     origin = jn(2, 50, [180])
-    rays = junction_rays([origin])
-    pts, segs = recover_unmatched([origin], rays, mask, [], ConstructionParams())
+    segs = recover_unmatched([origin], [(0, 0)], mask, [], ConstructionParams())
     assert segs == [Segment(Point(2.0, 50.0), Point(0.0, 50.0))]
-    assert pts == [Point(0.0, 50.0)]
+    # the wireframe gains the far end as a derived order-1 junction
+    wf = construct_wireframe([origin], HeatMap(100, 100, np.zeros((100, 100))))
+    assert [j for j in wf.junctions if j.derived] == [
+        Junction(Point(0.0, 50.0), (Branch(0.0, 1.0),), 1.0, derived=True)]
 
 
 def test_recover_nothing_on_empty_mask():
     mask = BinaryMask(100, 100)
     origin = jn(50, 50, [0])
-    rays = junction_rays([origin])
-    pts, segs = recover_unmatched([origin], rays, mask, [], ConstructionParams())
-    assert pts == [] and segs == []
+    assert recover_unmatched([origin], [(0, 0)], mask, [], ConstructionParams()) == []
 
 
 def test_recover_kappa_accepts_sparse_support():
@@ -330,8 +329,7 @@ def test_recover_kappa_accepts_sparse_support():
     for x in (2, 3, 4, 6, 7, 9, 12):
         mask.bits[5, x] = True
     origin = jn(2, 5, [0])
-    rays = junction_rays([origin])
-    pts, segs = recover_unmatched([origin], rays, mask, [], ConstructionParams())
+    segs = recover_unmatched([origin], [(0, 0)], mask, [], ConstructionParams())
     assert segs == [Segment(Point(2.0, 5.0), Point(12.0, 5.0))]
     assert line_support_ratios([(Point(2.0, 5.0), Point(12.0, 5.0))], mask) == [7 / 11]
 
@@ -341,8 +339,7 @@ def test_recover_kappa_rejects_weak_support():
     for x in (2, 5, 9, 12):  # 4 of 11 pixels
         mask.bits[5, x] = True
     origin = jn(2, 5, [0])
-    pts, segs = recover_unmatched([origin], junction_rays([origin]), mask, [],
-                                  ConstructionParams())
+    segs = recover_unmatched([origin], [(0, 0)], mask, [], ConstructionParams())
     assert segs == []
 
 
@@ -354,8 +351,7 @@ def test_recover_splits_at_existing_segment():
     mask.bits[5, 20] = True  # q_M far right, gap in between
     origin = jn(2, 5, [0])
     wall = Segment(Point(8.0, 0.0), Point(8.0, 10.0))
-    pts, segs = recover_unmatched([origin], junction_rays([origin]), mask, [wall],
-                                  ConstructionParams())
+    segs = recover_unmatched([origin], [(0, 0)], mask, [wall], ConstructionParams())
     assert len(segs) == 1
     (s,) = segs
     assert (s.a.x, s.a.y) == (2.0, 5.0)
@@ -443,8 +439,7 @@ def test_omega_monotone_recovery():
     counts = []
     for omega in (0.5, 5.0, 15.0, 29.0):
         mask = binarize(HeatMap(40, 10, heat), omega)
-        _, segs = recover_unmatched([origin], junction_rays([origin]), mask, [],
-                                    ConstructionParams(omega=omega))
+        segs = recover_unmatched([origin], [(0, 0)], mask, [], ConstructionParams(omega=omega))
         counts.append(len(segs))
     assert counts == sorted(counts, reverse=True)
 
@@ -467,25 +462,34 @@ def test_kappa_in_unit_interval(data):
 
 # -- the array prefilters against scalar all-pairs oracles --
 
+def all_rays(junctions):
+    """Every (junction, branch) ray, in that order."""
+    return [(i, k) for i, j in enumerate(junctions) for k in range(j.order)]
+
+
+def ray_at(junctions, ray):
+    """Origin and normalized angle of a (junction, branch) ray."""
+    i, k = ray
+    return junctions[i].center, normalize_angle(junctions[i].branches[k].angle_deg)
+
+
 def match_oracle(junctions, delta_ray):
     """match_ray_pairs as a plain loop over every ray and junction."""
-    rays = junction_rays(junctions)
     choice = {}
-    for r in rays:
+    for r in all_rays(junctions):
+        origin, angle = ray_at(junctions, r)
         best = None
         for j, target in enumerate(junctions):
-            if j == r.junction or not _on_ray(r.origin, r.angle_deg, target.center,
-                                              delta_ray):
+            if j == r[0] or not _on_ray(origin, angle, target.center, delta_ray):
                 continue
-            d = r.origin.distance_to(target.center)
-            for back in rays:
-                if back.junction == j and _on_ray(back.origin, back.angle_deg, r.origin,
-                                                  delta_ray):
-                    cand = (d, j, back.branch)
+            d = origin.distance_to(target.center)
+            for back in all_rays(junctions):
+                if back[0] == j and _on_ray(*ray_at(junctions, back), origin, delta_ray):
+                    cand = (d, *back)
                     if best is None or cand < best:
                         best = cand
         if best is not None:
-            choice[(r.junction, r.branch)] = best[1:]
+            choice[r] = best[1:]
     return [(t1, t2) for t1, t2 in choice.items() if t1 < t2 and choice.get(t2) == t1]
 
 
@@ -533,16 +537,14 @@ def test_match_ray_pairs_matches_all_pairs_oracle(junctions, delta):
 
 
 def assert_pairs_match_oracle(junctions, delta):
-    got = [((a.junction, a.branch), (b.junction, b.branch))
-           for a, b in match_ray_pairs(junctions, delta)]
-    assert got == match_oracle(junctions, delta)
+    assert match_ray_pairs(junctions, delta) == match_oracle(junctions, delta)
 
 
 def test_equal_array_distances_are_ordered_by_the_scalar_distance():
     near, far = (26.624999999999996, 4.250000000000002), (26.625, 4.25)
     assert np.hypot(*near) == np.hypot(*far) and math.hypot(*near) < math.hypot(*far)
     pairs = match_ray_pairs([jn(0, 0, [9]), jn(*far, [189]), jn(*near, [189])], 12.0)
-    assert [(a.junction, b.junction) for a, b in pairs] == [(0, 2)]
+    assert [(a, b) for (a, _), (b, _) in pairs] == [(0, 2)]
 
 
 @given(junction_sets, deltas)
@@ -554,20 +556,6 @@ def test_match_ray_pairs_in_blocks_of_a_few_pairs(junctions, delta):
     for rows in (1, 2, 3):
         with mock.patch.object(construct, "_BLOCK_PAIRS", rows * width):
             assert_pairs_match_oracle(junctions, delta)
-
-
-def test_construct_builds_rays_once():
-    calls = []
-
-    def counted(junctions):
-        calls.append(len(junctions))
-        return junction_rays(junctions)
-
-    hm = render_target_heatmap(AnnotatedScene(32, 32, (Segment(Point(4, 4), Point(28, 4)),)))
-    with mock.patch.object(construct, "junction_rays", counted):
-        wf = construct_wireframe([jn(4, 4, [0]), jn(28, 4, [180])], hm,
-                                 ConstructionParams(omega=0.5))
-    assert calls == [2] and wf.segments == [Segment(Point(4, 4), Point(28, 4))]
 
 
 @given(junction_sets, st.sampled_from([0.0, 1.0, 2.0, 5.0]) | st.floats(0.0, 6.0))
@@ -593,50 +581,36 @@ def reference_recover_unmatched(junctions, unmatched, mask, segments, params):
     pool growing as rays add segments (the per-ray loop the batched pass
     replaced, with an all-pairs cut search)."""
     limit = params.boundary_frac * max(mask.width, mask.height)
-    pool = list(segments)
-    new_points = []
-    point_keys = {(j.center.x, j.center.y) for j in junctions}
     new_segments = []
-
-    def add(a, b):
-        s = Segment(a, b)
-        pool.append(s)
-        new_segments.append(s)
-        for p in (a, b):
-            if (p.x, p.y) not in point_keys:
-                point_keys.add((p.x, p.y))
-                new_points.append(p)
-
-    for ray in sorted(unmatched, key=lambda r: (r.junction, r.branch)):
-        q_b = ray_boundary_point(ray.origin, ray.angle_deg, mask.width, mask.height)
-        if q_b is not None and 0.0 < ray.origin.distance_to(q_b) <= limit:
-            add(ray.origin, q_b)
+    for ray in sorted(unmatched):
+        origin, angle = ray_at(junctions, ray)
+        q_b = ray_boundary_point(origin, angle, mask.width, mask.height)
+        if q_b is not None and 0.0 < origin.distance_to(q_b) <= limit:
+            new_segments.append(Segment(origin, q_b))
             continue
-        q_m = reference_farthest_mask_point(ray.origin, ray.angle_deg, mask,
-                                            params.max_walk_gap)
-        if q_m is None or ray.origin.distance_to(q_m) < params.min_piece_len:
+        q_m = reference_farthest_mask_point(origin, angle, mask, params.max_walk_gap)
+        if q_m is None or origin.distance_to(q_m) < params.min_piece_len:
             continue
-        whole = Segment(ray.origin, q_m)
+        whole = Segment(origin, q_m)
         cuts = []
-        for other in list(pool):
+        for other in [*segments, *new_segments]:
             hit = segment_intersection(whole, other).point
             if hit is not None and all(hit.distance_to(c) > 1e-6 for c in cuts):
                 cuts.append(hit)
-        cuts = [c for c in cuts
-                if c.distance_to(ray.origin) > 1e-9 and c.distance_to(q_m) > 1e-9]
-        cuts.sort(key=lambda c: c.distance_to(ray.origin))
-        stops = [ray.origin] + cuts + [q_m]
+        cuts = [c for c in cuts if c.distance_to(origin) > 1e-9 and c.distance_to(q_m) > 1e-9]
+        cuts.sort(key=lambda c: c.distance_to(origin))
+        stops = [origin] + cuts + [q_m]
         pieces = [(a, b) for a, b in zip(stops, stops[1:])
                   if a.distance_to(b) >= params.min_piece_len]
         for a, b in pieces:
             if reference_line_support_ratio(a, b, mask) > params.kappa_min:
-                add(a, b)
-    return new_points, new_segments
+                new_segments.append(Segment(a, b))
+    return new_segments
 
 
 def assert_recover_matches(junctions, lines, pool):
     """recover_unmatched equals its oracle on a 24 x 24 mask of the lines."""
-    mask, rays = mask_of(lines, 24, 24), junction_rays(junctions)
+    mask, rays = mask_of(lines, 24, 24), all_rays(junctions)
     got = recover_unmatched(junctions, rays, mask, pool, ConstructionParams())
     want = reference_recover_unmatched(junctions, rays, mask, pool, ConstructionParams())
     assert repr(got) == repr(want)  # repr: the same floats, signed zeros too
@@ -740,12 +714,12 @@ def test_recover_in_blocks_of_a_few_pairs(case, block):
 def test_recover_later_cuts_within_1e6_keep_pool_order():
     # two earlier walks cross the last one 3.5e-7 apart: the first one's cut
     # is kept and the second merges into it, as in pool order
-    _, segs = assert_recover_matches(
+    segs = assert_recover_matches(
         [jn(8, 2, [90]), jn(8 + 5e-7, 2, [90]), jn(2, 5, [0])],
         [Segment(Point(8, 2), Point(8, 12)), Segment(Point(2, 5), Point(14, 5))], [])
     assert Segment(Point(2, 5), Point(8, 5)) in segs
     # a given segment comes before every later one: its cut 5e-7 away wins
-    _, segs = assert_recover_matches(
+    segs = assert_recover_matches(
         [jn(8, 2, [90]), jn(2, 5, [0])],
         [Segment(Point(8, 2), Point(8, 12)), Segment(Point(2, 5), Point(14, 5))],
         [Segment(Point(8 + 5e-7, 0), Point(8 + 5e-7, 10))])
@@ -804,17 +778,17 @@ def test_may_cut_lists_every_pair_the_scalar_cuts(pairs):
 def test_recover_cut_touching_pool_endpoint_splits():
     got = assert_recover_matches([jn(2, 5, [0])], [Segment(Point(2, 5), Point(14, 5))],
                                  [Segment(Point(8, 5), Point(8, 10))])
-    assert got[1] == [Segment(Point(2, 5), Point(8, 5)), Segment(Point(8, 5), Point(14, 5))]
+    assert got == [Segment(Point(2, 5), Point(8, 5)), Segment(Point(8, 5), Point(14, 5))]
 
 
 def test_recover_later_cuts_from_a_boundary_segment_and_a_walked_piece():
     # the first ray ends on the border: its short segment cuts the second walk
-    _, segs = assert_recover_matches([jn(10, 1, [270]), jn(5, 0.5, [0])],
+    segs = assert_recover_matches([jn(10, 1, [270]), jn(5, 0.5, [0])],
                                      [Segment(Point(5, 1), Point(15, 1))], [])
     assert segs[0] == Segment(Point(10, 1), Point(10, 0))
     assert segs[1].b == Point(10.0, 0.75)
     # the first walk's piece cuts the second walk where they cross
-    _, segs = assert_recover_matches([jn(2, 5, [0]), jn(8, 2, [90])],
+    segs = assert_recover_matches([jn(2, 5, [0]), jn(8, 2, [90])],
                                      [Segment(Point(2, 5), Point(14, 5)),
                                       Segment(Point(8, 2), Point(8, 12))], [])
     assert segs == [Segment(Point(2, 5), Point(14, 5)), Segment(Point(8, 2), Point(8, 5)),
@@ -829,6 +803,6 @@ def test_recover_margin_cases_take_each_path():
     # end merges the crossing 5e-7 before it.
     for delta, ends in ((0.0, [(2.0, 10.0)]), (1e-12, [(2.0, 9.9999995)]),
                         (math.nextafter(1e-12, 1.0), [(5.0, 9.9999995)])):
-        _, segs = assert_recover_matches([jn(2, 0, [0])], [Segment(Point(2, 0), Point(10, 0))],
+        segs = assert_recover_matches([jn(2, 0, [0])], [Segment(Point(2, 0), Point(10, 0))],
                                          margin_pool(delta))
         assert [(s.a.x, s.b.x) for s in segs] == ends

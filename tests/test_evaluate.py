@@ -444,8 +444,14 @@ def test_emit_svg_deterministic(tmp_path):
     assert "polyline" in p1.read_text()
 
 
-def test_read_csv_rejects_garbage(tmp_path):
+@pytest.mark.parametrize("header, row", [
+    ("nope", "1,2,3"), ("threshold,precision,recall", "1,2"),
+    ("threshold,precision,recall", "a,b,c"), ("threshold,precision,recall", "0.5,nan,inf")],
+    ids=["header", "two-fields", "not-numbers", "not-finite"])
+def test_read_csv_rejects_garbage(tmp_path, header, row):
     path = tmp_path / "bad.csv"
-    path.write_text("nope\n1,2,3\n")
-    with pytest.raises(GeometryError):
+    path.write_text(f"{header}\n0.1,0.5,0.5\n{row}\n")
+    with pytest.raises(GeometryError) as err:
         read_pr_csv(str(path))
+    assert str(path) in str(err.value) and "\n" not in str(err.value)
+    assert header == "nope" or row in str(err.value)

@@ -383,10 +383,12 @@ def test_image_too_small_for_a_segment(width, height):
         make_scene(np.random.default_rng(0), width, height)
 
 
-@pytest.mark.parametrize("seed, count", [(-1, 1), (True, 1), (1.5, 1), (0, -1)])
+@pytest.mark.parametrize("seed, count", [(-1, 1), (True, 1), (1.5, 1), (0, -1), (0, 2.5),
+                                         (0, math.nan), (0, True)])
 def test_make_scenes_rejects_bad_seed_and_count(seed, count):
-    with pytest.raises(GeometryError):
+    with pytest.raises(GeometryError) as err:
         make_scenes(seed, count)
+    assert "\n" not in str(err.value)
 
 
 # -- the array pass's sure verdicts against the scalar row check --
