@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import (
+    _REL_SLACK,
     Branch,
     GeometryError,
     Junction,
@@ -21,15 +22,14 @@ from .geometry import (
     Segment,
     angle_diff,
     candidate_pairs,
-    direction_deg,
     intersection_flags,
-    near_lists,
-    point_array,
+    intersection_points,
+    near_segment_pairs,
     point_distances,
-    point_segment_distance,
-    point_segment_distances,
+    prefilter_bound,
     segment_array,
     segment_intersection,
+    settle,
     within,
 )
 
@@ -69,51 +69,33 @@ class HeatMap:
             raise GeometryError("heat map values must be finite and >= 0")
 
 
-def clip_segment(row, width: int, height: int):
-    """Liang-Barsky clip of a segment row (x1, y1, x2, y2) to the pixel box
-    [0,w-1] x [0,h-1]: clipped float ends ((x1,y1), (x2,y2)), or None when
-    the segment misses the box."""
-    x1, y1, x2, y2 = row
-    dx, dy = x2 - x1, y2 - y1
-    t0, t1 = 0.0, 1.0
-    for p, q in ((-dx, x1 - 0.0), (dx, (width - 1.0) - x1),
-                 (-dy, y1 - 0.0), (dy, (height - 1.0) - y1)):
-        if p == 0.0 and q < 0.0:
-            return None
-        if p < 0.0:
-            t0 = max(t0, q / p)
-        elif p > 0.0:
-            t1 = min(t1, q / p)
-    if t0 > t1:
-        return None
-    return (x1 + t0 * dx, y1 + t0 * dy), (x1 + t1 * dx, y1 + t1 * dy)
-
-
 _BLOCK_PX = 1 << 15  # pixels per block of rasterize_segments: temporaries of a few MB
 
 
 def digital_lines(segs: np.ndarray, width: int, height: int) -> tuple[np.ndarray, np.ndarray]:
-    """Clip each row of an (M, 4) segment array by ``clip_segment`` and round
-    its ends half up to (x0, y0), (x0 + dx, y0 + dy): n + 1 pixels with
-    n = max(|dx|, |dy|), numbered across the rows in order, so step i of a
-    line whose first pixel is f is pixel p = f + i.  Returns the rows that
-    meet the image and their (R, 6) intp table for ``line_pixels``: 2*dx,
-    2*dy, bx, by, den = max(2*n, 1), n + 1; bx = x0*den + n - (dx < 0) - 2*dx*f.
-    """
-    rows, lines, first = [], [], 0
-    for i, row in enumerate(segs.tolist()):
-        clipped = clip_segment(row, width, height)
-        if clipped is not None:
-            (x1, y1), (x2, y2) = clipped
-            x0, y0 = math.floor(x1 + 0.5), math.floor(y1 + 0.5)  # half up on every platform
-            dx, dy = math.floor(x2 + 0.5) - x0, math.floor(y2 + 0.5) - y0
-            n = max(abs(dx), abs(dy))
-            den = max(2 * n, 1)
-            rows.append(i)
-            lines.append((2 * dx, 2 * dy, x0 * den + n - (dx < 0) - 2 * dx * first,
-                          y0 * den + n - (dy < 0) - 2 * dy * first, den, n + 1))
-            first += n + 1
-    return np.array(rows, dtype=np.intp), np.array(lines, dtype=np.intp).reshape(-1, 6)
+    """Liang-Barsky clip of every row (x1, y1, x2, y2) of an (M, 4) segment
+    array to the pixel box [0,w-1] x [0,h-1] at once (t0 the max of 0 and q/p
+    over the sides with p < 0, t1 the min of 1 and those with p > 0), ends
+    rounded half up to (x0, y0), (x0 + dx, y0 + dy): n + 1 pixels, n =
+    max(|dx|, |dy|), numbered across the rows in order, so step i of a line
+    whose first pixel is f is pixel p = f + i.  Returns the rows that meet
+    the image and their (R, 6) intp table for ``line_pixels``: 2*dx, 2*dy,
+    bx, by, den = max(2*n, 1), n + 1; bx = x0*den + n - (dx < 0) - 2*dx*f."""
+    s = np.ascontiguousarray(segs.T)  # rows of coordinates: reductions run across segments
+    with np.errstate(all="ignore"):  # q / 0 is masked out; overflow fails below
+        a, d = s[:2], s[2:] - s[:2]
+        p, q = np.concatenate([-d, d]), np.concatenate([a, [[width - 1.0], [height - 1.0]] - a])
+        r = q / p
+        t0, t1 = np.where(p < 0.0, r, 0.0).max(axis=0), np.where(p > 0.0, r, 1.0).min(axis=0)
+        rows = np.flatnonzero(~((p == 0.0) & (q < 0.0)).any(axis=0) & ~(t0 > t1))
+        ends = np.floor(np.concatenate([a + t0 * d, a + t1 * d])[:, rows] + 0.5)  # half up
+    if not np.isfinite(ends).all():
+        raise GeometryError("segment coordinates too large to clip")
+    x0y0, dxy = ends[:2].astype(np.intp), (ends[2:] - ends[:2]).astype(np.intp)
+    n = np.abs(dxy).max(axis=0)
+    den, first = np.maximum(2 * n, 1), np.cumsum(n + 1) - (n + 1)
+    b = x0y0 * den + n - (dxy < 0) - 2 * dxy * first
+    return rows, np.vstack([2 * dxy, b, den, n + 1]).T.copy()
 
 
 def line_pixels(lines: np.ndarray, reps, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -142,96 +124,96 @@ def rasterize_segments(segs: np.ndarray, width: int, height: int):
                np.repeat(rows[lo:hi], counts[lo:hi]))
 
 
-def _candidate_points(lines: tuple[Segment, ...],
-                      merge_radius: float) -> list[tuple[Point, bool]]:
-    """All pairwise intersection / incidence points, duplicates included.
-
-    The flag marks exact crossing points, which anchor cluster centers;
-    endpoint-incidence candidates carry annotation slop.
-    """
-    n = len(lines)
-    segs = segment_array(lines)
-    # crossing[i, j]: lines i and j may intersect; near[2i + e, j]: endpoint
-    # e (0 = a, 1 = b) of line i may lie within merge_radius of line j
-    crossing = np.zeros((n, n), dtype=bool)
-    crossing[candidate_pairs(intersection_flags, segs, segs)] = True
-    near = np.zeros((2 * n, n), dtype=bool)
-    near[candidate_pairs(lambda p, s: within(point_segment_distances(p, s), merge_radius),
-                         segs.reshape(-1, 2), segs)] = True
-    touch = near[0::2] | near[1::2]
-    cands: list[tuple[Point, bool]] = []
-    for i, j in zip(*(a.tolist() for a in np.nonzero(np.triu(crossing | touch | touch.T, 1)))):
-        si, sj = lines[i], lines[j]
-        if crossing[i, j]:
-            hit = segment_intersection(si, sj)
-            if hit.point is not None:
-                cands.append((hit.point, True))
-        # Endpoints resting on (or near) the other segment: T- and
-        # L-junctions with annotation slop, and shared collinear ends.
-        for a, b, ka, kb in ((si, sj, i, j), (sj, si, j, i)):
-            for e, row in ((a.a, 2 * ka), (a.b, 2 * ka + 1)):
-                if near[row, kb] and point_segment_distance(e, b) <= merge_radius:
-                    cands.append((e, False))
-    return cands
-
-
 def derive_junctions(scene: AnnotatedScene,
                      merge_radius: float = DEFAULT_MERGE_RADIUS) -> list[Junction]:
     """Junctions of the scene: clustered meeting points with branch angles.
 
-    Candidate points (pairwise segment intersections plus endpoints incident
-    to another segment) are greedily clustered within merge_radius.  Each
-    cluster center grows one branch per incident segment side whose remaining
-    length exceeds merge_radius; clusters with fewer than two branches are
-    dropped.  Output is sorted by (y, x).
+    Candidates: each pair's crossing point, which anchors cluster centers,
+    and each segment end within merge_radius r of another segment.  Exact
+    first, then by (y, x), each joins the first cluster whose center (the
+    mean of its members) is within r, or starts one.  A center grows a branch
+    per incident segment side longer than r; at least two make a junction.
+    Output is sorted by (y, x).
+
+    A center moves toward a new member by 1/k of their gap, so the latest
+    member stays within r of it, and a candidate that joins or is joined lies
+    within 2r of a member.  One with no other within 2r (plus _REL_SLACK of
+    the largest coordinate, far above the rounding of a mean of under 10^6
+    points) is a cluster of its own and skips the greedy loop.
     """
     if not 0 <= merge_radius < math.inf:  # NaN fails too
         raise GeometryError(f"merge radius {merge_radius} must be finite and >= 0")
-    cands = _candidate_points(scene.lines, merge_radius)
-    # exact crossings first so they seed the clusters
-    cands.sort(key=lambda pe: (not pe[1], pe[0].y, pe[0].x))
-
-    # Each candidate joins the first cluster whose center (the mean of its
-    # members, recomputed only when the cluster grows) is within
-    # merge_radius; the prefilter over all centers picks the clusters worth
-    # the exact test.
-    clusters: list[list[tuple[Point, bool]]] = []
-    centers = np.empty((len(cands), 2), dtype=np.float64)
-    for p, exact in cands:
-        xy = np.array((p.x, p.y))
-        for k in np.flatnonzero(within(point_distances(xy, centers[:len(clusters)]),
-                                       merge_radius)).tolist():
-            cx, cy = centers[k].tolist()
-            if math.hypot(p.x - cx, p.y - cy) <= merge_radius:
-                members = clusters[k]
-                members.append((p, exact))
-                centers[k] = (sum(m.x for m, _ in members) / len(members),
-                              sum(m.y for m, _ in members) / len(members))
+    lines, segs, r = scene.lines, segment_array(scene.lines), merge_radius
+    ends, ends_xy = [p for s in lines for p in (s.a, s.b)], segs.reshape(-1, 2)
+    i, j = candidate_pairs(intersection_flags, segs, segs)
+    i, j = i[i < j], j[i < j]
+    sure, xy = intersection_points(segs[i], segs[j])
+    for k in np.flatnonzero(~sure).tolist():  # near-parallel pairs: the scalar
+        hit = segment_intersection(lines[i[k]], lines[j[k]]).point
+        xy[k] = (hit.x, hit.y) if hit is not None else np.nan
+    e, m = near_segment_pairs(ends, lines, ends_xy, segs, r)
+    touch = ends_xy[e[e // 2 != m]]  # ends near another segment
+    xy = np.vstack([xy[~np.isnan(xy[:, 0])], touch])
+    exact = np.arange(len(xy)) < len(xy) - len(touch)
+    order = np.lexsort((xy[:, 0], xy[:, 1], ~exact))  # exact crossings seed the clusters
+    xy, exact = xy[order], exact[order].tolist()
+    # pairs within 2r by a sweep over y: each j after i in y order, near i in y
+    bound = 2 * r + _REL_SLACK * np.abs(xy).max(initial=0.0)
+    by_y = np.argsort(xy[:, 1], kind="stable")
+    ys = xy[by_y, 1]
+    count = np.searchsorted(ys, ys + prefilter_bound(bound), side="right") - np.arange(len(ys)) - 1
+    a = np.repeat(np.arange(len(ys)), count)
+    b = a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(count) - count, count)
+    near = within(point_distances(xy[by_y[a]], xy[by_y[b]]), bound)
+    starts = np.ones(len(xy), dtype=bool)  # of a cluster, in the end
+    starts[by_y[a[near]]] = starts[by_y[b[near]]] = False
+    pts = {k: xy[k].tolist() for k in np.flatnonzero(~starts).tolist()}  # the linked ones
+    clusters: list[list[int]] = []
+    centers = np.empty((len(xy), 2), dtype=np.float64)
+    for k in pts:
+        for c in np.flatnonzero(within(point_distances(xy[k], centers[:len(clusters)]), r)):
+            if math.hypot(pts[k][0] - centers[c, 0], pts[k][1] - centers[c, 1]) <= r:
+                clusters[c].append(k)
+                centers[c] = [sum(pts[m][d] for m in clusters[c]) / len(clusters[c])
+                              for d in (0, 1)]
                 break
         else:
-            centers[len(clusters)] = (p.x, p.y)
-            clusters.append([(p, exact)])
-
-    # a cluster holding exact crossing points centers on those alone
-    anchors = [[m for m, exact in members if exact] or [m for m, _ in members]
-               for members in clusters]
-    hubs = [Point(sum(m.x for m in a) / len(a), sum(m.y for m in a) / len(a))
-            for a in anchors]
-    near = near_lists(point_segment_distances, point_segment_distance, hubs, scene.lines,
-                      point_array(hubs), segment_array(scene.lines), merge_radius)
-    junctions = []
-    for c, lines in zip(hubs, near):
-        angles: list[float] = []
-        for seg in (scene.lines[m] for m in lines):
-            for e in (seg.a, seg.b):
-                if c.distance_to(e) > merge_radius:
-                    angles.append(direction_deg(c, e))
-        branches: list[Branch] = []
-        for a in sorted(angles):
-            if not any(abs(angle_diff(a, b.angle_deg)) <= _ANGLE_DEDUP_DEG for b in branches):
-                branches.append(Branch(a, 1.0))
-        if len(branches) >= 2:
-            junctions.append(Junction(c, tuple(branches), 1.0))
+            centers[len(clusters)] = pts[k]
+            clusters.append([k])
+    # a hub is the mean of the exact members if any, of all if not; x + 0.0 = sum([x]) / 1
+    hubs = xy + 0.0
+    for members in clusters:
+        anchors = [m for m in members if exact[m]] or members
+        hubs[members[0]] = [sum(pts[m][d] for m in anchors) / len(anchors) for d in (0, 1)]
+        starts[members[0]] = True
+    hubs = hubs[starts]  # in the order the clusters started
+    points = [Point(x, y) for x, y in zip(*hubs.T.tolist())]
+    h, m = near_segment_pairs(points, lines, hubs, segs, r)
+    h, e = np.repeat(h, 2), (2 * m[:, None] + [0, 1]).ravel()  # ends a, b of near segments
+    far = ~settle(point_distances, Point.distance_to, points, ends, hubs, ends_xy, r, h, e)
+    h, dxy = h[far], ends_xy[e[far]] - hubs[h[far]]
+    # direction_deg with math.atan2 (np.arctan2 differs); np.degrees is math.degrees bit for bit
+    angles = np.degrees([math.atan2(y, x) for x, y in zip(*dxy.T.tolist())])
+    angles = np.where(angles < 0.0, (angles + 360.0) % 360.0, angles)  # normalize_angle
+    order = np.lexsort((angles, h))
+    h, angles = h[order], angles[order]
+    bounds = np.searchsorted(h, np.arange(len(hubs) + 1))
+    # sorted angles more than twice the dedup width from the next (the first
+    # + 360 after the last) are that far apart pairwise: all are branches
+    after = np.where(np.append(h[1:] == h[:-1], False), np.append(angles[1:], 0.0),
+                     angles[bounds[h]] + 360.0)
+    tight = np.bincount(h[after - angles <= 2 * _ANGLE_DEDUP_DEG], minlength=len(hubs)) > 0
+    branches, junctions = tuple(Branch(a, 1.0) for a in angles.tolist()), []
+    for c, lo, hi, scalar in zip(points, bounds.tolist(), bounds[1:].tolist(), tight.tolist()):
+        kept = branches[lo:hi]
+        if scalar:  # the any-earlier test
+            kept = []
+            for b in branches[lo:hi]:
+                if not any(abs(angle_diff(b.angle_deg, k.angle_deg)) <= _ANGLE_DEDUP_DEG
+                           for k in kept):
+                    kept.append(b)
+        if len(kept) >= 2:
+            junctions.append(Junction(c, tuple(kept), 1.0))
     junctions.sort(key=lambda j: (j.center.y, j.center.x))
     return junctions
 

@@ -2,8 +2,8 @@
 
 Junction matching is a one-to-one maximum matching found by augmenting
 paths.  Line matching is coverage-based at the pixel level, counting pixels
-with a pixel of the other side within tolerance (row prefix sums over the
-Euclidean disk).  Tolerance defaults to 0.01 of the image diagonal.
+with a pixel of the other side within tolerance (a sorted search per row of
+the Euclidean disk).  Tolerance defaults to 0.01 of the image diagonal.
 Conventions: no predictions means precision 1, no ground truth means recall
 1, which keeps threshold sweeps well-defined at the extremes.
 """
@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .annotate import rasterize_segments
+from .annotate import _BLOCK_PX, rasterize_segments
 from .geometry import (GeometryError, Junction, Point, Segment, near_lists, point_array,
                        point_distances, segment_array)
 
@@ -125,45 +125,47 @@ def junction_sweep(gt: Sequence[Junction], pred: Sequence[Junction], config: Eva
     return at
 
 
-def _pixel_mask(segments: Sequence[Segment], width: int, height: int) -> np.ndarray:
+def _pixels(segments: Sequence[Segment], width: int, height: int) -> tuple[np.ndarray, np.ndarray]:
+    """The line pixels as a mask and as its ascending flat indices."""
     mask = np.zeros((height, width), dtype=bool)
     for xs, ys, _ in rasterize_segments(segment_array(segments), width, height):
         mask[ys, xs] = True
-    return mask
+    return mask, np.flatnonzero(mask)
 
 
-def _near_count(mask: np.ndarray, other: np.ndarray, tol: float) -> int:
-    """How many set pixels of `mask` lie within tol of a set pixel of `other`.
+def _near_count(idx: np.ndarray, other: np.ndarray, other_idx: np.ndarray, tol: float) -> int:
+    """How many set pixels, at ascending flat indices `idx`, lie within tol of
+    a set pixel of the mask `other` (ascending flat indices `other_idx`).
 
-    Within tol is the Euclidean disk sqrt(dx^2 + dy^2) <= tol: per row offset
-    dy a run of columns, which a row-major prefix sum of `other` answers.
-    First settled: pixels `other` sets too, then (if the disk holds the 3x3
-    block) pixels with a set 8-neighbour; only the rest need the prefix sum.
+    Within tol is the disk sqrt(dx^2 + dy^2) <= tol: per row offset dy the
+    columns x - half .. x + half.  Settled first: pixels `other` sets too,
+    then (if the disk holds the 3x3 block) those with a set neighbour.  The
+    rest make a key per dy, row * w + max(x - half, 0): near if the next set
+    pixel (``searchsorted``) is at most row * w + min(x + half, w - 1), never
+    in a row off the image.  The own row settles about half, so goes first.
     """
     h, w = other.shape
     reach = min(math.floor(tol), h - 1)
     dys = np.arange(-reach, reach + 1)
     cols = np.arange(min(math.floor(tol), w - 1) + 1)
     halves = np.count_nonzero(np.sqrt(cols ** 2 + dys[:, None] ** 2) <= tol, axis=1) - 1
-    idx = np.flatnonzero(mask)
     total, idx = len(idx), idx[~other.ravel()[idx]]
     if reach and halves[reach + 1] >= 1:  # the disk holds (1, 1), so all 8 neighbours
         ring = np.array([-w - 3, -w - 2, -w - 1, -1, 1, w + 1, w + 2, w + 3])
         padded = np.pad(other, 1).ravel()  # (x, y) sits at idx + 2y + w + 3
         idx = idx[~padded[(idx + 2 * (idx // w) + w + 3)[:, None] + ring].any(axis=1)]
-    if not len(idx):
-        return total
     ys, xs = np.divmod(idx, w)
-    # the prefix sum covers only rows top..bottom, those the disks reach
-    top, bottom = max(int(ys[0]) - reach, 0), min(int(ys[-1]) + reach + 1, h)
-    prefix = np.zeros((bottom - top) * w + 1, dtype=np.int32)
-    np.cumsum(other[top:bottom], dtype=np.int32, out=prefix[1:])
-    near = np.zeros(len(ys), dtype=bool)
-    for dy, half in zip(dys.tolist(), halves.tolist()):
-        lo, hi = np.searchsorted(ys, (-dy, h - dy))  # ys ascend: rows y + dy in range
-        row, x = (ys[lo:hi] + dy - top) * w, xs[lo:hi]
-        left = prefix[row + np.maximum(x - half, 0)]
-        near[lo:hi] |= prefix[row + np.minimum(x + half + 1, w)] > left
+    after = np.append(other_idx, np.iinfo(np.intp).max)  # a sentinel past every key
+
+    def hit(k, dy, half):  # pixels idx[k], rows y + dy
+        row = (ys[k] + dy[:, None]) * w
+        nxt = after[np.searchsorted(other_idx, row + np.maximum(xs[k] - half[:, None], 0))]
+        return (nxt <= row + np.minimum(xs[k] + half[:, None], w - 1)).any(axis=0)
+    near = hit(slice(None), dys[reach:reach + 1], halves[reach:reach + 1])  # own row first
+    left = np.flatnonzero(~near)
+    step = max(1, _BLOCK_PX // len(dys))  # about _BLOCK_PX keys per searchsorted
+    for lo in range(0, len(left), step):
+        near[left[lo:lo + step]] = hit(left[lo:lo + step], dys, halves)
     return total - len(idx) + int(np.count_nonzero(near))
 
 
@@ -171,12 +173,9 @@ def line_pixel_pr(gt: Sequence[Segment], pred: Sequence[Segment],
                   config: EvalConfig, width: int, height: int) -> PRPoint:
     """Coverage-based PR over rasterized line pixels."""
     tol = config.tolerance(width, height)
-    gt_px = _pixel_mask(gt, width, height)
-    pred_px = _pixel_mask(pred, width, height)
-    matched_pred = _near_count(pred_px, gt_px, tol)
-    matched_gt = _near_count(gt_px, pred_px, tol)
-    return _pr_from_counts(0.0, int(np.count_nonzero(gt_px)),
-                           int(np.count_nonzero(pred_px)), matched_gt, matched_pred)
+    (gt_px, gt_idx), (pred_px, pred_idx) = (_pixels(s, width, height) for s in (gt, pred))
+    return _pr_from_counts(0.0, len(gt_idx), len(pred_idx), _near_count(
+        gt_idx, pred_px, pred_idx, tol), _near_count(pred_idx, gt_px, gt_idx, tol))
 
 
 def pool_pr(threshold: float, per_image: Sequence[PRPoint]) -> PRPoint:
@@ -209,8 +208,11 @@ def emit_pr_csv(curve: PRCurve, path: str) -> None:
 
 
 def read_pr_csv(path: str) -> PRCurve:
-    with open(path, "r", encoding="ascii") as f:
-        rows = [line.strip() for line in f if line.strip()]
+    try:
+        with open(path, "r", encoding="ascii") as f:
+            rows = [line.strip() for line in f if line.strip()]
+    except UnicodeDecodeError as e:
+        raise GeometryError(f"{path}: not ASCII text (byte {e.object[e.start]:#x})") from None
     if not rows or rows[0] != "threshold,precision,recall":
         raise GeometryError(f"{path}: not a PR curve CSV")
     points = []

@@ -200,24 +200,28 @@ def build_incidence(junctions: Sequence[Junction],
     """N x M binary matrix; entry (n, m) is 1 iff junction n lies on segment m.
 
     "Lies on" means distance from the junction center to the closed segment
-    is at most ``tol``.  Only pairs inside the segment's box, padded by tol
-    and the prefilter slack, reach the distance kernel.
+    is at most ``tol``, by ``near_segment_pairs``.
     """
     if not 0 <= tol < math.inf:  # NaN fails too
         raise GeometryError(f"incidence tolerance {tol} must be finite and >= 0")
     w = np.zeros((len(junctions), len(segments)), dtype=np.int64)
-    p, s = point_array([j.center for j in junctions]), segment_array(segments)
-    # the pad is also relative to the coordinates: the scalar closest point
-    # may leave the box by a few of their ulps
+    pts = [j.center for j in junctions]
+    w[near_segment_pairs(pts, segments, point_array(pts), segment_array(segments), tol)] = 1
+    return w
+
+
+def near_segment_pairs(points: Sequence[Point], segments: Sequence[Segment], p: np.ndarray,
+                       s: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j), row-major, with ``point_segment_distance(points[i],
+    segments[j]) <= tol`` (p, s: their arrays), of those inside the segment's
+    box padded by tol, the prefilter slack and some ulps of its coordinates."""
     pad = (prefilter_bound(tol) + _REL_SLACK * np.abs(s).max(axis=1, initial=0.0))[:, None]
     box = np.hstack([np.minimum(s[:, :2], s[:, 2:]) - pad, np.maximum(s[:, :2], s[:, 2:]) + pad])
     rows, cols = candidate_pairs(lambda p, b: (p[..., 0] >= b[..., 0]) & (p[..., 0] <= b[..., 2])
                                  & (p[..., 1] >= b[..., 1]) & (p[..., 1] <= b[..., 3]), p, box)
-    d = point_segment_distances(p[rows], s[cols])
-    w[rows, cols] = surely_within(d, tol)
-    for n, m in zip(*(a[within(d, tol) & ~surely_within(d, tol)].tolist() for a in (rows, cols))):
-        w[n, m] = point_segment_distance(junctions[n].center, segments[m]) <= tol
-    return w
+    ok = settle(point_segment_distances, point_segment_distance, points, segments, p, s, tol,
+                rows, cols)
+    return rows[ok], cols[ok]
 
 
 # -- array kernels: candidate prefilters for the scalar tests above --
@@ -346,16 +350,27 @@ def candidate_pairs(test: Callable[[np.ndarray, np.ndarray], np.ndarray],
     return np.concatenate(out_i), np.concatenate(out_j)
 
 
+def settle(kernel: Callable[[np.ndarray, np.ndarray], np.ndarray], scalar: Callable,
+           a: Sequence, b: Sequence, a_xy: np.ndarray, b_xy: np.ndarray, limit: float,
+           rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Mask of the index pairs (rows, cols) with ``scalar(a[i], b[j]) <=
+    limit``.  Its array form ``kernel`` over a_xy and b_xy settles the pairs
+    ``surely_within`` or not ``within``; the scalar function the rest."""
+    d = kernel(a_xy[rows], b_xy[cols])
+    ok = surely_within(d, limit)
+    for k in np.flatnonzero(within(d, limit) & ~ok).tolist():
+        ok[k] = scalar(a[rows[k]], b[cols[k]]) <= limit
+    return ok
+
+
 def near_lists(kernel: Callable[[np.ndarray, np.ndarray], np.ndarray], scalar: Callable,
                a: Sequence, b: Sequence, a_xy: np.ndarray, b_xy: np.ndarray,
                limit: float) -> list[list[int]]:
-    """Per a[i], the j in order with ``scalar(a[i], b[j]) <= limit``.  The
-    array form ``kernel`` of ``scalar`` over the rows of a_xy and b_xy
-    proposes the pairs by ``within``; the scalar function decides each."""
+    """Per a[i], the j in order with ``scalar(a[i], b[j]) <= limit``."""
     rows, cols = candidate_pairs(lambda p, q: within(kernel(p, q), limit), a_xy, b_xy)
-    bounds, c = np.searchsorted(rows, np.arange(len(a) + 1)).tolist(), cols.tolist()
-    return [[j for j in c[bounds[i]:bounds[i + 1]] if scalar(a[i], b[j]) <= limit]
-            for i in range(len(a))]
+    ok = settle(kernel, scalar, a, b, a_xy, b_xy, limit, rows, cols)
+    bounds, c = np.searchsorted(rows[ok], np.arange(len(a) + 1)).tolist(), cols[ok].tolist()
+    return [c[bounds[i]:bounds[i + 1]] for i in range(len(a))]
 
 
 @dataclass

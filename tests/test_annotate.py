@@ -1,3 +1,4 @@
+import itertools
 import math
 from unittest import mock
 
@@ -11,17 +12,22 @@ from wireframe import annotate
 from wireframe.annotate import (
     AnnotatedScene,
     HeatMap,
-    clip_segment,
     derive_junctions,
+    digital_lines,
     rasterize_segments,
     render_target_heatmap,
 )
 from wireframe.geometry import (
+    Branch,
     GeometryError,
+    Junction,
     Point,
     Segment,
+    angle_diff,
+    direction_deg,
     point_segment_distance,
     segment_array,
+    segment_intersection,
 )
 
 
@@ -245,25 +251,63 @@ def test_rasterize_segments_matches_reference(segments, block):
     assert all(xs.dtype == ys.dtype == ids.dtype == np.intp for xs, ys, ids in blocks)
 
 
+def reference_digital_lines(segments, width, height):
+    """Oracle: digital_lines' rows and table, one segment at a time, from
+    reference_clip_segment and the formulas of its docstring."""
+    rows, table, first = [], [], 0
+    for i, s in enumerate(segments):
+        clipped = reference_clip_segment(s, width, height)
+        if clipped is not None:
+            (x1, y1), (x2, y2) = clipped
+            x0, y0 = round_px(x1), round_px(y1)
+            dx, dy = round_px(x2) - x0, round_px(y2) - y0
+            n = max(abs(dx), abs(dy))
+            den = max(2 * n, 1)
+            rows.append(i)
+            table.append([2 * dx, 2 * dy, x0 * den + n - (dx < 0) - 2 * dx * first,
+                          y0 * den + n - (dy < 0) - 2 * dy * first, den, n + 1])
+            first += n + 1
+    return rows, table
+
+
+def assert_lines_match_reference(segments, width, height):
+    rows, table = digital_lines(segment_array(segments), width, height)
+    assert rows.dtype == table.dtype == np.intp and table.shape == (len(rows), 6)
+    assert (rows.tolist(), table.tolist()) == reference_digital_lines(segments, width, height)
+
+
 @given(st.lists(set_segments, min_size=1, max_size=4), st.sampled_from([(64, 40), (1, 20), (20, 1)]))
 @settings(max_examples=300, deadline=None)
+# on the border, axis-parallel (p == 0) inside and outside, and along the last row
 @example([seg(0.0, 5.0, 0.0, 9.0), seg(-1.0, 5.0, -1.0, 9.0), seg(5.0, 39.0, 9.0, 39.0)], (64, 40))
 @example([seg(-0.0, 3.0, 5.0, 3.0), seg(3.0, -1e-300, 8.0, 1e-300)], (64, 40))
+@example([seg(70.0, -3.0, 90.0, 10.0), seg(-5.0, -5.0, -1.0, -2.0), seg(3.0, 3.0, 9.0, 7.0)], (64, 40))
+@example([seg(-3.0, 0.0, 25.0, 0.0), seg(0.0, -3.0, 0.0, 25.0), seg(0.4, 2.0, -0.6, 9.5)], (1, 20))
+@example([seg(-3.0, 0.0, 25.0, 0.0), seg(0.0, -3.0, 0.0, 25.0), seg(2.0, 0.4, 9.5, -0.6)], (20, 1))
 def test_clip_matches_early_exit_reference(segments, shape):
-    # bit for bit, so the ends' -0.0 and +0.0 must agree too
-    for s in segments:
-        got = clip_segment((s.a.x, s.a.y, s.b.x, s.b.y), *shape)
-        assert repr(got) == repr(reference_clip_segment(s, *shape))
+    # the clip of every row at once gives the rows and the table that
+    # clipping and rounding one segment at a time gives
+    assert_lines_match_reference(segments, *shape)
 
 
 def test_clip_inside_unchanged():
-    got = clip_segment((1.0, 1.0, 5.0, 5.0), 10, 10)
-    assert got == ((1.0, 1.0), (5.0, 5.0))
+    rows, table = digital_lines(segment_array([seg(1, 1, 5, 5)]), 10, 10)
+    assert rows.tolist() == [0] and table.tolist() == [[8, 8, 12, 12, 8, 5]]
+    assert_lines_match_reference([seg(1, 1, 5, 5)], 10, 10)
 
 
 def test_clip_crossing_boundary():
-    got = clip_segment((-3.0, 4.0, 20.0, 4.0), 10, 10)
-    assert got == ((0.0, 4.0), (9.0, 4.0))
+    # clipped to (0, 4)-(9, 4): ten pixels; the row that misses is left out
+    segments = [seg(-3, 4, 20, 4), seg(-5, -5, -1, -1)]
+    rows, table = digital_lines(segment_array(segments), 10, 10)
+    assert rows.tolist() == [0] and table.tolist() == [[18, 0, 9, 81, 18, 10]]
+    assert_lines_match_reference(segments, 10, 10)
+
+
+def test_digital_lines_rejects_overflowing_segment():
+    # the direction overflows to inf, so the clipped ends are not finite
+    with pytest.raises(GeometryError):
+        digital_lines(np.array([[-1e308, 3.0, 1e308, 3.0]]), 10, 10)
 
 
 def test_scene_validation():
@@ -416,9 +460,50 @@ def test_derive_nonfinite_merge_radius_rejected():
             derive_junctions(scene, r)
 
 
+def reference_derive_junctions(scene, merge_radius):
+    """Oracle: derive_junctions as the scalar all-pairs loop, with no array
+    prefilter: candidates from every pair, each tested against every
+    cluster center, and branches from every segment."""
+    lines, r = scene.lines, merge_radius
+    cands = []
+    for i, j in itertools.combinations(range(len(lines)), 2):
+        hit = segment_intersection(lines[i], lines[j]).point
+        if hit is not None:
+            cands.append((hit, True))
+        for a, b in ((lines[i], lines[j]), (lines[j], lines[i])):
+            cands += [(e, False) for e in (a.a, a.b) if point_segment_distance(e, b) <= r]
+    cands.sort(key=lambda pe: (not pe[1], pe[0].y, pe[0].x))
+    clusters, centers = [], []
+    for p, exact in cands:
+        for k, (cx, cy) in enumerate(centers):
+            if math.hypot(p.x - cx, p.y - cy) <= r:
+                members = clusters[k]
+                members.append((p, exact))
+                centers[k] = (sum(m.x for m, _ in members) / len(members),
+                              sum(m.y for m, _ in members) / len(members))
+                break
+        else:
+            centers.append((p.x, p.y))
+            clusters.append([(p, exact)])
+    junctions = []
+    for members in clusters:
+        anchors = [m for m, exact in members if exact] or [m for m, _ in members]
+        c = Point(sum(m.x for m in anchors) / len(anchors), sum(m.y for m in anchors) / len(anchors))
+        angles = [direction_deg(c, e) for s in lines if point_segment_distance(c, s) <= r
+                  for e in (s.a, s.b) if c.distance_to(e) > r]
+        branches = []
+        for a in sorted(angles):
+            if not any(abs(angle_diff(a, b.angle_deg)) <= 1e-6 for b in branches):
+                branches.append(Branch(a, 1.0))
+        if len(branches) >= 2:
+            junctions.append(Junction(c, tuple(branches), 1.0))
+    junctions.sort(key=lambda j: (j.center.y, j.center.x))
+    return junctions
+
+
 def derive_all_pairs(scene, merge_radius):
-    """derive_junctions with every prefilter proposing every pair, which is
-    the scalar all-pairs loop."""
+    """derive_junctions with its prefilters proposing every pair and every
+    candidate for the greedy loop."""
     def every_pair(s1, s2):
         return np.ones(np.broadcast_shapes(np.shape(s1)[:-1], np.shape(s2)[:-1]),
                        dtype=bool)
@@ -429,6 +514,13 @@ def derive_all_pairs(scene, merge_radius):
     with mock.patch.object(annotate, "within", every_value), \
             mock.patch.object(annotate, "intersection_flags", every_pair):
         return derive_junctions(scene, merge_radius)
+
+
+def assert_derive_matches_reference(scene, merge_radius):
+    # bit for bit and in order: repr tells -0.0 from 0.0
+    want = repr(reference_derive_junctions(scene, merge_radius))
+    assert repr(derive_junctions(scene, merge_radius)) == want
+    assert repr(derive_all_pairs(scene, merge_radius)) == want
 
 
 short_segments = st.tuples(grid_coords, grid_coords, grid_coords, grid_coords).filter(
@@ -447,8 +539,43 @@ short_segments = st.tuples(grid_coords, grid_coords, grid_coords, grid_coords).f
 def test_derive_matches_all_pairs_oracle(lines, merge_radius):
     lines = [s for s in lines
              if all(0 <= v <= 30 for v in (s.a.x, s.a.y, s.b.x, s.b.y))]
-    scene = AnnotatedScene(30, 30, tuple(lines))
-    assert derive_junctions(scene, merge_radius) == derive_all_pairs(scene, merge_radius)
+    assert_derive_matches_reference(AnnotatedScene(30, 30, tuple(lines)), merge_radius)
+
+
+@st.composite
+def clustered_scenes(draw):
+    """An 80 x 80 scene built to cluster, and its merge radius r: 2-5 lines
+    through points 0-3 r from (40, 40), so crossings fall 1-3 merge radii
+    apart, and 0-3 T or L ends within about 1.5 r of a line or an end."""
+    r = draw(st.sampled_from([1.0, 2.0, 2.5]) | st.floats(0.5, 3.0))
+    step = st.integers(-6, 6).map(lambda k: k * r / 2) | st.floats(-3 * r, 3 * r)
+    slop = st.integers(-3, 3).map(lambda k: k * r / 2) | st.floats(-1.5 * r, 1.5 * r)
+    turn = st.sampled_from([0, 30, 45, 90, 135, 180]).map(math.radians) | st.floats(0, math.pi)
+    lines = []
+    for _ in range(draw(st.integers(2, 5))):
+        x, y, t, u = 40 + draw(step), 40 + draw(step), draw(turn), draw(st.floats(4.0, 14.0))
+        lines.append(seg(x - u * math.cos(t), y - u * math.sin(t),
+                         x + u * math.cos(t), y + u * math.sin(t)))
+    for _ in range(draw(st.integers(0, 3))):
+        s, f = draw(st.sampled_from(lines)), draw(st.sampled_from([0.0, 1.0]) | st.floats(0, 1))
+        x = s.a.x + f * (s.b.x - s.a.x) + draw(slop)
+        y = s.a.y + f * (s.b.y - s.a.y) + draw(slop)
+        t = 2 * draw(turn)
+        lines.append(seg(x, y, x + 8 * math.cos(t), y + 8 * math.sin(t)))
+    return AnnotatedScene(80, 80, tuple(lines)), r
+
+
+@given(clustered_scenes())
+@settings(max_examples=300, deadline=None)
+# crossings at x = 10, 12, 13 merge through the moving center, and a T end
+# 1.5 r off the first crossing
+@example((AnnotatedScene(80, 80, (seg(0, 10, 30, 10), seg(10, 0, 10, 30), seg(12, 0, 12, 30),
+                                  seg(13, 0, 13, 30), seg(10, 13, 25, 25))), 2.0))
+# three lines through one point, an L on an end and a T end on a crossing
+@example((AnnotatedScene(80, 80, (seg(30, 30, 50, 50), seg(30, 50, 50, 30), seg(40, 28, 40, 52),
+                                  seg(50, 50, 60, 50), seg(41, 40, 50, 45))), 2.0))
+def test_derive_matches_reference_on_clustered_scenes(scene_r):
+    assert_derive_matches_reference(*scene_r)
 
 
 def test_derive_cluster_center_follows_members():

@@ -189,6 +189,11 @@ def test_line_pixel_pr_order_and_split_invariance():
     assert p3.precision == 1.0 and p3.recall == 1.0
 
 
+def near_count(mask, other, tol):
+    """_near_count of two masks: the flat indices of `mask` within tol of `other`."""
+    return _near_count(np.flatnonzero(mask), other, np.flatnonzero(other), tol)
+
+
 def near_count_edt(mask, other, tol):
     """Oracle: a full-image Euclidean distance transform of `other`."""
     if not mask.any() or not other.any():
@@ -217,8 +222,8 @@ EDGE_TOLS = [0.01, 0.5, math.nextafter(1.0, 0.0), 1.0, math.sqrt(2.0),
 @given(mask_pairs(), st.one_of(st.sampled_from(EDGE_TOLS), st.floats(0.01, 20.0)))
 def test_near_count_matches_distance_transform(pair, tol):
     mask, other = pair
-    assert _near_count(mask, other, tol) == near_count_edt(mask, other, tol)
-    assert _near_count(other, mask, tol) == near_count_edt(other, mask, tol)
+    assert near_count(mask, other, tol) == near_count_edt(mask, other, tol)
+    assert near_count(other, mask, tol) == near_count_edt(other, mask, tol)
 
 
 @pytest.mark.parametrize("shape", [(1, 40), (40, 1), (1, 1)])
@@ -226,7 +231,7 @@ def test_near_count_matches_distance_transform(pair, tol):
 def test_near_count_thin_images(shape, tol):
     rng = np.random.default_rng([shape[0], shape[1]])
     mask, other = rng.random(shape) < 0.2, rng.random(shape) < 0.1
-    assert _near_count(mask, other, tol) == near_count_edt(mask, other, tol)
+    assert near_count(mask, other, tol) == near_count_edt(mask, other, tol)
 
 
 def test_near_count_at_integer_and_root_two_distances():
@@ -236,22 +241,22 @@ def test_near_count_at_integer_and_root_two_distances():
                       [0, 0, 0, 0, 0]])
     other = np.zeros_like(mask)
     other[3, 4] = True  # offset (4, 3): distance exactly 5
-    assert _near_count(mask, other, 5.0) == near_count_edt(mask, other, 5.0) == 1
+    assert near_count(mask, other, 5.0) == near_count_edt(mask, other, 5.0) == 1
     below = math.nextafter(5.0, 0.0)
-    assert _near_count(mask, other, below) == near_count_edt(mask, other, below) == 0
+    assert near_count(mask, other, below) == near_count_edt(mask, other, below) == 0
     other[3, 4], other[1, 1] = False, True  # diagonal neighbour: sqrt(2)
     root2 = math.sqrt(2.0)
-    assert _near_count(mask, other, root2) == near_count_edt(mask, other, root2) == 1
-    assert _near_count(mask, other, math.nextafter(root2, 0.0)) == 0
+    assert near_count(mask, other, root2) == near_count_edt(mask, other, root2) == 1
+    assert near_count(mask, other, math.nextafter(root2, 0.0)) == 0
 
 
 def test_near_count_tolerance_extremes():
     mask = bool_grid([[1, 1, 0], [0, 0, 0], [0, 0, 1]])
     other = bool_grid([[1, 0, 0], [0, 0, 0], [0, 0, 0]])
-    assert _near_count(mask, other, 0.5) == near_count_edt(mask, other, 0.5) == 1
-    assert _near_count(mask, other, 1e9) == near_count_edt(mask, other, 1e9) == 3
+    assert near_count(mask, other, 0.5) == near_count_edt(mask, other, 0.5) == 1
+    assert near_count(mask, other, 1e9) == near_count_edt(mask, other, 1e9) == 3
     empty = np.zeros_like(mask)
-    assert _near_count(empty, other, 2.0) == _near_count(mask, empty, 2.0) == 0
+    assert near_count(empty, other, 2.0) == near_count(mask, empty, 2.0) == 0
 
 
 def reference_near_count(mask, other, tol):
@@ -305,17 +310,17 @@ TIER_TOLS = [0.5, 1.0, math.nextafter(math.sqrt(2.0), 0.0), math.sqrt(2.0), 2.0,
 @example((np.zeros((1, 1), dtype=bool), np.zeros((1, 1), dtype=bool)), 0.5)
 def test_near_count_matches_untiered_disk_test(pair, tol):
     mask, other = pair
-    assert _near_count(mask, other, tol) == reference_near_count(mask, other, tol)
-    assert _near_count(other, mask, tol) == reference_near_count(other, mask, tol)
+    assert near_count(mask, other, tol) == reference_near_count(mask, other, tol)
+    assert near_count(other, mask, tol) == reference_near_count(other, mask, tol)
 
 
 @pytest.mark.parametrize("tol", [2.0, math.nextafter(3.0, 0.0), 3.0, 3.5, 7.0])
 @pytest.mark.parametrize("row", [0, 2, 30, 55, 59])
 def test_near_count_prefix_rows_reach_the_band(tol, row):
-    # the prefix sum covers only the rows of the pixels left after the 3x3
-    # tier, widened by the reach: a pixel of `other` just inside or just
-    # outside the reach above or below that band, or at the image edge, counts
-    # as it does for the full-image sum
+    # (named for the row-band prefix sum this once tested) an `other` pixel
+    # just inside or just outside the disk's reach above or below the query
+    # rows, or at the image's top or bottom edge, counts as the distance
+    # transform says: the keys of the rows y + dy at the reach's edge
     h, w = 60, 9
     mask = np.zeros((h, w), dtype=bool)
     mask[row, 4] = mask[min(row + 3, h - 1), 1] = True
@@ -324,7 +329,37 @@ def test_near_count_prefix_rows_reach_the_band(tol, row):
             if 0 <= row + dy < h:
                 other = np.zeros_like(mask)
                 other[row + dy, 4 + dx] = True
-                assert _near_count(mask, other, tol) == near_count_edt(mask, other, tol)
+                assert near_count(mask, other, tol) == near_count_edt(mask, other, tol)
+
+
+@pytest.mark.parametrize("tol", [1.0, math.sqrt(2.0), 2.0, math.nextafter(math.sqrt(5.0), 0.0),
+                                 math.sqrt(5.0), 3.0, 4.5, 9.0])
+@pytest.mark.parametrize("w", [1, 2, 3, 4, 7, 12])
+def test_near_count_keys_stay_in_their_row(w, tol):
+    # a query pixel on the left (right) image edge and an `other` pixel at the
+    # end of the row above (the start of the row below) are neighbours in
+    # flat order; the disk's key range is clamped inside its row, so that
+    # pixel counts only if it lies in the disk.  The rows two and three away
+    # are tried too.
+    h = 8
+    for qx, ox, rows in ((0, w - 1, (-1, -2, -3)), (w - 1, 0, (1, 2, 3))):
+        for dy in rows:
+            mask, other = np.zeros((h, w), dtype=bool), np.zeros((h, w), dtype=bool)
+            mask[4, qx] = other[4 + dy, ox] = True
+            want = near_count_edt(mask, other, tol)
+            assert want == (math.hypot(ox - qx, dy) <= tol)
+            assert near_count(mask, other, tol) == reference_near_count(mask, other, tol) == want
+
+
+def test_line_pixel_pr_counts_each_pixel_once():
+    # n_gt and n_pred count pixels, not segment pixels: the two gt segments
+    # share 41 pixels of row 50; the pred crosses the gt at (10, 50)
+    gt, pred = [seg(0, 50, 80, 50), seg(40, 50, 90, 50)], [seg(10, 0, 10, 99)]
+    p = line_pixel_pr(gt, pred, CFG, 100, 100)
+    assert (p.n_gt, p.n_pred) == (91, 100)
+    tol = CFG.tolerance(100, 100)  # about 1.41: the disk holds the 3 x 3 block
+    assert (p.matched_gt, p.matched_pred) == (3, 3)
+    assert tol >= math.sqrt(2.0)
 
 
 def reference_match_points(gt, pred, tol):
@@ -444,14 +479,16 @@ def test_emit_svg_deterministic(tmp_path):
     assert "polyline" in p1.read_text()
 
 
-@pytest.mark.parametrize("header, row", [
-    ("nope", "1,2,3"), ("threshold,precision,recall", "1,2"),
-    ("threshold,precision,recall", "a,b,c"), ("threshold,precision,recall", "0.5,nan,inf")],
-    ids=["header", "two-fields", "not-numbers", "not-finite"])
-def test_read_csv_rejects_garbage(tmp_path, header, row):
+@pytest.mark.parametrize("header, row, named", [
+    ("nope", "1,2,3", ""), ("threshold,precision,recall", "1,2", "1,2"),
+    ("threshold,precision,recall", "a,b,c", "a,b,c"),
+    ("threshold,precision,recall", "0.5,nan,inf", "0.5,nan,inf"),
+    ("threshold,precision,recall", "0.5,0.5,0.5\xe9", "0xe9")],
+    ids=["header", "two-fields", "not-numbers", "not-finite", "not-ascii"])
+def test_read_csv_rejects_garbage(tmp_path, header, row, named):
     path = tmp_path / "bad.csv"
-    path.write_text(f"{header}\n0.1,0.5,0.5\n{row}\n")
+    path.write_bytes(f"{header}\n0.1,0.5,0.5\n{row}\n".encode("latin-1"))
     with pytest.raises(GeometryError) as err:
         read_pr_csv(str(path))
     assert str(path) in str(err.value) and "\n" not in str(err.value)
-    assert header == "nope" or row in str(err.value)
+    assert named in str(err.value)
