@@ -21,12 +21,11 @@ from .geometry import (
     Point,
     Segment,
     angle_diff,
-    candidate_pairs,
-    intersection_flags,
     intersection_points,
+    may_cut,
+    near_point_pairs,
     near_segment_pairs,
     point_distances,
-    prefilter_bound,
     segment_array,
     segment_intersection,
     settle,
@@ -145,9 +144,9 @@ def derive_junctions(scene: AnnotatedScene,
         raise GeometryError(f"merge radius {merge_radius} must be finite and >= 0")
     lines, segs, r = scene.lines, segment_array(scene.lines), merge_radius
     ends, ends_xy = [p for s in lines for p in (s.a, s.b)], segs.reshape(-1, 2)
-    i, j = candidate_pairs(intersection_flags, segs, segs)
+    i, j = may_cut(segs, segs)
     i, j = i[i < j], j[i < j]
-    sure, xy = intersection_points(segs[i], segs[j])
+    sure, xy = intersection_points(segs.take(i, axis=0), segs.take(j, axis=0))
     for k in np.flatnonzero(~sure).tolist():  # near-parallel pairs: the scalar
         hit = segment_intersection(lines[i[k]], lines[j[k]]).point
         xy[k] = (hit.x, hit.y) if hit is not None else np.nan
@@ -157,16 +156,9 @@ def derive_junctions(scene: AnnotatedScene,
     exact = np.arange(len(xy)) < len(xy) - len(touch)
     order = np.lexsort((xy[:, 0], xy[:, 1], ~exact))  # exact crossings seed the clusters
     xy, exact = xy[order], exact[order].tolist()
-    # pairs within 2r by a sweep over y: each j after i in y order, near i in y
-    bound = 2 * r + _REL_SLACK * np.abs(xy).max(initial=0.0)
-    by_y = np.argsort(xy[:, 1], kind="stable")
-    ys = xy[by_y, 1]
-    count = np.searchsorted(ys, ys + prefilter_bound(bound), side="right") - np.arange(len(ys)) - 1
-    a = np.repeat(np.arange(len(ys)), count)
-    b = a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(count) - count, count)
-    near = within(point_distances(xy[by_y[a]], xy[by_y[b]]), bound)
+    a, b = near_point_pairs(xy, xy, 2 * r + _REL_SLACK * np.abs(xy).max(initial=0.0))
     starts = np.ones(len(xy), dtype=bool)  # of a cluster, in the end
-    starts[by_y[a[near]]] = starts[by_y[b[near]]] = False
+    starts[a[a != b]] = False  # each pair comes both ways
     pts = {k: xy[k].tolist() for k in np.flatnonzero(~starts).tolist()}  # the linked ones
     clusters: list[list[int]] = []
     centers = np.empty((len(xy), 2), dtype=np.float64)

@@ -22,8 +22,6 @@ from .annotate import _BLOCK_PX, HeatMap, digital_lines, line_pixels
 from .geometry import (
     _ANGLE_SLACK,
     _BLOCK_PAIRS,
-    _DIST_SLACK,
-    _REL_SLACK,
     Branch,
     GeometryError,
     Junction,
@@ -33,12 +31,11 @@ from .geometry import (
     angle_diff,
     angle_offsets,
     build_incidence,
-    candidate_pairs,
     direction_deg,
     directions,
-    intersection_flags,
-    intersection_params,
     intersection_points,
+    may_cut,
+    near_point_pairs,
     normalize_angle,
     point_array,
     point_distances,
@@ -109,7 +106,7 @@ def dedup_junctions(junctions: Sequence[Junction], rho_nms: float) -> list[Junct
     order = sorted(junctions, key=lambda j: (-j.confidence, j.center.y, j.center.x))
     centers = [j.center for j in order]
     xy = point_array(centers)
-    rows, cols = candidate_pairs(lambda p, q: within(point_distances(p, q), rho_nms), xy, xy)
+    rows, cols = near_point_pairs(xy, xy, rho_nms)
     rows, cols = rows[cols < rows], cols[cols < rows]  # only earlier ones can suppress
     first, cols = np.searchsorted(rows, np.arange(len(order) + 1)).tolist(), cols.tolist()
     is_kept = [False] * len(order)
@@ -271,26 +268,6 @@ def line_support_ratios(pieces: Sequence[tuple[Point, Point]],
     return [r if (a.x, a.y) != (b.x, b.y) else 0.0 for r, (a, b) in zip(ratio.tolist(), pieces)]
 
 
-def _may_cut(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pairs (i, j), row-major, that no axis (x, y or a normal) puts more
-    than 2e-3 (|r| + |s|) and some ulps apart: a superset of those where
-    ``segment_intersection`` gives a point for pieces of p[i] and q[j].  Past
-    its parallel test (sin > 1e-12) t and u err by under (5|r| + 4|q - p|)
-    2^-53 / 1e-12 in length, so the point is within 1.5e-3 (|r| + |s|) of both."""
-    share = [2e-3 * np.hypot(s[:, 2] - s[:, 0], s[:, 3] - s[:, 1]) + _DIST_SLACK
-             + _REL_SLACK * np.abs(s).max(axis=1, initial=0.0) for s in (p, q)]
-    boxes = [np.hstack([np.minimum(s[:, :2], s[:, 2:]) - e[:, None],  # padded by its share
-                        np.maximum(s[:, :2], s[:, 2:]) + e[:, None]])
-             for s, e in zip((p, q), share)]
-    i, j = candidate_pairs(lambda a, b: (a[..., 0] <= b[..., 2]) & (b[..., 0] <= a[..., 2])
-                           & (a[..., 1] <= b[..., 3]) & (b[..., 1] <= a[..., 3]), *boxes)
-    denom, tn, un, lp, lq = intersection_params(p[i], q[j])
-    pad, apart = share[0][i] + share[1][j], False
-    for c, d, length in ((un, un - denom, lp), (tn, tn - denom, lq)):  # q off p's line, p off q's
-        apart = apart | (np.minimum(c, d) > pad * length) | (np.maximum(c, d) < -pad * length)
-    return i[~apart], j[~apart]
-
-
 def _pieces(whole: Segment, hits: list, min_len: float) -> list[tuple[Point, Point]]:
     """The stretches of whole, min_len or longer, between its cuts: the hits
     (points or None) in pool order, less those within 1e-6 of an earlier cut."""
@@ -315,11 +292,13 @@ def recover_unmatched(junctions: Sequence[Junction], unmatched: Sequence[tuple[i
     kappa_min survives.  Later rays split against the new segments too, in
     (junction, branch) order and pool order.
 
-    Walks, cuts on the given segments and support ratios are batched:
-    ``intersection_points`` settles all pairs but near-touching ones.  A
-    later segment is a boundary segment or a piece of an earlier ray's whole
-    walk, so ``_may_cut`` of whole segments lists the earlier rays that may
-    cut a ray; only theirs go to the scalar, and changed pieces are redone.
+    Walks, cuts on the given segments and support ratios are batched: one
+    ``may_cut`` pass over the given and then the whole segments lists what
+    may cut each walked ray, and ``intersection_points`` settles all given
+    ones but near-touching pairs.  A later segment is a boundary segment or
+    a piece of an earlier ray's whole walk, so the same pass lists the
+    earlier rays that may cut a ray; only theirs go to the scalar, and
+    changed pieces are redone.
     """
     limit = params.boundary_frac * max(mask.width, mask.height)
     origins = [junctions[i].center for i, _ in sorted(unmatched)]
@@ -335,10 +314,14 @@ def recover_unmatched(junctions: Sequence[Junction], unmatched: Sequence[tuple[i
     whole.update((k, Segment(origins[k], q)) for k, q in zip(walked, ends)
                  if q is not None and origins[k].distance_to(q) >= params.min_piece_len)
     src = np.array(sorted(whole), dtype=np.intp)
-    rows = [k for k in src.tolist() if not short[k]]
-    w_xy, m_xy = segment_array([whole[k] for k in rows]), segment_array(segments)
-    i, m = candidate_pairs(intersection_flags, w_xy, m_xy)
-    sure, xy = intersection_points(w_xy[i], m_xy[m])
+    walked_src = np.flatnonzero(~np.array(short, dtype=bool)[src])  # the rows of src walked
+    rows, given = src[walked_src].tolist(), len(segments)
+    # the walked rays' cut search: the given segments, then every whole one
+    pool = segment_array(list(segments) + [whole[k] for k in src.tolist()])
+    w_xy = pool.take(given + walked_src, axis=0)
+    pi, pj = may_cut(w_xy, pool)
+    i, m = pi[pj < given], pj[pj < given]
+    sure, xy = intersection_points(w_xy.take(i, axis=0), pool.take(m, axis=0))
     keep, hits = ~sure | (xy[:, 0] == xy[:, 0]), [[] for _ in rows]  # unsettled, or a point
     for n, k, x, y in zip(i[keep].tolist(), m[keep].tolist(), *xy[keep].T.tolist()):
         hits[n].append(Point(x, y) if x == x else
@@ -346,10 +329,9 @@ def recover_unmatched(junctions: Sequence[Junction], unmatched: Sequence[tuple[i
     pieces = [_pieces(whole[k], hs, params.min_piece_len) for k, hs in zip(rows, hits)]
     ratios = iter(line_support_ratios([p for ps in pieces for p in ps], mask))
     kappas = [[next(ratios) for _ in ps] for ps in pieces]
-    i, j = _may_cut(w_xy, segment_array([whole[k] for k in src.tolist()]))
-    keep = src[j] < np.array(rows, dtype=np.intp)[i]  # segments of earlier rays
-    first = np.searchsorted(i[keep], np.arange(len(rows) + 1)).tolist()
-    tail, row, added = src[j[keep]].tolist(), {k: n for n, k in enumerate(rows)}, {}
+    keep = (pj >= given) & (pj < given + walked_src[pi])  # segments of earlier rays
+    first = np.searchsorted(pi[keep], np.arange(len(rows) + 1)).tolist()
+    tail, row, added = src[pj[keep] - given].tolist(), {k: n for n, k in enumerate(rows)}, {}
     for k in src.tolist():  # each ray's segments join the pool before the next ray is cut
         n = row.get(k)
         new = [] if n is None else [segment_intersection(whole[k], s).point

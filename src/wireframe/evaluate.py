@@ -18,8 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .annotate import _BLOCK_PX, rasterize_segments
-from .geometry import (GeometryError, Junction, Point, Segment, near_lists, point_array,
-                       point_distances, segment_array)
+from .geometry import GeometryError, Junction, Point, Segment, near_lists, segment_array
 
 DEFAULT_TOLERANCE_FRAC = 0.01
 DEFAULT_SWEEP = tuple(i / 10 for i in range(1, 10))
@@ -63,12 +62,6 @@ def _pr_from_counts(threshold: float, n_gt: int, n_pred: int,
     return PRPoint(threshold, precision, recall, n_gt, n_pred, matched_gt, matched_pred)
 
 
-def near_pairs(gt: Sequence[Point], pred: Sequence[Point], tol: float) -> list[list[int]]:
-    """Per gt point, the pred points within tol, in pred order."""
-    return near_lists(point_distances, Point.distance_to, gt, pred,
-                      point_array(gt), point_array(pred), tol)
-
-
 def max_matching(adj: Sequence[Sequence[int]], n_pred: int) -> int:
     """Size of a maximum matching of gt point i to a pred of ``adj[i]``: augmenting
     paths (Kuhn) from an empty matching, one search per gt point, with an
@@ -100,7 +93,7 @@ def max_matching(adj: Sequence[Sequence[int]], n_pred: int) -> int:
 
 def match_points(gt: Sequence[Point], pred: Sequence[Point], tol: float) -> int:
     """Maximum one-to-one matching within tol, each point used once."""
-    return max_matching(near_pairs(gt, pred, tol), len(pred))
+    return max_matching(near_lists(gt, pred, tol), len(pred))
 
 
 def junction_pr(gt: Sequence[Junction], pred: Sequence[Junction],
@@ -115,7 +108,7 @@ def junction_sweep(gt: Sequence[Junction], pred: Sequence[Junction], config: Eva
                    width: int, height: int) -> Callable[[float], PRPoint]:
     """t -> junction_pr of the preds with confidence > t.  The pairs within
     tolerance are found once, for all preds; each t keeps its columns."""
-    adj = near_pairs([j.center for j in gt], [j.center for j in pred],
+    adj = near_lists([j.center for j in gt], [j.center for j in pred],
                      config.tolerance(width, height))
     conf = [j.confidence for j in pred]
 

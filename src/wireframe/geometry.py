@@ -15,6 +15,12 @@ counts as a candidate).  A value that is inside the limit by more than that
 margin (``surely_within``) passes the scalar test too, so the array accepts
 it at once; the scalar function decides the rest in the original iteration
 order, and the result is that of the all-pairs loop.
+
+Only pairs whose boxes overlap reach a kernel; ``box_pairs`` finds them by
+sort and sweep, not by testing every pair.  A box is a point or a segment
+padded by the limit (|dx| <= hypot(dx, dy)) or by a cut's share
+(``may_cut``), plus some ulps of its coordinates, so it keeps every pair
+that the all-pairs test kept.
 """
 
 from __future__ import annotations
@@ -35,7 +41,8 @@ _PARALLEL_EPS = 1e-12
 _REL_SLACK = 1e-9
 _DIST_SLACK = 1e-9
 _ANGLE_SLACK = 1e-6
-# Pairs evaluated per block, so all-pairs temporaries stay a few MB.
+# Pairs per block (candidates, or ray x junction entries), so temporaries
+# stay a few MB.
 _BLOCK_PAIRS = 1 << 16
 
 
@@ -217,8 +224,7 @@ def near_segment_pairs(points: Sequence[Point], segments: Sequence[Segment], p: 
     box padded by tol, the prefilter slack and some ulps of its coordinates."""
     pad = (prefilter_bound(tol) + _REL_SLACK * np.abs(s).max(axis=1, initial=0.0))[:, None]
     box = np.hstack([np.minimum(s[:, :2], s[:, 2:]) - pad, np.maximum(s[:, :2], s[:, 2:]) + pad])
-    rows, cols = candidate_pairs(lambda p, b: (p[..., 0] >= b[..., 0]) & (p[..., 0] <= b[..., 2])
-                                 & (p[..., 1] >= b[..., 1]) & (p[..., 1] <= b[..., 3]), p, box)
+    rows, cols = box_pairs(p[:, [0, 1, 0, 1]], box)
     ok = settle(point_segment_distances, point_segment_distance, points, segments, p, s, tol,
                 rows, cols)
     return rows[ok], cols[ok]
@@ -288,16 +294,6 @@ def _in_unit(t: np.ndarray) -> np.ndarray:
     return (t >= -_PARALLEL_EPS) & (t <= 1.0 + _PARALLEL_EPS)
 
 
-def intersection_flags(s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
-    """Broadcast over (..., 4) segments: True where ``segment_intersection``
-    may return a point or the collinear flag.  Only the parallel test's
-    scale goes through ``np.hypot``, so it gets a factor 2."""
-    denom, tn, un, lr, ls = intersection_params(s1, s2)
-    with np.errstate(all="ignore"):
-        parallel = ~(np.abs(denom) > 2 * _PARALLEL_EPS * (lr * ls))
-        return parallel | (_in_unit(tn / denom) & _in_unit(un / denom))
-
-
 def intersection_points(s1: np.ndarray, s2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Broadcast ``segment_intersection(s1, s2).point`` over (..., 4)
     segments where the arrays settle it: (sure, xy), xy NaN for no point.
@@ -321,6 +317,25 @@ def intersection_points(s1: np.ndarray, s2: np.ndarray) -> tuple[np.ndarray, np.
     return crossing | none, xy
 
 
+def may_cut(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs (i, j), row-major, that no axis (x, y or a normal) puts more
+    than 2e-3 (|r| + |s|) and some ulps apart: a superset of those where
+    ``segment_intersection`` gives a point for pieces of p[i] and q[j].  Past
+    its parallel test (sin > 1e-12) t and u err by under (5|r| + 4|q - p|)
+    2^-53 / 1e-12 in length, so the point is within 1.5e-3 (|r| + |s|) of both."""
+    s, n = np.concatenate([p, q]), len(p)
+    share = (2e-3 * np.hypot(s[:, 2] - s[:, 0], s[:, 3] - s[:, 1]) + _DIST_SLACK
+             + _REL_SLACK * np.abs(s).max(axis=1, initial=0.0))
+    box = np.hstack([np.minimum(s[:, :2], s[:, 2:]) - share[:, None],  # padded by its share
+                     np.maximum(s[:, :2], s[:, 2:]) + share[:, None]])
+    i, j = box_pairs(box[:n], box[n:])
+    denom, tn, un, lp, lq = intersection_params(p.take(i, axis=0), q.take(j, axis=0))
+    c, pad = np.stack([un, tn]), (share[i] + share[n + j]) * np.stack([lp, lq])
+    d = c - denom  # c, d: q's ends off p's line, then p's ends off q's line
+    apart = ((np.minimum(c, d) > pad) | (np.maximum(c, d) < -pad)).any(axis=0)
+    return i[~apart], j[~apart]
+
+
 def directions(origin: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Broadcast ``direction_deg`` over (..., 2) arrays, in [-180, 180]."""
     return np.degrees(np.arctan2(target[..., 1] - origin[..., 1],
@@ -335,19 +350,46 @@ def angle_offsets(direction: np.ndarray, angle_deg: np.ndarray) -> np.ndarray:
     return np.minimum(d, np.abs(360.0 - d))
 
 
-def candidate_pairs(test: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                    rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (i, j) in row-major order where ``test(rows[i], cols[j])``
-    holds.  ``test`` gets broadcastable (B, 1, k) and (1, M, k) blocks, so
-    temporaries stay near _BLOCK_PAIRS elements."""
-    out_i, out_j = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    if len(cols):
-        step = max(1, _BLOCK_PAIRS // len(cols))
-        for lo in range(0, len(rows), step):
-            i, j = np.nonzero(test(rows[lo:lo + step, None], cols[None]))
-            out_i.append(i + lo)
-            out_j.append(j)
-    return np.concatenate(out_i), np.concatenate(out_j)
+def box_pairs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j), row-major, of the closed boxes (x0, y0, x1, y1),
+    x0 <= x1 and y0 <= y1, a[i] and b[j] that overlap.  In x that is: b[j]
+    starts inside a[i]'s x-range, or a[i] strictly after b[j] and inside
+    its x-range.  Each box's partners of either kind are a slice of the
+    other side sorted by x0, expanded _BLOCK_PAIRS at a time and tested in
+    y; only the hits are sorted."""
+    keys = [np.zeros(0, dtype=np.int64)]
+    for p, q, side in ((a, b, "left"), (b, a, "right")):
+        by = q[:, 0].argsort()
+        q = q.take(by, axis=0)
+        lo, hi = q[:, 0].searchsorted(p[:, 0], side), q[:, 0].searchsorted(p[:, 2], "right")
+        count = hi - lo
+        end = count.cumsum()
+        total = int(end[-1]) if len(p) else 0
+        for c in range(0, total, _BLOCK_PAIRS):
+            d = min(c + _BLOCK_PAIRS, total)
+            e0, e1 = int(end.searchsorted(c, "right")), int(end.searchsorted(d)) + 1
+            part = count[e0:e1].copy()  # of each box e0..e1-1, the candidates c..d-1
+            part[0] -= c - (end[e0] - count[e0])
+            part[-1] -= end[e1 - 1] - d
+            own = np.arange(e0, e1).repeat(part)
+            at = np.arange(c, d) + (hi - end)[e0:e1].repeat(part)  # lo + k - start
+            ok = (p[:, 1][own] <= q[:, 3][at]) & (q[:, 1][at] <= p[:, 3][own])
+            own, at = own[ok], by[at[ok]]
+            keys.append(own * len(b) + at if side == "left" else at * len(b) + own)
+    return np.divmod(np.sort(np.concatenate(keys)), max(len(b), 1))
+
+
+def near_point_pairs(p: np.ndarray, q: np.ndarray, limit: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j), row-major, with ``within(point_distances(p[i],
+    q[j]), limit)``.  Only those in q[j]'s box padded past that bound by its
+    slack and ulps of the coordinates are tested, and no others can pass:
+    |dx| and |dy| are at most their hypot, which is NaN only for non-finite
+    points (``Point`` rejects them)."""
+    big = max(np.abs(p).max(initial=0.0), np.abs(q).max(initial=0.0))
+    reach = prefilter_bound(prefilter_bound(limit)) + _REL_SLACK * big
+    i, j = box_pairs(p[:, [0, 1, 0, 1]], q[:, [0, 1, 0, 1]] + [-reach, -reach, reach, reach])
+    ok = within(point_distances(p.take(i, axis=0), q.take(j, axis=0)), limit)
+    return i[ok], j[ok]
 
 
 def settle(kernel: Callable[[np.ndarray, np.ndarray], np.ndarray], scalar: Callable,
@@ -356,19 +398,18 @@ def settle(kernel: Callable[[np.ndarray, np.ndarray], np.ndarray], scalar: Calla
     """Mask of the index pairs (rows, cols) with ``scalar(a[i], b[j]) <=
     limit``.  Its array form ``kernel`` over a_xy and b_xy settles the pairs
     ``surely_within`` or not ``within``; the scalar function the rest."""
-    d = kernel(a_xy[rows], b_xy[cols])
+    d = kernel(a_xy.take(rows, axis=0), b_xy.take(cols, axis=0))
     ok = surely_within(d, limit)
     for k in np.flatnonzero(within(d, limit) & ~ok).tolist():
         ok[k] = scalar(a[rows[k]], b[cols[k]]) <= limit
     return ok
 
 
-def near_lists(kernel: Callable[[np.ndarray, np.ndarray], np.ndarray], scalar: Callable,
-               a: Sequence, b: Sequence, a_xy: np.ndarray, b_xy: np.ndarray,
-               limit: float) -> list[list[int]]:
-    """Per a[i], the j in order with ``scalar(a[i], b[j]) <= limit``."""
-    rows, cols = candidate_pairs(lambda p, q: within(kernel(p, q), limit), a_xy, b_xy)
-    ok = settle(kernel, scalar, a, b, a_xy, b_xy, limit, rows, cols)
+def near_lists(a: Sequence[Point], b: Sequence[Point], limit: float) -> list[list[int]]:
+    """Per a[i], the j in order with ``a[i].distance_to(b[j]) <= limit``."""
+    a_xy, b_xy = point_array(a), point_array(b)
+    rows, cols = near_point_pairs(a_xy, b_xy, limit)
+    ok = settle(point_distances, Point.distance_to, a, b, a_xy, b_xy, limit, rows, cols)
     bounds, c = np.searchsorted(rows[ok], np.arange(len(a) + 1)).tolist(), cols[ok].tolist()
     return [c[bounds[i]:bounds[i + 1]] for i in range(len(a))]
 

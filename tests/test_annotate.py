@@ -504,15 +504,15 @@ def reference_derive_junctions(scene, merge_radius):
 def derive_all_pairs(scene, merge_radius):
     """derive_junctions with its prefilters proposing every pair and every
     candidate for the greedy loop."""
-    def every_pair(s1, s2):
-        return np.ones(np.broadcast_shapes(np.shape(s1)[:-1], np.shape(s2)[:-1]),
-                       dtype=bool)
+    def every_pair(a, b, *_):
+        return tuple(np.indices((len(a), len(b))).reshape(2, -1))
 
     def every_value(values, *_):
         return np.ones(np.shape(values), dtype=bool)
 
     with mock.patch.object(annotate, "within", every_value), \
-            mock.patch.object(annotate, "intersection_flags", every_pair):
+            mock.patch.object(annotate, "may_cut", every_pair), \
+            mock.patch.object(annotate, "near_point_pairs", every_pair):
         return derive_junctions(scene, merge_radius)
 
 

@@ -36,6 +36,7 @@ from wireframe.geometry import (
     Segment,
     build_incidence,
     direction_deg,
+    may_cut,
     normalize_angle,
     point_segment_distance,
     segment_array,
@@ -743,11 +744,11 @@ def near_cut_pairs(draw):
 
 
 def assert_may_cut_covers(pairs, ts=(0.0, 0.3, 0.7, 1.0)):
-    """_may_cut lists every pair where segment_intersection gives a point
+    """may_cut lists every pair where segment_intersection gives a point
     for the first segment and a piece of the second (cut as the rescue
     pass cuts), or for the pieces of the first and the second."""
     p, q = [a for a, _ in pairs], [b for _, b in pairs]
-    i, j = construct._may_cut(segment_array(p), segment_array(q))
+    i, j = may_cut(segment_array(p), segment_array(q))
     listed = set(zip(i.tolist(), j.tolist()))
     for n, a in enumerate(p):
         for m, b in enumerate(q):

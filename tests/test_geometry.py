@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -15,18 +16,17 @@ from wireframe.geometry import (
     Segment,
     angle_diff,
     angle_offsets,
+    box_pairs,
     build_incidence,
-    candidate_pairs,
     direction_deg,
     directions,
-    intersection_flags,
     intersection_points,
+    may_cut,
     near_lists,
+    near_segment_pairs,
     normalize_angle,
     point_array,
-    point_distances,
     point_segment_distance,
-    point_segment_distances,
     segment_array,
     segment_intersection,
     surely_within,
@@ -275,11 +275,6 @@ def test_build_incidence_far_from_the_origin(base, points, segments, tol):
                                                  s.b.y - base) for s in segments], tol)
 
 
-def meets(s1, s2):
-    r = segment_intersection(s1, s2)
-    return r.point is not None or r.collinear
-
-
 @given(st.lists(grid_segments, max_size=6), st.lists(grid_segments, max_size=6))
 @settings(max_examples=300, deadline=None)
 @example([seg(0, 0, 2, 0)], [seg(2, 0, 4, 0)])  # collinear, touching at an endpoint
@@ -290,18 +285,20 @@ def meets(s1, s2):
 @example([], [seg(0, 0, 1, 1)])
 @example([seg(0, 0, 1, 1)], [])
 def test_intersection_prefilter_covers_scalar(s1, s2):
-    flags = intersection_flags(segment_array(s1)[:, None], segment_array(s2)[None])
-    assert flags.shape == (len(s1), len(s2))
+    # may_cut lists every pair the scalar gives a point for, in row-major order
+    i, j = may_cut(segment_array(s1), segment_array(s2))
+    listed = list(zip(i.tolist(), j.tolist()))
+    assert listed == sorted(set(listed))
     for i, a in enumerate(s1):
         for j, b in enumerate(s2):
-            if meets(a, b):
-                assert flags[i, j], (a, b)
+            if segment_intersection(a, b).point is not None:
+                assert (i, j) in listed, (a, b)
 
 
 @given(segments, segments)
 def test_intersection_prefilter_covers_scalar_wide(s1, s2):
-    if meets(s1, s2):
-        assert intersection_flags(segment_array([s1])[0], segment_array([s2])[0])
+    if segment_intersection(s1, s2).point is not None:
+        assert len(may_cut(segment_array([s1]), segment_array([s2]))[0]) == 1
 
 
 def assert_points_match_scalar(pairs):
@@ -394,49 +391,131 @@ def test_ray_prefilter_covers_scalar(origin, target, angle, delta):
     assert on or not surely_within(off, delta, geometry._ANGLE_SLACK)
 
 
-def test_candidate_pairs_blocks_keep_row_major_order(monkeypatch):
-    rng = np.random.default_rng(3)
-    a, b = rng.uniform(0, 20, (37, 4)), rng.uniform(0, 20, (11, 4))
-    whole = np.nonzero(intersection_flags(a[:, None], b[None]))
-    monkeypatch.setattr(geometry, "_BLOCK_PAIRS", 25)  # blocks of 2 rows
-    rows, cols = candidate_pairs(intersection_flags, a, b)
-    assert np.array_equal(rows, whole[0]) and np.array_equal(cols, whole[1])
-    empty = candidate_pairs(intersection_flags, a, b[:0])
-    assert empty[0].shape == empty[1].shape == (0,)
+def reference_pairs(test, rows, cols):
+    """The all-pairs loop that box_pairs replaced: pairs (i, j) in row-major
+    order where test(rows[i], cols[j]) holds, in blocks of whole rows."""
+    out_i, out_j = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    if len(cols):
+        step = max(1, geometry._BLOCK_PAIRS // len(cols))
+        for lo in range(0, len(rows), step):
+            i, j = np.nonzero(test(rows[lo:lo + step, None], cols[None]))
+            out_i.append(i + lo)
+            out_j.append(j)
+    return np.concatenate(out_i), np.concatenate(out_j)
 
 
-def assert_near_lists_match_oracle(points, others, segments, limit):
-    got = near_lists(point_distances, Point.distance_to, points, others,
-                     point_array(points), point_array(others), limit)
-    assert got == [[j for j, q in enumerate(others) if p.distance_to(q) <= limit]
-                   for p in points]
-    got = near_lists(point_segment_distances, point_segment_distance, points, segments,
-                     point_array(points), segment_array(segments), limit)
-    assert got == [[j for j, s in enumerate(segments) if point_segment_distance(p, s) <= limit]
-                   for p in points]
+def overlap(a, b):
+    return ((a[..., 0] <= b[..., 2]) & (b[..., 0] <= a[..., 2])
+            & (a[..., 1] <= b[..., 3]) & (b[..., 1] <= a[..., 3]))
 
 
-@given(st.lists(grid_points, max_size=8), st.lists(grid_points, max_size=8),
-       st.lists(grid_segments, max_size=8), tols)
+def assert_box_pairs_match_oracle(a, b):
+    a, b = (np.array(side, dtype=np.float64).reshape(-1, 4) for side in (a, b))
+    want = reference_pairs(overlap, a, b)
+    for block in (1, 3, 7, geometry._BLOCK_PAIRS):
+        with mock.patch.object(geometry, "_BLOCK_PAIRS", block):
+            got = box_pairs(a, b)
+        assert [g.tolist() for g in got] == [w.tolist() for w in want], block
+
+
+box_coords = (grid | st.sampled_from([-1e150, -3.0, -0.0, 1e150])
+              | st.floats(-1e150, 1e150, allow_nan=False, allow_infinity=False))
+boxes = (st.tuples(box_coords, box_coords, box_coords, box_coords).map(
+    lambda q: (min(q[0], q[2]), min(q[1], q[3]), max(q[0], q[2]), max(q[1], q[3])))
+    | st.tuples(box_coords, box_coords).map(lambda q: q + q))  # a point
+
+
+@given(st.lists(boxes, max_size=10), st.lists(boxes, max_size=10))
+@settings(max_examples=300, deadline=None)
+@example([], [(0, 0, 1, 1)])  # an empty side
+@example([(0, 0, 1, 1)], [])
+@example([], [])
+# equal x0: b starts inside a, and a does not start strictly after b
+@example([(0, 0, 2, 2), (1, 0, 1, 3)], [(0, 1, 3, 3), (1, 2, 4, 4), (1, 5, 1, 6)])
+# boxes touching at a closed edge or corner, and one an ulp apart
+@example([(0, 0, 1, 1)], [(1, 1, 2, 2), (1, 0, 2, 1), (-1, 1, 0, 3), (0, -2, 1, 0),
+                          (math.nextafter(1.0, 2.0), 0, 2, 1)])
+# degenerate point boxes: on each other, on an edge and inside
+@example([(1, 1, 1, 1), (2, 2, 2, 2)], [(1, 1, 1, 1), (0, 1, 2, 1), (0, 0, 3, 3)])
+# duplicate coordinates on both sides
+@example([(0, 0, 2, 2)] * 3 + [(2, 2, 2, 2)] * 2, [(2, 0, 4, 2)] * 3 + [(0, 0, 2, 2)] * 2)
+# negative coordinates and +-1e150
+@example([(-1e150, -1e150, 1e150, 1e150), (-5, -3, -1, -2), (1e150, 1e150, 1e150, 1e150)],
+         [(-3, -2.5, -2, -2.5), (-1e150, 0, -1e150, 0), (1e150, -1, 1e150, 1e150),
+          (-2e150, -1e150, -1e150, -1e150)])
+def test_box_pairs_match_the_all_pairs_loop(a, b):
+    assert_box_pairs_match_oracle(a, b)
+    assert_box_pairs_match_oracle(b, a)
+
+
+def test_box_pairs_memory_stays_bounded():
+    # 2,000 points on one vertical line against 2,000 full-width boxes thin
+    # in y: all 4M pairs overlap in x, so the candidates are expanded in blocks
+    ys = np.arange(2000.0)
+    points = np.column_stack([np.full(2000, 500.0), ys, np.full(2000, 500.0), ys])
+    thin = np.column_stack([np.zeros(2000), ys + 0.5, np.full(2000, 1000.0), ys + 1.25])
+    want = reference_pairs(overlap, points, thin)
+    assert len(want[0]) == 1999
+    tracemalloc.start()
+    try:
+        got = box_pairs(points, thin)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [g.tolist() for g in got] == [w.tolist() for w in want]
+    assert peak < 64 << 20, peak
+    for block in (1, 3, 7):  # blocks of a few pairs give the same pairs
+        with mock.patch.object(geometry, "_BLOCK_PAIRS", block):
+            got = box_pairs(points[:60], thin[:60])
+        assert [g.tolist() for g in got] == [w.tolist() for w in reference_pairs(
+            overlap, points[:60], thin[:60])]
+
+
+def assert_near_lists_match_oracle(points, others, limit):
+    assert near_lists(points, others, limit) == [
+        [j for j, q in enumerate(others) if p.distance_to(q) <= limit] for p in points]
+
+
+@given(st.lists(grid_points, max_size=8), st.lists(grid_points, max_size=8), tols)
 @settings(max_examples=200, deadline=None)
-@example([pt(0, 0), pt(3, 4)], [pt(3, 4), pt(6, 8), pt(0, 0)], [seg(0, 5, 10, 5)], 5.0)
-@example([pt(3, 4)], [pt(0, 0), pt(math.nextafter(3.0, 4.0), 4)], [seg(0, 0, 0, 10)], 3.0)
-@example([pt(1, 1), pt(1, 1)], [pt(1, 1)], [seg(1, 1, 2, 2)], 0.0)
+@example([pt(0, 0), pt(3, 4)], [pt(3, 4), pt(6, 8), pt(0, 0)], 5.0)
+@example([pt(3, 4)], [pt(0, 0), pt(math.nextafter(3.0, 4.0), 4)], 3.0)
+@example([pt(1, 1), pt(1, 1)], [pt(1, 1)], 0.0)
 # one ulp under the distance: the prefilter proposes the pair, the scalar drops it
-@example([pt(3, 4)], [pt(0, 0)], [seg(0, 0, 0, 10)], math.nextafter(3.0, 0.0))
-@example([pt(3, 4)], [pt(0, 0)], [seg(0, 0, 0, 10)], math.nextafter(5.0, 0.0))
-@example([], [pt(1, 1)], [seg(0, 0, 1, 1)], 1.0)
-@example([pt(1, 1)], [], [], 1.0)
-def test_near_lists_matches_all_pairs_oracle(points, others, segments, limit):
+@example([pt(3, 4)], [pt(0, 0)], math.nextafter(5.0, 0.0))
+@example([], [pt(1, 1)], 1.0)
+@example([pt(1, 1)], [], 1.0)
+# far from the origin: the box pad scales with the coordinates' ulps
+@example([pt(1e150, -1e150), pt(-3, 4)],
+         [pt(1e150 + 2e134, -1e150), pt(0, 0), pt(-1e150, 1e150)], 5.0)
+def test_near_lists_matches_all_pairs_oracle(points, others, limit):
     # the lists of a[i]: every j whose scalar value is within limit, in order
-    assert_near_lists_match_oracle(points, others, segments, limit)
+    assert_near_lists_match_oracle(points, others, limit)
 
 
-@given(st.lists(grid_points, max_size=8), st.lists(grid_points, max_size=8),
-       st.lists(grid_segments, max_size=8), tols)
+@given(st.lists(grid_points, max_size=8), st.lists(grid_points, max_size=8), tols)
 @settings(max_examples=100, deadline=None)
-@example([pt(0, 0), pt(1, 1), pt(2, 2)], [pt(0, 0), pt(1, 1)], [seg(0, 0, 2, 0)], 1.0)
-def test_near_lists_in_blocks_of_a_few_pairs(points, others, segments, limit):
+@example([pt(0, 0), pt(1, 1), pt(2, 2)], [pt(0, 0), pt(1, 1)], 1.0)
+def test_near_lists_in_blocks_of_a_few_pairs(points, others, limit):
     for block in (1, 3, 7):
         with mock.patch.object(geometry, "_BLOCK_PAIRS", block):
-            assert_near_lists_match_oracle(points, others, segments, limit)
+            assert_near_lists_match_oracle(points, others, limit)
+
+
+@given(st.lists(grid_points, max_size=8), st.lists(grid_segments, max_size=8), tols)
+@settings(max_examples=200, deadline=None)
+@example([pt(0, 0), pt(3, 4)], [seg(0, 5, 10, 5)], 5.0)
+@example([pt(3, 4)], [seg(0, 0, 0, 10)], 3.0)
+@example([pt(1, 1), pt(1, 1)], [seg(1, 1, 2, 2)], 0.0)
+# one ulp under the distance: the prefilter proposes the pair, the scalar drops it
+@example([pt(3, 4)], [seg(0, 0, 0, 10)], math.nextafter(3.0, 0.0))
+@example([], [seg(0, 0, 1, 1)], 1.0)
+@example([pt(1, 1)], [], 1.0)
+def test_near_segment_pairs_match_all_pairs_oracle(points, segments, limit):
+    for block in (1, 7, geometry._BLOCK_PAIRS):
+        with mock.patch.object(geometry, "_BLOCK_PAIRS", block):
+            i, j = near_segment_pairs(points, segments, point_array(points),
+                                      segment_array(segments), limit)
+        assert list(zip(i.tolist(), j.tolist())) == [
+            (i, j) for i, p in enumerate(points) for j, s in enumerate(segments)
+            if point_segment_distance(p, s) <= limit]
