@@ -25,6 +25,7 @@ from .geometry import (
     may_cut,
     near_point_pairs,
     near_segment_pairs,
+    normalize_angles,
     point_distances,
     segment_array,
     segment_intersection,
@@ -186,7 +187,7 @@ def derive_junctions(scene: AnnotatedScene,
     h, dxy = h[far], ends_xy[e[far]] - hubs[h[far]]
     # direction_deg with math.atan2 (np.arctan2 differs); np.degrees is math.degrees bit for bit
     angles = np.degrees([math.atan2(y, x) for x, y in zip(*dxy.T.tolist())])
-    angles = np.where(angles < 0.0, (angles + 360.0) % 360.0, angles)  # normalize_angle
+    angles = normalize_angles(angles)
     order = np.lexsort((angles, h))
     h, angles = h[order], angles[order]
     bounds = np.searchsorted(h, np.arange(len(hubs) + 1))

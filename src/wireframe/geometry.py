@@ -59,11 +59,13 @@ def check_seed(seed: int) -> None:
 def normalize_angle(theta_deg: float) -> float:
     """Map an angle in degrees onto [0, 360)."""
     a = math.fmod(theta_deg, 360.0)
-    if a < 0.0:
-        a += 360.0
-    if a >= 360.0:  # fmod can land exactly on 360.0 after the correction
-        a = 0.0
-    return a
+    return (a + 360.0) % 360.0 if a < 0.0 else a  # a lift onto 360.0 wraps to 0.0
+
+
+def normalize_angles(theta_deg) -> np.ndarray:
+    """normalize_angle over an array of floats, bit for bit; scalars stay scalars."""
+    a = np.fmod(theta_deg, 360.0, dtype=np.float64)
+    return np.where(a < 0.0, (a + 360.0) % 360.0, a)[()]
 
 
 def angle_diff(a_deg: float, b_deg: float) -> float:

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Branch, GeometryError, Junction, Point, normalize_angle
+from .geometry import Branch, GeometryError, Junction, Point, normalize_angles
 
 DEFAULT_GRID = 60
 DEFAULT_BINS = 15
@@ -55,31 +55,31 @@ class GridConfig:
     def cell_h(self) -> float:
         return self.image_h / self.grid_h
 
-    def cell_of(self, p: Point) -> tuple[int, int]:
-        """(row, col) of the cell owning a point; right/bottom edges inclusive."""
-        col = min(int(p.x // self.cell_w), self.grid_w - 1)
-        row = min(int(p.y // self.cell_h), self.grid_h - 1)
-        return row, col
+    def cell_of(self, x, y) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, cols) of the cells owning points (x, y), arrays; the right and
+        bottom edges are inclusive, points outside clamp to the border."""
+        return (np.minimum(np.maximum(y // self.cell_h, 0), self.grid_h - 1).astype(np.intp),
+                np.minimum(np.maximum(x // self.cell_w, 0), self.grid_w - 1).astype(np.intp))
 
-    def cell_center(self, row: int, col: int) -> Point:
-        return Point((col + 0.5) * self.cell_w, (row + 0.5) * self.cell_h)
+    def cell_center(self, row, col) -> np.ndarray:
+        """(x, y) centers of cells (row, col): a pair for ints, (n, 2) for arrays."""
+        return np.array([(col + 0.5) * self.cell_w, (row + 0.5) * self.cell_h]).T
 
 
-def angle_to_bin(theta_deg: float, bins: int) -> tuple[int, float]:
-    """Angle -> (bin index, residual from the bin center), residual in
-    [-bw/2, bw/2) with bw = 360/bins."""
+def angle_to_bin(theta_deg, bins: int) -> tuple[np.ndarray, np.ndarray]:
+    """Finite angles -> (bin indices, residuals from the bin centers),
+    residuals in [-bw/2, bw/2) with bw = 360/bins."""
     bw = 360.0 / bins
-    theta = normalize_angle(theta_deg)
-    # An angle a rounding error below a lower bin edge, as bin_to_angle
-    # rebuilds residual -bw/2, belongs to the bin above; the clamp keeps
-    # every residual inside [-bw/2, bw/2).
-    k = min(int((theta + 1e-10) // bw), bins - 1)
-    return k, min(max(theta - (k + 0.5) * bw, -bw / 2), math.nextafter(bw / 2, 0.0))
+    theta = normalize_angles(theta_deg)
+    # An angle a rounding error below a lower bin edge, as bin_to_angle rebuilds
+    # residual -bw/2, goes to the bin above; the clamp keeps residuals in range.
+    k = np.minimum((theta + 1e-10) // bw, bins - 1).astype(np.intp)
+    return k, np.minimum(np.maximum(theta - (k + 0.5) * bw, -bw / 2), math.nextafter(bw / 2, 0.0))
 
 
-def bin_to_angle(k: int, residual_deg: float, bins: int) -> float:
+def bin_to_angle(k, residual_deg, bins: int) -> np.ndarray:
     """Inverse of angle_to_bin: bin center plus residual, in [0, 360)."""
-    return normalize_angle((k + 0.5) * (360.0 / bins) + residual_deg)
+    return normalize_angles((k + 0.5) * (360.0 / bins) + residual_deg)
 
 
 @dataclass(eq=False)
@@ -110,31 +110,41 @@ def encode(junctions: Sequence[Junction], config: GridConfig) -> GridEncoding:
     cell_center; each branch sets its angle bin's confidence to 1 and stores
     the residual.  Everything else stays 0.  Two junctions in one cell, or
     two branches of one junction in one bin, cannot be represented and raise
-    CellCollisionError.
+    CellCollisionError; a center outside the image or a non-finite branch
+    angle raises GeometryError.  The first fault in input order is reported.
     """
     enc = GridEncoding(config)
-    owners: dict[tuple[int, int], Junction] = {}
-    for jn in junctions:
-        c = jn.center
-        if not (0.0 <= c.x <= config.image_w and 0.0 <= c.y <= config.image_h):
-            raise GeometryError(f"junction center ({c.x}, {c.y}) outside image")
-        row, col = config.cell_of(c)
-        if (row, col) in owners:
-            other = owners[(row, col)]
+    n = len(junctions)
+    xy = np.array([(j.center.x, j.center.y) for j in junctions], np.float64).reshape(n, 2)
+    theta = np.array([b.angle_deg for j in junctions for b in j.branches], np.float64)
+    owner = np.repeat(np.arange(n), [len(j.branches) for j in junctions])
+    row, col = config.cell_of(*xy.T)
+    finite = np.isfinite(theta)
+    k, res = angle_to_bin(np.where(finite, theta, 0.0), config.bins)
+    # cell keys, then negative (junction, bin) keys: a repeat is a collision
+    keys = np.concatenate([row * config.grid_w + col, -1 - owner * config.bins - k])
+    taken = np.ones(len(keys), dtype=bool)
+    taken[np.unique(keys, return_index=True)[1]] = False
+    outside = ~((0.0 <= xy) & (xy <= [config.image_w, config.image_h])).all(axis=1)
+    bad_branch = taken[n:] | ~finite
+    bad = outside | taken[:n] | (np.bincount(owner[bad_branch], minlength=n) > 0)
+    if bad.any():  # within a junction: outside, its cell taken, then its first bad branch
+        j = int(np.argmax(bad))
+        at = f"({junctions[j].center.x}, {junctions[j].center.y})"
+        if outside[j]:
+            raise GeometryError(f"junction center {at} outside image")
+        if taken[j]:
+            o = junctions[int(np.argmax(keys == keys[j]))].center
             raise CellCollisionError(
-                f"cell ({row}, {col}) claimed by junctions at "
-                f"({other.center.x}, {other.center.y}) and ({c.x}, {c.y})")
-        owners[(row, col)] = jn
-        center = config.cell_center(row, col)
-        enc.center_conf[row, col] = 1.0
-        enc.displacement[row, col] = (c.x - center.x, c.y - center.y)
-        for br in jn.branches:
-            k, res = angle_to_bin(br.angle_deg, config.bins)
-            if enc.bin_conf[row, col, k] != 0.0:
-                raise CellCollisionError(
-                    f"junction at ({c.x}, {c.y}): two branches fall in angle bin {k}")
-            enc.bin_conf[row, col, k] = 1.0
-            enc.bin_residual[row, col, k] = res
+                f"cell ({row[j]}, {col[j]}) claimed by junctions at ({o.x}, {o.y}) and {at}")
+        b = int(np.argmax(bad_branch & (owner == j)))
+        if not finite[b]:
+            raise GeometryError(f"junction at {at}: non-finite branch angle {theta[b]}")
+        raise CellCollisionError(f"junction at {at}: two branches fall in angle bin {k[b]}")
+    enc.center_conf[row, col] = 1.0
+    enc.displacement[row, col] = xy - config.cell_center(row, col)
+    enc.bin_conf[row[owner], col[owner], k] = 1.0
+    enc.bin_residual[row[owner], col[owner], k] = res
     return enc
 
 
@@ -142,18 +152,14 @@ def decode(enc: GridEncoding, tau_c: float = DEFAULT_TAU_C,
            tau_b: float = DEFAULT_TAU_B) -> list[Junction]:
     """Thresholded readout: cells with confidence > tau_c become junctions,
     bins with confidence > tau_b become branches.  Junctions left with no
-    branch are dropped.  Output follows row-major cell order."""
+    branch are dropped.  Output follows row-major cell order, in floats."""
     cfg = enc.config
-    out = []
-    for row, col in zip(*np.nonzero(enc.center_conf > tau_c)):
-        center = cfg.cell_center(int(row), int(col))
-        dx, dy = enc.displacement[row, col]
-        branches = tuple(
-            Branch(bin_to_angle(int(k), float(enc.bin_residual[row, col, k]), cfg.bins),
-                   float(enc.bin_conf[row, col, k]))
-            for k in np.nonzero(enc.bin_conf[row, col] > tau_b)[0])
-        if not branches:
-            continue
-        out.append(Junction(Point(center.x + dx, center.y + dy), branches,
-                            float(enc.center_conf[row, col])))
-    return out
+    live = np.flatnonzero((enc.center_conf > tau_c)[:, :, None] & (enc.bin_conf > tau_b))
+    cell, k = np.divmod(live, cfg.bins)
+    angles = bin_to_angle(k, enc.bin_residual.take(live), cfg.bins).tolist()
+    branches = list(map(Branch, angles, enc.bin_conf.take(live).tolist()))
+    first = np.flatnonzero(np.diff(cell, prepend=-1))
+    cell, bounds = cell[first], first.tolist() + [len(branches)]
+    xy = cfg.cell_center(*np.divmod(cell, cfg.grid_w)) + enc.displacement.reshape(-1, 2)[cell]
+    return [Junction(Point(*p), tuple(branches[s:e]), c) for p, c, s, e in zip(
+        xy.tolist(), enc.center_conf.take(cell).tolist(), bounds, bounds[1:])]

@@ -59,31 +59,30 @@ def _ce_terms(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
 
 def _ce_grad(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
     """d/dpred of _ce_terms; zero where the clamp flattens the log."""
-    g = np.zeros_like(pred)
-    live = pred > CONF_EPS
-    g[live] -= target[live] / pred[live]
-    live = (1.0 - pred) > CONF_EPS
-    g[live] += (1.0 - target[live]) / (1.0 - pred[live])
-    return g
+    g = np.subtract(0.0, np.divide(target, pred, out=np.zeros_like(pred), where=pred > CONF_EPS))
+    q = 1.0 - pred
+    return g + np.divide(1.0 - target, q, out=np.zeros_like(pred), where=q > CONF_EPS)
 
 
 def _targets(pred: GridEncoding, gt_junctions: Sequence[Junction],
              sample_mask: Optional[np.ndarray]):
-    """What the loss and its gradient compare against: the encoded ground
-    truth, the sample mask (every cell when None), the ground-truth cells, and
-    per such cell (row, col, its occupied bins, their wrapped residual errors)."""
+    """What the loss and its gradient compare against: the sample mask (every
+    cell when None) and the center confidences there, predicted and true; the
+    ground-truth cells (flat indices), their bin confidences as (cell, bin) rows,
+    predicted and true, and displacement errors; their occupied bins (flat,
+    row-major), the wrapped residual errors there and the count per cell."""
     gt = encode(gt_junctions, pred.config)
-    want = (pred.config.grid_h, pred.config.grid_w)
+    want, k = (pred.config.grid_h, pred.config.grid_w), pred.config.bins
     mask = np.ones(want, dtype=bool) if sample_mask is None else np.asarray(sample_mask, dtype=bool)
     if mask.shape != want:
         raise GeometryError(f"sample mask shape {mask.shape} != grid {want}")
-    gt_cells = gt.center_conf == 1.0
-    cells = []
-    for rows, cols in zip(*np.nonzero(gt_cells)):
-        occupied = gt.bin_conf[rows, cols] == 1.0
-        d = pred.bin_residual[rows, cols, occupied] - gt.bin_residual[rows, cols, occupied]
-        cells.append((rows, cols, occupied, (d + 180.0) % 360.0 - 180.0))  # onto [-180, 180)
-    return gt, mask, gt_cells, cells
+    cells = np.flatnonzero(gt.center_conf == 1.0)
+    pb, tb = pred.bin_conf.reshape(-1, k)[cells], gt.bin_conf.reshape(-1, k)[cells]
+    at = (cells[:, None] * k + np.arange(k))[tb == 1.0]
+    derr = pred.displacement.reshape(-1, 2)[cells] - gt.displacement.reshape(-1, 2)[cells]
+    d = pred.bin_residual.take(at) - gt.bin_residual.take(at)
+    return (mask, pred.center_conf[mask], gt.center_conf[mask], cells, pb, tb, derr, at,
+            (d + 180.0) % 360.0 - 180.0, (tb == 1.0).sum(axis=1))
 
 
 def junction_loss(pred: GridEncoding, gt_junctions: Sequence[Junction],
@@ -94,18 +93,22 @@ def junction_loss(pred: GridEncoding, gt_junctions: Sequence[Junction],
     With no ground-truth junctions the location and branch terms are 0 and
     only the center confidence term (over the mask) remains.
     """
-    gt, mask, gt_cells, cells = _targets(pred, gt_junctions, sample_mask)
+    mask, pc, tc, cells, pb, tb, derr, _, d, counts = _targets(pred, gt_junctions, sample_mask)
 
-    conf_c = float(_ce_terms(pred.center_conf, gt.center_conf)[mask].mean()) \
-        if mask.any() else 0.0
+    conf_c = float(_ce_terms(pc, tc).mean()) if mask.any() else 0.0
 
     n = len(cells)
     loc_c = conf_b = loc_b = 0.0
     if n:
-        derr = pred.displacement[gt_cells] - gt.displacement[gt_cells]
         loc_c = float((derr ** 2).sum() / n)
-        conf_b = float(_ce_terms(pred.bin_conf[gt_cells], gt.bin_conf[gt_cells]).mean())
-        loc_b = sum(float((d ** 2).mean()) if len(d) else 0.0 for *_, d in cells) / n
+        conf_b = float(_ce_terms(pb, tb).mean())
+        # cells of one branch count are the rows of one matrix, and each row
+        # sums as its own 1-D mean would (np.add.reduceat sums in another order)
+        means, ends = np.zeros(n), np.cumsum(counts)
+        for c in set(counts.tolist()) - {0}:
+            rows = counts == c
+            means[rows] = (d[(ends[rows] - c)[:, None] + np.arange(c)] ** 2).mean(axis=1)
+        loc_b = sum(means.tolist()) / n
 
     total = (weights.conf_c * conf_c + weights.loc_c * loc_c
              + weights.conf_b * conf_b + weights.loc_b * loc_b)
@@ -116,28 +119,19 @@ def junction_loss_grad(pred: GridEncoding, gt_junctions: Sequence[Junction],
                        weights: LossWeights = LossWeights(),
                        sample_mask: Optional[np.ndarray] = None) -> GridEncoding:
     """d(total)/d(every prediction field), packed in a GridEncoding."""
-    gt, mask, gt_cells, cells = _targets(pred, gt_junctions, sample_mask)
+    mask, pc, tc, cells, pb, tb, derr, at, d, counts = _targets(pred, gt_junctions, sample_mask)
     grad = GridEncoding(pred.config)
 
     if mask.any():
-        g = _ce_grad(pred.center_conf, gt.center_conf) * (weights.conf_c / mask.sum())
-        grad.center_conf[mask] = g[mask]
+        grad.center_conf[mask] = _ce_grad(pc, tc) * (weights.conf_c / mask.sum())
 
-    n = len(cells)
+    n, k = len(cells), pred.config.bins
     if not n:
         return grad
 
-    grad.displacement[gt_cells] = (
-        2.0 * (pred.displacement[gt_cells] - gt.displacement[gt_cells])
-        * (weights.loc_c / n))
-
-    k = pred.config.bins
-    gb = _ce_grad(pred.bin_conf[gt_cells], gt.bin_conf[gt_cells])
-    grad.bin_conf[gt_cells] = gb * (weights.conf_b / (n * k))
-
-    for rows, cols, occupied, d in cells:
-        if len(d):
-            grad.bin_residual[rows, cols, occupied] = 2.0 * d * (weights.loc_b / (n * len(d)))
+    grad.displacement.reshape(-1, 2)[cells] = 2.0 * derr * (weights.loc_c / n)
+    grad.bin_conf.reshape(-1, k)[cells] = _ce_grad(pb, tb) * (weights.conf_b / (n * k))
+    grad.bin_residual.put(at, 2.0 * d * (weights.loc_b / (n * np.repeat(counts, counts))))
     return grad
 
 

@@ -25,6 +25,7 @@ from wireframe.geometry import (
     near_lists,
     near_segment_pairs,
     normalize_angle,
+    normalize_angles,
     point_array,
     point_segment_distance,
     segment_array,
@@ -171,6 +172,31 @@ def test_normalize_angle():
 def test_normalize_angle_range(theta):
     a = normalize_angle(theta)
     assert 0.0 <= a < 360.0
+
+
+def reference_normalize_angle(theta_deg):
+    """normalize_angle before its lift became a %, kept verbatim."""
+    a = math.fmod(theta_deg, 360.0)
+    if a < 0.0:
+        a += 360.0
+    if a >= 360.0:  # fmod can land exactly on 360.0 after the correction
+        a = 0.0
+    return a
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=12))
+# signed zeros, the lift landing on 360 (tiny negatives), multiples of 360
+# and far values
+@example([0.0, -0.0, -1e-20, -5e-324, math.nextafter(-360.0, 0.0), -360.0, 360.0, 720.0,
+          -719.9999999999999, 1e300, -1e300, 359.99999999999994])
+def test_normalize_angles_match_the_scalar_bit_for_bit(thetas):
+    want = [reference_normalize_angle(t) for t in thetas]
+    got = normalize_angles(np.array(thetas, dtype=np.float64))
+    assert got.tobytes() == np.array(want, dtype=np.float64).tobytes()
+    for t, w in zip(thetas, want):
+        s = normalize_angle(t)
+        assert s == w and math.copysign(1.0, s) == math.copysign(1.0, w)
+        assert type(normalize_angles(t)) is np.float64 and normalize_angles(t) == w
 
 
 @given(st.floats(-720, 720), st.floats(-720, 720))

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from wireframe.geometry import Branch, GeometryError, Junction, Point
+from wireframe.geometry import Branch, GeometryError, Junction, Point, normalize_angle
 from wireframe.gridcodec import (
+    ARRAYS,
     CellCollisionError,
     GridConfig,
     GridEncoding,
@@ -89,15 +90,17 @@ def test_config_validation():
 
 def test_cell_geometry():
     assert CFG.cell_w == pytest.approx(16 / 3)
-    assert CFG.cell_of(Point(8.0, 2.0)) == (0, 1)
-    assert CFG.cell_of(Point(320.0, 320.0)) == (59, 59)  # far edge stays in grid
-    c = CFG.cell_center(0, 1)
-    assert (c.x, c.y) == pytest.approx((8.0, 8 / 3))
+    assert CFG.cell_of(8.0, 2.0) == (0, 1)
+    assert CFG.cell_of(320.0, 320.0) == (59, 59)  # far edge stays in grid
+    rows, cols = CFG.cell_of(np.array([8.0, 320.0, -1.0]), np.array([2.0, 320.0, 400.0]))
+    assert rows.tolist() == [0, 59, 59] and cols.tolist() == [1, 59, 0]  # outside clamps
+    assert tuple(CFG.cell_center(0, 1)) == pytest.approx((8.0, 8 / 3))
+    assert CFG.cell_center(np.array([0, 2]), np.array([1, 0])).tolist() == [
+        list(CFG.cell_center(0, 1)), list(CFG.cell_center(2, 0))]
 
 
 def test_encode_cell_zero_center():
-    center = CFG.cell_center(0, 0)
-    j = Junction(center, (Branch(12.0),))
+    j = Junction(Point(*CFG.cell_center(0, 0)), (Branch(12.0),))
     enc = encode([j], CFG)
     assert enc.center_conf[0, 0] == 1.0
     assert tuple(enc.displacement[0, 0]) == (0.0, 0.0)
@@ -178,9 +181,9 @@ def junction_sets(cfg, max_junctions=8):
     def build(picks):
         out = []
         for (row, col), (offs, bins_) in picks.items():
-            center = cfg.cell_center(row, col)
-            x = min(max(center.x + offs[0] * cfg.cell_w / 2, 0.0), float(cfg.image_w))
-            y = min(max(center.y + offs[1] * cfg.cell_h / 2, 0.0), float(cfg.image_h))
+            cx, cy = cfg.cell_center(row, col)
+            x = min(max(cx + offs[0] * cfg.cell_w / 2, 0.0), float(cfg.image_w))
+            y = min(max(cy + offs[1] * cfg.cell_h / 2, 0.0), float(cfg.image_h))
             branches = tuple(Branch(bin_to_angle(k, d * bw / 2, cfg.bins), 1.0)
                              for k, d in sorted(bins_.items()))
             out.append(Junction(Point(x, y), branches, 1.0))
@@ -199,7 +202,7 @@ def junction_sets(cfg, max_junctions=8):
 @settings(max_examples=150, deadline=None)
 def test_roundtrip(junctions, tau):
     got = decode(encode(junctions, CFG), tau, tau)
-    want = sorted(junctions, key=lambda j: CFG.cell_of(j.center))
+    want = sorted(junctions, key=lambda j: CFG.cell_of(j.center.x, j.center.y))
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g.center.x == pytest.approx(w.center.x, abs=1e-9)
@@ -218,3 +221,189 @@ def cfg_bins(cfg):
 def test_encoding_shape_validation():
     with pytest.raises(GeometryError):
         GridEncoding(CFG, center_conf=np.zeros((2, 2)))
+
+
+def test_encode_rejects_non_finite_branch_angles():
+    for bad in (math.nan, math.inf, -math.inf):
+        j = Junction(Point(10.0, 10.0), (Branch(30.0), Branch(bad)))
+        with pytest.raises(GeometryError) as err:
+            encode([j], CFG)
+        assert not isinstance(err.value, CellCollisionError)
+        assert str(err.value) == f"junction at (10.0, 10.0): non-finite branch angle {bad}"
+
+
+def test_decode_returns_plain_floats():
+    js = [Junction(Point(8.0, 2.0), (Branch(45.0), Branch(300.0))),
+          Junction(Point(100.5, 7.25), (Branch(0.0),))]
+    got = decode(encode(js, CFG))
+    values = [v for j in got for v in (j.center.x, j.center.y, j.confidence,
+                                       *(a for b in j.branches for a in (b.angle_deg, b.confidence)))]
+    assert len(values) == 12 and {type(v) for v in values} == {float}
+    assert "np." not in repr(got)
+
+
+# -- the scalar codec before encode and decode became array passes, kept
+# verbatim so the array passes are checked bit for bit --
+
+def reference_cell_of(cfg, p):
+    col = min(int(p.x // cfg.cell_w), cfg.grid_w - 1)
+    row = min(int(p.y // cfg.cell_h), cfg.grid_h - 1)
+    return row, col
+
+
+def reference_cell_center(cfg, row, col):
+    return Point((col + 0.5) * cfg.cell_w, (row + 0.5) * cfg.cell_h)
+
+
+def reference_angle_to_bin(theta_deg, bins):
+    bw = 360.0 / bins
+    theta = normalize_angle(theta_deg)
+    k = min(int((theta + 1e-10) // bw), bins - 1)
+    return k, min(max(theta - (k + 0.5) * bw, -bw / 2), math.nextafter(bw / 2, 0.0))
+
+
+def reference_bin_to_angle(k, residual_deg, bins):
+    return normalize_angle((k + 0.5) * (360.0 / bins) + residual_deg)
+
+
+def reference_encode(junctions, config):
+    enc = GridEncoding(config)
+    owners = {}
+    for jn in junctions:
+        c = jn.center
+        if not (0.0 <= c.x <= config.image_w and 0.0 <= c.y <= config.image_h):
+            raise GeometryError(f"junction center ({c.x}, {c.y}) outside image")
+        row, col = reference_cell_of(config, c)
+        if (row, col) in owners:
+            other = owners[(row, col)]
+            raise CellCollisionError(
+                f"cell ({row}, {col}) claimed by junctions at "
+                f"({other.center.x}, {other.center.y}) and ({c.x}, {c.y})")
+        owners[(row, col)] = jn
+        center = reference_cell_center(config, row, col)
+        enc.center_conf[row, col] = 1.0
+        enc.displacement[row, col] = (c.x - center.x, c.y - center.y)
+        for br in jn.branches:
+            if not math.isfinite(br.angle_deg):  # new: raised a bare ValueError before
+                raise GeometryError(
+                    f"junction at ({c.x}, {c.y}): non-finite branch angle {br.angle_deg}")
+            k, res = reference_angle_to_bin(br.angle_deg, config.bins)
+            if enc.bin_conf[row, col, k] != 0.0:
+                raise CellCollisionError(
+                    f"junction at ({c.x}, {c.y}): two branches fall in angle bin {k}")
+            enc.bin_conf[row, col, k] = 1.0
+            enc.bin_residual[row, col, k] = res
+    return enc
+
+
+def reference_decode(enc, tau_c=0.5, tau_b=0.5):
+    cfg = enc.config
+    out = []
+    for row, col in zip(*np.nonzero(enc.center_conf > tau_c)):
+        center = reference_cell_center(cfg, int(row), int(col))
+        dx, dy = enc.displacement[row, col]
+        branches = tuple(
+            Branch(reference_bin_to_angle(int(k), float(enc.bin_residual[row, col, k]), cfg.bins),
+                   float(enc.bin_conf[row, col, k]))
+            for k in np.nonzero(enc.bin_conf[row, col] > tau_b)[0])
+        if not branches:
+            continue
+        out.append(Junction(Point(center.x + dx, center.y + dy), branches,
+                            float(enc.center_conf[row, col])))
+    return out
+
+
+def encode_outcome(encoder, junctions, cfg):
+    """The four arrays' bytes, or the raised exception's type and message."""
+    try:
+        enc = encoder(junctions, cfg)
+    except ValueError as e:
+        return type(e), str(e)
+    return tuple(getattr(enc, name).tobytes() for name in ARRAYS)
+
+
+def bits(x):
+    """A float's value and sign, so that 0.0 and -0.0 differ."""
+    return float(x), math.copysign(1.0, x)
+
+
+EDGE_ANGLES = [0.0, -0.0, 360.0, -360.0, 720.0, -1e-20, -5e-324, math.nextafter(360.0, 0.0),
+               12.0, 24.0, -12.0, 1e300, -1e300] + [
+    bin_to_angle(k, -360.0 / bins / 2, bins) for bins, k in ((22, 5), (7, 3), (11, 9))]
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=8),
+       st.integers(2, 400))
+@example([math.nextafter(360.0, 0.0)], 319)
+@example(EDGE_ANGLES, 15)
+@example(EDGE_ANGLES, 22)
+@example(EDGE_ANGLES, 7)
+@example(EDGE_ANGLES, 11)
+@example(EDGE_ANGLES, 319)
+def test_angle_kernels_match_the_scalar_loop(thetas, bins):
+    ks, rs = angle_to_bin(np.array(thetas, dtype=np.float64), bins)
+    want = [reference_angle_to_bin(t, bins) for t in thetas]
+    assert ks.tolist() == [k for k, _ in want]
+    assert [bits(r) for r in rs.tolist()] == [bits(r) for _, r in want]
+    back = bin_to_angle(ks, rs, bins)
+    assert [bits(a) for a in back.tolist()] == [
+        bits(reference_bin_to_angle(k, r, bins)) for k, r in want]
+    for t in thetas[:2]:  # a scalar in, scalars out
+        k, r = angle_to_bin(t, bins)
+        assert (int(k), bits(r)) == (want[thetas.index(t)][0], bits(want[thetas.index(t)][1]))
+
+
+@st.composite
+def colliding_sets(draw):
+    """Junction sets built to collide: centers from a few cells, on the image
+    border or just outside it; branches from a few bins, on bin edges, or not
+    finite."""
+    cfg = draw(st.sampled_from([CFG, GridConfig(20, 12, 3, 2, 4), GridConfig(7, 7, 7, 7, 2)]))
+
+    def coord(size, cell):
+        return st.one_of(st.floats(0.0, 2.5 * cell),
+                         st.sampled_from([0.0, float(size), -1e-9, size + 1e-9, -1e300, 1e300]))
+
+    edge = st.sampled_from(EDGE_ANGLES + [math.nan, math.inf, -math.inf])
+    angles = st.one_of(st.floats(-720.0, 720.0), st.floats(-720.0, 720.0), edge)
+    centers = st.builds(Point, coord(cfg.image_w, cfg.cell_w), coord(cfg.image_h, cfg.cell_h))
+    junctions = st.builds(Junction, centers, st.lists(angles.map(Branch), max_size=4).map(tuple))
+    return cfg, draw(st.lists(junctions, max_size=6))
+
+
+@given(colliding_sets())
+@settings(max_examples=300, deadline=None)
+@example((CFG, [Junction(Point(1.0, 1.0), (Branch(0.0),)),
+                Junction(Point(2.0, 2.0), (Branch(13.0), Branch(14.0)))]))  # cell, then bin
+@example((CFG, [Junction(Point(1.0, 1.0), (Branch(13.0), Branch(14.0), Branch(math.nan)))]))
+@example((CFG, [Junction(Point(1.0, 1.0), (Branch(math.inf), Branch(13.0), Branch(14.0)))]))
+@example((CFG, [Junction(Point(1.0, 1.0), (Branch(0.0),)),
+                Junction(Point(-1.0, 2.0), (Branch(0.0),))]))  # outside, in a clamped cell
+@example((CFG, [Junction(Point(0.0, -1e-09), ())]))  # outside, with no branch
+@example((CFG, [Junction(Point(320.0, 320.0), (Branch(0.0),)),
+                Junction(Point(319.0, 319.0), (Branch(90.0),))]))  # the inclusive far edge
+def test_encode_matches_the_scalar_loop(case):
+    cfg, junctions = case
+    flipped = [Junction(j.center, j.branches[::-1]) for j in reversed(junctions)]
+    for js in (junctions, flipped):
+        assert encode_outcome(encode, js, cfg) == encode_outcome(reference_encode, js, cfg)
+
+
+DECODE_CFG = GridConfig(40, 30, 8, 6, 5)
+
+
+@given(junction_sets(DECODE_CFG), st.integers(0, 2 ** 16), st.floats(0.0, 1.0))
+@settings(max_examples=100, deadline=None)
+def test_decode_matches_the_scalar_loop(junctions, seed, tau):
+    # the noisy residuals reach past -180 and 540, so angles wrap both ways
+    rng = np.random.default_rng(seed)
+    exact = encode(junctions, DECODE_CFG)
+    noise = {"center_conf": 0.3, "displacement": 3.0, "bin_conf": 0.3, "bin_residual": 300.0}
+    noisy = GridEncoding(DECODE_CFG, *(getattr(exact, name) + rng.normal(
+        0.0, noise[name], getattr(exact, name).shape) for name in ARRAYS))
+    for enc in (exact, noisy):
+        got, want = decode(enc, tau, tau), reference_decode(enc, tau, tau)
+        flat = lambda js: [bits(v) for j in js for v in (
+            j.center.x, j.center.y, j.confidence, *(a for b in j.branches for a in (b.angle_deg, b.confidence)))]
+        assert [len(j.branches) for j in got] == [len(j.branches) for j in want]
+        assert flat(got) == flat(want)
