@@ -35,7 +35,7 @@ from .geometry import (
     directions,
     intersection_points,
     may_cut,
-    near_point_pairs,
+    near_lists,
     normalize_angle,
     point_array,
     point_distances,
@@ -105,14 +105,9 @@ def dedup_junctions(junctions: Sequence[Junction], rho_nms: float) -> list[Junct
         raise GeometryError(f"NMS radius {rho_nms} must be finite and >= 0")
     order = sorted(junctions, key=lambda j: (-j.confidence, j.center.y, j.center.x))
     centers = [j.center for j in order]
-    xy = point_array(centers)
-    rows, cols = near_point_pairs(xy, xy, rho_nms)
-    rows, cols = rows[cols < rows], cols[cols < rows]  # only earlier ones can suppress
-    first, cols = np.searchsorted(rows, np.arange(len(order) + 1)).tolist(), cols.tolist()
-    is_kept = [False] * len(order)
-    for i, p in enumerate(centers):  # the scalar distance confirms, up to the first kept
-        is_kept[i] = not any(is_kept[k] and p.distance_to(centers[k]) <= rho_nms
-                             for k in cols[first[i]:first[i + 1]])
+    is_kept: list[bool] = []
+    for i, near in enumerate(near_lists(centers, centers, rho_nms)):
+        is_kept.append(not any(is_kept[k] for k in near if k < i))  # only earlier ones suppress
     return [j for j, k in zip(order, is_kept) if k]
 
 

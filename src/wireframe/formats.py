@@ -4,7 +4,7 @@ and the grid-encoding JSON.
 JSON numbers are serialized with up to 9 significant digits, so writers are
 a fixed point of write -> read -> write.  A JSON file is exactly
 json.dumps(doc, indent=1) plus a newline (scene, junction and wireframe
-files from %-templates and ``_spell``, grid files from ``_emit``), and
+files from %-templates and ``_spell``, grid files from json.dumps), and
 readers stop at the first bad field in file order with the message it has
 always had.  The WFHM container is magic "WFHM", version u16 = 1, width u32,
 height u32 (little-endian), then width x height little-endian float32 values
@@ -17,7 +17,6 @@ import functools
 import json
 import struct
 from itertools import islice
-from json.encoder import encode_basestring_ascii
 from math import fmod, isfinite
 from typing import Sequence
 
@@ -44,36 +43,18 @@ def _round9(v: float) -> float:
     return float(f"{float(v):.9g}")
 
 
-_SCALARS = {int, float, bool, type(None)}  # leaves spelled from their repr
-_JSON_SPELLING = {"None": "null", "True": "true", "False": "false",
-                  "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _emit(obj, pad: str = "\n") -> str:
-    """json.dumps(obj, indent=1); `pad` is the enclosing level's line break."""
-    if not isinstance(obj, (list, tuple, dict)) or not obj:
-        return json.dumps(obj)  # a leaf or an empty container: no indent applies
-    inner = pad + " "
-    if isinstance(obj, dict):
-        return "{" + inner + ("," + inner).join([encode_basestring_ascii(k) + ": " + (
-            _JSON_SPELLING.get(s := repr(v), s) if type(v) in _SCALARS else _emit(v, inner))
-            for k, v in obj.items()]) + pad + "}"
-    return "[" + inner + ("," + inner).join([_JSON_SPELLING.get(s := repr(v), s)
-        if type(v) in _SCALARS else _emit(v, inner) for v in obj]) + pad + "]"
-
-
 def _dump(path: str, **fields: str) -> None:
     with open(path, "w", encoding="ascii", newline="\n") as f:
         f.write("{\n " + ",\n ".join(f'"{k}": {v}' for k, v in fields.items()) + "\n}\n")
 
 
 def _spell(vals: list) -> list[str]:
-    """_emit(_round9(v)) for each v, from one batched %.9g pass: it has repr's
-    digits, bar an integral ".0"; an exponent, nan or inf goes to _emit."""
+    """json.dumps(_round9(v)) for each v, from one batched %.9g pass: it has
+    repr's digits, bar an integral ".0"; an exponent, nan or inf goes to json."""
     text = ("%.9g\0" * len(vals)) % tuple(vals)
     out = [s if "." in s else s + ".0" for s in text.split("\0")[:-1]]
     if "e" in text or "n" in text:
-        out = [_emit(_round9(v)) if "e" in s or "n" in s else s for v, s in zip(vals, out)]
+        out = [json.dumps(_round9(v)) if "e" in s or "n" in s else s for v, s in zip(vals, out)]
     return out
 
 
@@ -126,7 +107,7 @@ def _load_sized(path: str, what: str, keys: tuple[str, ...]) -> dict:
 
 def write_scene(scene: AnnotatedScene, path: str) -> None:
     vals = [v for s in scene.lines for v in (s.a.x, s.a.y, s.b.x, s.b.y)]
-    _dump(path, width=_emit(scene.width), height=_emit(scene.height), lines=_block(
+    _dump(path, width=json.dumps(scene.width), height=json.dumps(scene.height), lines=_block(
         ["  [\n   %s,\n   %s,\n   %s,\n   %s\n  ]"] * len(scene.lines)) % tuple(_spell(vals)))
 
 
@@ -173,7 +154,7 @@ def _junction_list(junctions: Sequence[Junction], derived: bool) -> str:
         records.append(_record(len(j.branches), flags[bool(j.derived)]))
     spelled = _spell(vals)
     for k in wrap:  # rounded again, as a hair below 0 wraps to 360 - 1e-12, then to 0.0
-        spelled[k] = _emit(fmod(_round9(normalize_angle(_round9(vals[k]))), 360.0))
+        spelled[k] = json.dumps(fmod(_round9(normalize_angle(_round9(vals[k]))), 360.0))
     return _block(records) % tuple(spelled)
 
 
@@ -221,7 +202,7 @@ def _parse_junctions(doc: dict, path: str) -> list[Junction]:
 
 def write_junctions(width: int, height: int, junctions: Sequence[Junction],
                     path: str) -> None:
-    _dump(path, width=_emit(width), height=_emit(height),
+    _dump(path, width=json.dumps(width), height=json.dumps(height),
           junctions=_junction_list(junctions, derived=False))
 
 
@@ -263,9 +244,12 @@ def write_wireframe(wf: Wireframe, width: int, height: int, path: str) -> None:
     ends = [index.get((p.x, p.y)) for s in wf.segments for p in (s.a, s.b)]
     bad = next((m // 2 for m, v in enumerate(ends) if v is None), None)
     _require(bad is None, path, "segment {} endpoint is not a junction center", bad)
-    inc = wf.incidence  # np.nonzero's (n, m) order, from a bool copy's flat indices (faster)
-    ones = np.column_stack(divmod(np.flatnonzero(inc.astype(bool)), inc.shape[1]))
-    _dump(path, width=_emit(width), height=_emit(height),
+    ones = np.asarray(wf.incidence)  # the (n, m) rows of W's ones
+    _require(ones.ndim == 2 and ones.shape[1] == 2 and ones.dtype.kind in "iu", path,
+             "incidence must be a (K, 2) integer array of (junction, segment) rows")
+    bad = np.flatnonzero(((ones < 0) | (ones >= [len(wf.junctions), len(wf.segments)])).any(1))
+    _require(not bad.size, path, "incidence row {} is out of range", *bad[:1].tolist())
+    _dump(path, width=json.dumps(width), height=json.dumps(height),
           junctions=_junction_list(wf.junctions, derived=True),
           segments=_block(["  [\n   %d,\n   %d\n  ]"] * len(wf.segments)) % tuple(ends),
           incidence=_block(["  [\n   %d,\n   %d,\n   1\n  ]"] * len(ones)) % tuple(
@@ -309,8 +293,8 @@ def read_wireframe(path: str) -> tuple[int, int, Wireframe]:
     rows, bad = _index_rows(triplets, ((0, n), (0, len(segments)), (1, 2)), "incidence",
                             "must be [junction, segment, 1]", "out of range")
     _require(bad is None, path, bad)
-    incidence = np.zeros((n, len(segments)), dtype=np.int64)
-    incidence[rows[:, 0], rows[:, 1]] = 1
+    m = max(len(segments), 1)  # sorted unique (n, m) rows, by their row-major flat index
+    incidence = np.column_stack(np.divmod(np.unique(rows[:, 0] * m + rows[:, 1]), m))
     return doc["width"], doc["height"], Wireframe(junctions, segments, incidence)
 
 
@@ -318,10 +302,11 @@ def read_wireframe(path: str) -> tuple[int, int, Wireframe]:
 
 def write_grid(enc: GridEncoding, path: str) -> None:
     cfg = enc.config
-    _dump(path, config=_emit({"image_w": cfg.image_w, "image_h": cfg.image_h, "grid_w": cfg.grid_w,
-                              "grid_h": cfg.grid_h, "bins": cfg.bins}, "\n "),
-          **{k: _emit(np.frompyfunc(_round9, 1, 1)(getattr(enc, k)).tolist(), "\n ")
-             for k in ARRAYS})
+    doc = {"config": {"image_w": cfg.image_w, "image_h": cfg.image_h, "grid_w": cfg.grid_w,
+                      "grid_h": cfg.grid_h, "bins": cfg.bins},
+           **{k: np.frompyfunc(_round9, 1, 1)(getattr(enc, k)).tolist() for k in ARRAYS}}
+    with open(path, "w", encoding="ascii", newline="\n") as f:
+        f.write(json.dumps(doc, indent=1) + "\n")
 
 
 def read_grid(path: str) -> GridEncoding:

@@ -206,17 +206,13 @@ def point_segment_distance(p: Point, s: Segment) -> float:
 def build_incidence(junctions: Sequence[Junction],
                     segments: Sequence[Segment],
                     tol: float = DEFAULT_INCIDENCE_TOL) -> np.ndarray:
-    """N x M binary matrix; entry (n, m) is 1 iff junction n lies on segment m.
-
-    "Lies on" means distance from the junction center to the closed segment
-    is at most ``tol``, by ``near_segment_pairs``.
-    """
+    """W as the (K, 2) int64 rows (n, m), row-major, of its ones: junction n
+    lies on segment m, within ``tol`` of it by ``near_segment_pairs``."""
     if not 0 <= tol < math.inf:  # NaN fails too
         raise GeometryError(f"incidence tolerance {tol} must be finite and >= 0")
-    w = np.zeros((len(junctions), len(segments)), dtype=np.int64)
     pts = [j.center for j in junctions]
-    w[near_segment_pairs(pts, segments, point_array(pts), segment_array(segments), tol)] = 1
-    return w
+    return np.column_stack(near_segment_pairs(pts, segments, point_array(pts),
+                                              segment_array(segments), tol))
 
 
 def near_segment_pairs(points: Sequence[Point], segments: Sequence[Segment], p: np.ndarray,
@@ -418,7 +414,8 @@ def near_lists(a: Sequence[Point], b: Sequence[Point], limit: float) -> list[lis
 
 @dataclass
 class Wireframe:
-    """Junction points P connected by segments L, with incidence matrix W."""
+    """Junction points P connected by segments L; the N x M incidence
+    matrix W is held as the (K, 2) int64 rows (n, m) of its ones."""
     junctions: list[Junction] = field(default_factory=list)
     segments: list[Segment] = field(default_factory=list)
-    incidence: np.ndarray = field(default_factory=lambda: np.zeros((0, 0), dtype=np.int64))
+    incidence: np.ndarray = field(default_factory=lambda: np.zeros((0, 2), dtype=np.int64))

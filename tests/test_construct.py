@@ -362,14 +362,14 @@ def test_recover_splits_at_existing_segment():
 def test_construct_empty():
     wf = construct_wireframe([], HeatMap(10, 10, np.zeros((10, 10))))
     assert wf.junctions == [] and wf.segments == []
-    assert wf.incidence.shape == (0, 0)
+    assert wf.incidence.shape == (0, 2)
 
 
 def test_construct_single_pair():
     p1, p2 = jn(0, 0, [0]), jn(10, 0, [180])
     wf = construct_wireframe([p1, p2], HeatMap(20, 20, np.zeros((20, 20))))
     assert len(wf.junctions) == 2 and len(wf.segments) == 1
-    assert wf.incidence.tolist() == [[1], [1]]
+    assert wf.incidence.tolist() == [[0, 0], [1, 0]]
 
 
 def test_construct_thresholds_inputs():
@@ -414,7 +414,7 @@ def test_construct_endpoints_in_p_and_incidence():
     for s in wf.segments:
         for e in (s.a, s.b):
             assert min(e.distance_to(c) for c in centers) <= 1e-9
-    assert (wf.incidence == build_incidence(wf.junctions, wf.segments, 1.0)).all()
+    assert np.array_equal(wf.incidence, build_incidence(wf.junctions, wf.segments, 1.0))
     assert any(j.derived for j in wf.junctions)
     for j in wf.junctions:
         if j.derived:
@@ -428,7 +428,7 @@ def test_construct_deterministic():
     a = construct_wireframe(js, hm, ConstructionParams(omega=0.5))
     b = construct_wireframe(js, hm, ConstructionParams(omega=0.5))
     assert a.junctions == b.junctions and a.segments == b.segments
-    assert (a.incidence == b.incidence).all()
+    assert np.array_equal(a.incidence, b.incidence)
 
 
 def test_omega_monotone_recovery():

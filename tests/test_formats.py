@@ -6,7 +6,6 @@ in 9 significant digits (and float32 for the heat map) also survive
 structurally.
 """
 
-import enum
 import functools
 import json
 import math
@@ -24,7 +23,6 @@ from wireframe.annotate import derive_junctions
 from wireframe.formats import (
     MAX_PIXELS,
     FormatError,
-    _emit,
     _load_sized,
     _round9,
     _spell,
@@ -144,7 +142,7 @@ def test_junctions_angle_rounding_to_360_wraps(tmp_path):
     write_junctions(8, 8, [j], p)
     _, _, back = read_junctions(p)
     assert back[0].branches[0].angle_deg == 0.0
-    wf = Wireframe([j], [], np.zeros((1, 0), dtype=np.int64))
+    wf = Wireframe([j])
     write_wireframe(wf, 8, 8, p)
     assert read_wireframe(p)[2].junctions[0].branches[0].angle_deg == 0.0
 
@@ -170,7 +168,7 @@ def test_branch_angles_write_a_fixed_point(angles):
         assert open(p1, "rb").read() == open(p2, "rb").read()
         for b in read_junctions(p1)[2][0].branches:
             assert 0.0 <= b.angle_deg < 360.0 and _round9(b.angle_deg) == b.angle_deg
-        write_wireframe(Wireframe([j], [], np.zeros((1, 0), dtype=np.int64)), 8, 8, p1)
+        write_wireframe(Wireframe([j]), 8, 8, p1)
         w, h, wf = read_wireframe(p1)
         write_wireframe(wf, w, h, p2)
         assert open(p1, "rb").read() == open(p2, "rb").read()
@@ -309,6 +307,36 @@ def test_wireframe_write_requires_indexed_endpoints(tmp_path):
     loose = Wireframe(wf.junctions, [seg(0, 0, 5, 5)], wf.incidence)
     with pytest.raises(FormatError, match="not a junction"):
         write_wireframe(loose, 20, 20, str(tmp_path / "x.json"))
+
+
+@pytest.mark.parametrize("incidence, why", [
+    ([[0, 0], [2, 0]], "incidence row 1 is out of range"),  # junction past the end
+    ([[0, 0], [1, 1]], "incidence row 1 is out of range"),  # segment past the end
+    ([[1, 0], [-1, 0]], "incidence row 1 is out of range"),
+    (np.ones((3, 2)), "incidence must be a"),
+    (np.ones((2, 1), dtype=np.int64), "incidence must be a"),  # the dense N x M W
+    (np.zeros(2, dtype=np.int64), "incidence must be a"),
+], ids=["junction", "segment", "negative", "floats", "dense", "flat"])
+def test_wireframe_write_rejects_bad_incidence_rows(tmp_path, incidence, why):
+    wf = two_point_wireframe()
+    p = tmp_path / "x.json"
+    with pytest.raises(FormatError, match=why):
+        write_wireframe(Wireframe(wf.junctions, wf.segments, np.asarray(incidence)), 20, 20,
+                        str(p))
+    assert not p.exists()
+
+
+def test_wireframe_read_gives_sorted_unique_incidence_rows(tmp_path):
+    p = str(tmp_path / "wf.json")
+    triplets = [[1, 1, 1], [0, 1, 1], [1, 1, 1], [0, 0, 1], [0, 1, 1]]
+    with open(p, "w") as f:
+        json.dump(_wireframe([[0, 1], [1, 0]], triplets), f)
+    _, _, wf = read_wireframe(p)
+    dense = np.zeros((2, 2), dtype=np.int64)  # the N x M W these triplets set
+    dense[tuple(np.array(triplets)[:, :2].T)] = 1
+    assert wf.incidence.dtype == np.int64
+    assert wf.incidence.tolist() == [[0, 0], [0, 1], [1, 1]]
+    assert np.array_equal(wf.incidence, np.column_stack(np.nonzero(dense)))
 
 
 def test_wireframe_read_validation(tmp_path):
@@ -453,7 +481,7 @@ def reference_read_wireframe(path: str):
             segments.append(Segment(junctions[a].center, junctions[b].center))
         except GeometryError as e:
             raise FormatError(f"{path}: segments[{m}]: {e}") from e
-    incidence = np.zeros((n, len(segments)), dtype=np.int64)
+    ones = set()
     triplets = doc.get("incidence", [])
     _reference_require(isinstance(triplets, list), path, "incidence must be a list")
     for t, triplet in enumerate(triplets):
@@ -463,7 +491,8 @@ def reference_read_wireframe(path: str):
         jn, m, bit = triplet
         _reference_require(0 <= jn < n and 0 <= m < len(segments) and bit == 1, path,
                            f"incidence[{t}] out of range")
-        incidence[jn, m] = 1
+        ones.add((jn, m))
+    incidence = np.array(sorted(ones), dtype=np.int64).reshape(-1, 2)
     return doc["width"], doc["height"], Wireframe(junctions, segments, incidence)
 
 
@@ -589,53 +618,7 @@ def test_json_readers_fuzz(tmp_path_factory, case):
     assert _outcome(read, p) == _outcome(reference, p)
 
 
-# -- the JSON emitter --
-
-json_trees = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.integers(-10 ** 40, 10 ** 40)
-    | st.floats() | st.text(),
-    lambda inner: st.lists(inner, max_size=4) | st.tuples(inner, inner)
-    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
-    max_leaves=30)
-
-
-class _Float(float):
-    def __repr__(self):
-        return "not used by json"
-
-
-class _Int(int):
-    def __repr__(self):
-        return "not used by json"
-
-
-class _Color(enum.IntEnum):
-    RED = 1
-
-
-@given(json_trees)
-@example([-0.0, float("nan"), float("inf"), -float("inf"), 10 ** 100, -(10 ** 100), 1e308])
-@example({"\u00e9\x00\u2028": ["\x1f", "\U0001f600", {}, [], "", "\"\\"]})
-@example((1, (2.5, [True, None, False])))
-@example([_Float(1.5), _Float("nan"), _Int(3), _Color.RED, True])
-@example({"a": {"b": {"c": [[[]], [{}], {"d": [1, [2, [3.0]]]}]}}})
-@example([])
-@example({})
-@example("\u00e9")
-@example(_Float("-inf"))
-def test_emit_is_json_dumps_indent_1(doc):
-    assert _emit(doc) == json.dumps(doc, indent=1)
-
-
-@pytest.mark.parametrize("doc", [{1, 2}, b"x", object(), 1j, [set()], {"a": object()},
-                                 {"a": [1, {"b": b"x"}]}, {1: "int key"}])
-def test_emit_rejects_other_types(doc):
-    with pytest.raises(TypeError):
-        _emit(doc)
-    if not (isinstance(doc, dict) and 1 in doc):  # json converts number keys
-        with pytest.raises(TypeError):
-            json.dumps(doc, indent=1)
-
+# -- the writers' JSON --
 
 def test_writers_emit_json_dumps_indent_1(tmp_path):
     scene = hexagon_scene()
@@ -666,7 +649,7 @@ def test_writers_emit_json_dumps_indent_1(tmp_path):
 @example([359.9999999996, -1e-12, 360.0, 720.5, -5.0])
 @example([])
 def test_batched_spelling_is_the_scalar_spelling(vals):
-    assert _spell(vals) == [_emit(_round9(v)) for v in vals]
+    assert _spell(vals) == [json.dumps(_round9(v)) for v in vals]
     # the same values as branch angles, which are written in [0, 360)
     j = Junction(Point(1.0, 2.0), tuple(Branch(v, v) for v in vals))
     assert_writes(lambda p: write_junctions(8, 8, [j], p), lambda: {
@@ -738,12 +721,10 @@ def wireframes(draw):
                           max_size=5)) if n else []
     segments = [Segment(junctions[a].center, junctions[b].center) for a, b in pairs
                 if junctions[a].center != junctions[b].center]
-    # any nonzero entry is a one, whatever its value
-    incidence = np.array(draw(st.lists(st.sampled_from([0, 0, 1, 2, -1]),
-                                       min_size=n * len(segments),
-                                       max_size=n * len(segments))),
-                         dtype=np.int64).reshape(n, len(segments))
-    return Wireframe(junctions, segments, incidence)
+    # (n, m) rows in range, written as they are: unsorted and repeated alike
+    rows = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, len(segments) - 1)),
+                         max_size=8)) if segments else []
+    return Wireframe(junctions, segments, np.array(rows, dtype=np.int64).reshape(-1, 2))
 
 
 def reference_wireframe_doc(wf: Wireframe, width, height) -> dict:
@@ -752,8 +733,7 @@ def reference_wireframe_doc(wf: Wireframe, width, height) -> dict:
             "junctions": [reference_junction_record(j, derived=bool(j.derived))
                           for j in wf.junctions],
             "segments": [[index[(s.a.x, s.a.y)], index[(s.b.x, s.b.y)]] for s in wf.segments],
-            "incidence": [[n, m, 1] for n, m in zip(*(a.tolist()
-                                                      for a in np.nonzero(wf.incidence)))]}
+            "incidence": [[n, m, 1] for n, m in wf.incidence.tolist()]}
 
 
 @given(wireframes())
