@@ -23,8 +23,7 @@ from .geometry import (
     angle_diff,
     intersection_points,
     may_cut,
-    near_point_pairs,
-    near_segment_pairs,
+    near_pairs,
     normalize_angles,
     point_distances,
     segment_array,
@@ -144,20 +143,20 @@ def derive_junctions(scene: AnnotatedScene,
     if not 0 <= merge_radius < math.inf:  # NaN fails too
         raise GeometryError(f"merge radius {merge_radius} must be finite and >= 0")
     lines, segs, r = scene.lines, segment_array(scene.lines), merge_radius
-    ends, ends_xy = [p for s in lines for p in (s.a, s.b)], segs.reshape(-1, 2)
+    ends = segs.reshape(-1, 2)
     i, j = may_cut(segs, segs)
     i, j = i[i < j], j[i < j]
     sure, xy = intersection_points(segs.take(i, axis=0), segs.take(j, axis=0))
     for k in np.flatnonzero(~sure).tolist():  # near-parallel pairs: the scalar
         hit = segment_intersection(lines[i[k]], lines[j[k]]).point
         xy[k] = (hit.x, hit.y) if hit is not None else np.nan
-    e, m = near_segment_pairs(ends, lines, ends_xy, segs, r)
-    touch = ends_xy[e[e // 2 != m]]  # ends near another segment
+    e, m = near_pairs(ends, segs, r)
+    touch = ends[e[e // 2 != m]]  # ends near another segment
     xy = np.vstack([xy[~np.isnan(xy[:, 0])], touch])
     exact = np.arange(len(xy)) < len(xy) - len(touch)
     order = np.lexsort((xy[:, 0], xy[:, 1], ~exact))  # exact crossings seed the clusters
     xy, exact = xy[order], exact[order].tolist()
-    a, b = near_point_pairs(xy, xy, 2 * r + _REL_SLACK * np.abs(xy).max(initial=0.0))
+    a, b = near_pairs(xy, xy, 2 * r + _REL_SLACK * np.abs(xy).max(initial=0.0))
     starts = np.ones(len(xy), dtype=bool)  # of a cluster, in the end
     starts[a[a != b]] = False  # each pair comes both ways
     pts = {k: xy[k].tolist() for k in np.flatnonzero(~starts).tolist()}  # the linked ones
@@ -180,11 +179,10 @@ def derive_junctions(scene: AnnotatedScene,
         hubs[members[0]] = [sum(pts[m][d] for m in anchors) / len(anchors) for d in (0, 1)]
         starts[members[0]] = True
     hubs = hubs[starts]  # in the order the clusters started
-    points = [Point(x, y) for x, y in zip(*hubs.T.tolist())]
-    h, m = near_segment_pairs(points, lines, hubs, segs, r)
+    h, m = near_pairs(hubs, segs, r)
     h, e = np.repeat(h, 2), (2 * m[:, None] + [0, 1]).ravel()  # ends a, b of near segments
-    far = ~settle(point_distances, Point.distance_to, points, ends, hubs, ends_xy, r, h, e)
-    h, dxy = h[far], ends_xy[e[far]] - hubs[h[far]]
+    far = ~settle(hubs, ends, r, h, e)
+    h, dxy = h[far], ends[e[far]] - hubs[h[far]]
     # direction_deg with math.atan2 (np.arctan2 differs); np.degrees is math.degrees bit for bit
     angles = np.degrees([math.atan2(y, x) for x, y in zip(*dxy.T.tolist())])
     angles = normalize_angles(angles)
@@ -197,7 +195,8 @@ def derive_junctions(scene: AnnotatedScene,
                      angles[bounds[h]] + 360.0)
     tight = np.bincount(h[after - angles <= 2 * _ANGLE_DEDUP_DEG], minlength=len(hubs)) > 0
     branches, junctions = tuple(Branch(a, 1.0) for a in angles.tolist()), []
-    for c, lo, hi, scalar in zip(points, bounds.tolist(), bounds[1:].tolist(), tight.tolist()):
+    for c, lo, hi, scalar in zip(hubs.tolist(), bounds.tolist(), bounds[1:].tolist(),
+                                 tight.tolist()):
         kept = branches[lo:hi]
         if scalar:  # the any-earlier test
             kept = []
@@ -206,7 +205,7 @@ def derive_junctions(scene: AnnotatedScene,
                            for k in kept):
                     kept.append(b)
         if len(kept) >= 2:
-            junctions.append(Junction(c, tuple(kept), 1.0))
+            junctions.append(Junction(Point(*c), tuple(kept), 1.0))
     junctions.sort(key=lambda j: (j.center.y, j.center.x))
     return junctions
 

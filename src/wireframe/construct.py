@@ -35,7 +35,7 @@ from .geometry import (
     directions,
     intersection_points,
     may_cut,
-    near_lists,
+    near_pairs,
     normalize_angle,
     point_array,
     point_distances,
@@ -49,10 +49,13 @@ from .geometry import (
 DEFAULT_OMEGA = 10.0
 DEFAULT_DELTA_RAY = 12.0  # half a 24-degree angle bin
 DEFAULT_RHO_NMS = 2.0
-DEFAULT_BOUNDARY_FRAC = 0.05
-DEFAULT_KAPPA_MIN = 0.6
+# The rescue pass: a boundary exit within BOUNDARY_FRAC * max(w, h) makes a
+# segment; a walk stops past MAX_WALK_GAP unsupported pixels; a piece needs
+# MIN_PIECE_LEN px and mask support above KAPPA_MIN.
+BOUNDARY_FRAC = 0.05
+KAPPA_MIN = 0.6
 MIN_PIECE_LEN = 3.0
-DEFAULT_MAX_WALK_GAP = 3.0
+MAX_WALK_GAP = 3.0
 
 
 @dataclass
@@ -77,17 +80,11 @@ class ConstructionParams:
     tau_b: float = 0.5
     delta_ray: float = DEFAULT_DELTA_RAY
     rho_nms: float = DEFAULT_RHO_NMS
-    boundary_frac: float = DEFAULT_BOUNDARY_FRAC
-    kappa_min: float = DEFAULT_KAPPA_MIN
-    min_piece_len: float = MIN_PIECE_LEN
-    max_walk_gap: float = DEFAULT_MAX_WALK_GAP
 
     def __post_init__(self) -> None:
         for f in fields(self):
             if not 0 <= getattr(self, f.name) < math.inf:  # NaN fails too
                 raise GeometryError(f"{f.name} must be finite and >= 0")
-        if not 0.0 <= self.kappa_min <= 1.0:
-            raise GeometryError(f"kappa_min={self.kappa_min} outside [0, 1]")
 
 
 def binarize(h: HeatMap, omega: float) -> BinaryMask:
@@ -104,10 +101,10 @@ def dedup_junctions(junctions: Sequence[Junction], rho_nms: float) -> list[Junct
     if not 0 <= rho_nms < math.inf:  # NaN fails too
         raise GeometryError(f"NMS radius {rho_nms} must be finite and >= 0")
     order = sorted(junctions, key=lambda j: (-j.confidence, j.center.y, j.center.x))
-    centers = [j.center for j in order]
-    is_kept: list[bool] = []
-    for i, near in enumerate(near_lists(centers, centers, rho_nms)):
-        is_kept.append(not any(is_kept[k] for k in near if k < i))  # only earlier ones suppress
+    xy, is_kept = point_array([j.center for j in order]), [True] * len(order)
+    for i, k in zip(*(a.tolist() for a in near_pairs(xy, xy, rho_nms))):
+        if k < i and is_kept[k]:  # row-major: is_kept[k] is final; only earlier ones suppress
+            is_kept[i] = False
     return [j for j, k in zip(order, is_kept) if k]
 
 
@@ -196,7 +193,7 @@ def ray_boundary_point(origin: Point, angle_deg: float,
 
 
 def farthest_mask_points(rays: Sequence[tuple[Point, float, Optional[Point]]], mask: BinaryMask,
-                         max_gap: float = DEFAULT_MAX_WALK_GAP) -> list[Optional[Point]]:
+                         max_gap: float = MAX_WALK_GAP) -> list[Optional[Point]]:
     """Farthest supporting mask pixel (not ray pixel) of each (origin, angle,
     exit) ray's walk along its rasterized pixels to its boundary exit, or None.
 
@@ -263,8 +260,8 @@ def line_support_ratios(pieces: Sequence[tuple[Point, Point]],
     return [r if (a.x, a.y) != (b.x, b.y) else 0.0 for r, (a, b) in zip(ratio.tolist(), pieces)]
 
 
-def _pieces(whole: Segment, hits: list, min_len: float) -> list[tuple[Point, Point]]:
-    """The stretches of whole, min_len or longer, between its cuts: the hits
+def _pieces(whole: Segment, hits: list) -> list[tuple[Point, Point]]:
+    """The stretches of whole, MIN_PIECE_LEN or longer, between its cuts: the hits
     (points or None) in pool order, less those within 1e-6 of an earlier cut."""
     o, q, cuts = whole.a, whole.b, []
     for hit in hits:
@@ -272,19 +269,18 @@ def _pieces(whole: Segment, hits: list, min_len: float) -> list[tuple[Point, Poi
             cuts.append(hit)
     stops = [o] + sorted((c for c in cuts if c.distance_to(o) > 1e-9 and c.distance_to(q) > 1e-9),
                          key=lambda c: c.distance_to(o)) + [q]
-    return [(a, b) for a, b in zip(stops, stops[1:]) if a.distance_to(b) >= min_len]
+    return [(a, b) for a, b in zip(stops, stops[1:]) if a.distance_to(b) >= MIN_PIECE_LEN]
 
 
 def recover_unmatched(junctions: Sequence[Junction], unmatched: Sequence[tuple[int, int]],
-                      mask: BinaryMask, segments: Sequence[Segment],
-                      params: ConstructionParams) -> list[Segment]:
+                      mask: BinaryMask, segments: Sequence[Segment]) -> list[Segment]:
     """New segments that rescue the (junction, branch) rays left unmatched.
 
-    A ray whose boundary exit is within boundary_frac * max(w, h) of its
+    A ray whose boundary exit is within BOUNDARY_FRAC * max(w, h) of its
     origin becomes a segment to the boundary.  Otherwise the ray walks the
     mask to its farthest supported pixel; the stretch is split where it
     crosses known segments and every piece with support ratio above
-    kappa_min survives.  Later rays split against the new segments too, in
+    KAPPA_MIN survives.  Later rays split against the new segments too, in
     (junction, branch) order and pool order.
 
     Walks, cuts on the given segments and support ratios are batched: one
@@ -295,19 +291,18 @@ def recover_unmatched(junctions: Sequence[Junction], unmatched: Sequence[tuple[i
     earlier rays that may cut a ray; only theirs go to the scalar, and
     changed pieces are redone.
     """
-    limit = params.boundary_frac * max(mask.width, mask.height)
+    limit = BOUNDARY_FRAC * max(mask.width, mask.height)
     origins = [junctions[i].center for i, _ in sorted(unmatched)]
     angles = [normalize_angle(junctions[i].branches[k].angle_deg) for i, k in sorted(unmatched)]
     exits = [ray_boundary_point(o, a, mask.width, mask.height) for o, a in zip(origins, angles)]
     short = [q is not None and 0.0 < o.distance_to(q) <= limit for o, q in zip(origins, exits)]
     # a walk depends only on its ray and the mask, not on the pool: walk all at once
     walked = [k for k, s in enumerate(short) if not s]
-    ends = farthest_mask_points([(origins[k], angles[k], exits[k]) for k in walked],
-                                mask, params.max_walk_gap)
+    ends = farthest_mask_points([(origins[k], angles[k], exits[k]) for k in walked], mask)
     # each ray's whole segment: to its exit, or to its farthest support
     whole = {k: Segment(origins[k], exits[k]) for k, s in enumerate(short) if s}
     whole.update((k, Segment(origins[k], q)) for k, q in zip(walked, ends)
-                 if q is not None and origins[k].distance_to(q) >= params.min_piece_len)
+                 if q is not None and origins[k].distance_to(q) >= MIN_PIECE_LEN)
     src = np.array(sorted(whole), dtype=np.intp)
     walked_src = np.flatnonzero(~np.array(short, dtype=bool)[src])  # the rows of src walked
     rows, given = src[walked_src].tolist(), len(segments)
@@ -321,7 +316,7 @@ def recover_unmatched(junctions: Sequence[Junction], unmatched: Sequence[tuple[i
     for n, k, x, y in zip(i[keep].tolist(), m[keep].tolist(), *xy[keep].T.tolist()):
         hits[n].append(Point(x, y) if x == x else
                        segment_intersection(whole[rows[n]], segments[k]).point)
-    pieces = [_pieces(whole[k], hs, params.min_piece_len) for k, hs in zip(rows, hits)]
+    pieces = [_pieces(whole[k], hs) for k, hs in zip(rows, hits)]
     ratios = iter(line_support_ratios([p for ps in pieces for p in ps], mask))
     kappas = [[next(ratios) for _ in ps] for ps in pieces]
     keep = (pj >= given) & (pj < given + walked_src[pi])  # segments of earlier rays
@@ -332,10 +327,10 @@ def recover_unmatched(junctions: Sequence[Junction], unmatched: Sequence[tuple[i
         new = [] if n is None else [segment_intersection(whole[k], s).point
                                     for t in tail[first[n]:first[n + 1]] for s in added[t]]
         if any(h is not None for h in new) and (  # a later segment cuts: new pieces?
-                redone := _pieces(whole[k], hits[n] + new, params.min_piece_len)) != pieces[n]:
+                redone := _pieces(whole[k], hits[n] + new)) != pieces[n]:
             pieces[n], kappas[n] = redone, line_support_ratios(redone, mask)
         added[k] = [whole[k]] if n is None else [
-            Segment(*ab) for ab, kappa in zip(pieces[n], kappas[n]) if kappa > params.kappa_min]
+            Segment(*ab) for ab, kappa in zip(pieces[n], kappas[n]) if kappa > KAPPA_MIN]
     return [s for k in src.tolist() for s in added[k]]
 
 
@@ -344,7 +339,7 @@ def construct_wireframe(junctions: Sequence[Junction], h: HeatMap,
     """Full pipeline from detected junctions and a line heat map."""
     confident = []
     for j in junctions:
-        if j.confidence <= params.tau_c:
+        if not j.confidence > params.tau_c:  # NaN is dropped, as for branches
             continue
         branches = tuple(b for b in j.branches if b.confidence > params.tau_b)
         if branches:
@@ -357,7 +352,7 @@ def construct_wireframe(junctions: Sequence[Junction], h: HeatMap,
     taken = {ray for pair in pairs for ray in pair}
     unmatched = [(i, k) for i, j in enumerate(kept) for k in range(j.order)
                  if (i, k) not in taken]
-    new_segments = recover_unmatched(kept, unmatched, mask, matched_segments, params)
+    new_segments = recover_unmatched(kept, unmatched, mask, matched_segments)
 
     unique: dict[tuple, Segment] = {}  # the first segment per unordered endpoint pair
     for s in matched_segments + new_segments:

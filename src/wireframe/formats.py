@@ -142,7 +142,9 @@ def _record(order: int, flag: str) -> str:
         + "\n   ]" if order else "[]") + "\n  }")
 
 
-def _junction_list(junctions: Sequence[Junction], derived: bool) -> str:
+def _junction_list(junctions: Sequence[Junction], derived: bool, path: str) -> str:
+    """The junction records.  A score outside [0, 1] or a non-finite angle
+    raises first, in the reader's words, so no file is opened."""
     vals, wrap, records = [], [], []
     flags = ('   "derived": false,\n', '   "derived": true,\n') if derived else ("", "")
     for j in junctions:
@@ -152,6 +154,13 @@ def _junction_list(junctions: Sequence[Junction], derived: bool) -> str:
                 wrap.append(len(vals))
             vals += (b.angle_deg, b.confidence)
         records.append(_record(len(j.branches), flags[bool(j.derived)]))
+    scores = np.array([j.confidence for j in junctions]
+                      + [b.confidence for j in junctions for b in j.branches], dtype=np.float64)
+    if not (((scores >= 0.0) & (scores <= 1.0)).all() and all(isfinite(vals[k]) for k in wrap)):
+        _parse_junctions({"junctions": [  # the reader's check, a finite angle read as 0.0
+            {"x": 0.0, "y": 0.0, "score": float(j.confidence), "branches": [
+                {"theta": 0.0 if isfinite(b.angle_deg) else float(b.angle_deg),
+                 "score": float(b.confidence)} for b in j.branches]} for j in junctions]}, path)
     spelled = _spell(vals)
     for k in wrap:  # rounded again, as a hair below 0 wraps to 360 - 1e-12, then to 0.0
         spelled[k] = json.dumps(fmod(_round9(normalize_angle(_round9(vals[k]))), 360.0))
@@ -200,10 +209,9 @@ def _parse_junctions(doc: dict, path: str) -> list[Junction]:
 
 # -- junction predictions / ground truth --
 
-def write_junctions(width: int, height: int, junctions: Sequence[Junction],
-                    path: str) -> None:
+def write_junctions(width: int, height: int, junctions: Sequence[Junction], path: str) -> None:
     _dump(path, width=json.dumps(width), height=json.dumps(height),
-          junctions=_junction_list(junctions, derived=False))
+          junctions=_junction_list(junctions, False, path))
 
 
 def read_junctions(path: str) -> tuple[int, int, list[Junction]]:
@@ -250,7 +258,7 @@ def write_wireframe(wf: Wireframe, width: int, height: int, path: str) -> None:
     bad = np.flatnonzero(((ones < 0) | (ones >= [len(wf.junctions), len(wf.segments)])).any(1))
     _require(not bad.size, path, "incidence row {} is out of range", *bad[:1].tolist())
     _dump(path, width=json.dumps(width), height=json.dumps(height),
-          junctions=_junction_list(wf.junctions, derived=True),
+          junctions=_junction_list(wf.junctions, True, path),
           segments=_block(["  [\n   %d,\n   %d\n  ]"] * len(wf.segments)) % tuple(ends),
           incidence=_block(["  [\n   %d,\n   %d,\n   1\n  ]"] * len(ones)) % tuple(
               ones.ravel().tolist()))

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -203,29 +203,14 @@ def point_segment_distance(p: Point, s: Segment) -> float:
     return math.hypot(p.x - (ax + t * dx), p.y - (ay + t * dy))
 
 
-def build_incidence(junctions: Sequence[Junction],
-                    segments: Sequence[Segment],
+def build_incidence(junctions: Sequence[Junction], segments: Sequence[Segment],
                     tol: float = DEFAULT_INCIDENCE_TOL) -> np.ndarray:
     """W as the (K, 2) int64 rows (n, m), row-major, of its ones: junction n
-    lies on segment m, within ``tol`` of it by ``near_segment_pairs``."""
+    lies on segment m, within ``tol`` of it by ``near_pairs``."""
     if not 0 <= tol < math.inf:  # NaN fails too
         raise GeometryError(f"incidence tolerance {tol} must be finite and >= 0")
-    pts = [j.center for j in junctions]
-    return np.column_stack(near_segment_pairs(pts, segments, point_array(pts),
-                                              segment_array(segments), tol))
-
-
-def near_segment_pairs(points: Sequence[Point], segments: Sequence[Segment], p: np.ndarray,
-                       s: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (i, j), row-major, with ``point_segment_distance(points[i],
-    segments[j]) <= tol`` (p, s: their arrays), of those inside the segment's
-    box padded by tol, the prefilter slack and some ulps of its coordinates."""
-    pad = (prefilter_bound(tol) + _REL_SLACK * np.abs(s).max(axis=1, initial=0.0))[:, None]
-    box = np.hstack([np.minimum(s[:, :2], s[:, 2:]) - pad, np.maximum(s[:, :2], s[:, 2:]) + pad])
-    rows, cols = box_pairs(p[:, [0, 1, 0, 1]], box)
-    ok = settle(point_segment_distances, point_segment_distance, points, segments, p, s, tol,
-                rows, cols)
-    return rows[ok], cols[ok]
+    return np.column_stack(near_pairs(point_array([j.center for j in junctions]),
+                                      segment_array(segments), tol))
 
 
 # -- array kernels: candidate prefilters for the scalar tests above --
@@ -377,38 +362,41 @@ def box_pairs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.divmod(np.sort(np.concatenate(keys)), max(len(b), 1))
 
 
-def near_point_pairs(p: np.ndarray, q: np.ndarray, limit: float) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (i, j), row-major, with ``within(point_distances(p[i],
-    q[j]), limit)``.  Only those in q[j]'s box padded past that bound by its
-    slack and ulps of the coordinates are tested, and no others can pass:
-    |dx| and |dy| are at most their hypot, which is NaN only for non-finite
-    points (``Point`` rejects them)."""
+def near_pairs(p: np.ndarray, q: np.ndarray, limit: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j), row-major, of the (N, 2) points p and the (M, 2)
+    points or (M, 4) segments q with ``Point.distance_to`` or
+    ``point_segment_distance`` <= limit: the all-pairs scalar loop's.  Only
+    pairs in q[j]'s box, padded past the prefilter bound by its slack and
+    ulps of the coordinates, are tested; no others pass: |dx| and |dy| are at
+    most the distance, NaN only for non-finite points (``Point`` rejects them)."""
     big = max(np.abs(p).max(initial=0.0), np.abs(q).max(initial=0.0))
     reach = prefilter_bound(prefilter_bound(limit)) + _REL_SLACK * big
-    i, j = box_pairs(p[:, [0, 1, 0, 1]], q[:, [0, 1, 0, 1]] + [-reach, -reach, reach, reach])
-    ok = within(point_distances(p.take(i, axis=0), q.take(j, axis=0)), limit)
-    return i[ok], j[ok]
+    lo, hi = np.minimum(q[:, :2], q[:, -2:]), np.maximum(q[:, :2], q[:, -2:])
+    rows, cols = box_pairs(p[:, [0, 1, 0, 1]], np.hstack([lo - reach, hi + reach]))
+    ok = settle(p, q, limit, rows, cols)
+    return rows[ok], cols[ok]
 
 
-def settle(kernel: Callable[[np.ndarray, np.ndarray], np.ndarray], scalar: Callable,
-           a: Sequence, b: Sequence, a_xy: np.ndarray, b_xy: np.ndarray, limit: float,
-           rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Mask of the index pairs (rows, cols) with ``scalar(a[i], b[j]) <=
-    limit``.  Its array form ``kernel`` over a_xy and b_xy settles the pairs
-    ``surely_within`` or not ``within``; the scalar function the rest."""
-    d = kernel(a_xy.take(rows, axis=0), b_xy.take(cols, axis=0))
+def settle(p: np.ndarray, q: np.ndarray, limit: float, rows: np.ndarray,
+           cols: np.ndarray) -> np.ndarray:
+    """Mask of ``near_pairs``' candidates (rows, cols) within limit.  The array
+    distance, by q's width, settles those ``surely_within`` or not ``within``;
+    the scalar function, on ``Point``s and ``Segment``s rebuilt from the rows,
+    the rest.  q's rows come from ``Segment``s: a degenerate one would raise."""
+    a, b = p.take(rows, axis=0), q.take(cols, axis=0)
+    d = point_distances(a, b) if q.shape[1] == 2 else point_segment_distances(a, b)
     ok = surely_within(d, limit)
     for k in np.flatnonzero(within(d, limit) & ~ok).tolist():
-        ok[k] = scalar(a[rows[k]], b[cols[k]]) <= limit
+        c, (x, y, *e) = Point(*a[k].tolist()), b[k].tolist()
+        ok[k] = (point_segment_distance(c, Segment(Point(x, y), Point(*e))) if e
+                 else c.distance_to(Point(x, y))) <= limit
     return ok
 
 
 def near_lists(a: Sequence[Point], b: Sequence[Point], limit: float) -> list[list[int]]:
     """Per a[i], the j in order with ``a[i].distance_to(b[j]) <= limit``."""
-    a_xy, b_xy = point_array(a), point_array(b)
-    rows, cols = near_point_pairs(a_xy, b_xy, limit)
-    ok = settle(point_distances, Point.distance_to, a, b, a_xy, b_xy, limit, rows, cols)
-    bounds, c = np.searchsorted(rows[ok], np.arange(len(a) + 1)).tolist(), cols[ok].tolist()
+    rows, cols = near_pairs(point_array(a), point_array(b), limit)
+    bounds, c = np.searchsorted(rows, np.arange(len(a) + 1)).tolist(), cols.tolist()
     return [c[bounds[i]:bounds[i + 1]] for i in range(len(a))]
 
 

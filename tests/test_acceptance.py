@@ -21,6 +21,8 @@ from wireframe.annotate import (
 )
 from wireframe.cli import main
 from wireframe.construct import (
+    BOUNDARY_FRAC,
+    KAPPA_MIN,
     BinaryMask,
     ConstructionParams,
     construct_wireframe,
@@ -459,8 +461,8 @@ def test_criterion_10_constants():
     assert DEFAULT_TAU_C == DEFAULT_TAU_B == 0.5
     params = ConstructionParams()
     assert params.omega == 10.0
-    assert params.kappa_min == 0.6
-    assert params.boundary_frac == 0.05
+    assert KAPPA_MIN == 0.6
+    assert BOUNDARY_FRAC == 0.05
     assert params.tau_c == params.tau_b == 0.5
     assert EvalConfig().tolerance_frac == 0.01
     assert EvalConfig().tolerance(320, 320) == pytest.approx(

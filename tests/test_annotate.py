@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import segment_pixels
-from wireframe import annotate
+from wireframe import annotate, geometry
 
 from wireframe.annotate import (
     AnnotatedScene,
@@ -510,9 +510,13 @@ def derive_all_pairs(scene, merge_radius):
     def every_value(values, *_):
         return np.ones(np.shape(values), dtype=bool)
 
+    def near_or_every_pair(p, q, limit):  # the isolation test links every candidate
+        return every_pair(p, q) if p is q else geometry.near_pairs(p, q, limit)
+
     with mock.patch.object(annotate, "within", every_value), \
             mock.patch.object(annotate, "may_cut", every_pair), \
-            mock.patch.object(annotate, "near_point_pairs", every_pair):
+            mock.patch.object(geometry, "box_pairs", every_pair), \
+            mock.patch.object(annotate, "near_pairs", near_or_every_pair):
         return derive_junctions(scene, merge_radius)
 
 

@@ -15,7 +15,10 @@ from wireframe.annotate import (
     render_target_heatmap,
 )
 from wireframe.construct import (
-    DEFAULT_MAX_WALK_GAP,
+    BOUNDARY_FRAC,
+    KAPPA_MIN,
+    MAX_WALK_GAP,
+    MIN_PIECE_LEN,
     BinaryMask,
     ConstructionParams,
     _on_ray,
@@ -51,15 +54,15 @@ def jn(x, y, angles, conf=1.0):
 
 def test_params_validation():
     with pytest.raises(GeometryError):
-        ConstructionParams(kappa_min=1.5)
-    with pytest.raises(GeometryError):
         ConstructionParams(omega=-1.0)
     with pytest.raises(GeometryError):
         ConstructionParams(omega=float("nan"))
     with pytest.raises(GeometryError):
-        ConstructionParams(kappa_min=float("nan"))
+        ConstructionParams(tau_b=float("nan"))
     with pytest.raises(GeometryError):
         ConstructionParams(rho_nms=float("inf"))
+    with pytest.raises(TypeError):  # the rescue pass's constants are not parameters
+        ConstructionParams(kappa_min=0.6)
 
 
 def test_dedup_keeps_strongest():
@@ -170,7 +173,7 @@ def test_farthest_mask_point():
 
 # -- the batched walk and support ratios against the old per-ray code --
 
-def reference_farthest_mask_point(origin, angle_deg, mask, max_gap=DEFAULT_MAX_WALK_GAP):
+def reference_farthest_mask_point(origin, angle_deg, mask, max_gap=MAX_WALK_GAP):
     """Oracle: one ray, one pixel and one scalar probe at a time."""
     end = ray_boundary_point(origin, angle_deg, mask.width, mask.height)
     if end is None or (abs(end.x - origin.x) < 0.5 and abs(end.y - origin.y) < 0.5):
@@ -208,7 +211,7 @@ def reference_line_support_ratio(a, b, mask):
     return np.count_nonzero(mask.bits[px[:, 1], px[:, 0]]) / len(px)
 
 
-def assert_walks_match(rays, mask, max_gap=DEFAULT_MAX_WALK_GAP):
+def assert_walks_match(rays, mask, max_gap=MAX_WALK_GAP):
     want = [reference_farthest_mask_point(o, a, mask, max_gap) for o, a in rays]
     assert farthest_mask_points(with_exits(rays, mask), mask, max_gap) == want
     return want
@@ -310,7 +313,7 @@ def test_line_support_ratios_match_per_piece(data):
 def test_recover_boundary_case():
     mask = BinaryMask(100, 100)
     origin = jn(2, 50, [180])
-    segs = recover_unmatched([origin], [(0, 0)], mask, [], ConstructionParams())
+    segs = recover_unmatched([origin], [(0, 0)], mask, [])
     assert segs == [Segment(Point(2.0, 50.0), Point(0.0, 50.0))]
     # the wireframe gains the far end as a derived order-1 junction
     wf = construct_wireframe([origin], HeatMap(100, 100, np.zeros((100, 100))))
@@ -321,7 +324,7 @@ def test_recover_boundary_case():
 def test_recover_nothing_on_empty_mask():
     mask = BinaryMask(100, 100)
     origin = jn(50, 50, [0])
-    assert recover_unmatched([origin], [(0, 0)], mask, [], ConstructionParams()) == []
+    assert recover_unmatched([origin], [(0, 0)], mask, []) == []
 
 
 def test_recover_kappa_accepts_sparse_support():
@@ -330,7 +333,7 @@ def test_recover_kappa_accepts_sparse_support():
     for x in (2, 3, 4, 6, 7, 9, 12):
         mask.bits[5, x] = True
     origin = jn(2, 5, [0])
-    segs = recover_unmatched([origin], [(0, 0)], mask, [], ConstructionParams())
+    segs = recover_unmatched([origin], [(0, 0)], mask, [])
     assert segs == [Segment(Point(2.0, 5.0), Point(12.0, 5.0))]
     assert line_support_ratios([(Point(2.0, 5.0), Point(12.0, 5.0))], mask) == [7 / 11]
 
@@ -340,7 +343,7 @@ def test_recover_kappa_rejects_weak_support():
     for x in (2, 5, 9, 12):  # 4 of 11 pixels
         mask.bits[5, x] = True
     origin = jn(2, 5, [0])
-    segs = recover_unmatched([origin], [(0, 0)], mask, [], ConstructionParams())
+    segs = recover_unmatched([origin], [(0, 0)], mask, [])
     assert segs == []
 
 
@@ -352,7 +355,7 @@ def test_recover_splits_at_existing_segment():
     mask.bits[5, 20] = True  # q_M far right, gap in between
     origin = jn(2, 5, [0])
     wall = Segment(Point(8.0, 0.0), Point(8.0, 10.0))
-    segs = recover_unmatched([origin], [(0, 0)], mask, [wall], ConstructionParams())
+    segs = recover_unmatched([origin], [(0, 0)], mask, [wall])
     assert len(segs) == 1
     (s,) = segs
     assert (s.a.x, s.a.y) == (2.0, 5.0)
@@ -377,6 +380,18 @@ def test_construct_thresholds_inputs():
     strong = jn(10, 0, [180], conf=0.9)
     wf = construct_wireframe([weak, strong], HeatMap(20, 20, np.zeros((20, 20))))
     assert len(wf.junctions) == 1 and wf.segments == []
+
+
+@pytest.mark.parametrize("order", [[0, 1, 2], [1, 0, 2], [2, 1, 0]])
+def test_construct_drops_a_nan_confidence_like_a_weak_one(order):
+    # NaN fails tau_c as a NaN branch confidence fails tau_b; kept, it would
+    # win or lose NMS by input order alone
+    hm, params = HeatMap(20, 20, np.zeros((20, 20))), ConstructionParams(rho_nms=2.0)
+    js = [jn(0, 0, [0], float("nan")), jn(1, 0, [0], 0.8), jn(2, 0, [0], 0.9)]
+    weak = [jn(0, 0, [0], 0.3)] + js[1:]
+    got = construct_wireframe([js[k] for k in order], hm, params)
+    assert repr(got) == repr(construct_wireframe([weak[k] for k in order], hm, params))
+    assert [j.center for j in got.junctions] == [Point(2.0, 0.0)]
 
 
 def hexagon_scene(cx=16.0, cy=16.0, r=12.0, size=32):
@@ -440,7 +455,7 @@ def test_omega_monotone_recovery():
     counts = []
     for omega in (0.5, 5.0, 15.0, 29.0):
         mask = binarize(HeatMap(40, 10, heat), omega)
-        segs = recover_unmatched([origin], [(0, 0)], mask, [], ConstructionParams(omega=omega))
+        segs = recover_unmatched([origin], [(0, 0)], mask, [])
         counts.append(len(segs))
     assert counts == sorted(counts, reverse=True)
 
@@ -563,6 +578,8 @@ def test_match_ray_pairs_in_blocks_of_a_few_pairs(junctions, delta):
 @settings(max_examples=200, deadline=None)
 @example([jn(5, 5, [0], 0.9), jn(5, 5, [90], 0.9)], 0.0)  # coincident centers
 @example([jn(0, 0, [0]), jn(3, 4, [0], 0.8)], 5.0)  # exactly rho_nms apart
+# a duplicated centre, and a junction exactly rho_nms from both copies
+@example([jn(0, 0, [0], 0.8), jn(3, 4, [0], 0.9), jn(3, 4, [90], 0.9)], 5.0)
 @example([], 2.0)
 def test_dedup_matches_greedy_oracle(junctions, rho):
     assert dedup_junctions(junctions, rho) == dedup_oracle(junctions, rho)
@@ -576,12 +593,12 @@ def mask_of(lines, width, height):
     return mask
 
 
-def reference_recover_unmatched(junctions, unmatched, mask, segments, params):
+def reference_recover_unmatched(junctions, unmatched, mask, segments):
     """Oracle: the rescue pass one ray at a time, each walked by the scalar
     walk and cut against every pool segment by ``segment_intersection``, the
     pool growing as rays add segments (the per-ray loop the batched pass
     replaced, with an all-pairs cut search)."""
-    limit = params.boundary_frac * max(mask.width, mask.height)
+    limit = BOUNDARY_FRAC * max(mask.width, mask.height)
     new_segments = []
     for ray in sorted(unmatched):
         origin, angle = ray_at(junctions, ray)
@@ -589,8 +606,8 @@ def reference_recover_unmatched(junctions, unmatched, mask, segments, params):
         if q_b is not None and 0.0 < origin.distance_to(q_b) <= limit:
             new_segments.append(Segment(origin, q_b))
             continue
-        q_m = reference_farthest_mask_point(origin, angle, mask, params.max_walk_gap)
-        if q_m is None or origin.distance_to(q_m) < params.min_piece_len:
+        q_m = reference_farthest_mask_point(origin, angle, mask, MAX_WALK_GAP)
+        if q_m is None or origin.distance_to(q_m) < MIN_PIECE_LEN:
             continue
         whole = Segment(origin, q_m)
         cuts = []
@@ -602,9 +619,9 @@ def reference_recover_unmatched(junctions, unmatched, mask, segments, params):
         cuts.sort(key=lambda c: c.distance_to(origin))
         stops = [origin] + cuts + [q_m]
         pieces = [(a, b) for a, b in zip(stops, stops[1:])
-                  if a.distance_to(b) >= params.min_piece_len]
+                  if a.distance_to(b) >= MIN_PIECE_LEN]
         for a, b in pieces:
-            if reference_line_support_ratio(a, b, mask) > params.kappa_min:
+            if reference_line_support_ratio(a, b, mask) > KAPPA_MIN:
                 new_segments.append(Segment(a, b))
     return new_segments
 
@@ -612,8 +629,8 @@ def reference_recover_unmatched(junctions, unmatched, mask, segments, params):
 def assert_recover_matches(junctions, lines, pool):
     """recover_unmatched equals its oracle on a 24 x 24 mask of the lines."""
     mask, rays = mask_of(lines, 24, 24), all_rays(junctions)
-    got = recover_unmatched(junctions, rays, mask, pool, ConstructionParams())
-    want = reference_recover_unmatched(junctions, rays, mask, pool, ConstructionParams())
+    got = recover_unmatched(junctions, rays, mask, pool)
+    want = reference_recover_unmatched(junctions, rays, mask, pool)
     assert repr(got) == repr(want)  # repr: the same floats, signed zeros too
     return got
 

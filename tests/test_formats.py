@@ -47,7 +47,7 @@ from wireframe.geometry import (
     build_incidence,
     normalize_angle,
 )
-from wireframe.gridcodec import GridConfig, GridEncoding, encode
+from wireframe.gridcodec import GridConfig, GridEncoding, decode, encode
 
 
 def seg(x1, y1, x2, y2):
@@ -323,6 +323,59 @@ def test_wireframe_write_rejects_bad_incidence_rows(tmp_path, incidence, why):
     with pytest.raises(FormatError, match=why):
         write_wireframe(Wireframe(wf.junctions, wf.segments, np.asarray(incidence)), 20, 20,
                         str(p))
+    assert not p.exists()
+
+
+def reader_error(tmp_path, doc, read) -> str:
+    """The reader's message for doc, with its path cut off."""
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(doc))  # NaN and Infinity as json spells them
+    with pytest.raises(FormatError) as e:
+        read(str(p))
+    p.unlink()
+    return str(e.value).removeprefix(f"{p}: ")
+
+
+@pytest.mark.parametrize("bad", [
+    Junction(Point(1.0, 2.0), (Branch(90.0),), 1.3),
+    Junction(Point(1.0, 2.0), (Branch(90.0),), float("nan")),
+    Junction(Point(1.0, 2.0), (Branch(90.0), Branch(45.0, -0.5))),
+    Junction(Point(1.0, 2.0), (Branch(90.0), Branch(float("inf"))), 0.5),
+    Junction(Point(1.0, 2.0), (Branch(float("-inf"), 2.0),), 1.5),  # the score comes first
+    Junction(Point(1.0, 2.0), (Branch(float("nan"), 2.0),)),  # theta before its score
+], ids=["score", "nan-score", "branch-score", "inf-theta", "first-field", "nan-theta"])
+@pytest.mark.parametrize("kind", ["junctions", "wireframe"])
+def test_writers_refuse_what_the_reader_rejects(tmp_path, bad, kind):
+    # what the reader rejects is not written: the writer raises the reader's
+    # message for the first bad field, and opens no file
+    good = Junction(Point(5.0, 5.0), (Branch(0.0, 0.5),), 1.0)
+    records = [{"x": j.center.x, "y": j.center.y, "score": j.confidence,
+                "branches": [{"theta": b.angle_deg, "score": b.confidence} for b in j.branches]}
+               for j in (good, bad)]
+    doc = {"width": 8, "height": 8, "junctions": records}
+    if kind == "junctions":
+        read, write = read_junctions, lambda p: write_junctions(8, 8, [good, bad], p)
+    else:
+        doc.update(segments=[], incidence=[])
+        read, write = read_wireframe, lambda p: write_wireframe(Wireframe([good, bad]), 8, 8, p)
+    want = reader_error(tmp_path, doc, read)
+    assert want.startswith("junctions[1]")
+    p = tmp_path / "out.json"
+    with pytest.raises(FormatError) as e:
+        write(str(p))
+    assert str(e.value) == f"{p}: {want}"
+    assert not p.exists()
+
+
+def test_decoded_confidence_above_one_is_refused(tmp_path):
+    # a network's grid is not clipped: a centre confidence of 1.3 decodes to
+    # a junction whose file the reader would reject
+    enc = encode([Junction(Point(10.0, 10.0), (Branch(0.0), Branch(90.0)))], GridConfig(64, 64))
+    enc.center_conf[enc.center_conf > 0.0] = 1.3
+    (j,) = decode(enc)
+    p = tmp_path / "j.json"
+    with pytest.raises(FormatError, match=r"junctions\[0\]: score 1.3 outside \[0,1\]$"):
+        write_junctions(64, 64, [j], str(p))
     assert not p.exists()
 
 
@@ -651,14 +704,19 @@ def test_writers_emit_json_dumps_indent_1(tmp_path):
 def test_batched_spelling_is_the_scalar_spelling(vals):
     assert _spell(vals) == [json.dumps(_round9(v)) for v in vals]
     # the same values as branch angles, which are written in [0, 360)
-    j = Junction(Point(1.0, 2.0), tuple(Branch(v, v) for v in vals))
+    j = Junction(Point(1.0, 2.0), tuple(Branch(v) for v in vals))
     assert_writes(lambda p: write_junctions(8, 8, [j], p), lambda: {
         "width": 8, "height": 8, "junctions": [reference_junction_record(j)]})
 
 
 def reference_junction_record(j: Junction, derived=None) -> dict:
     """One junction as the document the writers spell; wireframe files also
-    record `derived`."""
+    record `derived`.  A score outside [0, 1] or a non-finite angle, which the
+    reader rejects, is refused."""
+    if not all(0.0 <= c <= 1.0 for c in (j.confidence, *(b.confidence for b in j.branches))):
+        raise FormatError("score outside [0,1]")
+    if not all(math.isfinite(b.angle_deg) for b in j.branches):
+        raise FormatError("theta is not a finite number")
     rec = {"x": _round9(j.center.x), "y": _round9(j.center.y),
            "score": _round9(j.confidence)}
     if derived is not None:
@@ -698,9 +756,11 @@ edge_floats = st.sampled_from([0.0, -0.0, 5e-324, 1e-5, 123456789.0, 999999999.5
                                1234567890.0, 1e16, 359.9999999996, 1 / 3])
 coords = st.floats(allow_nan=False, allow_infinity=False) | edge_floats
 anything = st.floats() | edge_floats | st.sampled_from([-1e-12, 360.0, 720.5, -5.0])
+# scores the reader takes; others are refused (test_writers_refuse_what_the_reader_rejects)
+scores = st.floats(0.0, 1.0) | st.sampled_from([-0.0, 5e-324, 1e-5, 1 / 3, 0.9999999996, 1.0])
 junction_lists = st.lists(st.builds(
     lambda x, y, c, bs, d: Junction(Point(x, y), tuple(bs), c, d),
-    coords, coords, anything, st.lists(st.builds(Branch, anything, anything), max_size=3),
+    coords, coords, scores, st.lists(st.builds(Branch, anything, scores), max_size=3),
     st.booleans()), max_size=6)
 
 

@@ -23,7 +23,7 @@ from wireframe.geometry import (
     intersection_points,
     may_cut,
     near_lists,
-    near_segment_pairs,
+    near_pairs,
     normalize_angle,
     normalize_angles,
     point_array,
@@ -526,20 +526,40 @@ def test_near_lists_in_blocks_of_a_few_pairs(points, others, limit):
             assert_near_lists_match_oracle(points, others, limit)
 
 
-@given(st.lists(grid_points, max_size=8), st.lists(grid_segments, max_size=8), tols)
-@settings(max_examples=200, deadline=None)
+def assert_near_pairs_match_oracle(points, others, limit):
+    """near_pairs of the points and the other points or segments (as (M, 2)
+    and (M, 4) arrays; empty, both) is the all-pairs loop's, in blocks of a
+    few pairs too."""
+    for to_array, scalar in ((point_array, Point.distance_to),
+                             (segment_array, point_segment_distance)):
+        if others and isinstance(others[0], Segment) != (to_array is segment_array):
+            continue
+        want = [(i, j) for i, p in enumerate(points) for j, q in enumerate(others)
+                if scalar(p, q) <= limit]
+        for block in (1, 3, 7, geometry._BLOCK_PAIRS):
+            with mock.patch.object(geometry, "_BLOCK_PAIRS", block):
+                i, j = near_pairs(point_array(points), to_array(others), limit)
+            assert list(zip(i.tolist(), j.tolist())) == want
+
+
+@given(st.lists(grid_points, max_size=8),
+       st.lists(grid_points, max_size=8) | st.lists(grid_segments, max_size=8), tols)
+@settings(max_examples=300, deadline=None)
 @example([pt(0, 0), pt(3, 4)], [seg(0, 5, 10, 5)], 5.0)
+@example([pt(0, 0), pt(3, 4)], [pt(3, 4), pt(6, 8), pt(0, 0)], 5.0)
 @example([pt(3, 4)], [seg(0, 0, 0, 10)], 3.0)
 @example([pt(1, 1), pt(1, 1)], [seg(1, 1, 2, 2)], 0.0)
+@example([pt(1, 1), pt(1, 1)], [pt(1, 1)], 0.0)
 # one ulp under the distance: the prefilter proposes the pair, the scalar drops it
 @example([pt(3, 4)], [seg(0, 0, 0, 10)], math.nextafter(3.0, 0.0))
+@example([pt(3, 4)], [pt(0, 0)], math.nextafter(5.0, 0.0))
 @example([], [seg(0, 0, 1, 1)], 1.0)
 @example([pt(1, 1)], [], 1.0)
-def test_near_segment_pairs_match_all_pairs_oracle(points, segments, limit):
-    for block in (1, 7, geometry._BLOCK_PAIRS):
-        with mock.patch.object(geometry, "_BLOCK_PAIRS", block):
-            i, j = near_segment_pairs(points, segments, point_array(points),
-                                      segment_array(segments), limit)
-        assert list(zip(i.tolist(), j.tolist())) == [
-            (i, j) for i, p in enumerate(points) for j, s in enumerate(segments)
-            if point_segment_distance(p, s) <= limit]
+# far from the origin: the box pad scales with the coordinates' ulps
+@example([pt(1e150, -1e150), pt(-3, 4)],
+         [pt(1e150 + 2e134, -1e150), pt(0, 0), pt(-1e150, 1e150)], 5.0)
+@example([pt(1e150, -1e150), pt(-3, 4)],
+         [seg(1e150 + 2e134, -1e150, 1e150 + 4e134, -1e150), seg(0, 0, 0, 10),
+          seg(-1e150, 1e150, 1e150, -1e150)], 5.0)
+def test_near_pairs_match_all_pairs_oracle(points, others, limit):
+    assert_near_pairs_match_oracle(points, others, limit)
