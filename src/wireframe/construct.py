@@ -12,6 +12,7 @@ Everything here is deterministic: identical inputs give identical output.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 from typing import Optional, Sequence
@@ -37,10 +38,10 @@ from .geometry import (
     may_cut,
     near_pairs,
     normalize_angle,
+    normalize_angles,
     point_array,
     point_distances,
     prefilter_bound,
-    segment_array,
     segment_intersection,
     surely_within,
     within,
@@ -100,6 +101,8 @@ def dedup_junctions(junctions: Sequence[Junction], rho_nms: float) -> list[Junct
     """
     if not 0 <= rho_nms < math.inf:  # NaN fails too
         raise GeometryError(f"NMS radius {rho_nms} must be finite and >= 0")
+    if not all(math.isfinite(j.confidence) for j in junctions):  # sorted by it, a NaN has no place
+        raise GeometryError("junction confidences must be finite")
     order = sorted(junctions, key=lambda j: (-j.confidence, j.center.y, j.center.x))
     xy, is_kept = point_array([j.center for j in order]), [True] * len(order)
     for i, k in zip(*(a.tolist() for a in near_pairs(xy, xy, rho_nms))):
@@ -177,25 +180,11 @@ def match_ray_pairs(junctions: Sequence[Junction], delta_ray: float = DEFAULT_DE
     return [(rays[k], rays[b]) for k, b in zip(mutual.tolist(), choice[mutual].tolist())]
 
 
-def ray_boundary_point(origin: Point, angle_deg: float,
-                       width: int, height: int) -> Optional[Point]:
-    """Where the ray exits the pixel box [0, w-1] x [0, h-1]; None when the
-    origin is already outside."""
-    if not (0.0 <= origin.x <= width - 1 and 0.0 <= origin.y <= height - 1):
-        return None
-    dx, dy = math.cos(math.radians(angle_deg)), math.sin(math.radians(angle_deg))
-    tx = (width - 1 - origin.x) / dx if dx > 0 else -origin.x / dx if dx < 0 else math.inf
-    ty = (height - 1 - origin.y) / dy if dy > 0 else -origin.y / dy if dy < 0 else math.inf
-    t_exit = min(tx, ty)
-    if not math.isfinite(t_exit):
-        return None
-    return Point(origin.x + t_exit * dx, origin.y + t_exit * dy)
-
-
-def farthest_mask_points(rays: Sequence[tuple[Point, float, Optional[Point]]], mask: BinaryMask,
-                         max_gap: float = MAX_WALK_GAP) -> list[Optional[Point]]:
-    """Farthest supporting mask pixel (not ray pixel) of each (origin, angle,
-    exit) ray's walk along its rasterized pixels to its boundary exit, or None.
+def farthest_mask_points(origins: np.ndarray, angles: np.ndarray, exits: np.ndarray,
+                         mask: BinaryMask, max_gap: float = MAX_WALK_GAP) -> np.ndarray:
+    """Farthest supporting mask pixel (not ray pixel) of each ray's walk along
+    its rasterized pixels from its origin row, at its angle, to its exit row
+    (NaN for none), as (K, 2) rows; NaN where no pixel supports the walk.
 
     Digital lines of the same geometric line drawn from different anchors
     disagree by one pixel across the dominant axis, so each ray pixel also
@@ -205,16 +194,12 @@ def farthest_mask_points(rays: Sequence[tuple[Point, float, Optional[Point]]], m
     once, in chunks of steps that grow until every walk has stopped.
     """
     w = mask.width + 2  # row length of the padded mask
-    segs, lateral, which = [], [], []
-    for i, (origin, angle_deg, end) in enumerate(rays):
-        if end is None or (abs(end.x - origin.x) < 0.5 and abs(end.y - origin.y) < 0.5):
-            continue
-        rad = math.radians(angle_deg)  # lateral = across the dominant axis of travel
-        lateral.append(w if abs(math.cos(rad)) >= abs(math.sin(rad)) else 1)
-        segs.append((origin.x, origin.y, end.x, end.y))
-        which.append(i)
-    rows, lines = digital_lines(np.array(segs).reshape(-1, 4), mask.width, mask.height)
-    which, lateral = np.array(which, dtype=np.intp)[rows], np.array(lateral, dtype=np.intp)[rows]
+    go = np.flatnonzero((np.abs(exits - origins) >= 0.5).any(axis=1))  # NaN: no exit
+    lateral = np.array([w if abs(math.cos(r)) >= abs(math.sin(r)) else 1  # across travel
+                        for r in map(math.radians, angles.take(go).tolist())], dtype=np.intp)
+    rows, lines = digital_lines(np.hstack([origins, exits]).take(go, axis=0),
+                                mask.width, mask.height)
+    which, lateral = go.take(rows), lateral.take(rows)
     n, first = lines[:, 5] - 1, np.cumsum(lines[:, 5]) - lines[:, 5]
     padded = np.pad(mask.bits, 1).ravel()
     last = np.full(len(rows), -1)  # step of each walk's last supported pixel
@@ -222,12 +207,12 @@ def farthest_mask_points(rays: Sequence[tuple[Point, float, Optional[Point]]], m
     active, lo, k = np.arange(len(rows)), 0, 32
     while len(active):
         steps, ends = lo + np.arange(k), n[active, None]
-        xs, ys = line_pixels(lines[active], k,
+        xs, ys = line_pixels(lines.take(active, axis=0), k,
                              (np.minimum(steps, ends) + first[active, None]).ravel())
         at, side = ys * w + xs + w + 1, np.repeat(lateral[active], k)
         probes = np.stack((at, at - side, at + side))
-        bits = padded[probes]
-        pixel = probes[bits.argmax(axis=0), np.arange(len(at))].reshape(-1, k)
+        bits = padded.take(probes)
+        pixel = probes.ravel().take(bits.argmax(axis=0) * len(at) + np.arange(len(at)))
         hit = bits.any(axis=0).reshape(-1, k) & (steps <= ends)
         seen = np.maximum(np.maximum.accumulate(np.where(hit, steps, -1), axis=1),
                           last[active, None])
@@ -236,45 +221,49 @@ def farthest_mask_points(rays: Sequence[tuple[Point, float, Optional[Point]]], m
         done, r = over.any(axis=1), np.arange(len(active))
         step = seen[r, np.where(done, over.argmax(axis=1), k - 1)]
         here = step >= lo
-        found[active[here]] = pixel[r[here], step[here] - lo]
+        found[active[here]] = pixel.reshape(-1, k)[r[here], step[here] - lo]
         last[active], active, lo = step, active[~done], lo + k
         k = max(32, min(2 * k, _BLOCK_PX // max(len(active), 1)))
-    out: list[Optional[Point]] = [None] * len(rays)
-    for i, s, f in zip(which.tolist(), last.tolist(), found.tolist()):
-        if s >= 0:
-            out[i] = Point(float(f % w - 1), float(f // w - 1))
+    out, hit = np.full((len(origins), 2), np.nan), last >= 0
+    out[which[hit]] = np.column_stack([found[hit] % w - 1, found[hit] // w - 1])
     return out
 
 
-def line_support_ratios(pieces: Sequence[tuple[Point, Point]],
-                        mask: BinaryMask) -> list[float]:
-    """Fraction of each rasterized a-b piece's pixels set in the mask (0 if
-    it has none or a == b), all pieces rasterized in one call."""
-    segs = np.array([(a.x, a.y, b.x, b.y) for a, b in pieces]).reshape(-1, 4)
-    rows, lines = digital_lines(segs, mask.width, mask.height)
+def line_support_ratios(pieces: np.typing.ArrayLike, mask: BinaryMask) -> np.ndarray:
+    """Fraction of each rasterized piece's pixels set in the mask (0 if it has
+    none), the pieces (P, 4) rows (x1, y1, x2, y2) rasterized in one call."""
+    pieces = np.reshape(pieces, (-1, 4))
+    rows, lines = digital_lines(pieces, mask.width, mask.height)
     counts = lines[:, 5]
     xs, ys = line_pixels(lines, counts, np.arange(counts.sum()))
     ratio = np.zeros(len(pieces))
-    ratio[rows] = np.add.reduceat(mask.bits[ys, xs].astype(np.intp),
+    ratio[rows] = np.add.reduceat(mask.bits.ravel().take(ys * mask.width + xs).astype(np.intp),
                                   np.cumsum(counts) - counts) / counts
-    return [r if (a.x, a.y) != (b.x, b.y) else 0.0 for r, (a, b) in zip(ratio.tolist(), pieces)]
+    return ratio
 
 
-def _pieces(whole: Segment, hits: list) -> list[tuple[Point, Point]]:
-    """The stretches of whole, MIN_PIECE_LEN or longer, between its cuts: the hits
-    (points or None) in pool order, less those within 1e-6 of an earlier cut."""
-    o, q, cuts = whole.a, whole.b, []
+def _cut(s1: Segment, s2: Segment) -> Optional[tuple[float, float]]:
+    p = segment_intersection(s1, s2).point
+    return None if p is None else (p.x, p.y)
+
+
+def _pieces(whole: Sequence[float], hits: list) -> list[tuple[float, ...]]:
+    """The stretches of the whole row, MIN_PIECE_LEN or longer, between its
+    cuts, as rows: the hits ((x, y) or None) in pool order, less those within
+    1e-6 of an earlier cut.  ``math.dist`` is ``Point.distance_to``'s hypot."""
+    o, q, cuts = tuple(whole[:2]), tuple(whole[2:]), []
     for hit in hits:
-        if hit is not None and all(hit.distance_to(c) > 1e-6 for c in cuts):
+        if hit is not None and all(math.dist(hit, c) > 1e-6 for c in cuts):
             cuts.append(hit)
-    stops = [o] + sorted((c for c in cuts if c.distance_to(o) > 1e-9 and c.distance_to(q) > 1e-9),
-                         key=lambda c: c.distance_to(o)) + [q]
-    return [(a, b) for a, b in zip(stops, stops[1:]) if a.distance_to(b) >= MIN_PIECE_LEN]
+    stops = [o] + sorted((c for c in cuts if math.dist(c, o) > 1e-9 and math.dist(c, q) > 1e-9),
+                         key=lambda c: math.dist(c, o)) + [q]
+    return [a + b for a, b in zip(stops, stops[1:]) if math.dist(a, b) >= MIN_PIECE_LEN]
 
 
 def recover_unmatched(junctions: Sequence[Junction], unmatched: Sequence[tuple[int, int]],
-                      mask: BinaryMask, segments: Sequence[Segment]) -> list[Segment]:
-    """New segments that rescue the (junction, branch) rays left unmatched.
+                      mask: BinaryMask, segments: np.ndarray) -> np.ndarray:
+    """The (K, 4) rows of new segments that rescue the (junction, branch)
+    rays left unmatched, given the (M, 4) rows of the known segments.
 
     A ray whose boundary exit is within BOUNDARY_FRAC * max(w, h) of its
     origin becomes a segment to the boundary.  Otherwise the ray walks the
@@ -283,92 +272,102 @@ def recover_unmatched(junctions: Sequence[Junction], unmatched: Sequence[tuple[i
     KAPPA_MIN survives.  Later rays split against the new segments too, in
     (junction, branch) order and pool order.
 
-    Walks, cuts on the given segments and support ratios are batched: one
-    ``may_cut`` pass over the given and then the whole segments lists what
-    may cut each walked ray, and ``intersection_points`` settles all given
-    ones but near-touching pairs.  A later segment is a boundary segment or
-    a piece of an earlier ray's whole walk, so the same pass lists the
-    earlier rays that may cut a ray; only theirs go to the scalar, and
-    changed pieces are redone.
+    Walks, cuts and support ratios are batched: one ``may_cut`` pass over
+    the given and then the whole segments lists what may cut each walked
+    ray, and ``intersection_points`` settles all given ones but near-touching
+    pairs.  A later segment is a piece of an earlier ray's whole one: only the
+    rays listed go to the scalar, on ``Segment``s, and changed pieces are redone.
     """
-    limit = BOUNDARY_FRAC * max(mask.width, mask.height)
-    origins = [junctions[i].center for i, _ in sorted(unmatched)]
-    angles = [normalize_angle(junctions[i].branches[k].angle_deg) for i, k in sorted(unmatched)]
-    exits = [ray_boundary_point(o, a, mask.width, mask.height) for o, a in zip(origins, angles)]
-    short = [q is not None and 0.0 < o.distance_to(q) <= limit for o, q in zip(origins, exits)]
+    rays = sorted(unmatched)
+    origins = point_array([junctions[i].center for i, _ in rays])
+    angles = np.array([normalize_angle(junctions[i].branches[k].angle_deg) for i, k in rays])
+    # each ray's exit from the pixel box [0, w-1] x [0, h-1], NaN from outside it
+    d = np.reshape([(math.cos(r), math.sin(r)) for r in map(math.radians, angles.tolist())],
+                   (-1, 2))
+    box = np.array([mask.width - 1.0, mask.height - 1.0])
+    with np.errstate(all="ignore"):  # / 0 is masked out; a NaN angle has no exit
+        t = np.where(d > 0, (box - origins) / d, np.where(d < 0, -origins / d, np.inf))
+        t = np.where(t[:, 1] < t[:, 0], t[:, 1], t[:, 0])  # Python's min(tx, ty)
+        inside = ((origins >= 0.0) & (origins <= box)).all(axis=1) & np.isfinite(t)
+        ends = np.where(inside[:, None], origins + t[:, None] * d, np.nan)
+    short = np.array([0.0 < math.dist(o, q) <= BOUNDARY_FRAC * max(mask.width, mask.height)
+                      for o, q in zip(origins.tolist(), ends.tolist())], dtype=bool)
     # a walk depends only on its ray and the mask, not on the pool: walk all at once
-    walked = [k for k, s in enumerate(short) if not s]
-    ends = farthest_mask_points([(origins[k], angles[k], exits[k]) for k in walked], mask)
+    walked = np.flatnonzero(~short)
+    ends[walked] = farthest_mask_points(origins[walked], angles[walked], ends[walked], mask)
     # each ray's whole segment: to its exit, or to its farthest support
-    whole = {k: Segment(origins[k], exits[k]) for k, s in enumerate(short) if s}
-    whole.update((k, Segment(origins[k], q)) for k, q in zip(walked, ends)
-                 if q is not None and origins[k].distance_to(q) >= MIN_PIECE_LEN)
-    src = np.array(sorted(whole), dtype=np.intp)
-    walked_src = np.flatnonzero(~np.array(short, dtype=bool)[src])  # the rows of src walked
-    rows, given = src[walked_src].tolist(), len(segments)
+    src = np.flatnonzero(short | np.array([math.dist(o, q) >= MIN_PIECE_LEN for o, q in zip(
+        origins.tolist(), ends.tolist())], dtype=bool))
+    walked_src, given = np.flatnonzero(~short[src]), len(segments)  # the rows of src walked
     # the walked rays' cut search: the given segments, then every whole one
-    pool = segment_array(list(segments) + [whole[k] for k in src.tolist()])
+    pool = np.vstack([segments, np.hstack([origins, ends]).take(src, axis=0)])
     w_xy = pool.take(given + walked_src, axis=0)
     pi, pj = may_cut(w_xy, pool)
     i, m = pi[pj < given], pj[pj < given]
     sure, xy = intersection_points(w_xy.take(i, axis=0), pool.take(m, axis=0))
-    keep, hits = ~sure | (xy[:, 0] == xy[:, 0]), [[] for _ in rows]  # unsettled, or a point
+    keep, hits = ~sure | (xy[:, 0] == xy[:, 0]), [[] for _ in walked_src]  # unsettled, or a point
+    rows, segment = pool.tolist(), lambda r: Segment(Point(*r[:2]), Point(*r[2:]))
+    pooled = functools.cache(lambda k: segment(rows[k]))  # the scalar's, built once
     for n, k, x, y in zip(i[keep].tolist(), m[keep].tolist(), *xy[keep].T.tolist()):
-        hits[n].append(Point(x, y) if x == x else
-                       segment_intersection(whole[rows[n]], segments[k]).point)
-    pieces = [_pieces(whole[k], hs) for k, hs in zip(rows, hits)]
+        hits[n].append((x, y) if x == x else _cut(pooled(given + walked_src[n]), pooled(k)))
+    pieces = [_pieces(r, hs) for r, hs in zip(w_xy.tolist(), hits)]
     ratios = iter(line_support_ratios([p for ps in pieces for p in ps], mask))
     kappas = [[next(ratios) for _ in ps] for ps in pieces]
     keep = (pj >= given) & (pj < given + walked_src[pi])  # segments of earlier rays
-    first = np.searchsorted(pi[keep], np.arange(len(rows) + 1)).tolist()
-    tail, row, added = src[pj[keep] - given].tolist(), {k: n for n, k in enumerate(rows)}, {}
-    for k in src.tolist():  # each ray's segments join the pool before the next ray is cut
+    first = np.searchsorted(pi[keep], np.arange(len(walked_src) + 1)).tolist()
+    tail, row = (pj[keep] - given).tolist(), {k: n for n, k in enumerate(walked_src.tolist())}
+    added: list[list] = []  # per row of src, in turn; its Segments once a later ray needs them
+    made = functools.cache(lambda t: [segment(s) for s in added[t]])
+    for k in range(len(src)):  # each ray's segments join the pool before the next ray is cut
         n = row.get(k)
-        new = [] if n is None else [segment_intersection(whole[k], s).point
-                                    for t in tail[first[n]:first[n + 1]] for s in added[t]]
+        new = [] if n is None else [_cut(pooled(given + k), s)
+                                    for t in tail[first[n]:first[n + 1]] for s in made(t)]
         if any(h is not None for h in new) and (  # a later segment cuts: new pieces?
-                redone := _pieces(whole[k], hits[n] + new)) != pieces[n]:
+                redone := _pieces(rows[given + k], hits[n] + new)) != pieces[n]:
             pieces[n], kappas[n] = redone, line_support_ratios(redone, mask)
-        added[k] = [whole[k]] if n is None else [
-            Segment(*ab) for ab, kappa in zip(pieces[n], kappas[n]) if kappa > KAPPA_MIN]
-    return [s for k in src.tolist() for s in added[k]]
+        added.append([rows[given + k]] if n is None else
+                     [p for p, kappa in zip(pieces[n], kappas[n]) if kappa > KAPPA_MIN])
+    return np.reshape([s for ss in added for s in ss], (-1, 4))
 
 
 def construct_wireframe(junctions: Sequence[Junction], h: HeatMap,
                         params: ConstructionParams = ConstructionParams()) -> Wireframe:
-    """Full pipeline from detected junctions and a line heat map."""
-    confident = []
-    for j in junctions:
-        if not j.confidence > params.tau_c:  # NaN is dropped, as for branches
-            continue
-        branches = tuple(b for b in j.branches if b.confidence > params.tau_b)
-        if branches:
-            confident.append(Junction(j.center, branches, j.confidence))
-    kept = dedup_junctions(confident, params.rho_nms)
+    """Full pipeline from detected junctions and a line heat map, on segment rows."""
+    kept = dedup_junctions([  # a NaN confidence is dropped, as for branches
+        Junction(j.center, bs, j.confidence) for j in junctions if j.confidence > params.tau_c
+        and (bs := tuple(b for b in j.branches if b.confidence > params.tau_b))], params.rho_nms)
 
     mask = binarize(h, params.omega)
     pairs = match_ray_pairs(kept, params.delta_ray)
-    matched_segments = [Segment(kept[a].center, kept[b].center) for (a, _), (b, _) in pairs]
+    xy = point_array([j.center for j in kept])
+    matched = xy.take(np.array([(a, b) for (a, _), (b, _) in pairs], dtype=np.intp),
+                      axis=0).reshape(-1, 4)
     taken = {ray for pair in pairs for ray in pair}
     unmatched = [(i, k) for i, j in enumerate(kept) for k in range(j.order)
                  if (i, k) not in taken]
-    new_segments = recover_unmatched(kept, unmatched, mask, matched_segments)
+    rows = np.vstack([matched, recover_unmatched(kept, unmatched, mask, matched)])
 
-    unique: dict[tuple, Segment] = {}  # the first segment per unordered endpoint pair
-    for s in matched_segments + new_segments:
-        unique.setdefault(tuple(sorted(((s.a.x, s.a.y), (s.b.x, s.b.y)))), s)
-    segments = list(unique.values())
+    # each segment end is a kept centre or else a derived point: the centres
+    # and ends as complex keys y + xi, == as Points are and sorted by (y, x)
+    ends = rows.reshape(-1, 2)
+    _, first, group = np.unique(np.ascontiguousarray(np.vstack([xy, ends])[:, ::-1]).view(
+        np.complex128).ravel(), return_index=True, return_inverse=True)
+    new = first >= len(kept)  # no centre in the group: a derived point
+    at = np.where(new, len(kept) - 1 + np.cumsum(new), first).take(group[len(kept):])
+    derived, fresh = ends.take(first[new] - len(kept), axis=0), np.flatnonzero(at >= len(kept))
+    dxy = ends.take(fresh ^ 1, axis=0) - ends.take(fresh, axis=0)  # a branch to each other end
+    angles = normalize_angles(np.degrees([math.atan2(y, x) for x, y in dxy.tolist()]))
+    order = np.lexsort((angles, at[fresh]))  # stable: of equal angles, the first met
+    g, angles = at[fresh][order], angles[order].tolist()
+    bounds = np.searchsorted(g, np.arange(len(derived) + 1) + len(kept)).tolist()
+    points = list(kept) + [
+        Junction(Point(x, y), tuple(Branch(a, 1.0) for a in dict.fromkeys(angles[lo:hi])), 1.0,
+                 derived=True)
+        for (x, y), lo, hi in zip(derived.tolist(), bounds, bounds[1:])]
 
-    centers = {(j.center.x, j.center.y) for j in kept}
-    derived: dict[tuple[float, float], set[float]] = {}
-    for s in new_segments:
-        for p, other in ((s.a, s.b), (s.b, s.a)):
-            if (p.x, p.y) in centers:
-                continue
-            derived.setdefault((p.x, p.y), set()).add(direction_deg(p, other))
-    points = list(kept)
-    for (x, y) in sorted(derived, key=lambda xy: (xy[1], xy[0])):
-        branches = tuple(Branch(a, 1.0) for a in sorted(derived[(x, y)]))
-        points.append(Junction(Point(x, y), branches, confidence=1.0, derived=True))
-
-    return Wireframe(points, segments, build_incidence(points, segments, tol=1.0))
+    ab = at.reshape(-1, 2)  # the first segment per unordered pair of end junctions
+    unique = np.sort(np.unique(ab.min(axis=1) * len(points) + ab.max(axis=1),
+                               return_index=True)[1])
+    segments = [Segment(points[a].center, points[b].center) for a, b in ab[unique].tolist()]
+    return Wireframe(points, segments, build_incidence(
+        np.vstack([xy, derived]), rows.take(unique, axis=0), tol=1.0))

@@ -203,14 +203,13 @@ def point_segment_distance(p: Point, s: Segment) -> float:
     return math.hypot(p.x - (ax + t * dx), p.y - (ay + t * dy))
 
 
-def build_incidence(junctions: Sequence[Junction], segments: Sequence[Segment],
+def build_incidence(centers: np.ndarray, segments: np.ndarray,
                     tol: float = DEFAULT_INCIDENCE_TOL) -> np.ndarray:
-    """W as the (K, 2) int64 rows (n, m), row-major, of its ones: junction n
-    lies on segment m, within ``tol`` of it by ``near_pairs``."""
+    """W as the (K, 2) int64 rows (n, m), row-major, of its ones: (N, 2) centre
+    row n lies within ``tol`` of (M, 4) segment row m by ``near_pairs``."""
     if not 0 <= tol < math.inf:  # NaN fails too
         raise GeometryError(f"incidence tolerance {tol} must be finite and >= 0")
-    return np.column_stack(near_pairs(point_array([j.center for j in junctions]),
-                                      segment_array(segments), tol))
+    return np.column_stack(near_pairs(centers, segments, tol))
 
 
 # -- array kernels: candidate prefilters for the scalar tests above --

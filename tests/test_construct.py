@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import segment_pixels
 from wireframe import construct, geometry
+from wireframe.synth import make_scene
 
 from wireframe.annotate import (
     AnnotatedScene,
@@ -28,7 +29,6 @@ from wireframe.construct import (
     farthest_mask_points,
     line_support_ratios,
     match_ray_pairs,
-    ray_boundary_point,
     recover_unmatched,
 )
 from wireframe.geometry import (
@@ -41,6 +41,7 @@ from wireframe.geometry import (
     direction_deg,
     may_cut,
     normalize_angle,
+    point_array,
     point_segment_distance,
     segment_array,
     segment_intersection,
@@ -88,6 +89,15 @@ def test_dedup_rejects_bad_radius(rho):
     js = [jn(0, 0, [0], 0.9), jn(50, 0, [0], 0.8), jn(100, 0, [0], 0.7)]
     with pytest.raises(GeometryError, match="NMS radius"):
         dedup_junctions(js, rho)
+
+
+@pytest.mark.parametrize("order", [[0, 1, 2], [1, 0, 2], [2, 1, 0]])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_dedup_rejects_a_nonfinite_confidence(order, bad):
+    # a NaN sorted by -confidence kept x, y or z alone, by input order alone
+    js = [jn(0, 0, [0], bad), jn(1, 0, [0], 0.8), jn(2, 0, [0], 0.9)]
+    with pytest.raises(GeometryError, match="confidences must be finite"):
+        dedup_junctions([js[k] for k in order], 2.0)
 
 
 def test_binarize():
@@ -138,44 +148,99 @@ def test_match_one_segment_per_branch():
     assert len(segs) == 2
 
 
+def reference_ray_boundary_point(origin, angle_deg, width, height):
+    """Oracle: where one ray exits the pixel box [0, w-1] x [0, h-1], by the
+    scalar formula; None when the origin is already outside."""
+    if not (0.0 <= origin.x <= width - 1 and 0.0 <= origin.y <= height - 1):
+        return None
+    dx, dy = math.cos(math.radians(angle_deg)), math.sin(math.radians(angle_deg))
+    tx = (width - 1 - origin.x) / dx if dx > 0 else -origin.x / dx if dx < 0 else math.inf
+    ty = (height - 1 - origin.y) / dy if dy > 0 else -origin.y / dy if dy < 0 else math.inf
+    t_exit = min(tx, ty)
+    if not math.isfinite(t_exit):
+        return None
+    return Point(origin.x + t_exit * dx, origin.y + t_exit * dy)
+
+
+def segments_of(rows):
+    """(K, 4) segment rows as Segments."""
+    return [Segment(Point(ax, ay), Point(bx, by)) for ax, ay, bx, by in rows.tolist()]
+
+
+NO_SEGMENTS = np.zeros((0, 4))
+
+
 def test_ray_boundary_point():
-    assert ray_boundary_point(Point(2, 50), 180.0, 100, 100) == Point(0.0, 50.0)
-    p = ray_boundary_point(Point(2, 50), 0.0, 100, 100)
-    assert (p.x, p.y) == pytest.approx((99.0, 50.0))
-    p = ray_boundary_point(Point(2, 50), 90.0, 100, 100)
-    assert (p.x, p.y) == pytest.approx((2.0, 99.0))
-    assert ray_boundary_point(Point(-5, 50), 0.0, 100, 100) is None
+    # the rescue pass's exits: a short one is the boundary segment itself, a
+    # long one ends the walk of a fully supported ray
+    full = BinaryMask(100, 100, np.ones((100, 100), dtype=bool))
+    assert segments_of(recover_unmatched([jn(2, 50, [180])], [(0, 0)], full, NO_SEGMENTS)) == [
+        Segment(Point(2.0, 50.0), Point(0.0, 50.0))]
+    [s] = segments_of(recover_unmatched([jn(2, 50, [0])], [(0, 0)], full, NO_SEGMENTS))
+    assert (s.b.x, s.b.y) == pytest.approx((99.0, 50.0))
+    [s] = segments_of(recover_unmatched([jn(2, 50, [90])], [(0, 0)], full, NO_SEGMENTS))
+    assert (s.b.x, s.b.y) == pytest.approx((2.0, 99.0))
+    assert recover_unmatched([jn(-5, 50, [0])], [(0, 0)], full, NO_SEGMENTS).shape == (0, 4)
+
+
+@given(st.lists(st.tuples(st.floats(-1.0, 25.0) | st.sampled_from([0.0, 16.0, 23.0]),
+                          st.floats(-1.0, 18.0) | st.sampled_from([0.0, 16.0, 23.0]),
+                          st.sampled_from([0.0, 90.0, 180.0, 270.0, 45.0, 359.9999999])
+                          | st.floats(0.0, 360.0, exclude_max=True)), max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_exits_are_the_scalar_exits(rays):
+    # with a boundary limit past the diagonal every exit becomes a boundary
+    # segment, so the batched exits show bit for bit
+    js = [jn(x, y, [a]) for x, y, a in rays]
+    with mock.patch.object(construct, "BOUNDARY_FRAC", 2.0):
+        got = recover_unmatched(js, all_rays(js), BinaryMask(24, 17), NO_SEGMENTS)
+    exits = [(j.center, reference_ray_boundary_point(j.center, j.branches[0].angle_deg, 24, 17))
+             for j in js]
+    assert repr(segments_of(got)) == repr([Segment(o, q) for o, q in exits
+                                           if q is not None and q != o])
 
 
 def with_exits(rays, mask):
-    """(origin, angle) rays as farthest_mask_points takes them, with their exits."""
-    return [(o, a, ray_boundary_point(o, a, mask.width, mask.height)) for o, a in rays]
+    """(origin, angle) rays as farthest_mask_points takes them: origin rows,
+    angles and exit rows (NaN for none)."""
+    exits = [reference_ray_boundary_point(o, a, mask.width, mask.height) for o, a in rays]
+    return (point_array([o for o, _ in rays]), np.array([a for _, a in rays], dtype=float),
+            np.array([(math.nan, math.nan) if q is None else (q.x, q.y) for q in exits]
+                     ).reshape(-1, 2))
+
+
+def points_of(rows):
+    """(K, 2) point rows as Points, None for a NaN row."""
+    return [None if x != x else Point(x, y) for x, y in rows.tolist()]
+
+
+def walk(rays, mask, max_gap=MAX_WALK_GAP):
+    return points_of(farthest_mask_points(*with_exits(rays, mask), mask, max_gap))
 
 
 def test_farthest_mask_point():
     mask = BinaryMask(20, 10)
-    assert farthest_mask_points(with_exits([(Point(2, 5), 0.0)], mask), mask) == [None]
+    assert walk([(Point(2, 5), 0.0)], mask) == [None]
     mask.bits[5, 4] = mask.bits[5, 9] = True
     # four misses (x=5..8) exceed the default gap of 3: the walk stops
-    assert farthest_mask_points(with_exits([(Point(2, 5), 0.0)], mask), mask) == [
-        Point(4.0, 5.0)]
+    assert walk([(Point(2, 5), 0.0)], mask) == [Point(4.0, 5.0)]
     mask.bits[5, 7] = True
-    rays = with_exits([(Point(2, 5), 0.0), (Point(4, 5), 0.0)], mask)
-    assert farthest_mask_points(rays, mask) == [Point(9.0, 5.0), Point(9.0, 5.0)]
-    assert farthest_mask_points(with_exits([(Point(4, 5), 0.0)], mask), mask, max_gap=1.0) == [
-        Point(4.0, 5.0)]
-    assert farthest_mask_points([], mask) == []
+    assert walk([(Point(2, 5), 0.0), (Point(4, 5), 0.0)], mask) == [Point(9.0, 5.0)] * 2
+    assert walk([(Point(4, 5), 0.0)], mask, max_gap=1.0) == [Point(4.0, 5.0)]
+    assert walk([], mask) == []
     # the walk runs to the exit it is given
-    assert farthest_mask_points([(Point(2, 5), 0.0, Point(5.0, 5.0))], mask) == [
+    origin, angle = np.array([[2.0, 5.0]]), np.array([0.0])
+    assert points_of(farthest_mask_points(origin, angle, np.array([[5.0, 5.0]]), mask)) == [
         Point(4.0, 5.0)]
-    assert farthest_mask_points([(Point(2, 5), 0.0, None)], mask) == [None]
+    assert points_of(farthest_mask_points(origin, angle, np.full((1, 2), np.nan), mask)) == [
+        None]
 
 
 # -- the batched walk and support ratios against the old per-ray code --
 
 def reference_farthest_mask_point(origin, angle_deg, mask, max_gap=MAX_WALK_GAP):
     """Oracle: one ray, one pixel and one scalar probe at a time."""
-    end = ray_boundary_point(origin, angle_deg, mask.width, mask.height)
+    end = reference_ray_boundary_point(origin, angle_deg, mask.width, mask.height)
     if end is None or (abs(end.x - origin.x) < 0.5 and abs(end.y - origin.y) < 0.5):
         return None
     rad = math.radians(angle_deg)
@@ -213,7 +278,7 @@ def reference_line_support_ratio(a, b, mask):
 
 def assert_walks_match(rays, mask, max_gap=MAX_WALK_GAP):
     want = [reference_farthest_mask_point(o, a, mask, max_gap) for o, a in rays]
-    assert farthest_mask_points(with_exits(rays, mask), mask, max_gap) == want
+    assert walk(rays, mask, max_gap) == want
     return want
 
 
@@ -304,16 +369,19 @@ def test_line_support_ratios_match_per_piece(data):
                                        min_size=9, max_size=9)))
     mask = BinaryMask(12, 9, bits)
     coord = st.floats(-3.0, 14.0) | st.integers(-2, 28).map(lambda k: k / 2)
+    # the rescue pass's pieces are MIN_PIECE_LEN or longer: a != b
     pieces = data.draw(st.lists(st.tuples(st.builds(Point, coord, coord),
-                                          st.builds(Point, coord, coord)), max_size=5))
+                                          st.builds(Point, coord, coord)).filter(
+        lambda ab: ab[0] != ab[1]), max_size=5))
     want = [reference_line_support_ratio(a, b, mask) for a, b in pieces]
-    assert line_support_ratios(pieces, mask) == want
+    rows = [(a.x, a.y, b.x, b.y) for a, b in pieces]
+    assert line_support_ratios(rows, mask).tolist() == want
 
 
 def test_recover_boundary_case():
     mask = BinaryMask(100, 100)
     origin = jn(2, 50, [180])
-    segs = recover_unmatched([origin], [(0, 0)], mask, [])
+    segs = segments_of(recover_unmatched([origin], [(0, 0)], mask, NO_SEGMENTS))
     assert segs == [Segment(Point(2.0, 50.0), Point(0.0, 50.0))]
     # the wireframe gains the far end as a derived order-1 junction
     wf = construct_wireframe([origin], HeatMap(100, 100, np.zeros((100, 100))))
@@ -324,7 +392,7 @@ def test_recover_boundary_case():
 def test_recover_nothing_on_empty_mask():
     mask = BinaryMask(100, 100)
     origin = jn(50, 50, [0])
-    assert recover_unmatched([origin], [(0, 0)], mask, []) == []
+    assert recover_unmatched([origin], [(0, 0)], mask, NO_SEGMENTS).shape == (0, 4)
 
 
 def test_recover_kappa_accepts_sparse_support():
@@ -333,9 +401,9 @@ def test_recover_kappa_accepts_sparse_support():
     for x in (2, 3, 4, 6, 7, 9, 12):
         mask.bits[5, x] = True
     origin = jn(2, 5, [0])
-    segs = recover_unmatched([origin], [(0, 0)], mask, [])
+    segs = segments_of(recover_unmatched([origin], [(0, 0)], mask, NO_SEGMENTS))
     assert segs == [Segment(Point(2.0, 5.0), Point(12.0, 5.0))]
-    assert line_support_ratios([(Point(2.0, 5.0), Point(12.0, 5.0))], mask) == [7 / 11]
+    assert line_support_ratios([(2.0, 5.0, 12.0, 5.0)], mask).tolist() == [7 / 11]
 
 
 def test_recover_kappa_rejects_weak_support():
@@ -343,7 +411,7 @@ def test_recover_kappa_rejects_weak_support():
     for x in (2, 5, 9, 12):  # 4 of 11 pixels
         mask.bits[5, x] = True
     origin = jn(2, 5, [0])
-    segs = recover_unmatched([origin], [(0, 0)], mask, [])
+    segs = segments_of(recover_unmatched([origin], [(0, 0)], mask, NO_SEGMENTS))
     assert segs == []
 
 
@@ -355,7 +423,7 @@ def test_recover_splits_at_existing_segment():
     mask.bits[5, 20] = True  # q_M far right, gap in between
     origin = jn(2, 5, [0])
     wall = Segment(Point(8.0, 0.0), Point(8.0, 10.0))
-    segs = recover_unmatched([origin], [(0, 0)], mask, [wall])
+    segs = segments_of(recover_unmatched([origin], [(0, 0)], mask, segment_array([wall])))
     assert len(segs) == 1
     (s,) = segs
     assert (s.a.x, s.a.y) == (2.0, 5.0)
@@ -394,6 +462,20 @@ def test_construct_drops_a_nan_confidence_like_a_weak_one(order):
     assert [j.center for j in got.junctions] == [Point(2.0, 0.0)]
 
 
+def test_construct_keeps_the_twin_junction_of_roundtrip_pool_scene_22():
+    # a rescue cut a few ulps off a detected centre becomes a derived twin of
+    # it (ROADMAP item 3): pinned here until that item removes it on purpose
+    scene = make_scene(np.random.default_rng([320, 22]), 320, 320)
+    wf = construct_wireframe(derive_junctions(scene), render_target_heatmap(scene),
+                             ConstructionParams(omega=0.5))
+    assert (len(wf.junctions), len(wf.segments)) == (83, 96)
+    at = {j.center: j for j in wf.junctions}
+    detected = at[Point(245.33676092544985, 120.22622107969153)]
+    twin = at[Point(245.33676092544982, 120.22622107969153)]
+    assert not detected.derived and twin.derived
+    assert twin.branches == (Branch(167.9885216136346, 1.0), Branch(347.98852161363453, 1.0))
+
+
 def hexagon_scene(cx=16.0, cy=16.0, r=12.0, size=32):
     pts = [Point(cx + r * math.cos(math.radians(60 * i - 90)),
                  cy + r * math.sin(math.radians(60 * i - 90))) for i in range(6)]
@@ -429,7 +511,8 @@ def test_construct_endpoints_in_p_and_incidence():
     for s in wf.segments:
         for e in (s.a, s.b):
             assert min(e.distance_to(c) for c in centers) <= 1e-9
-    assert np.array_equal(wf.incidence, build_incidence(wf.junctions, wf.segments, 1.0))
+    assert np.array_equal(wf.incidence, build_incidence(
+        point_array([j.center for j in wf.junctions]), segment_array(wf.segments), 1.0))
     assert any(j.derived for j in wf.junctions)
     for j in wf.junctions:
         if j.derived:
@@ -455,7 +538,7 @@ def test_omega_monotone_recovery():
     counts = []
     for omega in (0.5, 5.0, 15.0, 29.0):
         mask = binarize(HeatMap(40, 10, heat), omega)
-        segs = recover_unmatched([origin], [(0, 0)], mask, [])
+        segs = recover_unmatched([origin], [(0, 0)], mask, NO_SEGMENTS)
         counts.append(len(segs))
     assert counts == sorted(counts, reverse=True)
 
@@ -472,7 +555,7 @@ def test_kappa_in_unit_interval(data):
     y2 = data.draw(st.integers(0, 7))
     if (x1, y1) == (x2, y2):
         return
-    [k] = line_support_ratios([(Point(float(x1), float(y1)), Point(float(x2), float(y2)))], mask)
+    [k] = line_support_ratios([(float(x1), float(y1), float(x2), float(y2))], mask).tolist()
     assert 0.0 <= k <= 1.0
 
 
@@ -602,7 +685,7 @@ def reference_recover_unmatched(junctions, unmatched, mask, segments):
     new_segments = []
     for ray in sorted(unmatched):
         origin, angle = ray_at(junctions, ray)
-        q_b = ray_boundary_point(origin, angle, mask.width, mask.height)
+        q_b = reference_ray_boundary_point(origin, angle, mask.width, mask.height)
         if q_b is not None and 0.0 < origin.distance_to(q_b) <= limit:
             new_segments.append(Segment(origin, q_b))
             continue
@@ -629,7 +712,7 @@ def reference_recover_unmatched(junctions, unmatched, mask, segments):
 def assert_recover_matches(junctions, lines, pool):
     """recover_unmatched equals its oracle on a 24 x 24 mask of the lines."""
     mask, rays = mask_of(lines, 24, 24), all_rays(junctions)
-    got = recover_unmatched(junctions, rays, mask, pool)
+    got = segments_of(recover_unmatched(junctions, rays, mask, segment_array(pool)))
     want = reference_recover_unmatched(junctions, rays, mask, pool)
     assert repr(got) == repr(want)  # repr: the same floats, signed zeros too
     return got

@@ -46,6 +46,8 @@ from wireframe.geometry import (
     Wireframe,
     build_incidence,
     normalize_angle,
+    point_array,
+    segment_array,
 )
 from wireframe.gridcodec import GridConfig, GridEncoding, decode, encode
 
@@ -268,7 +270,8 @@ def two_point_wireframe():
     a = Junction(Point(0.0, 0.0), (Branch(0.0),), 1.0)
     b = Junction(Point(10.0, 0.0), (Branch(180.0),), 1.0, derived=True)
     segments = [Segment(a.center, b.center)]
-    return Wireframe([a, b], segments, build_incidence([a, b], segments, tol=1.0))
+    return Wireframe([a, b], segments, build_incidence(
+        point_array([a.center, b.center]), segment_array(segments), tol=1.0))
 
 
 def test_wireframe_roundtrip(tmp_path):

@@ -137,19 +137,25 @@ def test_point_segment_distance_basic():
     assert point_segment_distance(pt(7, 0), s) == 0.0
 
 
+def incidence(junctions, segments, tol):
+    """build_incidence on the junctions' centre rows and the segment rows."""
+    return build_incidence(point_array([j.center for j in junctions]), segment_array(segments),
+                           tol)
+
+
 def test_build_incidence_examples():
     diag = seg(0, 0, 10, 10)
-    w = build_incidence([Junction(pt(0, 5)), Junction(pt(5, 5))], [diag, diag], tol=0.5)
+    w = incidence([Junction(pt(0, 5)), Junction(pt(5, 5))], [diag, diag], tol=0.5)
     assert w.tolist() == [[1, 0], [1, 1]]
-    w = build_incidence([Junction(pt(0, 5))], [diag], tol=0.5)
+    w = incidence([Junction(pt(0, 5))], [diag], tol=0.5)
     assert w.tolist() == []
-    w = build_incidence([], [], tol=0.5)
+    w = incidence([], [], tol=0.5)
     assert w.shape == (0, 2) and w.dtype == np.int64
 
 
 def test_build_incidence_negative_tol_rejected():
     with pytest.raises(GeometryError):
-        build_incidence([], [], tol=-1.0)
+        incidence([], [], tol=-1.0)
 
 
 @given(st.lists(st.tuples(coords, coords), min_size=1, max_size=5),
@@ -158,8 +164,8 @@ def test_incidence_monotone_in_tol(centers, t1, t2):
     lo, hi = min(t1, t2), max(t1, t2)
     junctions = [Junction(pt(x, y)) for x, y in centers]
     segs = [seg(0, 0, 100, 0), seg(0, 0, 0, 100)]
-    rows = {tuple(r) for r in build_incidence(junctions, segs, hi).tolist()}
-    assert {tuple(r) for r in build_incidence(junctions, segs, lo).tolist()} <= rows
+    rows = {tuple(r) for r in incidence(junctions, segs, hi).tolist()}
+    assert {tuple(r) for r in incidence(junctions, segs, lo).tolist()} <= rows
 
 
 def test_normalize_angle():
@@ -226,7 +232,7 @@ def test_junction_order():
 def test_build_incidence_nonfinite_tol_rejected():
     for tol in (float("nan"), float("inf")):
         with pytest.raises(GeometryError):
-            build_incidence([], [], tol=tol)
+            incidence([], [], tol=tol)
 
 
 # -- array prefilters against the scalar functions --
@@ -271,7 +277,7 @@ def test_build_incidence_matches_all_pairs_oracle(points, segments, tol):
 
 def assert_incidence_matches_oracle(points, segments, tol):
     junctions = [Junction(p) for p in points]
-    w = build_incidence(junctions, segments, tol)
+    w = incidence(junctions, segments, tol)
     assert w.dtype == np.int64 and w.ndim == 2 and w.shape[1] == 2
     assert w.tolist() == incidence_oracle(junctions, segments, tol)
 
