@@ -66,6 +66,8 @@ class BinaryMask:
     bits: np.ndarray = None
 
     def __post_init__(self) -> None:
+        if self.width < 0 or self.height < 0:  # np.zeros would raise a raw ValueError
+            raise GeometryError(f"mask sides {self.width} x {self.height} must be >= 0")
         if self.bits is None:
             self.bits = np.zeros((self.height, self.width), dtype=bool)
         self.bits = np.asarray(self.bits, dtype=bool)

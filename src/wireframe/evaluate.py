@@ -138,6 +138,8 @@ def _near_count(idx: np.ndarray, other: np.ndarray, other_idx: np.ndarray, tol: 
     in a row off the image.  The own row settles about half, so goes first.
     """
     h, w = other.shape
+    if not len(idx):  # no pixels, as on every image with a zero side (reach -1)
+        return 0
     reach = min(math.floor(tol), h - 1)
     dys = np.arange(-reach, reach + 1)
     cols = np.arange(min(math.floor(tol), w - 1) + 1)

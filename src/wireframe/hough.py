@@ -6,17 +6,29 @@ live pixel votes over all angle bins, and once a (rho, theta) bin reaches the
 vote threshold, walk that line through the mask, bridging gaps up to max_gap,
 to find the supporting run.  Runs of two or more pixels at least min_length
 long are emitted; a run's pixels are always consumed and their stored votes
-retracted in one update, so no line is found twice.  Votes are cast a block
-of live visits at a time, with the segments of a one-vote loop: between runs
-no pixel dies, and no cell is at the threshold when a block starts (the pixel
-that lifted it there was retracted with its run).  If a block lifts a cell
-there, the votes after the first pixel that did are taken back, and the
-live ones among those pixels, with their cells, start the next block.
+retracted in one update, so no line is found twice.
+
+Each vote is cast once, a block of live visits at a time, with the segments
+of a one-vote loop.  A cast keeps the block's hot entries, its votes in cells
+then at or above the threshold, sorted by cell and, within one, by visit.  A
+cell at acc >= votes reached votes at its entry with acc - votes of its
+entries after it; the first visit with such an entry triggers.  After the
+run's retraction the entries of dead pixels and of cells now below votes are
+dropped; the next block is cast only when none is left.  This is exact: a
+cast happens when no cell is at votes and acc only falls until the next, so
+a cell at votes now was hot at the cast, and its live pending votes are its
+entries past the last trigger.  What acc counts before those is below votes
+(a trigger's own votes go with its run), so a passed entry, with all of its
+cell's pending ones after it, never triggers.  The direction is the
+trigger's cells at its vote, acc - later: most votes, then lowest theta bin
+(its cells off the list are below votes).  A pixel of the block that a run
+consumes before its visit has voted, and the run retracts it.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +39,8 @@ from .geometry import GeometryError, Point, Segment, check_seed
 DEFAULT_VOTES = 30
 DEFAULT_MIN_LENGTH = 20.0
 DEFAULT_MAX_GAP = 3.0
-# Live visits per vote block (timed on 640^2 scenes, ~42 votes between runs):
-# smaller blocks pay more per-call overhead, larger ones take back more votes.
+# Live visits per vote block (64 and 128 timed within 4% on 640^2 scenes): smaller
+# blocks pay more per-call overhead, larger ones vote for more pixels a run eats first.
 _BLOCK = 32
 # Elements at most in the accumulator and in every array a call makes (the
 # x cos / y sin tables, a block's or a run's cells), like formats.MAX_PIXELS
@@ -138,35 +150,31 @@ def hough_segments(mask: BinaryMask, params: HoughParams = HoughParams()) -> lis
     visits = px[pool[::-1]]
     segments: list[Segment] = []
 
-    i, block, cells = 0, px[:0], cells_of(px[:0])  # visits[i:] are not scanned yet
+    i, votes, hot = 0, params.votes, px[:0]  # visits[i:] are not cast yet
     while True:
-        keep = alive[block]  # the pixels and cells carried from the last block
-        block, cells = block[keep], cells[keep]
-        need, span = _BLOCK - len(block), _BLOCK
-        while len(new := np.flatnonzero(alive[visits[i:i + span]])) < need and i + span < n:
-            span *= 4  # dead visits cast no votes, so they are skipped
-        end = i + int(new[need - 1]) + 1 if len(new) >= need else n
-        i, new = end, visits[i + new[:need]]
-        if not len(new) and not len(block):
-            break
-        block, cells = np.concatenate((block, new)), np.concatenate((cells, cells_of(new)))
-        flat = cells.ravel()
-        np.add.at(acc, flat, one)
-        hot = np.flatnonzero(acc[flat] >= params.votes)
-        if not hot.size:
+        if not hot.size:  # no cell is at votes: cast the next block of live visits
+            span = _BLOCK
+            while len(new := np.flatnonzero(alive[visits[i:i + span]])) < _BLOCK and i + span < n:
+                span *= 4  # dead visits cast no votes, so they are skipped
+            end = i + int(new[_BLOCK - 1]) + 1 if len(new) >= _BLOCK else n
+            i, block = end, visits[i + new[:_BLOCK]]
+            if not len(block):
+                break
+            flat = cells_of(block).ravel()  # entry q is the cell of block[q // n_theta]
+            np.add.at(acc, flat, one)
             voted[block] = True
-            block, cells = block[:0], cells[:0]
+            hot = np.flatnonzero(acc.take(flat) >= votes)
+            hot = hot[np.argsort(flat.take(hot), kind="stable")]
             continue
-        # a hot cell reached the threshold at its occurrence with acc - votes
-        # more of it later in the block; the first such one is the trigger
-        hot = hot[np.argsort(flat[hot], kind="stable")]
-        c = flat[hot]
-        later = np.searchsorted(c, c, side="right") - 1 - np.arange(len(c))
-        r = int(hot[later == acc[c] - params.votes].min()) // n_theta
-        np.subtract.at(acc, flat[(r + 1) * n_theta:], one)
-        voted[block[:r + 1]] = True
-        k, p0 = int(acc[cells[r]].argmax()), int(block[r])
-        block, cells = block[r + 1:], cells[r + 1:]
+        # the first visit whose entry has acc - votes later entries of its cell
+        c = flat.take(hot)
+        q, at, c = hot.tolist(), acc.take(c).tolist(), c.tolist()  # a few entries: lists
+        later = [bisect_right(c, cj) - 1 - j for j, cj in enumerate(c)]
+        r = min(qj for qj, lj, aj in zip(q, later, at) if lj == aj - votes) // n_theta
+        # the trigger's cells at its vote: the most votes, then the lowest theta bin
+        k = min((lj - aj, qj % n_theta) for qj, lj, aj in zip(q, later, at)
+                if qj // n_theta == r)[1]
+        p0 = int(block[r])
 
         # follow the winning direction through the mask, both ways
         dx, dy = float(-sin_t[k]), float(cos_t[k])
@@ -174,8 +182,10 @@ def hough_segments(mask: BinaryMask, params: HoughParams = HoughParams()) -> lis
         bwd = _walk_dir(memoryview(alive), w, h, p0, -dx, -dy, params.max_gap)
         run = np.array(bwd[::-1] + [p0] + fwd)
         alive[run] = False
-        was = run[voted[run]]  # a run's pixels die, so none is in two runs
+        was = run[voted.take(run)]  # a run's pixels die, so none is in two runs
         np.subtract.at(acc, cells_of(was).ravel(), one)
+        # drop the entries of dead pixels and of cells the retraction took below votes
+        hot = hot[alive.take(block.take(hot // n_theta)) & (acc.take(flat.take(hot)) >= votes)]
 
         (y1, x1), (y2, x2) = divmod(int(run[0]), w), divmod(int(run[-1]), w)
         if len(run) > 1 and math.hypot(x2 - x1, y2 - y1) >= params.min_length:

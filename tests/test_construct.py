@@ -66,6 +66,16 @@ def test_params_validation():
         ConstructionParams(kappa_min=0.6)
 
 
+@pytest.mark.parametrize("width, height", [(-1, 2), (2, -1), (-1, -1)])
+def test_mask_with_a_negative_side_is_rejected(width, height):
+    # with the default bits as well as given ones, like HeatMap
+    with pytest.raises(GeometryError, match="mask sides"):
+        BinaryMask(width, height)
+    with pytest.raises(GeometryError):
+        HeatMap(width, height)
+    assert BinaryMask(0, 0).bits.shape == (0, 0)
+
+
 def test_dedup_keeps_strongest():
     a, b = jn(5, 5, [0], 0.9), jn(6, 5, [0], 0.8)
     assert dedup_junctions([b, a], 5.0) == [a]

@@ -189,6 +189,14 @@ def test_line_pixel_pr_order_and_split_invariance():
     assert p3.precision == 1.0 and p3.recall == 1.0
 
 
+@pytest.mark.parametrize("width, height", [(0, 0), (5, 0), (0, 5)])
+def test_line_pixel_pr_on_an_image_with_a_zero_side(width, height):
+    # no pixel exists, so nothing is counted and P = R = 1, with or without segments
+    for segments in ([], [seg(0, 0, 3, 3)]):
+        p = line_pixel_pr(segments, segments, CFG, width, height)
+        assert (p.n_gt, p.n_pred, p.precision, p.recall) == (0, 0, 1.0, 1.0)
+
+
 def near_count(mask, other, tol):
     """_near_count of two masks: the flat indices of `mask` within tol of `other`."""
     return _near_count(np.flatnonzero(mask), other, np.flatnonzero(other), tol)

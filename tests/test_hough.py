@@ -268,6 +268,37 @@ def visit_order(mask, seed):
     return order
 
 
+def first_block_counts(order, params):
+    """Counts of each cell of the first _BLOCK visits, by theta bin: (at, end),
+    at[i] just after visit i's own vote and end[i] with the whole block cast.
+    No pixel dies before the first run, so these visits are the first block."""
+    xy = np.array(order[:_BLOCK], dtype=float)
+    n_theta = max(1, int(round(180.0 / params.theta_res)))
+    thetas = np.arange(n_theta) * math.radians(params.theta_res)
+    bins = np.rint((xy[:, :1] * np.cos(thetas) + xy[:, 1:] * np.sin(thetas)) / params.rho_res)
+    same = bins[:, None] == bins[None]  # [i, j, t]: visits i and j share theta bin t's cell
+    return np.cumsum(same, axis=1)[np.arange(len(xy)), np.arange(len(xy))], same.sum(axis=1)
+
+
+def reference_runs(mask, params):
+    """The per-sample reference's segments and, per trigger, its pixel and run."""
+    walk, calls = reference_walk_dir, []
+
+    def recording_walk(alive, x0, y0, dx, dy, max_gap):
+        globals()["reference_walk_dir"] = walk  # the y-major walk calls it again
+        try:
+            calls.append(((x0, y0), walk(alive, x0, y0, dx, dy, max_gap)))
+        finally:
+            globals()["reference_walk_dir"] = recording_walk
+        return calls[-1][1]
+    globals()["reference_walk_dir"] = recording_walk
+    try:
+        segments = reference_hough_segments(mask, params)
+    finally:
+        globals()["reference_walk_dir"] = walk
+    return segments, [(p, {p, *fwd, *bwd}) for (p, fwd), (_, bwd) in zip(calls[::2], calls[1::2])]
+
+
 def test_matches_reference_on_a_640_scene():
     # the first hough-640 benchmark pool scene, binarized as the benchmark does
     scene = make_scene(np.random.default_rng([640, 0]), 640, 640, 60)
@@ -306,7 +337,7 @@ def test_tied_bins_on_the_trigger_pixel_take_the_first():
 def test_run_consumes_later_pixels_of_its_block():
     # votes=2: the first two visits trigger, and when both lie on the long
     # row their run eats the row's later visits in the same block, whose
-    # votes must be taken back; the noise keeps voting afterwards
+    # votes, cast with the block, must be retracted; the noise keeps voting
     rng = np.random.default_rng(41)
     mask = BinaryMask(300, 8)
     mask.bits[2, :200] = True
@@ -372,8 +403,8 @@ def test_dead_stretches_longer_than_many_scan_windows():
 @pytest.mark.parametrize("noise, tail_on_row", [(4, "all"), (80, "some")])
 def test_carried_tail_consumed_whole_or_in_part(noise, tail_on_row):
     # votes=2 and the first two visits on the row: the second one triggers,
-    # and the rest of the first block is carried; the run eats the carried
-    # pixels on the row, and the next block starts with the others
+    # and the rest of the first block is still to come; the run eats those
+    # on the row, and the next trigger is searched among the others
     rng = np.random.default_rng(51)
     mask = BinaryMask(300, 9)
     mask.bits[4, :] = True
@@ -392,6 +423,48 @@ def test_carried_tail_consumed_whole_or_in_part(noise, tail_on_row):
         assert endpoint_error(got[0], seg(0, 4, 299, 4)) == 0.0
         checked += 1
     assert checked >= 3
+
+
+def test_direction_is_the_one_at_the_trigger_vote():
+    # a later voter of the trigger's own block lifts another of the trigger
+    # pixel's cells to the trigger cell's count at a lower theta bin ("to"),
+    # or past it ("past"); the walk still takes the bin that won at the vote
+    mask = random_mask(np.random.default_rng(73), 40, 30, 2, 0.1)
+    kinds = []
+    for seed in range(12):
+        params = HoughParams(votes=4, min_length=3.0, seed=seed)
+        at, end = first_block_counts(visit_order(mask, seed), params)
+        r = np.flatnonzero(at.max(axis=1) >= params.votes)[0]  # the first trigger
+        if at[r].argmax() != (k_end := end[r].argmax()):
+            kinds.append("past" if end[r, k_end] > params.votes else "to")
+            assert hough_segments(mask, params) == reference_hough_segments(mask, params)
+    assert kinds.count("to") >= 2 and kinds.count("past") >= 3
+
+
+def test_second_cell_at_votes_later_in_the_block():
+    # votes=3: the row's cells reach 3 at its third visit, and the cells of
+    # the column x = 8 (one row pixel and the two pixels below it) at the
+    # last of its three.  When that comes after the first trigger, either the
+    # first run eats the column's row pixel and its retraction drops the
+    # column back below votes ("dropped"), or a second run starts in the same
+    # block ("triggers"); the mask is smaller than a block, so it is cast once
+    mask = BinaryMask(30, 30)
+    mask.bits[5, 5:13] = True
+    mask.bits[[20, 25], 8] = True
+    kinds = []
+    for seed in range(12):
+        params = HoughParams(votes=3, min_length=3.0, seed=seed)
+        order = visit_order(mask, seed)
+        at, _ = first_block_counts(order, params)
+        r = np.flatnonzero(at.max(axis=1) >= params.votes)[0]
+        later = [order[i] for i in range(r + 1, len(order)) if (at[i] == params.votes).any()]
+        segments, runs = reference_runs(mask, params)
+        if len(runs) > 1 and later:
+            kinds.append("triggers")
+        elif any(p not in runs[0][1] for p in later):
+            kinds.append("dropped")
+        assert hough_segments(mask, params) == segments
+    assert kinds.count("dropped") >= 3 and kinds.count("triggers") >= 3
 
 
 @pytest.mark.parametrize("votes", [1, 2, 5])
