@@ -15,10 +15,8 @@ import numpy as np
 
 from .geometry import (
     _REL_SLACK,
-    Branch,
     GeometryError,
-    Junction,
-    Point,
+    JunctionTable,
     Segment,
     angle_diff,
     intersection_points,
@@ -124,7 +122,7 @@ def rasterize_segments(segs: np.ndarray, width: int, height: int):
 
 
 def derive_junctions(scene: AnnotatedScene,
-                     merge_radius: float = DEFAULT_MERGE_RADIUS) -> list[Junction]:
+                     merge_radius: float = DEFAULT_MERGE_RADIUS) -> JunctionTable:
     """Junctions of the scene: clustered meeting points with branch angles.
 
     Candidates: each pair's crossing point, which anchors cluster centers,
@@ -194,20 +192,18 @@ def derive_junctions(scene: AnnotatedScene,
     after = np.where(np.append(h[1:] == h[:-1], False), np.append(angles[1:], 0.0),
                      angles[bounds[h]] + 360.0)
     tight = np.bincount(h[after - angles <= 2 * _ANGLE_DEDUP_DEG], minlength=len(hubs)) > 0
-    branches, junctions = tuple(Branch(a, 1.0) for a in angles.tolist()), []
-    for c, lo, hi, scalar in zip(hubs.tolist(), bounds.tolist(), bounds[1:].tolist(),
-                                 tight.tolist()):
-        kept = branches[lo:hi]
-        if scalar:  # the any-earlier test
-            kept = []
-            for b in branches[lo:hi]:
-                if not any(abs(angle_diff(b.angle_deg, k.angle_deg)) <= _ANGLE_DEDUP_DEG
-                           for k in kept):
-                    kept.append(b)
-        if len(kept) >= 2:
-            junctions.append(Junction(Point(*c), tuple(kept), 1.0))
-    junctions.sort(key=lambda j: (j.center.y, j.center.x))
-    return junctions
+    keep, a = np.ones(len(angles), dtype=bool), angles.tolist()
+    for lo, hi in zip(bounds[:-1][tight].tolist(), bounds[1:][tight].tolist()):
+        kept = []  # the any-earlier test
+        for k in range(lo, hi):
+            if any(abs(angle_diff(a[k], a[m])) <= _ANGLE_DEDUP_DEG for m in kept):
+                keep[k] = False
+            else:
+                kept.append(k)
+    rows = np.flatnonzero(np.bincount(h[keep], minlength=len(hubs)) >= 2)
+    rows = rows[np.lexsort((hubs[rows, 0], hubs[rows, 1]))]  # by (y, x), stable
+    return JunctionTable(hubs, np.ones(len(hubs)), np.zeros(len(hubs), dtype=bool), bounds,
+                         angles, np.ones(len(angles))).take(rows, keep)
 
 
 def render_target_heatmap(scene: AnnotatedScene) -> HeatMap:

@@ -23,9 +23,9 @@ from .annotate import _BLOCK_PX, HeatMap, digital_lines, line_pixels
 from .geometry import (
     _ANGLE_SLACK,
     _BLOCK_PAIRS,
-    Branch,
     GeometryError,
     Junction,
+    JunctionTable,
     Point,
     Segment,
     Wireframe,
@@ -35,11 +35,10 @@ from .geometry import (
     direction_deg,
     directions,
     intersection_points,
+    junction_table,
     may_cut,
     near_pairs,
-    normalize_angle,
     normalize_angles,
-    point_array,
     point_distances,
     prefilter_bound,
     segment_intersection,
@@ -95,22 +94,23 @@ def binarize(h: HeatMap, omega: float) -> BinaryMask:
     return BinaryMask(h.width, h.height, h.values > omega)
 
 
-def dedup_junctions(junctions: Sequence[Junction], rho_nms: float) -> list[Junction]:
+def dedup_junctions(junctions: Sequence[Junction], rho_nms: float) -> JunctionTable:
     """Greedy duplicate suppression.
 
-    Walk junctions in descending confidence (ties by (y, x)); drop any
-    junction within rho_nms of one already kept.
+    Walk junctions in descending confidence (ties by (y, x), then input
+    order); drop any junction within rho_nms of one already kept.
     """
     if not 0 <= rho_nms < math.inf:  # NaN fails too
         raise GeometryError(f"NMS radius {rho_nms} must be finite and >= 0")
-    if not all(math.isfinite(j.confidence) for j in junctions):  # sorted by it, a NaN has no place
+    t = junction_table(junctions)
+    if not np.isfinite(t.confidence).all():  # sorted by it, a NaN has no place
         raise GeometryError("junction confidences must be finite")
-    order = sorted(junctions, key=lambda j: (-j.confidence, j.center.y, j.center.x))
-    xy, is_kept = point_array([j.center for j in order]), [True] * len(order)
+    order = np.lexsort((t.centers[:, 0], t.centers[:, 1], -t.confidence))
+    xy, is_kept = t.centers.take(order, axis=0), [True] * len(order)
     for i, k in zip(*(a.tolist() for a in near_pairs(xy, xy, rho_nms))):
         if k < i and is_kept[k]:  # row-major: is_kept[k] is final; only earlier ones suppress
             is_kept[i] = False
-    return [j for j, k in zip(order, is_kept) if k]
+    return t.take(order[np.array(is_kept, dtype=bool)])
 
 
 def _on_ray(origin: Point, angle_deg: float, q: Point, delta_ray: float) -> bool:
@@ -131,12 +131,9 @@ def match_ray_pairs(junctions: Sequence[Junction], delta_ray: float = DEFAULT_DE
     farther than a ray's nearest one surely on both rays can win; a ray left
     with one such candidate takes it, the rest go nearest first to ``_on_ray``.
     """
-    rays = [(i, k) for i, j in enumerate(junctions) for k in range(j.order)]
-    angles = [normalize_angle(b.angle_deg) for j in junctions for b in j.branches]
-    n, nr, xy = len(junctions), len(rays), point_array([j.center for j in junctions])
-    ray_j = np.array([i for i, _ in rays], dtype=np.intp)
-    ray_a = np.array(angles, dtype=np.float64)
-    first = np.searchsorted(ray_j, np.arange(n + 1))
+    table = junction_table(junctions)
+    n, nr, xy, first = len(table), len(table.angles), table.centers, table.offsets
+    ray_j, ray_a = table.owner, normalize_angles(table.angles)
     # aims[r, j]: ray r may aim at junction j; sure_aims[r, j]: it surely does
     aims, sure_aims = np.zeros((nr, n), dtype=bool), np.zeros((nr, n), dtype=bool)
     step = max(1, _BLOCK_PAIRS // max(nr, n, 1))  # rays of a block x junctions
@@ -169,16 +166,18 @@ def match_ray_pairs(junctions: Sequence[Junction], delta_ray: float = DEFAULT_DE
     choice[r[alone]] = q[alone]
     order = np.lexsort((q, dist, r))  # nearest first per ray
     best: dict[int, tuple[float, int]] = {}  # b runs in (junction, branch) order
+    centres, angles = xy.tolist(), ray_a.tolist()
     for k, b, d, s in zip(*(a[order[~alone[order]]].tolist() for a in (r, q, dist, sure))):
         if k in best and d > prefilter_bound(best[k][0]):
             continue
-        o, t = junctions[rays[k][0]].center, junctions[rays[b][0]].center
+        o, t = Point(*centres[ray_j[k]]), Point(*centres[ray_j[b]])
         if s or (_on_ray(o, angles[k], t, delta_ray) and _on_ray(t, angles[b], o, delta_ray)):
             cand = (o.distance_to(t), b)
             if k not in best or cand < best[k]:
                 best[k] = cand
     choice[list(best)] = [c[1] for c in best.values()]
     mutual = np.flatnonzero((choice > np.arange(nr)) & (choice[choice] == np.arange(nr)))
+    rays = list(zip(ray_j.tolist(), (np.arange(nr) - first.take(ray_j)).tolist()))  # (i, k)
     return [(rays[k], rays[b]) for k, b in zip(mutual.tolist(), choice[mutual].tolist())]
 
 
@@ -280,9 +279,8 @@ def recover_unmatched(junctions: Sequence[Junction], unmatched: Sequence[tuple[i
     pairs.  A later segment is a piece of an earlier ray's whole one: only the
     rays listed go to the scalar, on ``Segment``s, and changed pieces are redone.
     """
-    rays = sorted(unmatched)
-    origins = point_array([junctions[i].center for i, _ in rays])
-    angles = np.array([normalize_angle(junctions[i].branches[k].angle_deg) for i, k in rays])
+    t, (i, k) = junction_table(junctions), np.reshape(sorted(unmatched), (-1, 2)).astype(np.intp).T
+    origins, angles = t.centers.take(i, axis=0), normalize_angles(t.angles.take(t.offsets[i] + k))
     # each ray's exit from the pixel box [0, w-1] x [0, h-1], NaN from outside it
     d = np.reshape([(math.cos(r), math.sin(r)) for r in map(math.radians, angles.tolist())],
                    (-1, 2))
@@ -334,19 +332,25 @@ def recover_unmatched(junctions: Sequence[Junction], unmatched: Sequence[tuple[i
 
 def construct_wireframe(junctions: Sequence[Junction], h: HeatMap,
                         params: ConstructionParams = ConstructionParams()) -> Wireframe:
-    """Full pipeline from detected junctions and a line heat map, on segment rows."""
-    kept = dedup_junctions([  # a NaN confidence is dropped, as for branches
-        Junction(j.center, bs, j.confidence) for j in junctions if j.confidence > params.tau_c
-        and (bs := tuple(b for b in j.branches if b.confidence > params.tau_b))], params.rho_nms)
+    """Full pipeline from detected junctions and a line heat map, on segment
+    rows and junction tables.  The kept branches' angles must be finite."""
+    t = junction_table(junctions)
+    strong = t.branch_conf > params.tau_b  # a NaN confidence is dropped, as for branches
+    live = (t.confidence > params.tau_c) & (np.bincount(t.owner[strong], minlength=len(t)) > 0)
+    kept = dedup_junctions(t.take(np.flatnonzero(live), strong), params.rho_nms)
+    bad = np.flatnonzero(~np.isfinite(kept.angles))[:1]
+    if bad.size:  # encode's words
+        raise GeometryError("junction at ({}, {}): non-finite branch angle {}".format(
+            *kept.centers[kept.owner[bad[0]]].tolist(), kept.angles[bad[0]]))
 
     mask = binarize(h, params.omega)
     pairs = match_ray_pairs(kept, params.delta_ray)
-    xy = point_array([j.center for j in kept])
+    xy, n, owner = kept.centers, len(kept), kept.owner
     matched = xy.take(np.array([(a, b) for (a, _), (b, _) in pairs], dtype=np.intp),
                       axis=0).reshape(-1, 4)
+    branch = np.arange(len(owner)) - kept.offsets.take(owner)  # each ray's k in its junction
     taken = {ray for pair in pairs for ray in pair}
-    unmatched = [(i, k) for i, j in enumerate(kept) for k in range(j.order)
-                 if (i, k) not in taken]
+    unmatched = [ray for ray in zip(owner.tolist(), branch.tolist()) if ray not in taken]
     rows = np.vstack([matched, recover_unmatched(kept, unmatched, mask, matched)])
 
     # each segment end is a kept centre or else a derived point: the centres
@@ -354,22 +358,23 @@ def construct_wireframe(junctions: Sequence[Junction], h: HeatMap,
     ends = rows.reshape(-1, 2)
     _, first, group = np.unique(np.ascontiguousarray(np.vstack([xy, ends])[:, ::-1]).view(
         np.complex128).ravel(), return_index=True, return_inverse=True)
-    new = first >= len(kept)  # no centre in the group: a derived point
-    at = np.where(new, len(kept) - 1 + np.cumsum(new), first).take(group[len(kept):])
-    derived, fresh = ends.take(first[new] - len(kept), axis=0), np.flatnonzero(at >= len(kept))
+    new = first >= n  # no centre in the group: a derived point
+    at = np.where(new, n - 1 + np.cumsum(new), first).take(group[n:])
+    derived, fresh = ends.take(first[new] - n, axis=0), np.flatnonzero(at >= n)
     dxy = ends.take(fresh ^ 1, axis=0) - ends.take(fresh, axis=0)  # a branch to each other end
     angles = normalize_angles(np.degrees([math.atan2(y, x) for x, y in dxy.tolist()]))
     order = np.lexsort((angles, at[fresh]))  # stable: of equal angles, the first met
-    g, angles = at[fresh][order], angles[order].tolist()
-    bounds = np.searchsorted(g, np.arange(len(derived) + 1) + len(kept)).tolist()
-    points = list(kept) + [
-        Junction(Point(x, y), tuple(Branch(a, 1.0) for a in dict.fromkeys(angles[lo:hi])), 1.0,
-                 derived=True)
-        for (x, y), lo, hi in zip(derived.tolist(), bounds, bounds[1:])]
+    g, angles = at[fresh][order], angles[order]
+    twice = np.zeros(len(g), dtype=bool)  # an angle its point already has
+    twice[1:] = (g[1:] == g[:-1]) & (angles[1:] == angles[:-1])
+    g, angles, nd = g[~twice], angles[~twice], len(derived)
+    points = JunctionTable(  # the kept junctions, then the derived points
+        np.vstack([xy, derived]), np.append(kept.confidence, np.ones(nd)), np.arange(n + nd) >= n,
+        np.append(kept.offsets, len(kept.angles) + np.searchsorted(g, np.arange(nd) + n + 1)),
+        np.append(kept.angles, angles), np.append(kept.branch_conf, np.ones(len(angles))))
 
     ab = at.reshape(-1, 2)  # the first segment per unordered pair of end junctions
     unique = np.sort(np.unique(ab.min(axis=1) * len(points) + ab.max(axis=1),
                                return_index=True)[1])
-    segments = [Segment(points[a].center, points[b].center) for a, b in ab[unique].tolist()]
-    return Wireframe(points, segments, build_incidence(
-        np.vstack([xy, derived]), rows.take(unique, axis=0), tol=1.0))
+    return Wireframe(points, ab[unique], build_incidence(
+        points.centers, rows.take(unique, axis=0), tol=1.0))

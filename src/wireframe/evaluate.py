@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .annotate import _BLOCK_PX, rasterize_segments
-from .geometry import GeometryError, Junction, Point, Segment, near_lists, segment_array
+from .geometry import GeometryError, Junction, Segment, junction_table, near_lists, segment_array
 
 DEFAULT_TOLERANCE_FRAC = 0.01
 DEFAULT_SWEEP = tuple(i / 10 for i in range(1, 10))
@@ -91,16 +91,13 @@ def max_matching(adj: Sequence[Sequence[int]], n_pred: int) -> int:
     return matches
 
 
-def match_points(gt: Sequence[Point], pred: Sequence[Point], tol: float) -> int:
-    """Maximum one-to-one matching within tol, each point used once."""
-    return max_matching(near_lists(gt, pred, tol), len(pred))
-
-
 def junction_pr(gt: Sequence[Junction], pred: Sequence[Junction],
                 config: EvalConfig, width: int, height: int) -> PRPoint:
-    """One-to-one junction detection PR at the configured tolerance."""
-    tol = config.tolerance(width, height)
-    m = match_points([j.center for j in gt], [j.center for j in pred], tol)
+    """One-to-one junction detection PR at the configured tolerance: the
+    maximum matching of centres within it, each used once."""
+    gt, pred = junction_table(gt), junction_table(pred)
+    adj = near_lists(gt.centers, pred.centers, config.tolerance(width, height))
+    m = max_matching(adj, len(pred))
     return _pr_from_counts(0.0, len(gt), len(pred), m, m)
 
 
@@ -108,9 +105,9 @@ def junction_sweep(gt: Sequence[Junction], pred: Sequence[Junction], config: Eva
                    width: int, height: int) -> Callable[[float], PRPoint]:
     """t -> junction_pr of the preds with confidence > t.  The pairs within
     tolerance are found once, for all preds; each t keeps its columns."""
-    adj = near_lists([j.center for j in gt], [j.center for j in pred],
-                     config.tolerance(width, height))
-    conf = [j.confidence for j in pred]
+    gt, pred = junction_table(gt), junction_table(pred)
+    adj = near_lists(gt.centers, pred.centers, config.tolerance(width, height))
+    conf = pred.confidence.tolist()
 
     def at(t: float) -> PRPoint:
         m = max_matching([[j for j in near if conf[j] > t] for near in adj], len(pred))
@@ -167,6 +164,8 @@ def _near_count(idx: np.ndarray, other: np.ndarray, other_idx: np.ndarray, tol: 
 def line_pixel_pr(gt: Sequence[Segment], pred: Sequence[Segment],
                   config: EvalConfig, width: int, height: int) -> PRPoint:
     """Coverage-based PR over rasterized line pixels."""
+    if width < 0 or height < 0:  # np.zeros would raise a raw ValueError
+        raise GeometryError(f"image sides {width} x {height} must be >= 0")
     tol = config.tolerance(width, height)
     (gt_px, gt_idx), (pred_px, pred_idx) = (_pixels(s, width, height) for s in (gt, pred))
     return _pr_from_counts(0.0, len(gt_idx), len(pred_idx), _near_count(

@@ -16,15 +16,14 @@ from __future__ import annotations
 import functools
 import json
 import struct
-from itertools import islice
 from math import fmod, isfinite
 from typing import Sequence
 
 import numpy as np
 
 from .annotate import AnnotatedScene, HeatMap
-from .geometry import (Branch, GeometryError, Junction, Point, Segment, Wireframe,
-                       normalize_angle)
+from .geometry import (GeometryError, Junction, JunctionTable, Point, Segment, Wireframe,
+                       junction_table, normalize_angle)
 from .gridcodec import ARRAYS, GridConfig, GridEncoding
 
 WFHM_MAGIC = b"WFHM"
@@ -143,31 +142,33 @@ def _record(order: int, flag: str) -> str:
 
 
 def _junction_list(junctions: Sequence[Junction], derived: bool, path: str) -> str:
-    """The junction records.  A score outside [0, 1] or a non-finite angle
-    raises first, in the reader's words, so no file is opened."""
-    vals, wrap, records = [], [], []
-    flags = ('   "derived": false,\n', '   "derived": true,\n') if derived else ("", "")
-    for j in junctions:
-        vals += (j.center.x, j.center.y, j.confidence)
-        for b in j.branches:
-            if not 0.0 <= b.angle_deg < 359.9999:  # may round to 360.0 or lie outside
-                wrap.append(len(vals))
-            vals += (b.angle_deg, b.confidence)
-        records.append(_record(len(j.branches), flags[bool(j.derived)]))
-    scores = np.array([j.confidence for j in junctions]
-                      + [b.confidence for j in junctions for b in j.branches], dtype=np.float64)
-    if not (((scores >= 0.0) & (scores <= 1.0)).all() and all(isfinite(vals[k]) for k in wrap)):
+    """The junction records, their values laid out in file order from the
+    table's arrays.  A score outside [0, 1] or a non-finite angle raises
+    first, in the reader's words, so no file is opened."""
+    t = junction_table(junctions)
+    n, counts = len(t), np.diff(t.offsets)
+    at = 3 * np.arange(n) + 2 * t.offsets[:-1]  # each record's x, y and score
+    bat = 3 * t.owner + 3 + 2 * np.arange(len(t.angles))  # each branch's theta and score
+    vals = np.empty(3 * n + 2 * len(t.angles))
+    vals[at], vals[at + 1], vals[at + 2] = t.centers[:, 0], t.centers[:, 1], t.confidence
+    vals[bat], vals[bat + 1] = t.angles, t.branch_conf
+    wrap = bat[~((t.angles >= 0.0) & (t.angles < 359.9999))]  # may round to 360.0 or lie outside
+    scores = np.concatenate([t.confidence, t.branch_conf])
+    if not (((scores >= 0.0) & (scores <= 1.0)).all() and np.isfinite(vals[wrap]).all()):
         _parse_junctions({"junctions": [  # the reader's check, a finite angle read as 0.0
-            {"x": 0.0, "y": 0.0, "score": float(j.confidence), "branches": [
-                {"theta": 0.0 if isfinite(b.angle_deg) else float(b.angle_deg),
-                 "score": float(b.confidence)} for b in j.branches]} for j in junctions]}, path)
+            {"x": 0.0, "y": 0.0, "score": j.confidence, "branches": [
+                {"theta": 0.0 if isfinite(b.angle_deg) else b.angle_deg,
+                 "score": b.confidence} for b in j.branches]} for j in t]}, path)
+    vals = vals.tolist()
     spelled = _spell(vals)
-    for k in wrap:  # rounded again, as a hair below 0 wraps to 360 - 1e-12, then to 0.0
+    for k in wrap.tolist():  # rounded again, as a hair below 0 wraps to 360 - 1e-12, then to 0.0
         spelled[k] = json.dumps(fmod(_round9(normalize_angle(_round9(vals[k]))), 360.0))
-    return _block(records) % tuple(spelled)
+    flags = ('   "derived": false,\n', '   "derived": true,\n') if derived else ("", "")
+    return _block([_record(k, flags[d]) for k, d in zip(counts.tolist(), t.derived.tolist())]
+                  ) % tuple(spelled)
 
 
-def _parse_junctions(doc: dict, path: str) -> list[Junction]:
+def _parse_junctions(doc: dict, path: str) -> JunctionTable:
     """Inverse of _junction_list; every malformed field is a FormatError,
     found by a walk in file order when the array checks flag the file."""
     recs = doc["junctions"]
@@ -201,10 +202,9 @@ def _parse_junctions(doc: dict, path: str) -> list[Junction]:
                      "junctions[{}].branches[{}]: score {} outside [0,1]", i, k, bscore)
         for c in "xy":
             _number(rec[c], path, "junctions[{}].{}", i, c)
-    nums = nums if ok else [float(v) for v in nums]  # the walk passed: some are ints
-    parsed = iter(list(map(Branch, nums[3 * n:3 * n + m], nums[3 * n + m:])))
-    return [Junction(Point(x, y), tuple(islice(parsed, len(bs))), score, derived)
-            for x, y, score, bs, derived in zip(nums, nums[n:], nums[2 * n:], lists, flags)]
+    a = a if ok else np.array(nums, dtype=np.float64)  # the walk passed: some are ints
+    return JunctionTable(np.column_stack([a[:n], a[n:2 * n]]), a[2 * n:3 * n], flags,
+                         np.cumsum([0, *map(len, lists)]), a[3 * n:3 * n + m], a[3 * n + m:])
 
 
 # -- junction predictions / ground truth --
@@ -214,7 +214,7 @@ def write_junctions(width: int, height: int, junctions: Sequence[Junction], path
           junctions=_junction_list(junctions, False, path))
 
 
-def read_junctions(path: str) -> tuple[int, int, list[Junction]]:
+def read_junctions(path: str) -> tuple[int, int, JunctionTable]:
     doc = _load_sized(path, "junction file", ("junctions",))
     return doc["width"], doc["height"], _parse_junctions(doc, path)
 
@@ -247,19 +247,31 @@ def read_heatmap(path: str) -> HeatMap:
 
 # -- wireframes --
 
+def _rows(rows, high: list, path: str, name: str, kind: str) -> np.ndarray:
+    """(K, 2) integer rows with column c in [0, high[c]), or a FormatError."""
+    rows = np.asarray(rows)
+    _require(rows.ndim == 2 and rows.shape[1] == 2 and rows.dtype.kind in "iu", path,
+             f"{name} must be a (K, 2) integer array of {kind} rows")
+    bad = np.flatnonzero(((rows < 0) | (rows >= high)).any(1))
+    _require(not bad.size, path, "{} row {} is out of range", name, *bad[:1].tolist())
+    return rows
+
+
+def _check_ends(centers: np.ndarray, ends: np.ndarray, path: str) -> None:
+    """No segment joins two equal centres, in ``Segment``'s words."""
+    same = np.flatnonzero((centers[ends[:, 0]] == centers[ends[:, 1]]).all(axis=1))[:1]
+    _require(not same.size, path, "segments[{}]: degenerate segment at ({}, {})",
+             *same.tolist(), *centers[ends[same, 0]].ravel().tolist())
+
+
 def write_wireframe(wf: Wireframe, width: int, height: int, path: str) -> None:
-    index = {(j.center.x, j.center.y): n for n, j in enumerate(wf.junctions)}
-    ends = [index.get((p.x, p.y)) for s in wf.segments for p in (s.a, s.b)]
-    bad = next((m // 2 for m, v in enumerate(ends) if v is None), None)
-    _require(bad is None, path, "segment {} endpoint is not a junction center", bad)
-    ones = np.asarray(wf.incidence)  # the (n, m) rows of W's ones
-    _require(ones.ndim == 2 and ones.shape[1] == 2 and ones.dtype.kind in "iu", path,
-             "incidence must be a (K, 2) integer array of (junction, segment) rows")
-    bad = np.flatnonzero(((ones < 0) | (ones >= [len(wf.junctions), len(wf.segments)])).any(1))
-    _require(not bad.size, path, "incidence row {} is out of range", *bad[:1].tolist())
+    t = junction_table(wf.junctions)
+    ends = _rows(wf.ends, [len(t), len(t)], path, "segments", "(junction, junction)")
+    ones = _rows(wf.incidence, [len(t), len(ends)], path, "incidence", "(junction, segment)")
+    _check_ends(t.centers, ends, path)
     _dump(path, width=json.dumps(width), height=json.dumps(height),
-          junctions=_junction_list(wf.junctions, True, path),
-          segments=_block(["  [\n   %d,\n   %d\n  ]"] * len(wf.segments)) % tuple(ends),
+          junctions=_junction_list(t, True, path),
+          segments=_block(["  [\n   %d,\n   %d\n  ]"] * len(ends)) % tuple(ends.ravel().tolist()),
           incidence=_block(["  [\n   %d,\n   %d,\n   1\n  ]"] * len(ones)) % tuple(
               ones.ravel().tolist()))
 
@@ -287,23 +299,18 @@ def read_wireframe(path: str) -> tuple[int, int, Wireframe]:
     doc = _load_sized(path, "wireframe file", ("junctions", "segments"))
     junctions = _parse_junctions(doc, path)
     n = len(junctions)
-    pairs, bad = _index_rows(doc["segments"], ((0, n), (0, n)), "segments",
-                             "must be an index pair", "index out of range")
-    segments = []
-    try:
-        for a, b in pairs.tolist():
-            segments.append(Segment(junctions[a].center, junctions[b].center))
-    except GeometryError as e:  # a degenerate segment comes before the first bad row
-        raise FormatError(f"{path}: segments[{len(segments)}]: {e}") from e
+    ends, bad = _index_rows(doc["segments"], ((0, n), (0, n)), "segments",
+                            "must be an index pair", "index out of range")
+    _check_ends(junctions.centers, ends, path)  # a degenerate one comes before the first bad row
     _require(bad is None, path, bad)
     triplets = doc.get("incidence", [])
     _require(isinstance(triplets, list), path, "incidence must be a list")
-    rows, bad = _index_rows(triplets, ((0, n), (0, len(segments)), (1, 2)), "incidence",
+    rows, bad = _index_rows(triplets, ((0, n), (0, len(ends)), (1, 2)), "incidence",
                             "must be [junction, segment, 1]", "out of range")
     _require(bad is None, path, bad)
-    m = max(len(segments), 1)  # sorted unique (n, m) rows, by their row-major flat index
+    m = max(len(ends), 1)  # sorted unique (n, m) rows, by their row-major flat index
     incidence = np.column_stack(np.divmod(np.unique(rows[:, 0] * m + rows[:, 1]), m))
-    return doc["width"], doc["height"], Wireframe(junctions, segments, incidence)
+    return doc["width"], doc["height"], Wireframe(junctions, ends, incidence)
 
 
 # -- grid encodings --

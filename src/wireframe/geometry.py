@@ -26,8 +26,9 @@ that the all-pairs test kept.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -130,6 +131,70 @@ class Junction:
     @property
     def order(self) -> int:
         return len(self.branches)
+
+
+class JunctionTable(Sequence):
+    """Junctions as arrays: centres (N, 2), confidence and derived (N,), and
+    branch offsets (N + 1,) into the branch angles and confidences (B,), with
+    each branch's junction (``owner``).  A read-only sequence that builds a
+    ``Junction`` only when asked; a slice is a table.  Centres are finite, as
+    ``Point``s are."""
+
+    __slots__ = ("centers", "confidence", "derived", "offsets", "angles", "branch_conf", "owner")
+
+    def __init__(self, centers, confidence, derived, offsets, angles, branch_conf) -> None:
+        self.centers = np.asarray(centers, dtype=np.float64).reshape(-1, 2)
+        self.confidence, self.angles, self.branch_conf = (
+            np.asarray(a, dtype=np.float64) for a in (confidence, angles, branch_conf))
+        self.derived, self.offsets = np.asarray(derived, bool), np.asarray(offsets, np.intp)
+        self.owner = np.repeat(np.arange(len(self.confidence)), np.diff(self.offsets))
+        if not np.isfinite(self.centers).all():  # the first in Point's words
+            x, y = self.centers[~np.isfinite(self.centers).all(axis=1)][0].tolist()
+            raise GeometryError(f"non-finite point ({x}, {y})")
+
+    def take(self, rows, branches: Optional[np.ndarray] = None) -> "JunctionTable":
+        """The junctions at ``rows``, in that order, with the branches that the
+        (B,) mask ``branches`` keeps (all by default)."""
+        rows = np.asarray(rows, dtype=np.intp).reshape(-1)
+        which = np.arange(len(self.angles)) if branches is None else np.flatnonzero(branches)
+        at = np.searchsorted(which, self.offsets)  # kept branches before each junction
+        n = at[rows + 1] - at[rows]
+        stop = np.cumsum(n)  # of each kept junction's branches in the new table
+        b = which[np.repeat(at[rows] - stop + n, n) + np.arange(n.sum())]
+        return JunctionTable(self.centers[rows], self.confidence[rows], self.derived[rows],
+                             np.append(0, stop), self.angles[b], self.branch_conf[b])
+
+    def __len__(self) -> int:
+        return len(self.confidence)
+
+    def __getitem__(self, i):
+        rows = np.arange(len(self))[i]  # IndexError past either end
+        return self.take(rows) if isinstance(i, slice) else next(iter(self.take(rows)))
+
+    def __iter__(self):
+        bs = list(map(Branch, self.angles.tolist(), self.branch_conf.tolist()))
+        o = self.offsets.tolist()
+        return (Junction(Point(x, y), tuple(bs[lo:hi]), c, d) for (x, y), c, d, lo, hi in zip(
+            self.centers.tolist(), self.confidence.tolist(), self.derived.tolist(), o, o[1:]))
+
+    def __eq__(self, other) -> bool:  # as the list of its Junctions
+        if isinstance(other, (JunctionTable, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"JunctionTable({list(self)!r})"
+
+
+def junction_table(junctions: Sequence[Junction]) -> JunctionTable:
+    """A caller's junctions read into a table; a table is returned as it is."""
+    if isinstance(junctions, JunctionTable):
+        return junctions
+    js = list(junctions)
+    bs = [b for j in js for b in j.branches]
+    return JunctionTable(point_array([j.center for j in js]), [j.confidence for j in js],
+                         [bool(j.derived) for j in js], np.cumsum([0] + [j.order for j in js]),
+                         [b.angle_deg for b in bs], [b.confidence for b in bs])
 
 
 class SegmentIntersection(NamedTuple):
@@ -392,17 +457,28 @@ def settle(p: np.ndarray, q: np.ndarray, limit: float, rows: np.ndarray,
     return ok
 
 
-def near_lists(a: Sequence[Point], b: Sequence[Point], limit: float) -> list[list[int]]:
-    """Per a[i], the j in order with ``a[i].distance_to(b[j]) <= limit``."""
-    rows, cols = near_pairs(point_array(a), point_array(b), limit)
+def near_lists(a: np.ndarray, b: np.ndarray, limit: float) -> list[list[int]]:
+    """Per (N, 2) point a[i], the j in order with ``Point.distance_to`` of the
+    (M, 2) point b[j] <= limit."""
+    rows, cols = near_pairs(a, b, limit)
     bounds, c = np.searchsorted(rows, np.arange(len(a) + 1)).tolist(), cols.tolist()
     return [c[bounds[i]:bounds[i + 1]] for i in range(len(a))]
 
 
 @dataclass
 class Wireframe:
-    """Junction points P connected by segments L; the N x M incidence
-    matrix W is held as the (K, 2) int64 rows (n, m) of its ones."""
-    junctions: list[Junction] = field(default_factory=list)
-    segments: list[Segment] = field(default_factory=list)
+    """Junction points P, as a table; segments L as the (M, 2) int64 rows of
+    their end junctions; the N x M incidence W as the (K, 2) int64 rows (n, m)
+    of its ones."""
+    junctions: JunctionTable = field(default_factory=list)
+    ends: np.ndarray = field(default_factory=lambda: np.zeros((0, 2), dtype=np.int64))
     incidence: np.ndarray = field(default_factory=lambda: np.zeros((0, 2), dtype=np.int64))
+
+    def __post_init__(self) -> None:
+        self.junctions = junction_table(self.junctions)
+
+    @property
+    def segments(self) -> list[Segment]:
+        """The segments between their end junctions' centres, built when asked."""
+        centres = [Point(x, y) for x, y in self.junctions.centers.tolist()]
+        return [Segment(centres[a], centres[b]) for a, b in self.ends.tolist()]

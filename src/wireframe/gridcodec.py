@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Branch, GeometryError, Junction, Point, normalize_angles
+from .geometry import GeometryError, Junction, JunctionTable, junction_table, normalize_angles
 
 DEFAULT_GRID = 60
 DEFAULT_BINS = 15
@@ -113,11 +113,8 @@ def encode(junctions: Sequence[Junction], config: GridConfig) -> GridEncoding:
     CellCollisionError; a center outside the image or a non-finite branch
     angle raises GeometryError.  The first fault in input order is reported.
     """
-    enc = GridEncoding(config)
-    n = len(junctions)
-    xy = np.array([(j.center.x, j.center.y) for j in junctions], np.float64).reshape(n, 2)
-    theta = np.array([b.angle_deg for j in junctions for b in j.branches], np.float64)
-    owner = np.repeat(np.arange(n), [len(j.branches) for j in junctions])
+    enc, t = GridEncoding(config), junction_table(junctions)
+    n, xy, theta, owner = len(t), t.centers, t.angles, t.owner
     row, col = config.cell_of(*xy.T)
     finite = np.isfinite(theta)
     k, res = angle_to_bin(np.where(finite, theta, 0.0), config.bins)
@@ -130,13 +127,13 @@ def encode(junctions: Sequence[Junction], config: GridConfig) -> GridEncoding:
     bad = outside | taken[:n] | (np.bincount(owner[bad_branch], minlength=n) > 0)
     if bad.any():  # within a junction: outside, its cell taken, then its first bad branch
         j = int(np.argmax(bad))
-        at = f"({junctions[j].center.x}, {junctions[j].center.y})"
+        at = "({}, {})".format(*xy[j].tolist())
         if outside[j]:
             raise GeometryError(f"junction center {at} outside image")
         if taken[j]:
-            o = junctions[int(np.argmax(keys == keys[j]))].center
+            o = "({}, {})".format(*xy[np.argmax(keys == keys[j])].tolist())
             raise CellCollisionError(
-                f"cell ({row[j]}, {col[j]}) claimed by junctions at ({o.x}, {o.y}) and {at}")
+                f"cell ({row[j]}, {col[j]}) claimed by junctions at {o} and {at}")
         b = int(np.argmax(bad_branch & (owner == j)))
         if not finite[b]:
             raise GeometryError(f"junction at {at}: non-finite branch angle {theta[b]}")
@@ -149,17 +146,20 @@ def encode(junctions: Sequence[Junction], config: GridConfig) -> GridEncoding:
 
 
 def decode(enc: GridEncoding, tau_c: float = DEFAULT_TAU_C,
-           tau_b: float = DEFAULT_TAU_B) -> list[Junction]:
+           tau_b: float = DEFAULT_TAU_B) -> JunctionTable:
     """Thresholded readout: cells with confidence > tau_c become junctions,
     bins with confidence > tau_b become branches.  Junctions left with no
-    branch are dropped.  Output follows row-major cell order, in floats."""
+    branch are dropped.  Output follows row-major cell order.  The
+    thresholds are finite and >= 0, as in construction."""
+    for name, tau in (("tau_c", tau_c), ("tau_b", tau_b)):
+        if not 0 <= tau < math.inf:  # NaN fails too
+            raise GeometryError(f"{name} must be finite and >= 0")
     cfg = enc.config
     live = np.flatnonzero((enc.center_conf > tau_c)[:, :, None] & (enc.bin_conf > tau_b))
     cell, k = np.divmod(live, cfg.bins)
-    angles = bin_to_angle(k, enc.bin_residual.take(live), cfg.bins).tolist()
-    branches = list(map(Branch, angles, enc.bin_conf.take(live).tolist()))
     first = np.flatnonzero(np.diff(cell, prepend=-1))
-    cell, bounds = cell[first], first.tolist() + [len(branches)]
+    cell = cell[first]
     xy = cfg.cell_center(*np.divmod(cell, cfg.grid_w)) + enc.displacement.reshape(-1, 2)[cell]
-    return [Junction(Point(*p), tuple(branches[s:e]), c) for p, c, s, e in zip(
-        xy.tolist(), enc.center_conf.take(cell).tolist(), bounds, bounds[1:])]
+    angles = bin_to_angle(k, enc.bin_residual.take(live), cfg.bins)
+    return JunctionTable(xy, enc.center_conf.take(cell), np.zeros(len(cell), dtype=bool),
+                         np.append(first, len(live)), angles, enc.bin_conf.take(live))

@@ -33,7 +33,7 @@ from wireframe.evaluate import (
     PRPoint,
     junction_pr,
     line_pixel_pr,
-    match_points,
+    max_matching,
     pool_pr,
     read_pr_csv,
     emit_pr_csv,
@@ -56,6 +56,8 @@ from wireframe.geometry import (
     Point,
     Segment,
     angle_diff,
+    near_lists,
+    point_array,
     point_segment_distance,
     segment_intersection,
 )
@@ -266,7 +268,7 @@ def test_criterion_05_matcher_oracle():
         w = np.array([[float(g.distance_to(q) <= tol) for q in pred] for g in gt])
         rows, cols = linear_sum_assignment(w.reshape(n_g, n_q), maximize=True)
         best = int(w.reshape(n_g, n_q)[rows, cols].sum())
-        got = match_points(gt, pred, tol)
+        got = max_matching(near_lists(point_array(gt), point_array(pred), tol), len(pred))
         assert got == best, f"matcher {got} vs optimal {best}"
 
         gjs = [Junction(p, (Branch(0.0),)) for p in gt]

@@ -523,8 +523,8 @@ def derive_all_pairs(scene, merge_radius):
 def assert_derive_matches_reference(scene, merge_radius):
     # bit for bit and in order: repr tells -0.0 from 0.0
     want = repr(reference_derive_junctions(scene, merge_radius))
-    assert repr(derive_junctions(scene, merge_radius)) == want
-    assert repr(derive_all_pairs(scene, merge_radius)) == want
+    assert repr(list(derive_junctions(scene, merge_radius))) == want
+    assert repr(list(derive_all_pairs(scene, merge_radius))) == want
 
 
 short_segments = st.tuples(grid_coords, grid_coords, grid_coords, grid_coords).filter(

@@ -486,6 +486,46 @@ def test_construct_keeps_the_twin_junction_of_roundtrip_pool_scene_22():
     assert twin.branches == (Branch(167.9885216136346, 1.0), Branch(347.98852161363453, 1.0))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_construct_refuses_a_non_finite_branch_angle(bad):
+    # in encode's words: inf once raised math's raw ValueError, and NaN
+    # reached the returned wireframe, which the writer then refused
+    hm = HeatMap(20, 20, np.zeros((20, 20)))
+    js = [jn(0, 0, [0]), Junction(Point(10.0, 0.0), (Branch(180.0), Branch(bad)), 1.0)]
+    with pytest.raises(GeometryError, match=r"junction at \(10.0, 0.0\): non-finite branch angle"):
+        construct_wireframe(js, hm)
+    # a branch that tau_b drops is never used, and so never checked
+    weak = [js[0], Junction(Point(10.0, 0.0), (Branch(180.0), Branch(bad, 0.2)), 1.0)]
+    assert len(construct_wireframe(weak, hm).segments) == 1
+
+
+def old_construct_junctions(junctions, wf, params):
+    """Oracle: construct's junctions as the object builder made them.  The
+    junctions tau_c and tau_b keep, rebuilt with their strong branches and
+    NMS by the greedy loop; then, in (y, x) order, a derived point at each
+    segment end that is no kept centre, with a branch (confidence 1) per
+    distinct direction to the other end of a segment there."""
+    kept = [Junction(j.center, bs, j.confidence) for j in junctions if j.confidence > params.tau_c
+            and (bs := tuple(b for b in j.branches if b.confidence > params.tau_b))]
+    kept = dedup_oracle(kept, params.rho_nms)
+    centres, angles = {j.center for j in kept}, {}
+    for s in wf.segments:
+        for p, q in ((s.a, s.b), (s.b, s.a)):
+            if p not in centres:
+                angles.setdefault(p, set()).add(direction_deg(p, q))
+    return kept + [Junction(p, tuple(Branch(a, 1.0) for a in sorted(angles[p])), 1.0, derived=True)
+                   for p in sorted(angles, key=lambda p: (p.y, p.x))]
+
+
+@pytest.mark.parametrize("key", [0, 1, 2, 3, 22])
+def test_construct_junction_table_is_the_object_builders(key):
+    scene = make_scene(np.random.default_rng([320, key]), 320, 320)
+    params, js = ConstructionParams(omega=0.5), derive_junctions(scene)
+    wf = construct_wireframe(js, render_target_heatmap(scene), params)
+    assert any(j.derived for j in wf.junctions)
+    assert repr(list(wf.junctions)) == repr(old_construct_junctions(list(js), wf, params))
+
+
 def hexagon_scene(cx=16.0, cy=16.0, r=12.0, size=32):
     pts = [Point(cx + r * math.cos(math.radians(60 * i - 90)),
                  cy + r * math.sin(math.radians(60 * i - 90))) for i in range(6)]

@@ -18,14 +18,21 @@ from wireframe.evaluate import (
     junction_pr,
     junction_sweep,
     line_pixel_pr,
-    match_points,
+    max_matching,
     pool_pr,
     read_pr_csv,
     sweep_pr,
 )
-from wireframe.geometry import Branch, GeometryError, Junction, Point, Segment
+from wireframe.geometry import (Branch, GeometryError, Junction, Point, Segment, near_lists,
+                                point_array)
 
 CFG = EvalConfig()
+
+
+def match(gt, q, tol):
+    """Maximum one-to-one matching within tol of two lists of Points, as
+    junction_pr matches centres."""
+    return max_matching(near_lists(point_array(gt), point_array(q), tol), len(q))
 
 
 def pt(x, y):
@@ -57,18 +64,18 @@ def test_config_validation():
 
 
 def test_match_identical():
-    assert match_points([pt(3, 3)], [pt(3, 3)], 1.0) == 1
+    assert match([pt(3, 3)], [pt(3, 3)], 1.0) == 1
 
 
 def test_match_too_far():
     tol = CFG.tolerance(100, 100)
-    assert match_points([pt(0, 0)], [pt(100, 100)], tol) == 0
+    assert match([pt(0, 0)], [pt(100, 100)], tol) == 0
 
 
 def test_match_one_to_one():
     gt = [pt(0, 0), pt(2, 0)]
     q = [pt(1, 0)]
-    assert match_points(gt, q, 1.5) == 1
+    assert match(gt, q, 1.5) == 1
 
 
 def test_max_matching_beats_bad_greedy_case():
@@ -76,7 +83,7 @@ def test_max_matching_beats_bad_greedy_case():
     # optimal pairing matches both
     gt = [pt(0, 0), pt(1, 0)]
     q = [pt(0.5, 0), pt(-0.4, 0)]
-    assert match_points(gt, q, 0.6) == 2
+    assert match(gt, q, 0.6) == 2
 
 
 def test_match_long_augmenting_chain():
@@ -86,7 +93,7 @@ def test_match_long_augmenting_chain():
     n = 1500
     gt = [pt(k, 0) for k in range(1, n + 1)] + [pt(0, 0)]
     q = [pt(k + 0.5, 0) for k in range(n + 1)]
-    assert match_points(gt, q, 0.6) == n + 1
+    assert match(gt, q, 0.6) == n + 1
 
 
 def test_junction_pr_identical():
@@ -136,7 +143,7 @@ points = st.builds(pt, coords, coords)
 @example(gt=[pt(0, 0), pt(0, 0), pt(0, 1), pt(0, 1)],
          q=[pt(0, 1), pt(0, 1), pt(0, 34), pt(0, 34)], tol=33.0)
 def test_greedy_close_to_optimal(gt, q, tol):
-    m = match_points(gt, q, tol)
+    m = match(gt, q, tol)
     assert m == optimum(gt, q, tol)
     assert m <= min(len(gt), len(q))
 
@@ -146,7 +153,7 @@ def test_greedy_close_to_optimal(gt, q, tol):
 @settings(max_examples=100)
 def test_matches_monotone_in_tol(gt, q, t1, t2):
     lo, hi = min(t1, t2), max(t1, t2)
-    assert match_points(gt, q, lo) <= match_points(gt, q, hi)
+    assert match(gt, q, lo) <= match(gt, q, hi)
 
 
 def test_line_pixel_pr_identical():
@@ -195,6 +202,14 @@ def test_line_pixel_pr_on_an_image_with_a_zero_side(width, height):
     for segments in ([], [seg(0, 0, 3, 3)]):
         p = line_pixel_pr(segments, segments, CFG, width, height)
         assert (p.n_gt, p.n_pred, p.precision, p.recall) == (0, 0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("width, height", [(-1, 5), (5, -1), (-1, -1)])
+def test_line_pixel_pr_refuses_a_negative_side(width, height):
+    # as BinaryMask does: a GeometryError, not numpy's raw ValueError
+    for segments in ([], [seg(0, 0, 3, 3)]):
+        with pytest.raises(GeometryError, match="image sides"):
+            line_pixel_pr(segments, segments, CFG, width, height)
 
 
 def near_count(mask, other, tol):
@@ -371,7 +386,7 @@ def test_line_pixel_pr_counts_each_pixel_once():
 
 
 def reference_match_points(gt, pred, tol):
-    """Oracle: match_points with its adjacency from every scalar distance."""
+    """Oracle: match with its adjacency from every scalar distance."""
     adj = [[j for j in range(len(pred)) if gt[i].distance_to(pred[j]) <= tol]
            for i in range(len(gt))]
     owner = [-1] * len(pred)
@@ -396,7 +411,7 @@ grid_points = st.builds(pt, st.integers(0, 12), st.integers(0, 12))
        | st.floats(0.1, 30))
 @settings(max_examples=200, deadline=None)
 def test_match_points_prefilter_matches_all_pairs(gt, q, tol):
-    assert match_points(gt, q, tol) == reference_match_points(gt, q, tol)
+    assert match(gt, q, tol) == reference_match_points(gt, q, tol)
 
 
 confidences = st.sampled_from([0.1, 0.45, 0.5, 0.9, 1.0]) | st.floats(0.0, 1.0)

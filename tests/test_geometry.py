@@ -502,7 +502,7 @@ def test_box_pairs_memory_stays_bounded():
 
 
 def assert_near_lists_match_oracle(points, others, limit):
-    assert near_lists(points, others, limit) == [
+    assert near_lists(point_array(points), point_array(others), limit) == [
         [j for j, q in enumerate(others) if p.distance_to(q) <= limit] for p in points]
 
 

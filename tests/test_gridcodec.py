@@ -167,6 +167,17 @@ def test_decode_mixed_confidences():
     assert out[0].branches == (Branch(225.0, 0.8),)
 
 
+@pytest.mark.parametrize("tau", [math.nan, math.inf, -0.5])
+def test_decode_refuses_a_threshold_construction_refuses(tau):
+    # finite and >= 0, as ConstructionParams has it; NaN once gave no junctions
+    enc = encode([Junction(Point(8.0, 2.0), (Branch(45.0),))], CFG)
+    with pytest.raises(GeometryError, match="tau_c must be finite and >= 0"):
+        decode(enc, tau_c=tau)
+    with pytest.raises(GeometryError, match="tau_b must be finite and >= 0"):
+        decode(enc, 0.5, tau_b=tau)
+    assert len(decode(enc, 0.0, 0.0)) == 1
+
+
 def test_decode_drops_branchless():
     cfg = GridConfig(image_w=20, image_h=20, grid_w=2, grid_h=2, bins=4)
     enc = GridEncoding(cfg)
@@ -308,7 +319,7 @@ def reference_decode(enc, tau_c=0.5, tau_b=0.5):
             for k in np.nonzero(enc.bin_conf[row, col] > tau_b)[0])
         if not branches:
             continue
-        out.append(Junction(Point(center.x + dx, center.y + dy), branches,
+        out.append(Junction(Point(float(center.x + dx), float(center.y + dy)), branches,
                             float(enc.center_conf[row, col])))
     return out
 
@@ -407,3 +418,4 @@ def test_decode_matches_the_scalar_loop(junctions, seed, tau):
             j.center.x, j.center.y, j.confidence, *(a for b in j.branches for a in (b.angle_deg, b.confidence)))]
         assert [len(j.branches) for j in got] == [len(j.branches) for j in want]
         assert flat(got) == flat(want)
+        assert repr(list(got)) == repr(want)  # the table's Junctions: Python floats, in order
