@@ -20,6 +20,7 @@ from .geometry import (
     Segment,
     angle_diff,
     intersection_points,
+    is_whole,
     may_cut,
     near_pairs,
     normalize_angles,
@@ -43,8 +44,10 @@ class AnnotatedScene:
     lines: tuple[Segment, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.width <= 0 or self.height <= 0:
-            raise GeometryError(f"bad scene size {self.width}x{self.height}")
+        if not (is_whole(self.width, 1) and is_whole(self.height, 1)):
+            raise GeometryError(f"bad scene size {self.width!r}x{self.height!r}, not integers >= 1")
+        for k in ("width", "height"):  # numpy's integers are stored as ints, which JSON spells
+            object.__setattr__(self, k, int(getattr(self, k)))
         for s in self.lines:
             for p in (s.a, s.b):
                 if not (0.0 <= p.x <= self.width and 0.0 <= p.y <= self.height):

@@ -18,7 +18,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .annotate import _BLOCK_PX, rasterize_segments
-from .geometry import GeometryError, Junction, Segment, junction_table, near_lists, segment_array
+from .geometry import (GeometryError, Junction, Segment, is_whole, junction_table, near_lists,
+                       segment_array)
 
 DEFAULT_TOLERANCE_FRAC = 0.01
 DEFAULT_SWEEP = tuple(i / 10 for i in range(1, 10))
@@ -32,8 +33,10 @@ class EvalConfig:
     def __post_init__(self) -> None:
         if not 0 < self.tolerance_frac < math.inf:  # NaN fails too
             raise GeometryError(f"tolerance_frac={self.tolerance_frac} must be finite and > 0")
-        if any(a >= b for a, b in zip(self.sweep, self.sweep[1:])):
-            raise GeometryError("sweep thresholds must be strictly increasing")
+        # NaN fails every >=, so finiteness is its own test
+        if not all(map(math.isfinite, self.sweep)) or any(
+                a >= b for a, b in zip(self.sweep, self.sweep[1:])):
+            raise GeometryError("sweep thresholds must be finite and strictly increasing")
 
     def tolerance(self, width: int, height: int) -> float:
         return self.tolerance_frac * math.hypot(width, height)
@@ -91,10 +94,17 @@ def max_matching(adj: Sequence[Sequence[int]], n_pred: int) -> int:
     return matches
 
 
+def _check_sides(width: int, height: int) -> None:
+    """Integer sides >= 0: an infinite tolerance would match all, a NaN one nothing."""
+    if not (is_whole(width) and is_whole(height)):
+        raise GeometryError(f"image sides {width} x {height} must be integers >= 0")
+
+
 def junction_pr(gt: Sequence[Junction], pred: Sequence[Junction],
                 config: EvalConfig, width: int, height: int) -> PRPoint:
     """One-to-one junction detection PR at the configured tolerance: the
     maximum matching of centres within it, each used once."""
+    _check_sides(width, height)
     gt, pred = junction_table(gt), junction_table(pred)
     adj = near_lists(gt.centers, pred.centers, config.tolerance(width, height))
     m = max_matching(adj, len(pred))
@@ -105,6 +115,7 @@ def junction_sweep(gt: Sequence[Junction], pred: Sequence[Junction], config: Eva
                    width: int, height: int) -> Callable[[float], PRPoint]:
     """t -> junction_pr of the preds with confidence > t.  The pairs within
     tolerance are found once, for all preds; each t keeps its columns."""
+    _check_sides(width, height)
     gt, pred = junction_table(gt), junction_table(pred)
     adj = near_lists(gt.centers, pred.centers, config.tolerance(width, height))
     conf = pred.confidence.tolist()
@@ -164,8 +175,7 @@ def _near_count(idx: np.ndarray, other: np.ndarray, other_idx: np.ndarray, tol: 
 def line_pixel_pr(gt: Sequence[Segment], pred: Sequence[Segment],
                   config: EvalConfig, width: int, height: int) -> PRPoint:
     """Coverage-based PR over rasterized line pixels."""
-    if width < 0 or height < 0:  # np.zeros would raise a raw ValueError
-        raise GeometryError(f"image sides {width} x {height} must be >= 0")
+    _check_sides(width, height)
     tol = config.tolerance(width, height)
     (gt_px, gt_idx), (pred_px, pred_idx) = (_pixels(s, width, height) for s in (gt, pred))
     return _pr_from_counts(0.0, len(gt_idx), len(pred_idx), _near_count(

@@ -51,9 +51,14 @@ class GeometryError(ValueError):
     """Invalid geometric input (degenerate segment, non-finite point, ...)."""
 
 
+def is_whole(v, low: int = 0) -> bool:
+    """v is an integer >= low, numpy's too; booleans, floats, NaN and inf are not."""
+    return not isinstance(v, bool) and isinstance(v, (int, np.integer)) and v >= low
+
+
 def check_seed(seed: int) -> None:
     """A generator seed is an integer >= 0; booleans are not seeds."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+    if not is_whole(seed):
         raise GeometryError(f"seed {seed!r} must be an integer >= 0")
 
 

@@ -17,7 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import GeometryError, Junction, JunctionTable, junction_table, normalize_angles
+from .geometry import (GeometryError, Junction, JunctionTable, is_whole, junction_table,
+                       normalize_angles)
 
 DEFAULT_GRID = 60
 DEFAULT_BINS = 15
@@ -40,12 +41,15 @@ class GridConfig:
     bins: int = DEFAULT_BINS
 
     def __post_init__(self) -> None:
-        if self.image_w < 1 or self.image_h < 1:
-            raise GeometryError(f"bad image size {self.image_w}x{self.image_h}")
-        if self.grid_w < 1 or self.grid_h < 1:
-            raise GeometryError(f"bad grid size {self.grid_w}x{self.grid_h}")
-        if self.bins < 2:
-            raise GeometryError(f"need at least 2 angle bins, got {self.bins}")
+        if not (is_whole(self.image_w, 1) and is_whole(self.image_h, 1)):
+            raise GeometryError(f"bad image size {self.image_w!r}x{self.image_h!r}, "
+                                "not integers >= 1")
+        if not (is_whole(self.grid_w, 1) and is_whole(self.grid_h, 1)):
+            raise GeometryError(f"bad grid size {self.grid_w!r}x{self.grid_h!r}, not integers >= 1")
+        if not is_whole(self.bins, 2):
+            raise GeometryError(f"need an integer of at least 2 angle bins, got {self.bins!r}")
+        for k in ("image_w", "image_h", "grid_w", "grid_h", "bins"):  # numpy's as ints, for JSON
+            object.__setattr__(self, k, int(getattr(self, k)))
 
     @property
     def cell_w(self) -> float:

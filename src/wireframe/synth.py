@@ -18,9 +18,10 @@ MAX_TRIES candidates, screened _QUEUE at a time in one array pass over the
 layout, once per queue and layout.  One that a segment surely rejects stays
 dropped, as layouts only grow; one needing a crossing while every segment
 is surely apart is dropped until a segment is placed.  The rest meet the
-scalar ``_row_check`` on the rows the pass flags and on every segment placed
-since (unflagged rows surely pass: ends beyond MIN_CLEARANCE with the
-``within`` margin, not straddling both ways).  Spacing uses an 8 px grid.
+rows the pass flags and every segment placed since: the pass settles sure
+crossings at a sure angle and stub length, bit for bit; a box over
+MIN_CLEARANCE away meets only the continuation rule; the scalar
+``_row_check`` decides the rest.  Spacing uses an 8 px grid.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .annotate import AnnotatedScene
-from .geometry import (GeometryError, Point, Segment, check_seed, point_segment_distance,
-                       segment_intersection, surely_within, within)
+from .geometry import (GeometryError, Point, Segment, check_seed, intersection_params, is_whole,
+                       point_segment_distance, segment_intersection, surely_within, within)
 
 MIN_SEGMENTS = 5
 MAX_SEGMENTS = 30
@@ -78,14 +79,12 @@ def _crossing_angle(s: Segment, t: Segment) -> float:
     return min(d, 180.0 - d)
 
 
-def _line_distance(p: Point, s: Segment) -> float:
-    dx, dy = s.b.x - s.a.x, s.b.y - s.a.y
-    return abs((p.x - s.a.x) * dy - (p.y - s.a.y) * dx) / math.hypot(dx, dy)
-
-
-def _min_separation(s: Segment, t: Segment) -> float:
-    return min(point_segment_distance(s.a, t), point_segment_distance(s.b, t),
-               point_segment_distance(t.a, s), point_segment_distance(t.b, s))
+def _continues(s: Segment, t: Segment) -> bool:
+    """The collinear-continuation rule, unresolvable in pixels: an end of t
+    within 4 px of s's line, at under 15 degrees, even with the boxes far apart."""
+    x, y, dx, dy = s.a.x, s.a.y, s.b.x - s.a.x, s.b.y - s.a.y
+    off = min(abs((t.a.x - x) * dy - (t.a.y - y) * dx), abs((t.b.x - x) * dy - (t.b.y - y) * dx))
+    return off / math.hypot(dx, dy) < 4.0 and _crossing_angle(s, t) < 15.0
 
 
 def _lines(q: np.ndarray) -> np.ndarray:
@@ -173,26 +172,17 @@ def _draws(rng: np.random.Generator, width: int, height: int) -> Iterator[tuple]
 
 def _row_check(cand: Segment, other: Segment, width: int, height: int) -> Point | bool | None:
     """False if ``other`` rules the candidate out, else their crossing or None."""
-    hit = segment_intersection(cand, other)
-    if hit.collinear:
-        return False
-    if hit.point is None:
-        if _min_separation(cand, other) < MIN_CLEARANCE:
-            return False
-        if _crossing_angle(cand, other) < 15.0 and (
-                _line_distance(other.a, cand) < 4.0 or _line_distance(other.b, cand) < 4.0):
-            return False  # collinear continuation, unresolvable in pixels
-        return None
+    hit, ends = segment_intersection(cand, other), (cand.a, cand.b, other.a, other.b)
+    if hit.point is None:  # an overlap, an end within MIN_CLEARANCE or a continuation
+        near = min(point_segment_distance(e, s) for e, s in zip(ends, (other, other, cand, cand)))
+        return False if hit.collinear or near < MIN_CLEARANCE or _continues(cand, other) else None
     p = hit.point
     if not (JUNCTION_MARGIN <= p.x <= width - JUNCTION_MARGIN
             and JUNCTION_MARGIN <= p.y <= height - JUNCTION_MARGIN):
         return False
-    if _crossing_angle(cand, other) < MIN_CROSS_ANGLE:
-        return False
-    # a stub shorter than MIN_STUB, or distance 0: keep pure crossings, no T or L
-    if min(p.distance_to(e) for e in (cand.a, cand.b, other.a, other.b)) < MIN_STUB:
-        return False
-    return p
+    # too narrow, or a stub shorter than MIN_STUB (at 0: keep pure crossings, no T or L)
+    return False if _crossing_angle(cand, other) < MIN_CROSS_ANGLE or min(
+        p.distance_to(e) for e in ends) < MIN_STUB else p
 
 
 def _cell(p: Point) -> tuple[int, int]:
@@ -205,78 +195,95 @@ def _cell(p: Point) -> tuple[int, int]:
 
 
 class _Layout:
-    """Accepted segments, a column per segment (a.x, a.y, b.x, b.y, nx, ny,
-    c, 1, e, e - length, from its ``_lines`` row) and crossings by ``_cell``."""
+    """Accepted segments, their boxes (x0, x1, y0, y1), a column per segment (a.x, a.y,
+    b.x, b.y, nx, ny, c, 1, e, e - length, from its ``_lines`` row), crossings by ``_cell``."""
 
     def __init__(self) -> None:
-        self.segments, self.cols, self.grid = [], np.empty((10, 0)), {}
+        self.segments, self.boxes, self.cols, self.grid = [], [], np.empty((10, 0)), {}
 
     def add(self, seg: Segment, crossings: list[Point], line: np.ndarray) -> None:
-        self.cols = np.column_stack([self.cols, line[[5, 6, 7, 8, 2, 3, 4, 1, 10, 11]]])
+        self.cols = np.concatenate((self.cols, line[[5, 6, 7, 8, 2, 3, 4, 1, 10, 11], None]), 1)
         self.segments.append(seg)
+        self.boxes.append((*sorted((seg.a.x, seg.b.x)), *sorted((seg.a.y, seg.b.y))))
         for p in crossings:
             self.grid.setdefault(_cell(p), []).append(p)
 
     def screen(self, lines: np.ndarray, width: int,
-               height: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """For candidates given by their ``_lines`` rows: which a segment
-        surely rejects (K,), and per pair (K, segments) which are surely apart
-        and which may fail ``_row_check`` (a near end or a crossing)."""
+               height: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
+        """For candidates given by their ``_lines`` rows: which a segment surely
+        rejects (K,), per pair (K, segments) which are surely apart and which may
+        fail ``_row_check`` (a near end or a crossing), and settled crossings by candidate, row."""
+        if not self.segments:  # the first segment is taken as it comes
+            return (z := np.zeros((len(lines), 0), dtype=bool)).any(axis=1), z, z, {}
         g = lines[:, _PASS].swapaxes(0, 1) @ self.cols  # (13, K, segments)
-        dist, across = np.abs(g[:4]), g[0:4:2] * g[1:4:2]  # the ends straddle a line if < 0
-        sure = np.minimum(dist[0::2], dist[1::2]) > _SIDE
-        apart = ((across > 0) & sure).any(axis=0)
-        near = within(dist.min(axis=0), MIN_CLEARANCE)
+        lo, hi = np.minimum(g[0:4:2], g[1:4:2]), np.maximum(g[0:4:2], g[1:4:2])  # per line
+        apart = ((lo > _SIDE) | (hi < -_SIDE)).any(axis=0)  # both ends surely on one side
+        cross = ((lo < -_SIDE) & (hi > _SIDE)).all(axis=0)  # surely straddling both lines
+        near = within(np.abs(g[:4]).min(axis=0), MIN_CLEARANCE)  # an end near a line
         rejected = np.zeros(len(lines), dtype=bool)
-        k, i = np.nonzero(((across < 0) & sure).all(axis=0))  # sure crossings
-        d, q = np.abs(g[:, k, i]), lines[k, 5:9]
-        p = q[:, :2] + (d[2] / (d[2] + d[3]))[:, None] * (q[:, 2:] - q[:, :2])  # the crossing
-        mid = np.array([width, height]) / 2
-        out = ~within(np.abs(p - mid) - (mid - JUNCTION_MARGIN), 0.0).all(axis=1)
-        rejected[k[out | surely_within(d[4], _SIN_CROSS)
-                   | surely_within(d[:4].min(axis=0), MIN_STUB * d[4])]] = True
         k, i = np.nonzero(apart & near)  # an end surely near the other segment, facing it
         d = g[:, k, i]
         rejected[k[(surely_within(np.abs(d[:4]), MIN_CLEARANCE)
                     & (np.minimum(d[5:9], -d[9:]) > _SIDE)).any(axis=0)]] = True
-        return rejected, apart, near | (across < 0).all(axis=0)
+        k, i = np.nonzero(cross)
+        d = np.abs(g[:5, k, i])
+        sin, stub = d[4], d[:4].min(axis=0) / d[4]  # the shortest stub
+        rejected[k[surely_within(sin, _SIN_CROSS) | surely_within(stub, MIN_STUB)]] = True
+        ok = ~within(sin, _SIN_CROSS) & ~within(stub, MIN_STUB) & ~rejected[k]
+        # these pass the scalar's parallel test by far and have t and u inside
+        # (0, 1) by over MIN_STUB: its point is a + t r, here bit for bit
+        k, i, q, known = k[ok], i[ok], lines[k[ok], 5:9], {}  # by candidate, then row
+        denom, tn = intersection_params(q, self.cols[:4, i].T)[:2]
+        p = q[:, :2] + (tn / denom)[:, None] * (q[:, 2:] - q[:, :2])
+        out = (p < JUNCTION_MARGIN) | (p > (width - JUNCTION_MARGIN, height - JUNCTION_MARGIN))
+        rejected[k[out.any(axis=1)]] = True  # outside the junction window
+        for a, b, xy in zip(k.tolist(), i.tolist(), p.tolist()):  # rejected ones go unread
+            known.setdefault(a, {})[b] = Point(*xy)
+        return rejected, apart, near | cross, known
 
 
 class _Queue:
-    """Candidates drawn ahead of ``make_scene``'s loop and screened together;
-    ``mark`` is where the last one taken leaves the generator."""
+    """Candidates drawn ahead of ``make_scene``'s loop and screened together; ``mark`` is
+    where the last one taken leaves the generator, ``known`` its settled crossings by row."""
 
     def __init__(self, rng: np.random.Generator, width: int, height: int) -> None:
         self.size, self.draws = (width, height), _draws(rng, width, height)
-        self.mark, self.ends, self.i = (rng.bit_generator.state, 0, None), (), 0
+        self.mark, self.ends, self.i, self.known = (rng.bit_generator.state, 0, None), (), 0, {}
 
     def pop(self, layout: _Layout) -> tuple[tuple, np.ndarray, Optional[list[int]]]:
-        """The next candidate's ends, its ``_lines`` row and the rows to check
-        by hand, None if the array pass drops it."""
+        """The next candidate's ends, its ``_lines`` row and the rows to check, None if dropped."""
         if self.i == len(self.ends):
             self.ends, self.marks = zip(*itertools.islice(self.draws, _QUEUE))
             self.lines, self.i, self.screened = _lines(np.array(self.ends, float)), 0, (None,)
         i, n = self.i, len(layout.segments)
         self.i, self.mark = i + 1, self.marks[i]
         if self.screened[0] is not layout:  # one screen per queue and layout
-            rejected, apart, flagged = layout.screen(self.lines, *self.size)
-            self.screened = layout, n, rejected.tolist(), apart.all(axis=1).tolist(), flagged
-        _, since, rejected, apart, flagged = self.screened
+            rejected, apart, flagged, known = layout.screen(self.lines, *self.size)
+            self.screened = layout, n, rejected.tolist(), apart.all(axis=1).tolist(), flagged, known
+        _, since, rejected, apart, flagged, known = self.screened
+        self.known = known.get(i, {})
         # a candidate needs a crossing once a segment is placed, maybe from one since
         rows = None if rejected[i] or apart[i] and n == since > 0 else \
-            np.flatnonzero(flagged[i]).tolist() + [*range(since, n)]
+            flagged[i].nonzero()[0].tolist() + [*range(since, n)]
         return self.ends[i], self.lines[i], rows
 
 
 def _check(cand: Segment, layout: _Layout, width: int, height: int, need_crossing: bool,
-           rows: Sequence[int]) -> Optional[list[Point]]:
-    """New crossings if the candidate is acceptable, else None.  Only
-    ``rows`` are checked by hand: those the queue's screen flags and every
-    segment placed since.  Each crossing meets the spacing test once found,
-    against the earlier new ones and the 3x3 grid cells around it."""
-    new = []
+           rows: Sequence[int], known: Optional[dict] = None) -> Optional[list[Point]]:
+    """New crossings if the candidate is acceptable, else None.  Only ``rows`` are
+    checked: those the queue's screen flags and every segment placed since.  A crossing
+    in ``known`` is settled, a row whose box is over MIN_CLEARANCE away meets only
+    ``_continues``, the rest ``_row_check``.  Each crossing meets the spacing test once
+    found, against the earlier new ones and the 3x3 grid cells around it."""
+    new, known = [], known or {}
+    x0, x1, y0, y1 = *sorted((cand.a.x, cand.b.x)), *sorted((cand.a.y, cand.b.y))
     for i in rows:
-        p = _row_check(cand, layout.segments[i], width, height)
+        other, p = layout.segments[i], known.get(i)
+        if p is None:
+            u0, u1, v0, v1 = layout.boxes[i]
+            p = (False if _continues(cand, other) else None) \
+                if max(x0 - u1, u0 - x1, y0 - v1, v0 - y1) > MIN_CLEARANCE + _SIDE \
+                else _row_check(cand, other, width, height)
         if p is False:
             return None
         if p is not None:
@@ -296,10 +303,10 @@ def make_scene(rng: np.random.Generator, width: int = 320, height: int = 320,
     """One random scene; n_segments defaults to a draw in [5, 30].  GeometryError
     before any draw if a side is not an integer >= 1, n_segments not None or an
     integer >= 0, or a segment cannot fit; and after MAX_ATTEMPTS."""
-    for v, low in (width, 1), (height, 1), (0 if n_segments is None else n_segments, 0):
-        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < low:
-            raise GeometryError(f"a {width!r}x{height!r} scene of {n_segments!r} segments: "
-                                "sides must be integers >= 1, n_segments None or >= 0")
+    if not (is_whole(width, 1) and is_whole(height, 1) and is_whole(
+            0 if n_segments is None else n_segments)):
+        raise GeometryError(f"a {width!r}x{height!r} scene of {n_segments!r} segments: "
+                            "sides must be integers >= 1, n_segments None or >= 0")
     if MAX_LENGTH_FRAC * min(width, height) < MIN_LENGTH:
         raise GeometryError(f"a {width}x{height} image cannot hold a {MIN_LENGTH:g} px segment")
     if n_segments is None:
@@ -317,7 +324,8 @@ def make_scene(rng: np.random.Generator, width: int = 320, height: int = 320,
                     if rows is None:
                         continue
                     cand = Segment(Point(*map(float, ends[:2])), Point(*map(float, ends[2:])))
-                    crossings = _check(cand, layout, width, height, bool(layout.segments), rows)
+                    crossings = _check(cand, layout, width, height, bool(layout.segments), rows,
+                                       queue.known)
                     if crossings is not None:
                         layout.add(cand, crossings, line)
                         break
@@ -336,7 +344,7 @@ def make_scene(rng: np.random.Generator, width: int = 320, height: int = 320,
 def make_scenes(seed: int, count: int, width: int = 320,
                 height: int = 320) -> list[AnnotatedScene]:
     check_seed(seed)
-    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 0:
+    if not is_whole(count):
         raise GeometryError(f"scene count {count!r} must be an integer >= 0")
     rng = np.random.default_rng(seed)
     return [make_scene(rng, width, height) for _ in range(count)]

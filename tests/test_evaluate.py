@@ -63,6 +63,28 @@ def test_config_validation():
     assert CFG.tolerance(100, 100) == pytest.approx(math.hypot(100, 100) / 100)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_config_refuses_a_non_finite_sweep_value(bad):
+    # NaN fails every >= of the increasing check; emit_pr_csv would write a
+    # row that read_pr_csv refuses
+    for sweep in ((0.9, bad, 0.1), (bad,), (0.1, 0.5, bad)):
+        with pytest.raises(GeometryError, match="finite"):
+            EvalConfig(sweep=sweep)
+
+
+@pytest.mark.parametrize("width, height", [(math.inf, 100), (100, math.nan), (100.0, 100),
+                                           (100, 99.5), (True, 100), (-1, 100)])
+def test_pr_functions_refuse_a_side_that_is_no_integer(width, height):
+    # an infinite side made the tolerance infinite (P = R = 1 for any
+    # prediction), a NaN one matched nothing, a float one hit numpy's TypeError
+    js, segments = [jn(5, 5)], [seg(10, 10, 90, 10)]
+    for run in (lambda: junction_pr(js, js, CFG, width, height),
+                lambda: junction_sweep(js, js, CFG, width, height),
+                lambda: line_pixel_pr(segments, segments, CFG, width, height)):
+        with pytest.raises(GeometryError, match=r"image sides .* must be integers >= 0"):
+            run()
+
+
 def test_match_identical():
     assert match([pt(3, 3)], [pt(3, 3)], 1.0) == 1
 

@@ -863,9 +863,9 @@ def test_wireframe_write_read_write_is_a_fixed_point(wf):
                 .filter(lambda r: r[:2] != r[2:]), max_size=5))
 @settings(deadline=None)
 def test_scene_writer_spells_the_documents(rows):
-    scene = AnnotatedScene(50, 50.0, tuple(seg(*r) for r in rows))
+    scene = AnnotatedScene(50, 50, tuple(seg(*r) for r in rows))
     assert written(lambda p: write_scene(scene, p)) == reference_text(
-        {"width": 50, "height": 50.0, "lines": [[_round9(v) for v in r] for r in rows]})
+        {"width": 50, "height": 50, "lines": [[_round9(v) for v in r] for r in rows]})
 
 
 @pytest.mark.parametrize("width, height", [(960.0, 960), (True, 8), (np.float64(64.0), 2.5)])
@@ -916,6 +916,31 @@ def test_grid_roundtrip(tmp_path):
     p2 = str(tmp_path / "g2.json")
     write_grid(back, p2)
     assert open(p, "rb").read() == open(p2, "rb").read()
+
+
+@pytest.mark.parametrize("side", [10.5, math.nan, math.inf, True, 0, -3, "10"])
+def test_scene_and_grid_writers_get_no_side_their_readers_refuse(tmp_path, side):
+    # read_scene and read_grid take integer sides only; a float, NaN, bool or
+    # string side is refused when the scene or config is built, before a
+    # writer could open a file (encode met an infinite side as a cell collision)
+    with pytest.raises(GeometryError, match="integers >= 1"):
+        AnnotatedScene(side, 10)
+    for sizes in ((side, 32, 8, 8, 15), (32, side, 8, 8, 15), (32, 32, side, 8, 15),
+                  (32, 32, 8, side, 15), (32, 32, 8, 8, side)):
+        with pytest.raises(GeometryError, match="integers|integer of at least 2"):
+            GridConfig(*sizes)
+    assert os.listdir(tmp_path) == []
+
+
+def test_numpy_integer_sides_are_written_as_integers(tmp_path):
+    # numpy integers are stored as ints, so the writers spell them and the
+    # readers take them back
+    scene = AnnotatedScene(np.int64(40), np.int32(30), (seg(1, 2, 30, 20),))
+    write_scene(scene, str(tmp_path / "s.json"))
+    assert read_scene(str(tmp_path / "s.json")) == AnnotatedScene(40, 30, scene.lines)
+    cfg = GridConfig(np.int64(32), np.int16(32), np.int64(8), np.uint8(8), np.int64(15))
+    write_grid(GridEncoding(cfg), str(tmp_path / "g.json"))
+    assert read_grid(str(tmp_path / "g.json")).config == GridConfig(32, 32, 8, 8, 15)
 
 
 GRID_DOC = ('{"config": {"image_w": 8, "image_h": 8, "grid_w": 1, "grid_h": 1, "bins": 2}, '

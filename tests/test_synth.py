@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import threading
@@ -9,12 +10,12 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from wireframe import synth
 from wireframe.annotate import AnnotatedScene
-from wireframe.geometry import GeometryError, Point, Segment, segment_array, segment_intersection
+from wireframe.geometry import (GeometryError, Point, Segment, point_segment_distance,
+                                segment_array, segment_intersection)
 from wireframe.synth import (JUNCTION_MARGIN, MAX_ATTEMPTS, MAX_SEGMENTS, MAX_TRIES,
                              MIN_CLEARANCE, MIN_CROSS_ANGLE, MIN_JUNCTION_SEP, MIN_SEGMENTS,
-                             MIN_STUB, _candidate, _check, _crossing_angle, _draws, _Layout,
-                             _line_distance, _lines, _min_separation, _Queue, _row_check, _seek,
-                             make_scene, make_scenes)
+                             MIN_STUB, _candidate, _check, _continues, _crossing_angle, _draws,
+                             _Layout, _lines, _Queue, _row_check, _seek, make_scene, make_scenes)
 
 # layouts from this many segments on give ``_check`` the rows the array pass
 # leaves, smaller ones every row: each row set against the reference
@@ -25,6 +26,18 @@ def seg(x1, y1, x2, y2):
     return Segment(Point(float(x1), float(y1)), Point(float(x2), float(y2)))
 
 
+def min_separation(s, t):
+    """The least distance from an end of either segment to the other."""
+    return min(point_segment_distance(s.a, t), point_segment_distance(s.b, t),
+               point_segment_distance(t.a, s), point_segment_distance(t.b, s))
+
+
+def line_distance(p, s):
+    """Distance from p to the line through s."""
+    dx, dy = s.b.x - s.a.x, s.b.y - s.a.y
+    return abs((p.x - s.a.x) * dy - (p.y - s.a.y) * dx) / math.hypot(dx, dy)
+
+
 def reference_check(cand, existing, junctions, width, height, need_crossing):
     """The all-rows scalar loop that ``_check`` must agree with."""
     new_junctions = []
@@ -33,11 +46,11 @@ def reference_check(cand, existing, junctions, width, height, need_crossing):
         if hit.collinear:
             return None
         if hit.point is None:
-            if _min_separation(cand, other) < MIN_CLEARANCE:
+            if min_separation(cand, other) < MIN_CLEARANCE:
                 return None
             if _crossing_angle(cand, other) < 15.0 and (
-                    _line_distance(other.a, cand) < 4.0
-                    or _line_distance(other.b, cand) < 4.0):
+                    line_distance(other.a, cand) < 4.0
+                    or line_distance(other.b, cand) < 4.0):
                 return None
             continue
         p = hit.point
@@ -97,20 +110,25 @@ def junctions_of(layout):
 
 
 def screen_one(cand, segments, width=320, height=320):
-    """The array pass on one candidate: (rejected, apart row mask, flagged row mask)."""
-    return [a[0] for a in layout_of(segments).screen(_lines(segment_array([cand])), width, height)]
+    """The array pass on one candidate: (rejected, apart row mask, flagged row
+    mask, the crossings it settles by row)."""
+    rejected, apart, flagged, known = layout_of(segments).screen(
+        _lines(segment_array([cand])), width, height)
+    return rejected[0], apart[0], flagged[0], known.get(0, {})
 
 
 def check(cand, layout, width, height, need_crossing, screen_from=0):
-    """``_check`` on the rows the array pass leaves, None where it drops the
-    candidate, or on every row of a layout below ``screen_from`` segments."""
+    """``_check`` on the rows the array pass leaves, with the crossings it
+    settles, None where it drops the candidate, or on every row by hand for a
+    layout below ``screen_from`` segments."""
     n = len(layout.segments)
     if n < screen_from:
         return _check(cand, layout, width, height, need_crossing, range(n))
-    rejected, apart, flagged = screen_one(cand, layout.segments, width, height)
+    rejected, apart, flagged, known = screen_one(cand, layout.segments, width, height)
     if rejected or (need_crossing and apart.all()):
         return None
-    return _check(cand, layout, width, height, need_crossing, np.flatnonzero(flagged).tolist())
+    return _check(cand, layout, width, height, need_crossing, np.flatnonzero(flagged).tolist(),
+                  known)
 
 
 def both_agree(cand, segments, junctions, width, height, need_crossing):
@@ -152,6 +170,67 @@ def test_make_scene_matches_reference(size, n_segments, keys):
         assert make_scene(rng, size, size, n_segments) == \
             reference_make_scene(ref, size, size, n_segments)
         assert same_state(rng.bit_generator.state, ref.bit_generator.state)
+
+
+# SHA-256 of the lines and of the generator state after each make_scene call,
+# over the benchmark's pool keys (the first of roundtrip-320 and hough-640)
+POOL_DIGESTS = [
+    (320, None, range(20), "fe8d0cc3b22adc678ab5e02020225cffe6cbcb41c90de4e63735d84c024c0f4b",
+     "32853f10e47d6dc08ba09eb989f308df0fc453454670dd05a10a6a67c5ff0345"),
+    (960, 120, range(8), "59e7dfb67de24a8b0978f7ec97a1566f41d5549396b957a77b0e46e9b409dd45",
+     "a06446bdd036891b5bbda4fd3566da0facb0ea10334320f5a264bebba9186b6c"),
+    (640, 60, range(4), "732d1f5824d1c191ac564119319d7d11aa2e6a1e8bd140269a259cf55c23194d",
+     "1a8d8a91eadc5af7d69fa2cdc2a66685ef4e9885b77175f1f33a340972d2fb22"),
+]
+
+
+@pytest.mark.parametrize("size, n_segments, keys, lines_digest, states_digest", POOL_DIGESTS,
+                         ids=["roundtrip-320", "dense-960", "hough-640"])
+def test_make_scene_pinned_on_the_pool_keys(size, n_segments, keys, lines_digest, states_digest):
+    # the benchmark checks the files derived from these scenes, never the
+    # generator state; both are pinned here
+    lines, states = hashlib.sha256(), hashlib.sha256()
+    for k in keys:
+        rng = np.random.default_rng([size, k])
+        scene = make_scene(rng, size, size, n_segments)
+        lines.update(repr([(s.a.x, s.a.y, s.b.x, s.b.y) for s in scene.lines]).encode())
+        states.update(repr(rng.bit_generator.state).encode())
+    assert (lines.hexdigest(), states.hexdigest()) == (lines_digest, states_digest)
+
+
+@pytest.mark.parametrize("size, n_segments, keys", [
+    (320, None, range(10)), (960, 120, [0, 5]), (640, 60, [0])])
+def test_rows_settled_without_row_check_match_it(monkeypatch, size, n_segments, keys):
+    # every row that _check settles without _row_check, on the pool keys: a
+    # crossing the screen settled is _row_check's point, and a row whose box is
+    # more than MIN_CLEARANCE from the candidate's gets _row_check's verdict
+    # from the continuation rule alone
+    pop, settled = _Queue.pop, {"crossing": 0, "box": 0}
+
+    def checked(queue, layout):
+        ends, line, rows = pop(queue, layout)
+        cand = seg(*ends)
+        for i in rows or ():
+            other = layout.segments[i]
+            want = _row_check(cand, other, size, size)
+            (x0, x1), (y0, y1) = sorted((cand.a.x, cand.b.x)), sorted((cand.a.y, cand.b.y))
+            (u0, u1), (v0, v1) = sorted((other.a.x, other.b.x)), sorted((other.a.y, other.b.y))
+            if i in queue.known:
+                p = queue.known[i]
+                assert isinstance(want, Point) and (p.x, p.y) == (want.x, want.y)
+                settled["crossing"] += 1
+            elif max(x0 - u1, u0 - x1, y0 - v1, v0 - y1) > MIN_CLEARANCE + synth._SIDE:
+                continues = _crossing_angle(cand, other) < 15.0 and (
+                    line_distance(other.a, cand) < 4.0 or line_distance(other.b, cand) < 4.0)
+                assert want is (False if continues else None)
+                assert _continues(cand, other) == continues
+                settled["box"] += 1
+        return ends, line, rows
+
+    monkeypatch.setattr(_Queue, "pop", checked)
+    for k in keys:
+        make_scene(np.random.default_rng([size, k]), size, size, n_segments)
+    assert settled["crossing"] > 0 and settled["box"] > 0
 
 
 @pytest.mark.parametrize("seed", [0, 5])
@@ -226,8 +305,11 @@ def test_check_matches_reference_while_growing(monkeypatch, size, n_segments, ke
         cand, need = seg(*ends), bool(layout.segments)
         want = reference_check(cand, list(layout.segments), junctions_of(layout),
                                size, size, need)
-        assert (want is None if rows is None else _check(cand, layout, size, size, need, rows)
-                == want)
+        if rows is None:
+            assert want is None
+        else:  # with the crossings the screen settled, and with every row by hand
+            assert _check(cand, layout, size, size, need, rows, queue.known) == want
+            assert _check(cand, layout, size, size, need, rows) == want
         for screen_from in SCREEN_FROM:
             assert check(cand, layout, size, size, need, screen_from) == want
         seen.append(want is not None)
@@ -341,7 +423,7 @@ def test_crossings_in_accepted_order():
     rows = [seg(40 + 30 * i, 40, 40 + 30 * i, 280) for i in range(8)]
     rows.insert(3, seg(65, 130, 124, 165.4))
     cand = seg(30, 160, 290, 160)
-    rejected, apart, flagged = screen_one(cand, rows)
+    rejected, apart, flagged, _ = screen_one(cand, rows)
     assert not rejected and not apart.any() and flagged.all()
     got = both_agree(cand, rows, [], 320, 320, True)
     assert [p.x for p in got] == pytest.approx([40, 70, 100, 115, 130, 160, 190, 220, 250])
@@ -395,12 +477,15 @@ def test_make_scenes_rejects_bad_seed_and_count(seed, count):
 
 def assert_screen_sound(cand, other, width=320, height=320):
     """A sure reject is a scalar reject, a sure apart row gives no crossing,
-    and a row left unflagged passes."""
+    a row left unflagged passes, and a crossing the screen settles is the
+    scalar's point, bit for bit."""
     want = _row_check(cand, other, width, height)
-    rejected, apart, flagged = screen_one(cand, [other], width, height)
+    rejected, apart, flagged, known = screen_one(cand, [other], width, height)
     assert not rejected or want is False
     assert not apart[0] or not isinstance(want, Point)
     assert flagged[0] or want is None
+    if 0 in known and not rejected:
+        assert flagged[0] and (known[0].x, known[0].y) == (want.x, want.y)
     return rejected
 
 
@@ -498,7 +583,7 @@ def test_screen_settles_sure_rejects(monkeypatch, cand):
 def test_screen_drops_a_candidate_no_row_can_cross(monkeypatch):
     rows = [seg(40 + 30 * i, 40, 40 + 30 * i, 120) for i in range(6)]
     cand = seg(30, 200, 290, 200)
-    rejected, apart, flagged = screen_one(cand, rows)
+    rejected, apart, flagged, _ = screen_one(cand, rows)
     assert not rejected and apart.all() and not flagged.any()
     monkeypatch.setattr(synth, "_row_check", None)
     assert [r for _, _, r in popped(monkeypatch, [cand], layout_of(rows))] == [None]
@@ -513,7 +598,7 @@ def test_queue_screens_a_one_segment_layout(monkeypatch):
     (ends, line, rows), crossing = popped(monkeypatch, cands, layout_of([H]))
     assert ends == (120.0, 103.0, 220.0, 103.0) and rows is None
     assert line.tolist() == _lines(segment_array(cands[:1]))[0].tolist()
-    assert crossing[2] == [0]  # a crossing is flagged for the scalar check
+    assert crossing[2] == [0]  # a crossing row is offered, its point settled by the screen
 
 
 def test_queue_screens_once_per_layout(monkeypatch):
