@@ -61,11 +61,10 @@ class HeatMap:
     values: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
 
     def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.shape != (self.height, self.width):
-            raise GeometryError(
-                f"heat map shape {self.values.shape} != ({self.height}, {self.width})")
-        if not np.isfinite(self.values).all() or (self.values < 0).any():
+        v = self.values = np.asarray(self.values, dtype=np.float64)
+        if v.shape != (self.height, self.width):
+            raise GeometryError(f"heat map shape {v.shape} != ({self.height}, {self.width})")
+        if not (v.min(initial=0.0) >= 0.0 and v.max(initial=0.0) < np.inf):  # NaN fails too
             raise GeometryError("heat map values must be finite and >= 0")
 
 

@@ -18,6 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .annotate import _BLOCK_PX, rasterize_segments
+from .formats import write_in_place
 from .geometry import (GeometryError, Junction, Segment, is_whole, junction_table, near_lists,
                        segment_array)
 
@@ -207,8 +208,7 @@ def emit_pr_csv(curve: PRCurve, path: str) -> None:
     lines = ["threshold,precision,recall"]
     lines += [f"{_fmt(p.threshold)},{_fmt(p.precision)},{_fmt(p.recall)}"
               for p in curve.points]
-    with open(path, "w", encoding="ascii", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
+    write_in_place(path, ("\n".join(lines) + "\n").encode("ascii"))
 
 
 def read_pr_csv(path: str) -> PRCurve:
@@ -270,5 +270,4 @@ def emit_pr_svg(curve: PRCurve, path: str) -> None:
             s.append(f'<text x="{_svg_x(p.recall)}" y="{_fmt(float(_svg_y(p.precision)) - 8)}" '
                      f'font-size="10" text-anchor="middle">{_fmt(p.threshold)}</text>')
     s.append("</svg>")
-    with open(path, "w", encoding="ascii", newline="\n") as f:
-        f.write("\n".join(s) + "\n")
+    write_in_place(path, ("\n".join(s) + "\n").encode("ascii"))

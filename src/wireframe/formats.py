@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import functools
 import json
+import os
+import stat
 import struct
 from math import fmod, isfinite
 from typing import Sequence
@@ -42,9 +44,28 @@ def _round9(v: float) -> float:
     return float(f"{float(v):.9g}")
 
 
+def write_in_place(path: str, *chunks) -> None:
+    """Write the bytes-like chunks over the file, then cut it to their length: a cut to 0
+    first would make ext4 flush it on close.  No fsync; a failed write leaves it empty."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666),
+              "wb", buffering=0) as f:
+        regular = stat.S_ISREG(os.fstat(f.fileno()).st_mode)  # /dev/null or a pipe: no cut
+        try:
+            for view in map(memoryview, chunks):
+                view = view.cast("B") if view.nbytes else b""  # 0-size arrays cannot cast
+                while view:  # a write may take only part of a view
+                    view = view[f.write(view):]
+        except BaseException:
+            if regular:
+                f.truncate(0)  # old bytes never trail new ones
+            raise
+        if regular:
+            f.truncate()  # at the end of what was written
+
+
 def _dump(path: str, **fields: str) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as f:
-        f.write("{\n " + ",\n ".join(f'"{k}": {v}' for k, v in fields.items()) + "\n}\n")
+    write_in_place(path, ("{\n " + ",\n ".join(f'"{k}": {v}' for k, v in fields.items())
+                          + "\n}\n").encode("ascii"))
 
 
 def _spell(vals: list) -> list[str]:
@@ -222,9 +243,8 @@ def read_junctions(path: str) -> tuple[int, int, JunctionTable]:
 # -- heat maps (WFHM binary) --
 
 def write_heatmap(hm: HeatMap, path: str) -> None:
-    with open(path, "wb") as f:
-        f.write(WFHM_HEADER.pack(WFHM_MAGIC, WFHM_VERSION, hm.width, hm.height))
-        f.write(np.ascontiguousarray(hm.values, dtype="<f4"))
+    write_in_place(path, WFHM_HEADER.pack(WFHM_MAGIC, WFHM_VERSION, hm.width, hm.height),
+                   np.ascontiguousarray(hm.values, dtype="<f4"))
 
 
 def read_heatmap(path: str) -> HeatMap:
@@ -320,8 +340,7 @@ def write_grid(enc: GridEncoding, path: str) -> None:
     doc = {"config": {"image_w": cfg.image_w, "image_h": cfg.image_h, "grid_w": cfg.grid_w,
                       "grid_h": cfg.grid_h, "bins": cfg.bins},
            **{k: np.frompyfunc(_round9, 1, 1)(getattr(enc, k)).tolist() for k in ARRAYS}}
-    with open(path, "w", encoding="ascii", newline="\n") as f:
-        f.write(json.dumps(doc, indent=1) + "\n")
+    write_in_place(path, (json.dumps(doc, indent=1) + "\n").encode("ascii"))
 
 
 def read_grid(path: str) -> GridEncoding:

@@ -319,10 +319,17 @@ def test_scene_validation():
 
 
 def test_heatmap_validation():
-    with pytest.raises(GeometryError):
-        HeatMap(4, 4, np.full((4, 4), -1.0))
+    for bad in (-1.0, -5e-324, np.nan, np.inf, -np.inf):
+        for at in ((0, 0), (3, 3)):  # alone, and after good values
+            values = np.full((4, 4), 0.5)
+            values[at] = bad
+            with pytest.raises(GeometryError, match="finite and >= 0"):
+                HeatMap(4, 4, values)
     with pytest.raises(GeometryError):
         HeatMap(4, 4, np.zeros((3, 4)))
+    assert np.signbit(HeatMap(2, 1, np.array([[-0.0, 1.0]])).values[0, 0])  # -0.0 is >= 0
+    assert HeatMap(0, 0).values.shape == (0, 0)
+    assert HeatMap(0, 3, np.zeros((3, 0))).values.shape == (3, 0)
 
 
 def test_derive_x_crossing():

@@ -90,6 +90,18 @@ def test_construct_rejects_dimension_mismatch(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_construct_out_a_directory_exits_3(tmp_path, capsys):
+    scene = str(tmp_path / "scene.json")
+    cross_scene(scene)
+    jpath, hpath = str(tmp_path / "j.json"), str(tmp_path / "h.wfhm")
+    main(["derive-gt", "--scene", scene, "--out-junctions", jpath, "--out-heatmap", hpath])
+    capsys.readouterr()
+    rc = main(["construct", "--junctions", jpath, "--heatmap", hpath, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("error:") and err.count("\n") == 1 and str(tmp_path) in err
+
+
 def test_usage_error_exits_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["construct", "--junctions", "x"])  # missing required flags

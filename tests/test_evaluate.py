@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
@@ -522,6 +523,21 @@ def test_emit_svg_deterministic(tmp_path):
     emit_pr_svg(curve, str(p2))
     assert p1.read_bytes() == p2.read_bytes()
     assert "polyline" in p1.read_text()
+
+
+@pytest.mark.parametrize("emit", [emit_pr_csv, emit_pr_svg])
+def test_emit_over_a_longer_file_through_a_symlink_and_to_devnull(tmp_path, emit):
+    # written in place and cut to length: no old byte trails the new ones
+    curve = PRCurve((PRPoint(0.1, 0.9, 0.8), PRPoint(0.5, 0.95, 0.6)))
+    fresh, target, link = tmp_path / "fresh", tmp_path / "target", tmp_path / "link"
+    emit(curve, str(fresh))
+    target.write_bytes(b"\xff" * (3 * fresh.stat().st_size + 7))
+    link.symlink_to(target)
+    emit(curve, str(link))
+    assert link.is_symlink() and target.read_bytes() == fresh.read_bytes()
+    emit(curve, str(target))  # over itself
+    assert target.read_bytes() == fresh.read_bytes()
+    emit(curve, os.devnull)
 
 
 @pytest.mark.parametrize("header, row, named", [

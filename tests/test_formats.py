@@ -35,6 +35,7 @@ from wireframe.formats import (
     write_heatmap,
     write_junctions,
     write_scene,
+    write_in_place,
     write_wireframe,
 )
 from wireframe.geometry import (
@@ -985,3 +986,89 @@ def test_grid_rejects_bad_config(tmp_path):
     open(p, "w").write('{"no_config": true}')
     with pytest.raises(FormatError, match="config"):
         read_grid(p)
+
+
+# -- the write path: a file is written over in place, then cut to length --
+
+WRITERS = {
+    "scene": lambda p: write_scene(hexagon_scene(), p),
+    "junctions": lambda p: write_junctions(100, 100, derive_junctions(hexagon_scene()), p),
+    "heatmap": lambda p: write_heatmap(render_target_heatmap(hexagon_scene()), p),
+    "wireframe": lambda p: write_wireframe(two_point_wireframe(), 20, 20, p),
+    "grid": lambda p: write_grid(encode([Junction(Point(7.5, 7.5), (Branch(10.0),), 1.0)],
+                                        GridConfig(60, 60, 4, 4, 5)), p),
+}
+
+
+@pytest.mark.parametrize("kind", WRITERS)
+def test_writing_over_a_longer_file_gives_the_bytes_of_a_fresh_write(tmp_path, kind):
+    fresh, old = tmp_path / "fresh", tmp_path / "old"
+    WRITERS[kind](str(fresh))
+    old.write_bytes(b"\xff" * (3 * fresh.stat().st_size + 7))
+    WRITERS[kind](old)  # a Path, as the benchmark passes
+    assert old.read_bytes() == fresh.read_bytes()
+    WRITERS[kind](str(old))  # and over itself
+    assert old.read_bytes() == fresh.read_bytes()
+
+
+@pytest.mark.parametrize("kind", WRITERS)
+def test_writing_through_links_changes_the_shared_file(tmp_path, kind):
+    fresh, target = tmp_path / "fresh", tmp_path / "target"
+    link, hard = tmp_path / "link", tmp_path / "hard"
+    WRITERS[kind](str(fresh))
+    target.write_bytes(b"old " * 50_000)
+    link.symlink_to(target)
+    os.link(target, hard)
+    WRITERS[kind](str(link))
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == hard.read_bytes() == fresh.read_bytes()
+
+
+@pytest.mark.parametrize("kind", WRITERS)
+def test_writing_to_devnull(kind):
+    WRITERS[kind](os.devnull)  # seekable, but ftruncate on it fails with EINVAL
+
+
+def test_a_write_that_fails_part_way_leaves_an_empty_file(tmp_path):
+    p = tmp_path / "x.wfhm"
+    p.write_bytes(b"old " * 50_000)
+    with pytest.raises(TypeError, match="memoryview"):  # the original error, re-raised
+        write_in_place(str(p), b"new bytes", object())  # the second chunk is not bytes-like
+    assert p.read_bytes() == b""
+
+
+def test_write_in_place_joins_its_chunks(tmp_path):
+    p = tmp_path / "x"
+    p.write_bytes(b"z" * 100)
+    write_in_place(str(p), b"ab", np.zeros((0, 3), "<f4"), np.arange(2, dtype="<f4"), b"")
+    assert p.read_bytes() == b"ab" + np.arange(2, dtype="<f4").tobytes()
+
+
+@pytest.mark.parametrize("kind", ["junctions", "wireframe", "wireframe-ends"])
+def test_a_refused_write_leaves_the_old_file_as_it_was(tmp_path, kind):
+    p = tmp_path / "x.json"
+    p.write_bytes(b"old " * 1000)
+    bad = Junction(Point(1.0, 2.0), (Branch(90.0),), 1.3)
+    with pytest.raises(FormatError):
+        if kind == "junctions":
+            write_junctions(8, 8, [bad], str(p))
+        elif kind == "wireframe":
+            write_wireframe(Wireframe([bad]), 8, 8, str(p))
+        else:
+            wf = two_point_wireframe()
+            write_wireframe(Wireframe(wf.junctions, np.array([[0, 2]]), wf.incidence[:0]),
+                            20, 20, str(p))
+    assert p.read_bytes() == b"old " * 1000
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_writing_to_a_pipe_is_not_cut(tmp_path):
+    fresh, fifo = tmp_path / "fresh", tmp_path / "fifo"
+    WRITERS["scene"](str(fresh))
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # so the writer's open does not block
+    try:
+        WRITERS["scene"](str(fifo))
+        assert os.read(reader, 1 << 16) == fresh.read_bytes()
+    finally:
+        os.close(reader)
