@@ -120,13 +120,13 @@ def _on_ray(origin: Point, angle_deg: float, q: Point, delta_ray: float) -> bool
 
 
 def match_ray_pairs(junctions: Sequence[Junction], delta_ray: float = DEFAULT_DELTA_RAY
-                    ) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-    """Mutually nearest aligned ray pairs, lower ray first, in its order.
+                    ) -> np.ndarray:
+    """Mutually nearest aligned ray pairs: (P, 2) ray indices, lower first and sorted by it.
 
-    Ray (i, k) is branch k of junction i, from the junction's centre.  A ray
-    points at the nearest junction that lies along it and that aims a branch
-    back along the reverse direction; two rays pointing at each other form a
-    pair.  Each ray lands in at most one pair.  The junction direction
+    Ray r is branch r of the table, from the centre of junction owner[r].  A
+    ray points at the nearest junction that lies along it and that aims a
+    branch back along the reverse direction; two rays pointing at each other
+    form a pair.  Each ray lands in at most one pair.  The junction direction
     matrix gives every ray's aim at every junction at once.  No candidate
     farther than a ray's nearest one surely on both rays can win; a ray left
     with one such candidate takes it, the rest go nearest first to ``_on_ray``.
@@ -161,11 +161,11 @@ def match_ray_pairs(junctions: Sequence[Junction], delta_ray: float = DEFAULT_DE
     np.minimum.at(nearest, r[sure], dist[sure])
     keep = ~(dist > prefilter_bound(prefilter_bound(nearest[r])))
     r, q, dist, sure = r[keep], q[keep], dist[keep], sure[keep]
-    choice = np.full(nr, -1)
+    choice = np.full(nr, -1, dtype=np.intp)
     alone = sure & (np.bincount(r, minlength=nr)[r] == 1)
     choice[r[alone]] = q[alone]
     order = np.lexsort((q, dist, r))  # nearest first per ray
-    best: dict[int, tuple[float, int]] = {}  # b runs in (junction, branch) order
+    best: dict[int, tuple[float, int]] = {}  # b runs in ray order
     centres, angles = xy.tolist(), ray_a.tolist()
     for k, b, d, s in zip(*(a[order[~alone[order]]].tolist() for a in (r, q, dist, sure))):
         if k in best and d > prefilter_bound(best[k][0]):
@@ -177,27 +177,25 @@ def match_ray_pairs(junctions: Sequence[Junction], delta_ray: float = DEFAULT_DE
                 best[k] = cand
     choice[list(best)] = [c[1] for c in best.values()]
     mutual = np.flatnonzero((choice > np.arange(nr)) & (choice[choice] == np.arange(nr)))
-    rays = list(zip(ray_j.tolist(), (np.arange(nr) - first.take(ray_j)).tolist()))  # (i, k)
-    return [(rays[k], rays[b]) for k, b in zip(mutual.tolist(), choice[mutual].tolist())]
+    return np.column_stack([mutual, choice[mutual]])
 
 
-def farthest_mask_points(origins: np.ndarray, angles: np.ndarray, exits: np.ndarray,
-                         mask: BinaryMask, max_gap: float = MAX_WALK_GAP) -> np.ndarray:
+def farthest_mask_points(origins: np.ndarray, d: np.ndarray, exits: np.ndarray,
+                         mask: BinaryMask) -> np.ndarray:
     """Farthest supporting mask pixel (not ray pixel) of each ray's walk along
-    its rasterized pixels from its origin row, at its angle, to its exit row
-    (NaN for none), as (K, 2) rows; NaN where no pixel supports the walk.
+    its rasterized pixels from its origin row, along its direction row d, to
+    its exit row (NaN for none), as (K, 2) rows; NaN where no pixel supports it.
 
     Digital lines of the same geometric line drawn from different anchors
     disagree by one pixel across the dominant axis, so each ray pixel also
-    probes its two lateral neighbours.  A walk stops once more than max_gap
-    consecutive ray pixels find no support, which keeps an unrelated faraway
+    probes its two lateral neighbours.  A walk stops past MAX_WALK_GAP
+    consecutive ray pixels with no support, which keeps an unrelated faraway
     line from dragging the endpoint past the real one.  All rays walk at
     once, in chunks of steps that grow until every walk has stopped.
     """
     w = mask.width + 2  # row length of the padded mask
     go = np.flatnonzero((np.abs(exits - origins) >= 0.5).any(axis=1))  # NaN: no exit
-    lateral = np.array([w if abs(math.cos(r)) >= abs(math.sin(r)) else 1  # across travel
-                        for r in map(math.radians, angles.take(go).tolist())], dtype=np.intp)
+    lateral = np.where(np.abs(d[go, 0]) >= np.abs(d[go, 1]), w, 1)  # across travel
     rows, lines = digital_lines(np.hstack([origins, exits]).take(go, axis=0),
                                 mask.width, mask.height)
     which, lateral = go.take(rows), lateral.take(rows)
@@ -217,8 +215,8 @@ def farthest_mask_points(origins: np.ndarray, angles: np.ndarray, exits: np.ndar
         hit = bits.any(axis=0).reshape(-1, k) & (steps <= ends)
         seen = np.maximum(np.maximum.accumulate(np.where(hit, steps, -1), axis=1),
                           last[active, None])
-        # a walk ends at its first step past max_gap misses, or past its last pixel
-        over = (steps - seen > max_gap) | (steps > ends)
+        # a walk ends at its first step past MAX_WALK_GAP misses, or past its last pixel
+        over = (steps - seen > MAX_WALK_GAP) | (steps > ends)
         done, r = over.any(axis=1), np.arange(len(active))
         step = seen[r, np.where(done, over.argmax(axis=1), k - 1)]
         here = step >= lo
@@ -261,17 +259,17 @@ def _pieces(whole: Sequence[float], hits: list) -> list[tuple[float, ...]]:
     return [a + b for a, b in zip(stops, stops[1:]) if math.dist(a, b) >= MIN_PIECE_LEN]
 
 
-def recover_unmatched(junctions: Sequence[Junction], unmatched: Sequence[tuple[int, int]],
+def recover_unmatched(junctions: Sequence[Junction], unmatched: np.ndarray,
                       mask: BinaryMask, segments: np.ndarray) -> np.ndarray:
-    """The (K, 4) rows of new segments that rescue the (junction, branch)
-    rays left unmatched, given the (M, 4) rows of the known segments.
+    """The (K, 4) rows of new segments that rescue the unmatched rays, a 1-D
+    array of ray indices in any order, given the (M, 4) known segment rows.
 
     A ray whose boundary exit is within BOUNDARY_FRAC * max(w, h) of its
     origin becomes a segment to the boundary.  Otherwise the ray walks the
     mask to its farthest supported pixel; the stretch is split where it
     crosses known segments and every piece with support ratio above
     KAPPA_MIN survives.  Later rays split against the new segments too, in
-    (junction, branch) order and pool order.
+    ray index order and pool order.
 
     Walks, cuts and support ratios are batched: one ``may_cut`` pass over
     the given and then the whole segments lists what may cut each walked
@@ -279,11 +277,11 @@ def recover_unmatched(junctions: Sequence[Junction], unmatched: Sequence[tuple[i
     pairs.  A later segment is a piece of an earlier ray's whole one: only the
     rays listed go to the scalar, on ``Segment``s, and changed pieces are redone.
     """
-    t, (i, k) = junction_table(junctions), np.reshape(sorted(unmatched), (-1, 2)).astype(np.intp).T
-    origins, angles = t.centers.take(i, axis=0), normalize_angles(t.angles.take(t.offsets[i] + k))
-    # each ray's exit from the pixel box [0, w-1] x [0, h-1], NaN from outside it
-    d = np.reshape([(math.cos(r), math.sin(r)) for r in map(math.radians, angles.tolist())],
-                   (-1, 2))
+    t, rays = junction_table(junctions), np.sort(unmatched)
+    origins = t.centers.take(t.owner.take(rays), axis=0)
+    # each ray's direction row, and its exit from the box [0, w-1] x [0, h-1], NaN from outside it
+    d = np.reshape([(math.cos(r), math.sin(r)) for r in map(
+        math.radians, normalize_angles(t.angles.take(rays)).tolist())], (-1, 2))
     box = np.array([mask.width - 1.0, mask.height - 1.0])
     with np.errstate(all="ignore"):  # / 0 is masked out; a NaN angle has no exit
         t = np.where(d > 0, (box - origins) / d, np.where(d < 0, -origins / d, np.inf))
@@ -294,7 +292,7 @@ def recover_unmatched(junctions: Sequence[Junction], unmatched: Sequence[tuple[i
                       for o, q in zip(origins.tolist(), ends.tolist())], dtype=bool)
     # a walk depends only on its ray and the mask, not on the pool: walk all at once
     walked = np.flatnonzero(~short)
-    ends[walked] = farthest_mask_points(origins[walked], angles[walked], ends[walked], mask)
+    ends[walked] = farthest_mask_points(origins[walked], d[walked], ends[walked], mask)
     # each ray's whole segment: to its exit, or to its farthest support
     src = np.flatnonzero(short | np.array([math.dist(o, q) >= MIN_PIECE_LEN for o, q in zip(
         origins.tolist(), ends.tolist())], dtype=bool))
@@ -344,13 +342,9 @@ def construct_wireframe(junctions: Sequence[Junction], h: HeatMap,
             *kept.centers[kept.owner[bad[0]]].tolist(), kept.angles[bad[0]]))
 
     mask = binarize(h, params.omega)
-    pairs = match_ray_pairs(kept, params.delta_ray)
-    xy, n, owner = kept.centers, len(kept), kept.owner
-    matched = xy.take(np.array([(a, b) for (a, _), (b, _) in pairs], dtype=np.intp),
-                      axis=0).reshape(-1, 4)
-    branch = np.arange(len(owner)) - kept.offsets.take(owner)  # each ray's k in its junction
-    taken = {ray for pair in pairs for ray in pair}
-    unmatched = [ray for ray in zip(owner.tolist(), branch.tolist()) if ray not in taken]
+    pairs, xy, n = match_ray_pairs(kept, params.delta_ray), kept.centers, len(kept)
+    matched = xy.take(kept.owner.take(pairs), axis=0).reshape(-1, 4)
+    unmatched = np.setdiff1d(np.arange(len(kept.angles)), pairs)
     rows = np.vstack([matched, recover_unmatched(kept, unmatched, mask, matched)])
 
     # each segment end is a kept centre or else a derived point: the centres

@@ -236,15 +236,14 @@ def segment_intersection(s1: Segment, s2: Segment) -> SegmentIntersection:
         # Parallel.  Collinear iff s2.a sits on the line through s1.
         if abs(_cross(qpx, qpy, rx, ry)) > _PARALLEL_EPS * scale:
             return SegmentIntersection(None)
-        # Parameterize along the longer segment so the squared length cannot
-        # underflow for inputs of wildly different scales.
+        # Parameterize along the longer segment, so that both orders agree,
+        # in units of its longer side k, so that no square under- or overflows.
         if math.hypot(sx, sy) > math.hypot(rx, ry):
             return segment_intersection(s2, s1)
-        rr = rx * rx + ry * ry
-        if rr == 0.0:  # both segments shorter than sqrt(smallest float)
-            return SegmentIntersection(None)
-        t0 = (qpx * rx + qpy * ry) / rr
-        t1 = ((s2.b.x - ax) * rx + (s2.b.y - ay) * ry) / rr
+        k = max(abs(rx), abs(ry))
+        ux, uy = rx / k, ry / k
+        t0 = (qpx / k * ux + qpy / k * uy) / (ux * ux + uy * uy)
+        t1 = ((s2.b.x - ax) / k * ux + (s2.b.y - ay) / k * uy) / (ux * ux + uy * uy)
         lo, hi = min(t0, t1), max(t0, t1)
         lo, hi = max(lo, 0.0), min(hi, 1.0)
         if lo > hi:
@@ -256,8 +255,13 @@ def segment_intersection(s1: Segment, s2: Segment) -> SegmentIntersection:
     t = _cross(qpx, qpy, sx, sy) / denom
     u = _cross(qpx, qpy, rx, ry) / denom
     if -_PARALLEL_EPS <= t <= 1.0 + _PARALLEL_EPS and -_PARALLEL_EPS <= u <= 1.0 + _PARALLEL_EPS:
-        t = min(max(t, 0.0), 1.0)
-        return SegmentIntersection(Point(ax + t * rx, ay + t * ry))
+        tc = min(max(t, 0.0), 1.0)
+        x, y = ax + tc * rx, ay + tc * ry
+        if t != tc:  # on s2 unless u needs the clamp too and s1's end is first by (y, x)
+            uc = min(max(u, 0.0), 1.0)
+            qx, qy = cx + uc * sx, cy + uc * sy
+            x, y = (qx, qy) if u == uc or (qy, qx) < (y, x) else (x, y)
+        return SegmentIntersection(Point(x, y))
     return SegmentIntersection(None)
 
 
@@ -342,30 +346,32 @@ def intersection_params(s1: np.ndarray, s2: np.ndarray) -> tuple[np.ndarray, ...
             np.hypot(rx, ry), np.hypot(sx, sy))
 
 
-def _in_unit(t: np.ndarray) -> np.ndarray:
-    return (t >= -_PARALLEL_EPS) & (t <= 1.0 + _PARALLEL_EPS)
-
-
 def intersection_points(s1: np.ndarray, s2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Broadcast ``segment_intersection(s1, s2).point`` over (..., 4)
     segments where the arrays settle it: (sure, xy), xy NaN for no point.
     A pair surely not parallel has the scalar's t, u and point.  A surely
-    parallel one has none if surely off the line (by both cross products:
-    the scalar may swap) or, along r, apart or overlapping by more than a
-    margin for rounding and the < 1e-12 turn.  Others are not sure."""
-    denom, tn, un, lr, ls = intersection_params(s1, s2)
-    a, r = s1[..., :2], s1[..., 2:] - s1[..., :2]
+    parallel one has none if surely off the line by the cross product the
+    scalar tests before it may swap, or, along r, apart or overlapping by
+    more than a margin for rounding and the < 1e-12 turn.  Others are not
+    sure."""
+    a, r, c = s1[..., :2], s1[..., 2:] - s1[..., :2], s2[..., :2]
     with np.errstate(all="ignore"):
-        eps, t = _PARALLEL_EPS * (lr * ls), tn / denom
+        denom, tn, un, lr, ls = intersection_params(s1, s2)
+        eps, t, u = _PARALLEL_EPS * (lr * ls), tn / denom, un / denom
         crossing = np.abs(denom) > 2 * eps
-        ends = ((s2.reshape(*s2.shape[:-1], 2, 2) - a[..., None, :]) * r[..., None, :]).sum(-1)
-        lo, hi = np.maximum(ends.min(-1) / lr, 0.0), np.minimum(ends.max(-1) / lr, lr)
-        margin = _REL_SLACK * (lr + ls + np.abs(s2[..., :2] - a).sum(-1)) + _DIST_SLACK
-        none = (np.abs(denom) < eps / 2) & ((np.abs(tn) > 2 * eps) & (np.abs(un) > 2 * eps)
-                                            | (np.abs(hi - lo) > margin)
-                                            & (np.maximum(lr, ls) < 1e150))  # finite squares
-        hit = crossing & _in_unit(t) & _in_unit(un / denom)
-        xy = np.where(hit[..., None], a + np.clip(t, 0.0, 1.0)[..., None] * r, np.nan)
+        ends = ((s2.reshape(*s2.shape[:-1], 2, 2) - a[..., None, :])  # s2's ends along r / |r|
+                * (r / lr[..., None])[..., None, :]).sum(-1)
+        lo, hi = np.maximum(ends.min(-1), 0.0), np.minimum(ends.max(-1), lr)
+        margin = _REL_SLACK * (lr + ls + np.abs(c - a).sum(-1)) + _DIST_SLACK
+        none = (np.abs(denom) < eps / 2) & ((np.abs(un) > 2 * eps) | (np.abs(hi - lo) > margin)
+                                            & (eps < np.inf))  # |r| |s| overflows: all parallel
+        hit = crossing & (t >= -_PARALLEL_EPS) & (t <= 1.0 + _PARALLEL_EPS) & (
+            u >= -_PARALLEL_EPS) & (u <= 1.0 + _PARALLEL_EPS)  # the scalar's slack
+        tc, uc = np.clip(t, 0.0, 1.0), np.clip(u, 0.0, 1.0)
+        p, q = a + tc[..., None] * r, c + uc[..., None] * (s2[..., 2:] - c)  # as the scalar's
+        on_s2 = (t != tc) & ((u == uc) | (q[..., 1] < p[..., 1])
+                             | (q[..., 1] == p[..., 1]) & (q[..., 0] < p[..., 0]))
+        xy = np.where(hit[..., None], np.where(on_s2[..., None], q, p), np.nan)
     return crossing | none, xy
 
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .construct import BinaryMask
-from .geometry import GeometryError, Point, Segment, check_seed
+from .geometry import GeometryError, Point, Segment, check_seed, is_whole
 
 DEFAULT_VOTES = 30
 DEFAULT_MIN_LENGTH = 20.0
@@ -60,8 +60,7 @@ class HoughParams:
         # NaN fails every comparison, so each check also rejects it
         if not (0 < self.rho_res < math.inf and 0 < self.theta_res < math.inf):
             raise GeometryError("rho and theta resolutions must be finite and > 0")
-        if isinstance(self.votes, bool) or not isinstance(self.votes, (int, np.integer)) \
-                or self.votes < 1:
+        if not is_whole(self.votes, 1):
             raise GeometryError(f"vote threshold {self.votes!r} must be an integer >= 1")
         if not (0 <= self.min_length < math.inf and 0 <= self.max_gap < math.inf):
             raise GeometryError("min_length and max_gap must be finite and >= 0")

@@ -119,8 +119,9 @@ def test_binarize():
 
 def matched(junctions, **kw):
     """Segments joining the mutually matched ray pairs."""
-    return [Segment(junctions[a].center, junctions[b].center)
-            for (a, _), (b, _) in match_ray_pairs(junctions, **kw)]
+    owner = [i for i, _ in ray_keys(junctions)]
+    return [Segment(junctions[owner[a]].center, junctions[owner[b]].center)
+            for a, b in match_ray_pairs(junctions, **kw).tolist()]
 
 
 def test_match_two_facing():
@@ -151,7 +152,7 @@ def test_match_one_segment_per_branch():
     p1, p2, p3 = jn(0, 0, [0]), jn(6, 0, [180, 0]), jn(14, 0, [180])
     segs = matched([p1, p2, p3])
     starts = {}
-    for a, b in match_ray_pairs([p1, p2, p3]):
+    for a, b in match_ray_pairs([p1, p2, p3]).tolist():
         for key in (a, b):
             assert key not in starts
             starts[key] = True
@@ -178,19 +179,20 @@ def segments_of(rows):
 
 
 NO_SEGMENTS = np.zeros((0, 4))
+FIRST_RAY = np.array([0])  # of a one-junction list: its first branch
 
 
 def test_ray_boundary_point():
     # the rescue pass's exits: a short one is the boundary segment itself, a
     # long one ends the walk of a fully supported ray
     full = BinaryMask(100, 100, np.ones((100, 100), dtype=bool))
-    assert segments_of(recover_unmatched([jn(2, 50, [180])], [(0, 0)], full, NO_SEGMENTS)) == [
+    assert segments_of(recover_unmatched([jn(2, 50, [180])], FIRST_RAY, full, NO_SEGMENTS)) == [
         Segment(Point(2.0, 50.0), Point(0.0, 50.0))]
-    [s] = segments_of(recover_unmatched([jn(2, 50, [0])], [(0, 0)], full, NO_SEGMENTS))
+    [s] = segments_of(recover_unmatched([jn(2, 50, [0])], FIRST_RAY, full, NO_SEGMENTS))
     assert (s.b.x, s.b.y) == pytest.approx((99.0, 50.0))
-    [s] = segments_of(recover_unmatched([jn(2, 50, [90])], [(0, 0)], full, NO_SEGMENTS))
+    [s] = segments_of(recover_unmatched([jn(2, 50, [90])], FIRST_RAY, full, NO_SEGMENTS))
     assert (s.b.x, s.b.y) == pytest.approx((2.0, 99.0))
-    assert recover_unmatched([jn(-5, 50, [0])], [(0, 0)], full, NO_SEGMENTS).shape == (0, 4)
+    assert recover_unmatched([jn(-5, 50, [0])], FIRST_RAY, full, NO_SEGMENTS).shape == (0, 4)
 
 
 @given(st.lists(st.tuples(st.floats(-1.0, 25.0) | st.sampled_from([0.0, 16.0, 23.0]),
@@ -212,9 +214,10 @@ def test_exits_are_the_scalar_exits(rays):
 
 def with_exits(rays, mask):
     """(origin, angle) rays as farthest_mask_points takes them: origin rows,
-    angles and exit rows (NaN for none)."""
+    direction rows (cos, sin) and exit rows (NaN for none)."""
     exits = [reference_ray_boundary_point(o, a, mask.width, mask.height) for o, a in rays]
-    return (point_array([o for o, _ in rays]), np.array([a for _, a in rays], dtype=float),
+    d = [(math.cos(math.radians(a)), math.sin(math.radians(a))) for _, a in rays]
+    return (point_array([o for o, _ in rays]), np.array(d, dtype=float).reshape(-1, 2),
             np.array([(math.nan, math.nan) if q is None else (q.x, q.y) for q in exits]
                      ).reshape(-1, 2))
 
@@ -225,7 +228,9 @@ def points_of(rows):
 
 
 def walk(rays, mask, max_gap=MAX_WALK_GAP):
-    return points_of(farthest_mask_points(*with_exits(rays, mask), mask, max_gap))
+    """The batched walk of (origin, angle) rays, its gap limit set to max_gap."""
+    with mock.patch.object(construct, "MAX_WALK_GAP", max_gap):
+        return points_of(farthest_mask_points(*with_exits(rays, mask), mask))
 
 
 def test_farthest_mask_point():
@@ -239,10 +244,10 @@ def test_farthest_mask_point():
     assert walk([(Point(4, 5), 0.0)], mask, max_gap=1.0) == [Point(4.0, 5.0)]
     assert walk([], mask) == []
     # the walk runs to the exit it is given
-    origin, angle = np.array([[2.0, 5.0]]), np.array([0.0])
-    assert points_of(farthest_mask_points(origin, angle, np.array([[5.0, 5.0]]), mask)) == [
+    origin, d = np.array([[2.0, 5.0]]), np.array([[1.0, 0.0]])
+    assert points_of(farthest_mask_points(origin, d, np.array([[5.0, 5.0]]), mask)) == [
         Point(4.0, 5.0)]
-    assert points_of(farthest_mask_points(origin, angle, np.full((1, 2), np.nan), mask)) == [
+    assert points_of(farthest_mask_points(origin, d, np.full((1, 2), np.nan), mask)) == [
         None]
 
 
@@ -391,7 +396,7 @@ def test_line_support_ratios_match_per_piece(data):
 def test_recover_boundary_case():
     mask = BinaryMask(100, 100)
     origin = jn(2, 50, [180])
-    segs = segments_of(recover_unmatched([origin], [(0, 0)], mask, NO_SEGMENTS))
+    segs = segments_of(recover_unmatched([origin], FIRST_RAY, mask, NO_SEGMENTS))
     assert segs == [Segment(Point(2.0, 50.0), Point(0.0, 50.0))]
     # the wireframe gains the far end as a derived order-1 junction
     wf = construct_wireframe([origin], HeatMap(100, 100, np.zeros((100, 100))))
@@ -402,7 +407,7 @@ def test_recover_boundary_case():
 def test_recover_nothing_on_empty_mask():
     mask = BinaryMask(100, 100)
     origin = jn(50, 50, [0])
-    assert recover_unmatched([origin], [(0, 0)], mask, NO_SEGMENTS).shape == (0, 4)
+    assert recover_unmatched([origin], FIRST_RAY, mask, NO_SEGMENTS).shape == (0, 4)
 
 
 def test_recover_kappa_accepts_sparse_support():
@@ -411,7 +416,7 @@ def test_recover_kappa_accepts_sparse_support():
     for x in (2, 3, 4, 6, 7, 9, 12):
         mask.bits[5, x] = True
     origin = jn(2, 5, [0])
-    segs = segments_of(recover_unmatched([origin], [(0, 0)], mask, NO_SEGMENTS))
+    segs = segments_of(recover_unmatched([origin], FIRST_RAY, mask, NO_SEGMENTS))
     assert segs == [Segment(Point(2.0, 5.0), Point(12.0, 5.0))]
     assert line_support_ratios([(2.0, 5.0, 12.0, 5.0)], mask).tolist() == [7 / 11]
 
@@ -421,7 +426,7 @@ def test_recover_kappa_rejects_weak_support():
     for x in (2, 5, 9, 12):  # 4 of 11 pixels
         mask.bits[5, x] = True
     origin = jn(2, 5, [0])
-    segs = segments_of(recover_unmatched([origin], [(0, 0)], mask, NO_SEGMENTS))
+    segs = segments_of(recover_unmatched([origin], FIRST_RAY, mask, NO_SEGMENTS))
     assert segs == []
 
 
@@ -433,7 +438,7 @@ def test_recover_splits_at_existing_segment():
     mask.bits[5, 20] = True  # q_M far right, gap in between
     origin = jn(2, 5, [0])
     wall = Segment(Point(8.0, 0.0), Point(8.0, 10.0))
-    segs = segments_of(recover_unmatched([origin], [(0, 0)], mask, segment_array([wall])))
+    segs = segments_of(recover_unmatched([origin], FIRST_RAY, mask, segment_array([wall])))
     assert len(segs) == 1
     (s,) = segs
     assert (s.a.x, s.a.y) == (2.0, 5.0)
@@ -588,7 +593,7 @@ def test_omega_monotone_recovery():
     counts = []
     for omega in (0.5, 5.0, 15.0, 29.0):
         mask = binarize(HeatMap(40, 10, heat), omega)
-        segs = recover_unmatched([origin], [(0, 0)], mask, NO_SEGMENTS)
+        segs = recover_unmatched([origin], FIRST_RAY, mask, NO_SEGMENTS)
         counts.append(len(segs))
     assert counts == sorted(counts, reverse=True)
 
@@ -611,9 +616,14 @@ def test_kappa_in_unit_interval(data):
 
 # -- the array prefilters against scalar all-pairs oracles --
 
-def all_rays(junctions):
-    """Every (junction, branch) ray, in that order."""
+def ray_keys(junctions):
+    """Every ray as (junction, branch), in ray index order."""
     return [(i, k) for i, j in enumerate(junctions) for k in range(j.order)]
+
+
+def all_rays(junctions):
+    """Every ray's index."""
+    return np.arange(len(ray_keys(junctions)))
 
 
 def ray_at(junctions, ray):
@@ -623,23 +633,25 @@ def ray_at(junctions, ray):
 
 
 def match_oracle(junctions, delta_ray):
-    """match_ray_pairs as a plain loop over every ray and junction."""
-    choice = {}
-    for r in all_rays(junctions):
+    """match_ray_pairs as a plain loop over every ray and junction, on
+    (junction, branch) rays, as [lower, higher] ray index rows."""
+    choice, keys = {}, ray_keys(junctions)
+    for r in keys:
         origin, angle = ray_at(junctions, r)
         best = None
         for j, target in enumerate(junctions):
             if j == r[0] or not _on_ray(origin, angle, target.center, delta_ray):
                 continue
             d = origin.distance_to(target.center)
-            for back in all_rays(junctions):
+            for back in keys:
                 if back[0] == j and _on_ray(*ray_at(junctions, back), origin, delta_ray):
                     cand = (d, *back)
                     if best is None or cand < best:
                         best = cand
         if best is not None:
             choice[r] = best[1:]
-    return [(t1, t2) for t1, t2 in choice.items() if t1 < t2 and choice.get(t2) == t1]
+    return [[keys.index(t1), keys.index(t2)] for t1, t2 in choice.items()
+            if t1 < t2 and choice.get(t2) == t1]
 
 
 def dedup_oracle(junctions, rho_nms):
@@ -686,14 +698,16 @@ def test_match_ray_pairs_matches_all_pairs_oracle(junctions, delta):
 
 
 def assert_pairs_match_oracle(junctions, delta):
-    assert match_ray_pairs(junctions, delta) == match_oracle(junctions, delta)
+    got, want = match_ray_pairs(junctions, delta), match_oracle(junctions, delta)
+    assert got.dtype == np.intp and got.shape == (len(want), 2)
+    assert got.tolist() == want
 
 
 def test_equal_array_distances_are_ordered_by_the_scalar_distance():
     near, far = (26.624999999999996, 4.250000000000002), (26.625, 4.25)
     assert np.hypot(*near) == np.hypot(*far) and math.hypot(*near) < math.hypot(*far)
     pairs = match_ray_pairs([jn(0, 0, [9]), jn(*far, [189]), jn(*near, [189])], 12.0)
-    assert [(a, b) for (a, _), (b, _) in pairs] == [(0, 2)]
+    assert pairs.tolist() == [[0, 2]]  # one branch each: ray k is junction k
 
 
 @given(junction_sets, deltas)
@@ -731,9 +745,9 @@ def reference_recover_unmatched(junctions, unmatched, mask, segments):
     walk and cut against every pool segment by ``segment_intersection``, the
     pool growing as rays add segments (the per-ray loop the batched pass
     replaced, with an all-pairs cut search)."""
-    limit = BOUNDARY_FRAC * max(mask.width, mask.height)
+    limit, keys = BOUNDARY_FRAC * max(mask.width, mask.height), ray_keys(junctions)
     new_segments = []
-    for ray in sorted(unmatched):
+    for ray in sorted(keys[r] for r in unmatched.tolist()):
         origin, angle = ray_at(junctions, ray)
         q_b = reference_ray_boundary_point(origin, angle, mask.width, mask.height)
         if q_b is not None and 0.0 < origin.distance_to(q_b) <= limit:
@@ -760,8 +774,9 @@ def reference_recover_unmatched(junctions, unmatched, mask, segments):
 
 
 def assert_recover_matches(junctions, lines, pool):
-    """recover_unmatched equals its oracle on a 24 x 24 mask of the lines."""
-    mask, rays = mask_of(lines, 24, 24), all_rays(junctions)
+    """recover_unmatched equals its oracle on a 24 x 24 mask of the lines,
+    given every ray in reverse order (it takes them in ray index order)."""
+    mask, rays = mask_of(lines, 24, 24), all_rays(junctions)[::-1]
     got = segments_of(recover_unmatched(junctions, rays, mask, segment_array(pool)))
     want = reference_recover_unmatched(junctions, rays, mask, pool)
     assert repr(got) == repr(want)  # repr: the same floats, signed zeros too

@@ -98,6 +98,15 @@ def test_intersection_collinear_endpoint_touch():
     assert r.point == pt(2, 0) and not r.collinear
 
 
+def test_intersection_far_scales():
+    # in units of the longer side, nothing squares: an overlap stays collinear
+    for s1, s2 in [(seg(0, 0, 1e155, 0), seg(1e147, 0, 2e147, 0)),
+                   (seg(0, 0, 1e-155, 0), seg(1e-163, 0, 2e-163, 0))]:
+        assert segment_intersection(s1, s2) == segment_intersection(s2, s1) == (None, True)
+    r = segment_intersection(seg(0, 0, 1e160, 0), seg(1e160, 0, 2e160, 0))
+    assert r.point == pt(1e160, 0) and not r.collinear
+
+
 def test_intersection_shared_endpoint():
     r = segment_intersection(seg(0, 0, 2, 2), seg(2, 2, 4, 0))
     assert r.point == pt(2, 2)
@@ -110,6 +119,17 @@ segments = st.tuples(
 
 
 @given(segments, segments)
+# a t or u inside the 1e-12 slack: the point along the other segment, not a + clip(t) r
+@example(seg(0, 0, 0, -1364), Segment(pt(0, 1.363978983913057e-09), pt(1, 0)))
+@example(seg(0, 0, 0, 1), Segment(pt(1e-9, 0), pt(1001, -1001)))
+@example(seg(0, 0, 1119, -8763), Segment(pt(0, 1e-9), pt(-55, 376)))
+# both t and u inside the slack: two ends 9e-9 apart, one canonical choice
+@example(Segment(pt(0, -9e-9), pt(0, -1e4 - 9e-9)), Segment(pt(-1e4 - 9e-9, 0), pt(-9e-9, 0)))
+# |r|^2 overflowed and reported this overlap as a point
+@example(seg(0, 0, 1e155, 0), seg(1e147, 0, 2e147, 0))
+# without the swap to the longer segment: collinear one way, a touch the other
+@example(Segment(pt(0, 0), pt(3e-69, 3e-69)), seg(1, 1, 0, 0))
+@example(seg(0, 0, 1e160, 0), seg(1e160, 0, 2e160, 0))  # touching, |r|^2 past the largest float
 def test_intersection_symmetric(s1, s2):
     r12 = segment_intersection(s1, s2)
     r21 = segment_intersection(s2, s1)
@@ -379,8 +399,14 @@ def unit_margin_pairs():
 @example([(seg(0, 0, 4, 0), seg(2, 0, 6, 0)), (seg(0, 0, 2, 0), seg(2, 0, 4, 0)),
           (seg(0, 0, 1, 0), seg(5, 0, 20, 0)), (seg(0, 0, 20, 0), seg(5, 0, 1, 0)),
           (seg(0, 0, 4, 4), seg(0, 4, 4, 0)), (seg(0, 0, 1, 1), seg(0, 1, 1, 2))])
-# |r|^2 overflows in the scalar, which then reports this overlap as a point at (0, 0)
-@example([(seg(0, 0, 1e155, 0), seg(1e147, 0, 2e147, 0))])
+# an overlap where |r|^2 overflows; and where |r| |s| does, the scalar's parallel test
+# takes every pair: here, 0.06 degrees apart, it reports s2.a as a touch
+@example([(seg(0, 0, 1e155, 0), seg(1e147, 0, 2e147, 0)),
+          (seg(0, 0, 1e10, 1e7), seg(1e10, 1e300, 1e300, 1e300))])
+# only t needs the clamp: the point is on s2; both need it: the end first by (y, x)
+@example([(seg(0, 0, 0, -1364), Segment(pt(0, 1.363978983913057e-09), pt(1, 0))),
+          (Segment(pt(0, -9e-9), pt(0, -1e4 - 9e-9)), Segment(pt(-1e4 - 9e-9, 0), pt(-9e-9, 0))),
+          (Segment(pt(-1e4 - 9e-9, 0), pt(-9e-9, 0)), Segment(pt(0, -9e-9), pt(0, -1e4 - 9e-9)))])
 def test_intersection_points_match_scalar(pairs):
     assert_points_match_scalar(pairs)
 
