@@ -18,12 +18,11 @@ from .geometry import (
     GeometryError,
     JunctionTable,
     Segment,
-    angle_diff,
+    branch_table,
     intersection_points,
     is_whole,
     may_cut,
     near_pairs,
-    normalize_angles,
     point_distances,
     segment_array,
     segment_intersection,
@@ -182,30 +181,9 @@ def derive_junctions(scene: AnnotatedScene,
     h, m = near_pairs(hubs, segs, r)
     h, e = np.repeat(h, 2), (2 * m[:, None] + [0, 1]).ravel()  # ends a, b of near segments
     far = ~settle(hubs, ends, r, h, e)
-    h, dxy = h[far], ends[e[far]] - hubs[h[far]]
-    # direction_deg with math.atan2 (np.arctan2 differs); np.degrees is math.degrees bit for bit
-    angles = np.degrees([math.atan2(y, x) for x, y in zip(*dxy.T.tolist())])
-    angles = normalize_angles(angles)
-    order = np.lexsort((angles, h))
-    h, angles = h[order], angles[order]
-    bounds = np.searchsorted(h, np.arange(len(hubs) + 1))
-    # sorted angles more than twice the dedup width from the next (the first
-    # + 360 after the last) are that far apart pairwise: all are branches
-    after = np.where(np.append(h[1:] == h[:-1], False), np.append(angles[1:], 0.0),
-                     angles[bounds[h]] + 360.0)
-    tight = np.bincount(h[after - angles <= 2 * _ANGLE_DEDUP_DEG], minlength=len(hubs)) > 0
-    keep, a = np.ones(len(angles), dtype=bool), angles.tolist()
-    for lo, hi in zip(bounds[:-1][tight].tolist(), bounds[1:][tight].tolist()):
-        kept = []  # the any-earlier test
-        for k in range(lo, hi):
-            if any(abs(angle_diff(a[k], a[m])) <= _ANGLE_DEDUP_DEG for m in kept):
-                keep[k] = False
-            else:
-                kept.append(k)
-    rows = np.flatnonzero(np.bincount(h[keep], minlength=len(hubs)) >= 2)
-    rows = rows[np.lexsort((hubs[rows, 0], hubs[rows, 1]))]  # by (y, x), stable
-    return JunctionTable(hubs, np.ones(len(hubs)), np.zeros(len(hubs), dtype=bool), bounds,
-                         angles, np.ones(len(angles))).take(rows, keep)
+    table = branch_table(hubs, h[far], ends[e[far]] - hubs[h[far]], _ANGLE_DEDUP_DEG)
+    rows = np.flatnonzero(np.diff(table.offsets) >= 2)
+    return table.take(rows[np.lexsort((hubs[rows, 0], hubs[rows, 1]))])  # by (y, x), stable
 
 
 def render_target_heatmap(scene: AnnotatedScene) -> HeatMap:

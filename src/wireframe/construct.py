@@ -31,6 +31,7 @@ from .geometry import (
     Wireframe,
     angle_diff,
     angle_offsets,
+    branch_table,
     build_incidence,
     direction_deg,
     directions,
@@ -354,18 +355,13 @@ def construct_wireframe(junctions: Sequence[Junction], h: HeatMap,
         np.complex128).ravel(), return_index=True, return_inverse=True)
     new = first >= n  # no centre in the group: a derived point
     at = np.where(new, n - 1 + np.cumsum(new), first).take(group[n:])
-    derived, fresh = ends.take(first[new] - n, axis=0), np.flatnonzero(at >= n)
-    dxy = ends.take(fresh ^ 1, axis=0) - ends.take(fresh, axis=0)  # a branch to each other end
-    angles = normalize_angles(np.degrees([math.atan2(y, x) for x, y in dxy.tolist()]))
-    order = np.lexsort((angles, at[fresh]))  # stable: of equal angles, the first met
-    g, angles = at[fresh][order], angles[order]
-    twice = np.zeros(len(g), dtype=bool)  # an angle its point already has
-    twice[1:] = (g[1:] == g[:-1]) & (angles[1:] == angles[:-1])
-    g, angles, nd = g[~twice], angles[~twice], len(derived)
+    fresh = np.flatnonzero(at >= n)  # a branch to each other end, an angle once per point
+    d = branch_table(ends.take(first[new] - n, axis=0), at[fresh] - n,
+                     ends.take(fresh ^ 1, axis=0) - ends.take(fresh, axis=0), 0.0)
     points = JunctionTable(  # the kept junctions, then the derived points
-        np.vstack([xy, derived]), np.append(kept.confidence, np.ones(nd)), np.arange(n + nd) >= n,
-        np.append(kept.offsets, len(kept.angles) + np.searchsorted(g, np.arange(nd) + n + 1)),
-        np.append(kept.angles, angles), np.append(kept.branch_conf, np.ones(len(angles))))
+        np.vstack([xy, d.centers]), np.append(kept.confidence, d.confidence),
+        np.arange(n + len(d)) >= n, np.append(kept.offsets, len(kept.angles) + d.offsets[1:]),
+        np.append(kept.angles, d.angles), np.append(kept.branch_conf, d.branch_conf))
 
     ab = at.reshape(-1, 2)  # the first segment per unordered pair of end junctions
     unique = np.sort(np.unique(ab.min(axis=1) * len(points) + ab.max(axis=1),

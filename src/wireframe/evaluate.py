@@ -140,11 +140,11 @@ def _near_count(idx: np.ndarray, other: np.ndarray, other_idx: np.ndarray, tol: 
     a set pixel of the mask `other` (ascending flat indices `other_idx`).
 
     Within tol is the disk sqrt(dx^2 + dy^2) <= tol: per row offset dy the
-    columns x - half .. x + half.  Settled first: pixels `other` sets too,
-    then (if the disk holds the 3x3 block) those with a set neighbour.  The
-    rest make a key per dy, row * w + max(x - half, 0): near if the next set
-    pixel (``searchsorted``) is at most row * w + min(x + half, w - 1), never
-    in a row off the image.  The own row settles about half, so goes first.
+    columns x - half .. x + half.  Pixels that `other` sets too are settled
+    first.  The rest make a key per dy, row * w + max(x - half, 0): near if
+    the next set pixel (``searchsorted``) is at most row * w + min(x + half,
+    w - 1), never in a row off the image.  The own row, the disk's widest
+    chord, goes first: it settles most at one key each, not 2 reach + 1.
     """
     h, w = other.shape
     if not len(idx):  # no pixels, as on every image with a zero side (reach -1)
@@ -154,10 +154,6 @@ def _near_count(idx: np.ndarray, other: np.ndarray, other_idx: np.ndarray, tol: 
     cols = np.arange(min(math.floor(tol), w - 1) + 1)
     halves = np.count_nonzero(np.sqrt(cols ** 2 + dys[:, None] ** 2) <= tol, axis=1) - 1
     total, idx = len(idx), idx[~other.ravel()[idx]]
-    if reach and halves[reach + 1] >= 1:  # the disk holds (1, 1), so all 8 neighbours
-        ring = np.array([-w - 3, -w - 2, -w - 1, -1, 1, w + 1, w + 2, w + 3])
-        padded = np.pad(other, 1).ravel()  # (x, y) sits at idx + 2y + w + 3
-        idx = idx[~padded[(idx + 2 * (idx // w) + w + 3)[:, None] + ring].any(axis=1)]
     ys, xs = np.divmod(idx, w)
     after = np.append(other_idx, np.iinfo(np.intp).max)  # a sentinel past every key
 

@@ -202,6 +202,32 @@ def junction_table(junctions: Sequence[Junction]) -> JunctionTable:
                          [b.angle_deg for b in bs], [b.confidence for b in bs])
 
 
+def branch_table(centers: np.ndarray, owner: np.ndarray, dxy: np.ndarray,
+                 width: float) -> JunctionTable:
+    """Junctions at the (N, 2) centres, with a branch toward each (B, 2) offset dxy[b]
+    of centre owner[b] at ``direction_deg``'s angle, stably sorted by it, less any within
+    width degrees of an earlier kept one (width 0: exact repeats).  Confidences are 1."""
+    # direction_deg with math.atan2 (np.arctan2 differs); np.degrees is math.degrees bit for bit
+    angles = normalize_angles(np.degrees([math.atan2(y, x) for x, y in zip(*dxy.T.tolist())]))
+    order, n = np.lexsort((angles, owner)), len(centers)
+    h, angles = owner[order], angles[order]
+    bounds = np.searchsorted(h, np.arange(n + 1))
+    # sorted angles more than twice the width from the next (the first + 360
+    # after the last) are that far apart pairwise: all are branches
+    after = np.where(np.append(h[1:] == h[:-1], False), np.append(angles[1:], 0.0),
+                     angles[bounds[h]] + 360.0)
+    tight = np.bincount(h[after - angles <= 2 * width], minlength=n) > 0
+    keep, a = np.ones(len(angles), dtype=bool), angles.tolist()
+    for lo, hi in zip(bounds[:-1][tight].tolist(), bounds[1:][tight].tolist()):
+        kept = []  # the any-earlier test
+        for k in range(lo, hi):
+            keep[k] = not any(abs(angle_diff(a[k], a[m])) <= width for m in kept)
+            if keep[k]:
+                kept.append(k)
+    return JunctionTable(centers, np.ones(n), np.zeros(n, dtype=bool), np.searchsorted(
+        h[keep], np.arange(n + 1)), angles[keep], np.ones(np.count_nonzero(keep)))
+
+
 class SegmentIntersection(NamedTuple):
     """Result of intersecting two closed segments.
 
@@ -382,15 +408,17 @@ def may_cut(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     its parallel test (sin > 1e-12) t and u err by under (5|r| + 4|q - p|)
     2^-53 / 1e-12 in length, so the point is within 1.5e-3 (|r| + |s|) of both."""
     s, n = np.concatenate([p, q]), len(p)
-    share = (2e-3 * np.hypot(s[:, 2] - s[:, 0], s[:, 3] - s[:, 1]) + _DIST_SLACK
-             + _REL_SLACK * np.abs(s).max(axis=1, initial=0.0))
-    box = np.hstack([np.minimum(s[:, :2], s[:, 2:]) - share[:, None],  # padded by its share
-                     np.maximum(s[:, :2], s[:, 2:]) + share[:, None]])
-    i, j = box_pairs(box[:n], box[n:])
-    denom, tn, un, lp, lq = intersection_params(p.take(i, axis=0), q.take(j, axis=0))
-    c, pad = np.stack([un, tn]), (share[i] + share[n + j]) * np.stack([lp, lq])
-    d = c - denom  # c, d: q's ends off p's line, then p's ends off q's line
-    apart = ((np.minimum(c, d) > pad) | (np.maximum(c, d) < -pad)).any(axis=0)
+    with np.errstate(all="ignore"):  # an overflow leaves share, pad or d inf or NaN: not apart
+        share = (2e-3 * np.hypot(s[:, 2] - s[:, 0], s[:, 3] - s[:, 1]) + _DIST_SLACK
+                 + _REL_SLACK * np.abs(s).max(axis=1, initial=0.0))
+        box = np.hstack([np.minimum(s[:, :2], s[:, 2:]) - share[:, None],  # padded by its share
+                         np.maximum(s[:, :2], s[:, 2:]) + share[:, None]])
+        i, j = box_pairs(box[:n], box[n:])
+        denom, tn, un, lp, lq = intersection_params(p.take(i, axis=0), q.take(j, axis=0))
+        c, pad = np.stack([un, tn]), (share[i] + share[n + j]) * np.stack([lp, lq])
+        d = c - denom  # c, d: q's ends off p's line, then p's ends off q's line
+        far = (np.minimum(c, d) > pad) | (np.maximum(c, d) < -pad)
+        apart = (far & np.isfinite(d)).any(axis=0)
     return i[~apart], j[~apart]
 
 

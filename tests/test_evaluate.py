@@ -261,7 +261,7 @@ def mask_pairs(draw):
 
 EDGE_TOLS = [0.01, 0.5, math.nextafter(1.0, 0.0), 1.0, math.sqrt(2.0),
              math.nextafter(math.sqrt(2.0), 0.0), 2.0, math.nextafter(5.0, 0.0),
-             5.0, 1e6]
+             5.0, 1e6, math.nextafter(math.sqrt(2.0), math.inf)]
 
 
 @settings(max_examples=300, deadline=None)
@@ -294,6 +294,12 @@ def test_near_count_at_integer_and_root_two_distances():
     root2 = math.sqrt(2.0)
     assert near_count(mask, other, root2) == near_count_edt(mask, other, root2) == 1
     assert near_count(mask, other, math.nextafter(root2, 0.0)) == 0
+    above = math.nextafter(root2, math.inf)
+    assert near_count(mask, other, above) == near_count_edt(mask, other, above) == 1
+    # a neighbour in the own row is near at every tolerance from 1 on
+    other[1, 1], other[0, 1] = False, True
+    for tol in (math.nextafter(root2, 0.0), root2, above, 2.0):
+        assert near_count(mask, other, tol) == near_count_edt(mask, other, tol) == 1
 
 
 def test_near_count_tolerance_extremes():
@@ -344,9 +350,11 @@ def line_mask_pairs(draw):
     return masks[0], masks[1]
 
 
-# below sqrt(2) the 3x3 tier is off; on a disk radius the disk gains a ring
-TIER_TOLS = [0.5, 1.0, math.nextafter(math.sqrt(2.0), 0.0), math.sqrt(2.0), 2.0,
-             math.sqrt(5.0), math.nextafter(math.sqrt(5.0), 0.0), 5.0, 13.6]
+# from sqrt(2) on the disk holds the diagonal neighbours; on a disk radius the
+# disk gains a ring
+TIER_TOLS = [0.5, 1.0, math.nextafter(math.sqrt(2.0), 0.0), math.sqrt(2.0),
+             math.nextafter(math.sqrt(2.0), math.inf), 2.0, math.sqrt(5.0),
+             math.nextafter(math.sqrt(5.0), 0.0), 5.0, 13.6]
 
 
 @settings(max_examples=300, deadline=None)

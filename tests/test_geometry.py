@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -17,6 +18,7 @@ from wireframe.geometry import (
     angle_diff,
     angle_offsets,
     box_pairs,
+    branch_table,
     build_incidence,
     direction_deg,
     directions,
@@ -201,6 +203,19 @@ def test_normalize_angle_range(theta):
     assert 0.0 <= a < 360.0
 
 
+def test_branch_table_width_zero_drops_exact_repeats_only():
+    # centre 0: 90, 0, 0 again; centre 1: 0, and 1e-9 rad (5.7e-8 degrees) off it
+    centers, owner = np.array([[0.0, 0.0], [10.0, 10.0]]), np.array([1, 0, 0, 0, 1])
+    dxy = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [2.0, 0.0], [1.0, 1e-9]])
+    t = branch_table(centers, owner, dxy, 0.0)
+    assert t.offsets.tolist() == [0, 2, 4]
+    assert t.angles.tolist() == [0.0, 90.0, 0.0, direction_deg(pt(0, 0), pt(1.0, 1e-9))]
+    assert t.centers.tolist() == centers.tolist() and t.confidence.tolist() == [1.0, 1.0]
+    assert not t.derived.any() and t.branch_conf.tolist() == [1.0] * 4
+    wide = branch_table(centers, owner, dxy, 1e-6)  # the near-repeat goes too
+    assert wide.offsets.tolist() == [0, 2, 3] and wide.angles.tolist() == [0.0, 90.0, 0.0]
+
+
 def reference_normalize_angle(theta_deg):
     """normalize_angle before its lift became a %, kept verbatim."""
     a = math.fmod(theta_deg, 360.0)
@@ -349,6 +364,23 @@ def test_intersection_prefilter_covers_scalar(s1, s2):
 def test_intersection_prefilter_covers_scalar_wide(s1, s2):
     if segment_intersection(s1, s2).point is not None:
         assert len(may_cut(segment_array([s1]), segment_array([s2]))[0]) == 1
+
+
+@pytest.mark.parametrize("s1, s2", [
+    # every cross product overflows to inf, and inf - inf gives NaN
+    (seg(0, 0, 1e160, 0), seg(1e160, -1e160, 1e160, 1e160)),
+    # only q's start off p's line overflows (to inf, so inf - denom is inf);
+    # |r| |s| overflows too, so the scalar calls them collinear and touching
+    (seg(0, 0, 1.75e153, 1e155), seg(1.85e153, 1e155 - 1.75e150, 3.6e153, 2e155 - 1.75e150)),
+    # the length overflows, and so the share that pads the box
+    (seg(-1e308, 0, 1e308, 0), seg(0, -1, 0, 1)),
+])
+def test_may_cut_overflow_keeps_the_pair_quietly(s1, s2):
+    # an overflow in the cut test never puts a pair apart, and numpy warns of nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        i, j = may_cut(segment_array([s1]), segment_array([s2]))
+    assert (i.tolist(), j.tolist()) == ([0], [0])
 
 
 def assert_points_match_scalar(pairs):
