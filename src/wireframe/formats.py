@@ -34,6 +34,7 @@ WFHM_HEADER = struct.Struct("<4sHII")
 # Most pixels (8192^2) an image read from a file may have: its float64 heat
 # map takes 512 MB.
 MAX_PIXELS = 1 << 26
+_WIDEN = 1 << 16  # float32 values read_heatmap widens to float64 per step
 
 
 class FormatError(ValueError):
@@ -248,19 +249,31 @@ def write_heatmap(hm: HeatMap, path: str) -> None:
 
 
 def read_heatmap(path: str) -> HeatMap:
+    """The float32 payload is read into the upper half of the float64 result
+    and widened in place, front to back, so the result is the only array the
+    size of the image; a regular file's length is checked before it exists."""
     with open(path, "rb") as f:
-        blob = f.read()
-    _require(len(blob) >= WFHM_HEADER.size, path, "truncated WFHM header")
-    magic, version, width, height = WFHM_HEADER.unpack_from(blob)
-    _require(magic == WFHM_MAGIC, path, f"bad magic {magic!r}")
-    _require(version == WFHM_VERSION, path, f"unsupported version {version}")
-    _check_pixels(width, height, path)
-    want = WFHM_HEADER.size + 4 * width * height
-    _require(len(blob) == want, path,
-             f"length {len(blob)} != {want} (14 + 4*{width}*{height})")
-    values = np.frombuffer(blob, dtype="<f4", offset=WFHM_HEADER.size)
+        head = f.read(WFHM_HEADER.size)
+        _require(len(head) == WFHM_HEADER.size, path, "truncated WFHM header")
+        magic, version, width, height = WFHM_HEADER.unpack(head)
+        _require(magic == WFHM_MAGIC, path, f"bad magic {magic!r}")
+        _require(version == WFHM_VERSION, path, f"unsupported version {version}")
+        _check_pixels(width, height, path)
+        want = WFHM_HEADER.size + 4 * width * height
+        why = f"length {{}} != {want} (14 + 4*{width}*{height})"
+        st = os.fstat(f.fileno())  # a pipe has no size: its length is found by the read
+        _require(st.st_size == want or not stat.S_ISREG(st.st_mode), path, why, st.st_size)
+        values = np.empty((height, width))
+        flat = values.reshape(-1)
+        payload = flat.view("<f4")[flat.size:]
+        length = WFHM_HEADER.size + f.readinto(payload)
+        while rest := f.read(_WIDEN):  # what trails the payload is counted, not kept
+            length += len(rest)
+        _require(length == want, path, why, length)
+    for i in range(0, flat.size, _WIDEN):  # a chunk's float64s end before the next's float32s
+        flat[i:i + _WIDEN] = payload[i:i + _WIDEN]
     try:  # HeatMap checks the values; its shape matches by construction
-        return HeatMap(width, height, values.reshape(height, width).astype(np.float64))
+        return HeatMap(width, height, values)
     except GeometryError as e:
         raise FormatError(f"{path}: heat values must be finite and >= 0") from e
 

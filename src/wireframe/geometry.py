@@ -258,6 +258,17 @@ def segment_intersection(s1: Segment, s2: Segment) -> SegmentIntersection:
 
     denom = _cross(rx, ry, sx, sy)
     scale = math.hypot(rx, ry) * math.hypot(sx, sy)
+    if not scale < math.inf:  # rx, ry, sx, sy or denom overflowed, and so scale did
+        # Redo it in coordinates scaled by 2^-k, under 2^510, so |r| |s| < 2^1023: exact
+        # unless a coordinate goes subnormal, which may make a segment of one point.
+        ends = (s1.a, s1.b, s2.a, s2.b)
+        k = math.frexp(max(max(abs(p.x), abs(p.y)) for p in ends))[1] - 510
+        a, b, c, d = (Point(math.ldexp(p.x, -k), math.ldexp(p.y, -k)) for p in ends)
+        if a != b and c != d:
+            hit = segment_intersection(Segment(a, b), Segment(c, d))
+            p = hit.point
+            return hit if p is None else SegmentIntersection(
+                Point(math.ldexp(p.x, k), math.ldexp(p.y, k)))
     if abs(denom) <= _PARALLEL_EPS * scale:
         # Parallel.  Collinear iff s2.a sits on the line through s1.
         if abs(_cross(qpx, qpy, rx, ry)) > _PARALLEL_EPS * scale:

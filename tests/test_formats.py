@@ -12,6 +12,8 @@ import math
 import os
 import struct
 import tempfile
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -264,6 +266,125 @@ def test_heatmap_rejects_bad_container(tmp_path):
                             + struct.pack("<f", bad))
         with pytest.raises(FormatError, match=">= 0"):
             read_heatmap(p)
+
+
+
+def wfhm(width, height, payload=b""):
+    return struct.pack("<4sHII", b"WFHM", 1, width, height) + payload
+
+
+def traced_peak(call):
+    """call()'s outcome (its value or the exception it raised) and the
+    tracemalloc peak, in bytes, of what it allocated."""
+    tracemalloc.start()
+    try:
+        try:
+            out = call()
+        except Exception as e:
+            out = e
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_heatmap_read_makes_no_second_image(tmp_path):
+    # the payload is read into the float64 result: no file-sized bytes and no
+    # float32 or second float64 array, which would take 4 or 8 bytes a pixel more
+    w = h = 512
+    values = np.random.default_rng(3).random((h, w)) * 100
+    p = str(tmp_path / "h.wfhm")
+    write_heatmap(HeatMap(w, h, values), p)
+    back, peak = traced_peak(lambda: read_heatmap(p))
+    assert peak < 8 * w * h + 512 * 1024
+    assert np.array_equal(back.values, values.astype(np.float32).astype(np.float64))
+    assert back.values.dtype == np.float64 and back.values.flags.c_contiguous
+
+
+def test_heatmap_short_file_is_refused_before_its_payload_exists(tmp_path):
+    p = tmp_path / "h.wfhm"
+    p.write_bytes(wfhm(8192, 8192))  # MAX_PIXELS itself: 512 MB if it were allocated
+    err, peak = traced_peak(lambda: read_heatmap(str(p)))
+    assert isinstance(err, FormatError)
+    assert str(err) == f"{p}: length 14 != 268435470 (14 + 4*8192*8192)"
+    assert peak < 1 << 20
+
+
+WRONG_LENGTHS = [(bytes(24) + b"\x00", 39), (bytes(28), 42), (bytes(23), 37), (b"", 14)]
+
+
+@pytest.mark.parametrize("payload, length", WRONG_LENGTHS)
+def test_heatmap_wrong_length_message(tmp_path, payload, length):
+    p = tmp_path / "h.wfhm"
+    p.write_bytes(wfhm(3, 2, payload))  # wants 14 + 24 bytes
+    with pytest.raises(FormatError) as e:
+        read_heatmap(str(p))
+    assert str(e.value) == f"{p}: length {length} != 38 (14 + 4*3*2)"
+
+
+@pytest.mark.parametrize("width, height", [(0, 0), (0, 5), (5, 0)])
+def test_heatmap_empty_roundtrip(tmp_path, width, height):
+    p = str(tmp_path / "h.wfhm")
+    write_heatmap(HeatMap(width, height, np.zeros((height, width))), p)
+    back = read_heatmap(p)
+    assert (back.width, back.height, back.values.shape) == (width, height, (height, width))
+
+
+def read_through_fifo(tmp_path, blob):
+    """read_heatmap of a FIFO that a thread feeds with blob, 1,000 bytes a write."""
+    fifo = str(tmp_path / "fifo")
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "wb", buffering=0) as f:
+            try:
+                for i in range(0, len(blob), 1000):
+                    f.write(blob[i:i + 1000])
+            except BrokenPipeError:  # the reader stopped early; it says why
+                pass
+
+    feeder = threading.Thread(target=feed, daemon=True)
+    feeder.start()
+    try:
+        return read_heatmap(fifo)
+    finally:
+        feeder.join(timeout=30)
+        assert not feeder.is_alive()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_heatmap_reads_a_pipe_as_it_arrives(tmp_path):
+    values = np.random.default_rng(4).random((300, 400)) * 10  # 120,000 values: two steps
+    p = str(tmp_path / "h.wfhm")
+    write_heatmap(HeatMap(400, 300, values), p)
+    back = read_through_fifo(tmp_path, open(p, "rb").read())
+    assert np.array_equal(back.values, read_heatmap(p).values)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+@pytest.mark.parametrize("payload, length", WRONG_LENGTHS)
+def test_heatmap_pipe_wrong_length_message(tmp_path, payload, length):
+    with pytest.raises(FormatError) as e:
+        read_through_fifo(tmp_path, wfhm(3, 2, payload))
+    assert str(e.value) == f"{tmp_path / 'fifo'}: length {length} != 38 (14 + 4*3*2)"
+
+
+@pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("at", [0, 69_999])  # the first and the last widening step
+def test_heatmap_bad_values_anywhere(tmp_path, bad, at):
+    payload = np.ones(70_000, "<f4")
+    payload[at] = bad
+    p = tmp_path / "h.wfhm"
+    p.write_bytes(wfhm(700, 100, payload.tobytes()))
+    with pytest.raises(FormatError) as e:
+        read_heatmap(str(p))
+    assert str(e.value) == f"{p}: heat values must be finite and >= 0"
+
+
+def test_heatmap_negative_zero_reads_back(tmp_path):
+    p = tmp_path / "h.wfhm"
+    p.write_bytes(wfhm(2, 1, struct.pack("<2f", -0.0, 1.0)))
+    values = read_heatmap(str(p)).values
+    assert values.tolist() == [[0.0, 1.0]] and np.signbit(values[0, 0])
 
 
 # -- wireframes --

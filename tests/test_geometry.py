@@ -107,6 +107,14 @@ def test_intersection_far_scales():
         assert segment_intersection(s1, s2) == segment_intersection(s2, s1) == (None, True)
     r = segment_intersection(seg(0, 0, 1e160, 0), seg(1e160, 0, 2e160, 0))
     assert r.point == pt(1e160, 0) and not r.collinear
+    # where |r| |s| overflows, the test runs in coordinates scaled by a power of two
+    s1, s2 = seg(-1e308, 0, 1e308, 0), seg(0, -1, 0, 1)  # rx overflows too
+    assert segment_intersection(s1, s2) == segment_intersection(s2, s1) == (pt(0, 0), False)
+    s1 = seg(0, 0, 1.75e153, 1e155)  # and a parallel copy 1e152 off its line
+    s2 = seg(1.85e153, 1e155 - 1.75e150, 3.6e153, 2e155 - 1.75e150)
+    assert segment_intersection(s1, s2) == segment_intersection(s2, s1) == (None, False)
+    s1, s2 = seg(-1.5e308, -1.5e308, 1.5e308, 1.5e308), seg(-1.5e308, 1.5e308, 1e308, -1e308)
+    assert segment_intersection(s1, s2) == segment_intersection(s2, s1) == (pt(0, 0), False)
 
 
 def test_intersection_shared_endpoint():
@@ -132,6 +140,9 @@ segments = st.tuples(
 # without the swap to the longer segment: collinear one way, a touch the other
 @example(Segment(pt(0, 0), pt(3e-69, 3e-69)), seg(1, 1, 0, 0))
 @example(seg(0, 0, 1e160, 0), seg(1e160, 0, 2e160, 0))  # touching, |r|^2 past the largest float
+# |r| |s| overflowed and made every pair parallel: collinear, and a touch
+@example(seg(-1e308, 0, 1e308, 0), seg(0, -1, 0, 1))
+@example(seg(0, 0, 1.75e153, 1e155), seg(1.85e153, 1e155 - 1.75e150, 3.6e153, 2e155 - 1.75e150))
 def test_intersection_symmetric(s1, s2):
     r12 = segment_intersection(s1, s2)
     r21 = segment_intersection(s2, s1)
@@ -370,7 +381,7 @@ def test_intersection_prefilter_covers_scalar_wide(s1, s2):
     # every cross product overflows to inf, and inf - inf gives NaN
     (seg(0, 0, 1e160, 0), seg(1e160, -1e160, 1e160, 1e160)),
     # only q's start off p's line overflows (to inf, so inf - denom is inf);
-    # |r| |s| overflows too, so the scalar calls them collinear and touching
+    # parallel, 1e152 apart: the scalar gives no point
     (seg(0, 0, 1.75e153, 1e155), seg(1.85e153, 1e155 - 1.75e150, 3.6e153, 2e155 - 1.75e150)),
     # the length overflows, and so the share that pads the box
     (seg(-1e308, 0, 1e308, 0), seg(0, -1, 0, 1)),
