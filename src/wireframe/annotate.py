@@ -26,8 +26,6 @@ from .geometry import (
     point_distances,
     segment_array,
     segment_intersection,
-    settle,
-    within,
 )
 
 DEFAULT_MERGE_RADIUS = 2.0
@@ -162,12 +160,11 @@ def derive_junctions(scene: AnnotatedScene,
     clusters: list[list[int]] = []
     centers = np.empty((len(xy), 2), dtype=np.float64)
     for k in pts:
-        for c in np.flatnonzero(within(point_distances(xy[k], centers[:len(clusters)]), r)):
-            if math.hypot(pts[k][0] - centers[c, 0], pts[k][1] - centers[c, 1]) <= r:
-                clusters[c].append(k)
-                centers[c] = [sum(pts[m][d] for m in clusters[c]) / len(clusters[c])
-                              for d in (0, 1)]
-                break
+        for c in np.flatnonzero(point_distances(xy[k], centers[:len(clusters)]) <= r):
+            clusters[c].append(k)
+            centers[c] = [sum(pts[m][d] for m in clusters[c]) / len(clusters[c])
+                          for d in (0, 1)]
+            break
         else:
             centers[len(clusters)] = pts[k]
             clusters.append([k])
@@ -180,7 +177,7 @@ def derive_junctions(scene: AnnotatedScene,
     hubs = hubs[starts]  # in the order the clusters started
     h, m = near_pairs(hubs, segs, r)
     h, e = np.repeat(h, 2), (2 * m[:, None] + [0, 1]).ravel()  # ends a, b of near segments
-    far = ~settle(hubs, ends, r, h, e)
+    far = point_distances(hubs[h], ends[e]) > r
     table = branch_table(hubs, h[far], ends[e[far]] - hubs[h[far]], _ANGLE_DEDUP_DEG)
     rows = np.flatnonzero(np.diff(table.offsets) >= 2)
     return table.take(rows[np.lexsort((hubs[rows, 0], hubs[rows, 1]))])  # by (y, x), stable

@@ -41,7 +41,6 @@ from .geometry import (
     near_pairs,
     normalize_angles,
     point_distances,
-    prefilter_bound,
     segment_intersection,
     surely_within,
     within,
@@ -160,7 +159,7 @@ def match_ray_pairs(junctions: Sequence[Junction], delta_ray: float = DEFAULT_DE
             & (dist > 0))
     nearest = np.full(nr, np.inf)
     np.minimum.at(nearest, r[sure], dist[sure])
-    keep = ~(dist > prefilter_bound(prefilter_bound(nearest[r])))
+    keep = dist <= nearest[r]
     r, q, dist, sure = r[keep], q[keep], dist[keep], sure[keep]
     choice = np.full(nr, -1, dtype=np.intp)
     alone = sure & (np.bincount(r, minlength=nr)[r] == 1)
@@ -169,11 +168,11 @@ def match_ray_pairs(junctions: Sequence[Junction], delta_ray: float = DEFAULT_DE
     best: dict[int, tuple[float, int]] = {}  # b runs in ray order
     centres, angles = xy.tolist(), ray_a.tolist()
     for k, b, d, s in zip(*(a[order[~alone[order]]].tolist() for a in (r, q, dist, sure))):
-        if k in best and d > prefilter_bound(best[k][0]):
+        if k in best and d > best[k][0]:
             continue
         o, t = Point(*centres[ray_j[k]]), Point(*centres[ray_j[b]])
         if s or (_on_ray(o, angles[k], t, delta_ray) and _on_ray(t, angles[b], o, delta_ray)):
-            cand = (o.distance_to(t), b)
+            cand = (d, b)
             if k not in best or cand < best[k]:
                 best[k] = cand
     choice[list(best)] = [c[1] for c in best.values()]
@@ -250,7 +249,7 @@ def _cut(s1: Segment, s2: Segment) -> Optional[tuple[float, float]]:
 def _pieces(whole: Sequence[float], hits: list) -> list[tuple[float, ...]]:
     """The stretches of the whole row, MIN_PIECE_LEN or longer, between its
     cuts, as rows: the hits ((x, y) or None) in pool order, less those within
-    1e-6 of an earlier cut.  ``math.dist`` is ``Point.distance_to``'s hypot."""
+    1e-6 of an earlier cut."""
     o, q, cuts = tuple(whole[:2]), tuple(whole[2:]), []
     for hit in hits:
         if hit is not None and all(math.dist(hit, c) > 1e-6 for c in cuts):

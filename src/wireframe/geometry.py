@@ -5,22 +5,23 @@ x growing rightward and y growing downward.  Angles are measured in degrees
 from +x toward +y (clockwise on screen) and normalized to [0, 360).
 All coordinates are 64-bit floats.
 
-The scalar functions (``point_segment_distance``, ``segment_intersection``,
-``direction_deg``) define every answer.  Loops over many pairs first ask an
-array kernel below for candidates: the kernel evaluates the same formula in
-numpy over whole arrays and proposes a superset of the pairs that can pass,
-with a small margin for the ulp by which ``np.hypot``/``np.arctan2`` may
-differ from ``math.hypot``/``math.atan2`` (NaN from an underflow or overflow
-counts as a candidate).  A value that is inside the limit by more than that
-margin (``surely_within``) passes the scalar test too, so the array accepts
-it at once; the scalar function decides the rest in the original iteration
+Distances are exact: ``_norm``, the one norm of ``Point.distance_to`` and
+``point_segment_distance``, takes only +, *, / and sqrt, which IEEE rounds
+correctly in ``math`` and numpy alike, so their array forms give the same
+float and meet the limit directly.  Angles and intersections use
+``math.atan2``/``math.hypot``, from which numpy's may differ by an ulp: for
+those the array kernel below proposes a superset of the pairs that can
+pass, with a small margin for that ulp (NaN from an underflow or overflow
+counts as a candidate).  A value inside the limit by more than the margin
+(``surely_within``) passes the scalar test too, so the array accepts it at
+once; the scalar function decides the rest in the original iteration
 order, and the result is that of the all-pairs loop.
 
 Only pairs whose boxes overlap reach a kernel; ``box_pairs`` finds them by
 sort and sweep, not by testing every pair.  A box is a point or a segment
-padded by the limit (|dx| <= hypot(dx, dy)) or by a cut's share
-(``may_cut``), plus some ulps of its coordinates, so it keeps every pair
-that the all-pairs test kept.
+padded by the limit (|dx| <= distance) or by a cut's share (``may_cut``),
+plus some ulps of its coordinates, so it keeps every pair that the
+all-pairs test kept.
 """
 
 from __future__ import annotations
@@ -94,7 +95,19 @@ class Point:
             raise GeometryError(f"non-finite point ({self.x}, {self.y})")
 
     def distance_to(self, other: "Point") -> float:
-        return math.hypot(self.x - other.x, self.y - other.y)
+        return _norm(self.x - other.x, self.y - other.y)
+
+
+def _norm(x: float, y: float) -> float:
+    """hypot(x, y) as m sqrt((x/m)^2 + (y/m)^2), m = max(|x|, |y|), or m where
+    that is 0 or inf (overflowed): no square under- or overflows, and it is
+    never below m."""
+    x, y = abs(x), abs(y)
+    m = x if x > y else y  # max(x, y) without the cost of a call
+    if not 0.0 < m < math.inf:
+        return m
+    a, b = x / m, y / m
+    return m * math.sqrt(a * a + b * b)
 
 
 def direction_deg(origin: Point, target: Point) -> float:
@@ -303,15 +316,15 @@ def segment_intersection(s1: Segment, s2: Segment) -> SegmentIntersection:
 
 
 def point_segment_distance(p: Point, s: Segment) -> float:
-    """Distance from a point to the closed segment."""
+    """Distance from a point to the closed segment; t in units of its longer
+    side k, so no square under- or overflows."""
     ax, ay = s.a.x, s.a.y
     dx, dy = s.b.x - ax, s.b.y - ay
-    dd = dx * dx + dy * dy
-    if dd == 0.0:  # segment shorter than sqrt(smallest float)
-        return math.hypot(p.x - ax, p.y - ay)
-    t = ((p.x - ax) * dx + (p.y - ay) * dy) / dd
+    k = max(abs(dx), abs(dy))
+    ux, uy = dx / k, dy / k
+    t = ((p.x - ax) * ux + (p.y - ay) * uy) / k / (ux * ux + uy * uy)
     t = min(max(t, 0.0), 1.0)
-    return math.hypot(p.x - (ax + t * dx), p.y - (ay + t * dy))
+    return _norm(p.x - (ax + t * dx), p.y - (ay + t * dy))
 
 
 def build_incidence(centers: np.ndarray, segments: np.ndarray,
@@ -336,16 +349,10 @@ def segment_array(segments: Sequence[Segment]) -> np.ndarray:
                     dtype=np.float64).reshape(-1, 4)
 
 
-def prefilter_bound(limit: float, slack: float = _DIST_SLACK) -> float:
-    """Bound above which an array-computed value is surely > limit when the
-    scalar function computes it."""
-    return limit * (1.0 + _REL_SLACK) + slack
-
-
 def within(values: np.ndarray, limit: float, slack: float = _DIST_SLACK) -> np.ndarray:
     """Mask of values that may be <= limit once computed by the scalar
     function; NaN is kept."""
-    return ~(values > prefilter_bound(limit, slack))
+    return ~(values > limit * (1.0 + _REL_SLACK) + slack)
 
 
 def surely_within(values: np.ndarray, limit: float, slack: float = _DIST_SLACK) -> np.ndarray:
@@ -354,22 +361,31 @@ def surely_within(values: np.ndarray, limit: float, slack: float = _DIST_SLACK) 
     return values < limit * (1.0 - _REL_SLACK) - slack
 
 
+def _norms(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``_norm`` over arrays, bit for bit: fmax takes m where 0 or inf made the
+    norm NaN, and the norm, never below m, elsewhere."""
+    m = np.maximum(np.abs(x), np.abs(y))
+    with np.errstate(all="ignore"):
+        a, b = x / m, y / m
+        return np.fmax(m * np.sqrt(a * a + b * b), m)
+
+
 def point_distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Broadcast ``Point.distance_to`` over (..., 2) arrays."""
-    return np.hypot(p[..., 0] - q[..., 0], p[..., 1] - q[..., 1])
+    """Broadcast ``Point.distance_to`` over (..., 2) arrays, bit for bit."""
+    return _norms(p[..., 0] - q[..., 0], p[..., 1] - q[..., 1])
 
 
 def point_segment_distances(p: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Broadcast ``point_segment_distance`` over (..., 2) points and (..., 4)
-    segments, same formula.  Where the squared length underflows, the value
-    is NaN or off by at most the segment's (sub-1e-150) length."""
+    segments, bit for bit."""
     ax, ay = s[..., 0], s[..., 1]
     dx, dy = s[..., 2] - ax, s[..., 3] - ay
     px, py = p[..., 0], p[..., 1]
     with np.errstate(all="ignore"):
-        t = ((px - ax) * dx + (py - ay) * dy) / (dx * dx + dy * dy)
-        t = np.clip(t, 0.0, 1.0)
-        return np.hypot(px - (ax + t * dx), py - (ay + t * dy))
+        k = np.maximum(np.abs(dx), np.abs(dy))
+        ux, uy = dx / k, dy / k
+        t = np.clip(((px - ax) * ux + (py - ay) * uy) / k / (ux * ux + uy * uy), 0.0, 1.0)
+        return _norms(px - (ax + t * dx), py - (ay + t * dy))
 
 
 def intersection_params(s1: np.ndarray, s2: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -480,31 +496,17 @@ def near_pairs(p: np.ndarray, q: np.ndarray, limit: float) -> tuple[np.ndarray, 
     """Index pairs (i, j), row-major, of the (N, 2) points p and the (M, 2)
     points or (M, 4) segments q with ``Point.distance_to`` or
     ``point_segment_distance`` <= limit: the all-pairs scalar loop's.  Only
-    pairs in q[j]'s box, padded past the prefilter bound by its slack and
-    ulps of the coordinates, are tested; no others pass: |dx| and |dy| are at
-    most the distance, NaN only for non-finite points (``Point`` rejects them)."""
+    pairs in q[j]'s box, padded by the limit and ulps of the coordinates, are
+    tested; no others pass: |dx| and |dy| are at most the distance exactly.
+    q's rows come from ``Segment``s, so none is degenerate."""
     big = max(np.abs(p).max(initial=0.0), np.abs(q).max(initial=0.0))
-    reach = prefilter_bound(prefilter_bound(limit)) + _REL_SLACK * big
+    reach = limit + _REL_SLACK * big
     lo, hi = np.minimum(q[:, :2], q[:, -2:]), np.maximum(q[:, :2], q[:, -2:])
     rows, cols = box_pairs(p[:, [0, 1, 0, 1]], np.hstack([lo - reach, hi + reach]))
-    ok = settle(p, q, limit, rows, cols)
-    return rows[ok], cols[ok]
-
-
-def settle(p: np.ndarray, q: np.ndarray, limit: float, rows: np.ndarray,
-           cols: np.ndarray) -> np.ndarray:
-    """Mask of ``near_pairs``' candidates (rows, cols) within limit.  The array
-    distance, by q's width, settles those ``surely_within`` or not ``within``;
-    the scalar function, on ``Point``s and ``Segment``s rebuilt from the rows,
-    the rest.  q's rows come from ``Segment``s: a degenerate one would raise."""
     a, b = p.take(rows, axis=0), q.take(cols, axis=0)
     d = point_distances(a, b) if q.shape[1] == 2 else point_segment_distances(a, b)
-    ok = surely_within(d, limit)
-    for k in np.flatnonzero(within(d, limit) & ~ok).tolist():
-        c, (x, y, *e) = Point(*a[k].tolist()), b[k].tolist()
-        ok[k] = (point_segment_distance(c, Segment(Point(x, y), Point(*e))) if e
-                 else c.distance_to(Point(x, y))) <= limit
-    return ok
+    ok = d <= limit
+    return rows[ok], cols[ok]
 
 
 def near_lists(a: np.ndarray, b: np.ndarray, limit: float) -> list[list[int]]:

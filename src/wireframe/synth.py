@@ -188,9 +188,9 @@ def _row_check(cand: Segment, other: Segment, width: int, height: int) -> Point 
 def _cell(p: Point) -> tuple[int, int]:
     """A crossing's MIN_JUNCTION_SEP (8 px) grid cell.  The grid is exact:
     x / 8 is exact in binary (crossings are far from underflow), and
-    ``math.hypot(dx, dy) < 8`` implies |dx| < 8 and |dy| < 8 (rounding is
-    monotone and 8 is a float), so every pair that can fail the spacing
-    test lies in the 3x3 cells around either point."""
+    ``distance_to`` < 8 implies |dx| < 8 and |dy| < 8 (the distance is at
+    least both, exactly), so every pair that can fail the spacing test lies
+    in the 3x3 cells around either point."""
     return math.floor(p.x / MIN_JUNCTION_SEP), math.floor(p.y / MIN_JUNCTION_SEP)
 
 

@@ -483,7 +483,7 @@ def reference_derive_junctions(scene, merge_radius):
     clusters, centers = [], []
     for p, exact in cands:
         for k, (cx, cy) in enumerate(centers):
-            if math.hypot(p.x - cx, p.y - cy) <= r:
+            if p.distance_to(Point(cx, cy)) <= r:
                 members = clusters[k]
                 members.append((p, exact))
                 centers[k] = (sum(m.x for m, _ in members) / len(members),
@@ -514,14 +514,10 @@ def derive_all_pairs(scene, merge_radius):
     def every_pair(a, b, *_):
         return tuple(np.indices((len(a), len(b))).reshape(2, -1))
 
-    def every_value(values, *_):
-        return np.ones(np.shape(values), dtype=bool)
-
     def near_or_every_pair(p, q, limit):  # the isolation test links every candidate
         return every_pair(p, q) if p is q else geometry.near_pairs(p, q, limit)
 
-    with mock.patch.object(annotate, "within", every_value), \
-            mock.patch.object(annotate, "may_cut", every_pair), \
+    with mock.patch.object(annotate, "may_cut", every_pair), \
             mock.patch.object(geometry, "box_pairs", every_pair), \
             mock.patch.object(annotate, "near_pairs", near_or_every_pair):
         return derive_junctions(scene, merge_radius)

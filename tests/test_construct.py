@@ -42,6 +42,7 @@ from wireframe.geometry import (
     may_cut,
     normalize_angle,
     point_array,
+    point_distances,
     point_segment_distance,
     segment_array,
     segment_intersection,
@@ -690,7 +691,7 @@ deltas = st.sampled_from([0.0, 12.0, 45.0]) | st.floats(0.0, 30.0)
 @example([jn(0, 0, [math.nextafter(348.0, 349.0)]), jn(10, 0, [180])], 12.0)
 @example([jn(0, 0, [0]), jn(10, 0, [math.nextafter(192.0, 193.0)])], 12.0)
 @example([jn(0, 0, [0]), jn(10, 0, [math.nextafter(168.0, 167.0)])], 12.0)
-# np.hypot ties the two candidates, math.hypot puts the second nearer
+# np.hypot ties the two candidates, the distance puts the second nearer
 @example([jn(0, 0, [9]), jn(26.625, 4.25, [189]),
           jn(26.624999999999996, 4.250000000000002, [189])], 12.0)
 def test_match_ray_pairs_matches_all_pairs_oracle(junctions, delta):
@@ -704,8 +705,12 @@ def assert_pairs_match_oracle(junctions, delta):
 
 
 def test_equal_array_distances_are_ordered_by_the_scalar_distance():
+    # np.hypot ties them; Point.distance_to and point_distances, one norm, do not
     near, far = (26.624999999999996, 4.250000000000002), (26.625, 4.25)
-    assert np.hypot(*near) == np.hypot(*far) and math.hypot(*near) < math.hypot(*far)
+    assert np.hypot(*near) == np.hypot(*far)
+    assert Point(0.0, 0.0).distance_to(Point(*near)) < Point(0.0, 0.0).distance_to(Point(*far))
+    d = point_distances(np.zeros(2), np.array([near, far]))
+    assert d[0] < d[1]
     pairs = match_ray_pairs([jn(0, 0, [9]), jn(*far, [189]), jn(*near, [189])], 12.0)
     assert pairs.tolist() == [[0, 2]]  # one branch each: ray k is junction k
 

@@ -29,7 +29,9 @@ from wireframe.geometry import (
     normalize_angle,
     normalize_angles,
     point_array,
+    point_distances,
     point_segment_distance,
+    point_segment_distances,
     segment_array,
     segment_intersection,
     surely_within,
@@ -304,7 +306,7 @@ def incidence_oracle(junctions, segments, tol):
 @example([pt(3, 4)], [seg(0, 0, -6, 0)], 5.0)  # exactly tol from an endpoint
 @example([pt(6, 8)], [seg(0, 0, 6, 8)], 0.0)  # on an endpoint, zero tol
 @example([pt(1, 1), pt(1, 1)], [seg(0, 0, 2, 2), seg(2, 2, 0, 0)], 0.0)
-@example([pt(0, 0), pt(1e-170, 0), pt(1, 0)], [seg(0, 0, 1e-170, 0)], 0.0)  # dd underflows
+@example([pt(0, 0), pt(1e-170, 0), pt(1, 0)], [seg(0, 0, 1e-170, 0)], 0.0)  # length^2 underflows
 @example([], [seg(0, 0, 1, 1)], 1.0)
 @example([pt(1, 1)], [], 1.0)
 @example([], [], 1.0)
@@ -636,5 +638,37 @@ def assert_near_pairs_match_oracle(points, others, limit):
 @example([pt(1e150, -1e150), pt(-3, 4)],
          [seg(1e150 + 2e134, -1e150, 1e150 + 4e134, -1e150), seg(0, 0, 0, 10),
           seg(-1e150, 1e150, 1e150, -1e150)], 5.0)
+# where squares under- or overflow: 1e-170 is not within 0, 1e155 is within
+# 1e160, and the segment of +-1e155 is 1 from (0, 1)
+@example([pt(0, 0)], [pt(1e-170, 0)], 0.0)
+@example([pt(0, 0)], [pt(1e155, 0)], 1e160)
+@example([pt(0, 1)], [seg(-1e155, 0, 1e155, 0)], 2.0)
 def test_near_pairs_match_all_pairs_oracle(points, others, limit):
     assert_near_pairs_match_oracle(points, others, limit)
+
+
+@given(st.lists(st.floats(-8.0, 8.0), min_size=6, max_size=6), st.integers(-170, 155))
+@settings(max_examples=300, deadline=None)
+# np.hypot gives 165.65726100898806 here, math.hypot 165.6572610089881
+@example([112.875, -121.25, 0.0, 0.0, 1.0, 0.0], 0)
+def test_array_distances_are_the_scalar_bit_for_bit(v, e):
+    # differences scaled from 1e-170 to 1e155: their squares under- and overflow
+    p, a, b = (pt(x * 10.0 ** e, y * 10.0 ** e) for x, y in zip(v[::2], v[1::2]))
+    d = p.distance_to(a)
+    assert repr(point_distances(point_array([p]), point_array([a])).tolist()) == repr([d])
+    assert math.isclose(d, math.hypot(p.x - a.x, p.y - a.y), rel_tol=1e-15, abs_tol=1e-322)
+    if a != b:
+        s = Segment(a, b)
+        want = repr([point_segment_distance(p, s)])
+        assert repr(point_segment_distances(point_array([p]), segment_array([s])).tolist()) == want
+
+
+def test_distances_where_squares_under_or_overflow():
+    origin = point_array([pt(0, 0)])
+    assert pt(0, 0).distance_to(pt(1e-170, 0)) == 1e-170
+    assert near_pairs(origin, point_array([pt(1e-170, 0)]), 0.0)[0].tolist() == []
+    assert pt(0, 0).distance_to(pt(1e155, 0)) == 1e155
+    assert near_pairs(origin, point_array([pt(1e155, 0)]), 1e160)[0].tolist() == [0]
+    line = seg(-1e155, 0, 1e155, 0)
+    assert point_segment_distance(pt(0, 1), line) == 1.0  # not NaN from its squared length
+    assert near_pairs(point_array([pt(0, 1)]), segment_array([line]), 2.0)[0].tolist() == [0]
